@@ -15,8 +15,8 @@
 //!   cached capacity the tuned Rust layout would hold, applied as the
 //!   per-class parked-object cap.
 //!
-//! `depot_gate` and `ship_batch` have no counterpart in a single free
-//! list and are dropped.
+//! `depot_gate` has no counterpart in a single free list and is dropped,
+//! as is the `ship_batch` gene older reports still carry.
 
 use crate::config::PoolTuning;
 use serde::Value;

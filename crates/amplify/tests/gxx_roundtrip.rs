@@ -83,17 +83,19 @@ fn behaviour(output: &str) -> String {
 
 /// Amplify `fixture_name`, build original + amplified, run both, and
 /// return (original stdout, amplified stdout, amplified source text).
-fn roundtrip(fixture_name: &str, options: AmplifyOptions) -> (String, String, String) {
+/// The build directories are keyed on the calling test's `test` name:
+/// several tests round-trip the same fixture concurrently, and a shared
+/// directory would have them race on one `prog` binary.
+fn roundtrip(test: &str, fixture_name: &str, options: AmplifyOptions) -> (String, String, String) {
     let src = fixture(fixture_name);
-    let tag = fixture_name.trim_end_matches(".cpp");
 
-    let orig_dir = temp_dir(&format!("{tag}_orig"));
+    let orig_dir = temp_dir(&format!("{test}_orig"));
     fs::write(orig_dir.join("prog.cpp"), &src).unwrap();
     let orig_out = compile_and_run(&orig_dir, "prog.cpp");
 
     let amp = Amplifier::new(options);
     let result = amp.amplify_source(fixture_name, &src);
-    let amp_dir = temp_dir(&format!("{tag}_amp"));
+    let amp_dir = temp_dir(&format!("{test}_amp"));
     fs::write(amp_dir.join("prog.cpp"), &result.text).unwrap();
     fs::write(amp_dir.join("amplify_runtime.hpp"), amp.runtime_header()).unwrap();
     let amp_out = compile_and_run(&amp_dir, "prog.cpp");
@@ -157,7 +159,11 @@ fn tree_program_behaves_identically_and_reuses_structures() {
         eprintln!("skipping: no g++");
         return;
     }
-    let (orig, amp, _) = roundtrip("tree.cpp", AmplifyOptions::default());
+    let (orig, amp, _) = roundtrip(
+        "tree_program_behaves_identically_and_reuses_structures",
+        "tree.cpp",
+        AmplifyOptions::default(),
+    );
     assert_eq!(behaviour(&orig), behaviour(&amp), "amplification changed behaviour");
 
     let stats = parse_stats(&amp);
@@ -174,7 +180,11 @@ fn car_program_behaves_identically_and_shadows_parts() {
         eprintln!("skipping: no g++");
         return;
     }
-    let (orig, amp, text) = roundtrip("car.cpp", AmplifyOptions::default());
+    let (orig, amp, text) = roundtrip(
+        "car_program_behaves_identically_and_shadows_parts",
+        "car.cpp",
+        AmplifyOptions::default(),
+    );
     assert_eq!(behaviour(&orig), behaviour(&amp));
 
     assert!(text.contains("engineShadow"));
@@ -194,7 +204,11 @@ fn bgw_buffers_behave_identically_and_realloc_reuses() {
         eprintln!("skipping: no g++");
         return;
     }
-    let (orig, amp, text) = roundtrip("bgw_buffer.cpp", AmplifyOptions::bgw());
+    let (orig, amp, text) = roundtrip(
+        "bgw_buffers_behave_identically_and_realloc_reuses",
+        "bgw_buffer.cpp",
+        AmplifyOptions::bgw(),
+    );
     assert_eq!(behaviour(&orig), behaviour(&amp));
 
     assert!(text.contains("::amplify::array_realloc(rawShadow"));
@@ -212,7 +226,11 @@ fn existing_operator_new_is_respected_at_runtime() {
         eprintln!("skipping: no g++");
         return;
     }
-    let (orig, amp, text) = roundtrip("respect.cpp", AmplifyOptions::default());
+    let (orig, amp, text) = roundtrip(
+        "existing_operator_new_is_respected_at_runtime",
+        "respect.cpp",
+        AmplifyOptions::default(),
+    );
     assert_eq!(behaviour(&orig), behaviour(&amp));
     // The custom counters still reach 100/100 — visible in the behaviour
     // line `custom=100/100`, asserted via equality above. The pre-processor
@@ -265,7 +283,11 @@ fn single_threaded_output_compiles_without_mutex() {
         eprintln!("skipping: no g++");
         return;
     }
-    let (orig, amp, _) = roundtrip("tree.cpp", AmplifyOptions::single_threaded());
+    let (orig, amp, _) = roundtrip(
+        "single_threaded_output_compiles_without_mutex",
+        "tree.cpp",
+        AmplifyOptions::single_threaded(),
+    );
     assert_eq!(behaviour(&orig), behaviour(&amp));
     let stats = parse_stats(&amp);
     assert!(stats["pool_hits"] >= 199);
@@ -277,7 +299,11 @@ fn ctor_init_list_allocation_revives_at_runtime() {
         eprintln!("skipping: no g++");
         return;
     }
-    let (orig, amp, text) = roundtrip("initlist.cpp", AmplifyOptions::default());
+    let (orig, amp, text) = roundtrip(
+        "ctor_init_list_allocation_revives_at_runtime",
+        "initlist.cpp",
+        AmplifyOptions::default(),
+    );
     assert_eq!(behaviour(&orig), behaviour(&amp));
     assert!(
         text.contains(": payload(new(payloadShadow) Payload(v)), serial(v)"),
@@ -295,7 +321,11 @@ fn polymorphic_classes_pool_but_do_not_park() {
         eprintln!("skipping: no g++");
         return;
     }
-    let (orig, amp, text) = roundtrip("shapes.cpp", AmplifyOptions::default());
+    let (orig, amp, text) = roundtrip(
+        "polymorphic_classes_pool_but_do_not_park",
+        "shapes.cpp",
+        AmplifyOptions::default(),
+    );
     assert_eq!(behaviour(&orig), behaviour(&amp));
 
     // The polymorphic member must NOT be shadow-parked or placement-revived
@@ -395,7 +425,8 @@ fn profile_tuned_pools_behave_identically_and_carve_batches() {
         }),
         ..Default::default()
     };
-    let (orig, amp, _) = roundtrip("tree.cpp", options);
+    let (orig, amp, _) =
+        roundtrip("profile_tuned_pools_behave_identically_and_carve_batches", "tree.cpp", options);
     assert_eq!(behaviour(&orig), behaviour(&amp), "tuning changed behaviour");
 
     let stats = parse_stats(&amp);
@@ -420,7 +451,7 @@ fn pool_caps_spill_to_the_heap() {
         max_pool_objects: Some(1),
         ..Default::default()
     };
-    let (orig, amp, _) = roundtrip("bgw_buffer.cpp", options);
+    let (orig, amp, _) = roundtrip("pool_caps_spill_to_the_heap", "bgw_buffer.cpp", options);
     assert_eq!(behaviour(&orig), behaviour(&amp));
     let stats = parse_stats(&amp);
     assert_eq!(stats["shadow_hits"], 0, "oversized blocks must never be shadowed");
@@ -433,7 +464,11 @@ fn stats_json_line_parses_as_a_telemetry_report() {
         eprintln!("skipping: no g++");
         return;
     }
-    let (_, amp, _) = roundtrip("tree.cpp", AmplifyOptions::default());
+    let (_, amp, _) = roundtrip(
+        "stats_json_line_parses_as_a_telemetry_report",
+        "tree.cpp",
+        AmplifyOptions::default(),
+    );
     let line = amp
         .lines()
         .find(|l| l.starts_with("amplify-stats-json "))

@@ -18,15 +18,13 @@
 //! feature modes: the 3.3× pre-depot miss cliff trips even a generous
 //! gate, while ordinary host-to-host jitter does not.
 //!
-//! Built with `--features adaptive`, two more checks run: the hit pair
-//! under a tuned pool shape and the global pair, both with the online
-//! controller stepping epochs during measurement (the tuned-config
-//! envelopes).
+//! The hit pair is also gated under a tuned pool shape (the offline
+//! tuner's winner configuration; the tuned-config envelope).
 
 use bench::native::{
     check_global_pair_envelope, check_hit_pair_envelope, check_miss_pair_envelope,
     check_profiled_global_pair_envelope, check_reclaim_global_pair_envelope,
-    check_sim_engine_envelope,
+    check_sim_engine_envelope, check_tuned_hit_pair_envelope,
 };
 
 fn arg_value(name: &str) -> Option<String> {
@@ -48,11 +46,10 @@ fn main() {
         .unwrap_or(20_000_000);
 
     eprintln!(
-        "[envelope_check] telemetry {}, global-alloc {}, adaptive {}, {pairs} pairs, \
+        "[envelope_check] telemetry {}, global-alloc {}, {pairs} pairs, \
          regression gate +{:.0}%",
         cfg!(feature = "telemetry"),
         cfg!(feature = "global-alloc"),
-        cfg!(feature = "adaptive"),
         100.0 * gate
     );
     let hit = check_hit_pair_envelope(pairs);
@@ -77,20 +74,11 @@ fn main() {
     let sim = check_sim_engine_envelope(5);
     println!("{}", sim.render());
 
-    #[cfg_attr(not(feature = "adaptive"), allow(unused_mut))]
-    let mut checks = vec![hit, miss, global, profiled, reclaim, sim];
-    // With the online controller compiled in, the tuned-config envelopes:
-    // the pair costs under a tuner-winner pool shape with the adaptive
-    // controller stepping its epochs during measurement.
-    #[cfg(feature = "adaptive")]
-    {
-        let tuned_hit = bench::native::check_tuned_hit_pair_envelope(pairs);
-        println!("{}", tuned_hit.render());
-        let tuned_global = bench::native::check_tuned_global_pair_envelope(pairs);
-        println!("{}", tuned_global.render());
-        checks.push(tuned_hit);
-        checks.push(tuned_global);
-    }
+    // The hit pair under a tuner-winner pool shape.
+    let tuned_hit = check_tuned_hit_pair_envelope(pairs);
+    println!("{}", tuned_hit.render());
+
+    let checks = [hit, miss, global, profiled, reclaim, sim, tuned_hit];
 
     let mut failed = false;
     for check in checks {

@@ -357,12 +357,14 @@ pub fn check_reclaim_global_pair_envelope(pairs: u64) -> EnvelopeCheck {
     use std::sync::atomic::{AtomicBool, Ordering};
     let layout = std::alloc::Layout::from_size_align(64, 8).expect("bench layout");
     let stop = std::sync::Arc::new(AtomicBool::new(false));
-    let stop2 = std::sync::Arc::clone(&stop);
+    let first_pass = std::sync::Arc::new(AtomicBool::new(false));
+    let (stop2, first_pass2) = (std::sync::Arc::clone(&stop), std::sync::Arc::clone(&first_pass));
     let sweeper = std::thread::spawn(move || {
         let mut passes = 0u64;
         while !stop2.load(Ordering::Relaxed) {
             pools::reclaim::reclaim_all();
             passes += 1;
+            first_pass2.store(true, Ordering::Release);
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
         passes
@@ -371,6 +373,11 @@ pub fn check_reclaim_global_pair_envelope(pairs: u64) -> EnvelopeCheck {
         let p = pools::global::raw_alloc(layout);
         black_box(p);
         unsafe { pools::global::raw_dealloc(p, layout) };
+    }
+    // Handshake: a short pair loop can finish before the sweeper is ever
+    // scheduled, so time nothing until one full pass has completed.
+    while !first_pass.load(Ordering::Acquire) {
+        std::thread::yield_now();
     }
     let mut best = f64::INFINITY;
     for _ in 0..5 {
@@ -391,37 +398,20 @@ pub fn check_reclaim_global_pair_envelope(pairs: u64) -> EnvelopeCheck {
 /// The recorded acquire/release hit pair under a *tuned* pool shape —
 /// the configuration the offline tuner's winners converge to on the
 /// tree families (doubled magazine cap, doubled carve batch; see
-/// `BENCH_tuning.json`) — measured with the online controller stepping
-/// an epoch between timing rounds. Tuning must never tax the hit path:
-/// the runtime knobs are read only at the cold decision points, so the
-/// tuned pair runs the same pop/push instructions as the default one.
-#[cfg(feature = "adaptive")]
+/// `BENCH_tuning.json`). Tuning must never tax the hit path: the pool
+/// knobs are read only at the cold decision points, so the tuned pair
+/// runs the same pop/push instructions as the default one.
 pub fn expected_tuned_hit_pair_ns() -> f64 {
     31.2
 }
 
-/// The recorded global alloc/dealloc pair with the online controller
-/// live. The controller's whole fast-path footprint is one relaxed
-/// LUT load on the refill/flush *cold* paths, so the tuned pair shares
-/// the untuned envelope.
-#[cfg(feature = "adaptive")]
-pub fn expected_tuned_global_pair_ns() -> f64 {
-    expected_global_pair_ns()
-}
-
-/// [`check_hit_pair_envelope`] under the tuned configuration, with a
-/// [`pools::tune::AdaptiveController`] running its epoch protocol
-/// between rounds (its writes touch only the global front-end's cap
-/// LUT — the point of the check is that the structure-pool pair never
-/// sees it). Resets the runtime tuning state on the way out.
-#[cfg(feature = "adaptive")]
+/// [`check_hit_pair_envelope`] under the tuned configuration.
 pub fn check_tuned_hit_pair_envelope(pairs: u64) -> EnvelopeCheck {
     let pool: ShardedPool<[u8; 64]> = ShardedPool::with_magazines(
         4,
         PoolConfig::default().with_tuning(1, 0, 4 * DEFAULT_MAGAZINE_CAP),
         2 * DEFAULT_MAGAZINE_CAP,
     );
-    let mut controller = pools::tune::AdaptiveController::new();
     let seed: Vec<_> = (0..8).map(|_| pool.acquire(|| [0u8; 64])).collect();
     for x in seed {
         pool.release(x);
@@ -433,7 +423,6 @@ pub fn check_tuned_hit_pair_envelope(pairs: u64) -> EnvelopeCheck {
     }
     let mut best = f64::INFINITY;
     for _ in 0..5 {
-        controller.step();
         let t = Instant::now();
         for _ in 0..pairs {
             let x = pool.acquire(|| [0u8; 64]);
@@ -442,38 +431,7 @@ pub fn check_tuned_hit_pair_envelope(pairs: u64) -> EnvelopeCheck {
         }
         best = best.min(t.elapsed().as_nanos() as f64 / pairs as f64);
     }
-    pools::global::reset_tuning();
     EnvelopeCheck::against("tuned-hit-pair", best, expected_tuned_hit_pair_ns())
-}
-
-/// [`check_global_pair_envelope`] with the online controller live: an
-/// epoch steps between rounds, so any cap adjustments it decides are in
-/// force during the timed loops. A primed pair loop is all hits (zero
-/// churn), so the controller decays toward the defaults — and the pair
-/// must cost what it costs without the controller. Resets the runtime
-/// tuning state on the way out.
-#[cfg(feature = "adaptive")]
-pub fn check_tuned_global_pair_envelope(pairs: u64) -> EnvelopeCheck {
-    let layout = std::alloc::Layout::from_size_align(64, 8).expect("bench layout");
-    let mut controller = pools::tune::AdaptiveController::new();
-    for _ in 0..(pairs / 20).max(1_000) {
-        let p = pools::global::raw_alloc(layout);
-        black_box(p);
-        unsafe { pools::global::raw_dealloc(p, layout) };
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        controller.step();
-        let t = Instant::now();
-        for _ in 0..pairs {
-            let p = pools::global::raw_alloc(layout);
-            black_box(p);
-            unsafe { pools::global::raw_dealloc(p, layout) };
-        }
-        best = best.min(t.elapsed().as_nanos() as f64 / pairs as f64);
-    }
-    pools::global::reset_tuning();
-    EnvelopeCheck::against("tuned-global-pair", best, expected_tuned_global_pair_ns())
 }
 
 /// The recorded deterministic engine throughput from `BENCH_sim.json`:

@@ -2,9 +2,8 @@
 //! search over pool configurations, evaluated by replaying recorded
 //! workload traces and scoring the resulting telemetry counters.
 //!
-//! The genome is the full knob vector the runtime exposes — magazine
-//! capacity, shard count, depot gate, slab carve batch and the size-class
-//! front-end's remote-free ship batch. Fitness is a pure counter blend —
+//! The genome is the typed pool's knob vector — magazine capacity, shard
+//! count, depot gate and slab carve batch. Fitness is a pure counter blend —
 //! [`PoolSnapshot::tuning_fitness`] (fresh allocations, lock traffic,
 //! parked waste) plus the depot churn the snapshot can't see (magazine
 //! parks and swaps: the flush/refill rate, see [`replay_fitness`]) —
@@ -59,7 +58,6 @@ pub const MAGAZINE_CAP_RANGE: (u32, u32) = (1, 512);
 pub const SHARDS_RANGE: (u32, u32) = (1, 16);
 pub const DEPOT_GATE_RANGE: (u32, u32) = (1, 8);
 pub const CARVE_BATCH_RANGE: (u32, u32) = (2, 1024);
-pub const SHIP_BATCH_RANGE: (u32, u32) = (1, 64);
 
 /// One candidate pool configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -68,17 +66,16 @@ pub struct Genome {
     pub shards: u32,
     pub depot_gate: u32,
     pub carve_batch: u32,
-    pub ship_batch: u32,
 }
 
 impl Genome {
     /// The hand-tuned defaults the runtime ships with: the `amplify`
     /// backend's layout (4 shards, [`pools::DEFAULT_MAGAZINE_CAP`]
     /// magazines), the historical depot gate and carve batch
-    /// (`2 × magazine_cap`), and the front-end's remote-free ship batch.
+    /// (`2 × magazine_cap`).
     pub fn baseline() -> Genome {
         let cap = pools::DEFAULT_MAGAZINE_CAP as u32;
-        Genome { magazine_cap: cap, shards: 4, depot_gate: 1, carve_batch: cap * 2, ship_batch: 32 }
+        Genome { magazine_cap: cap, shards: 4, depot_gate: 1, carve_batch: cap * 2 }
     }
 
     /// Clamp every field into its legal range.
@@ -88,7 +85,6 @@ impl Genome {
             shards: self.shards.clamp(SHARDS_RANGE.0, SHARDS_RANGE.1),
             depot_gate: self.depot_gate.clamp(DEPOT_GATE_RANGE.0, DEPOT_GATE_RANGE.1),
             carve_batch: self.carve_batch.clamp(CARVE_BATCH_RANGE.0, CARVE_BATCH_RANGE.1),
-            ship_batch: self.ship_batch.clamp(SHIP_BATCH_RANGE.0, SHIP_BATCH_RANGE.1),
         }
     }
 
@@ -102,7 +98,6 @@ impl Genome {
             shards: draw(rng, SHARDS_RANGE),
             depot_gate: draw(rng, DEPOT_GATE_RANGE),
             carve_batch: draw(rng, CARVE_BATCH_RANGE),
-            ship_batch: draw(rng, SHIP_BATCH_RANGE),
         }
     }
 
@@ -114,7 +109,6 @@ impl Genome {
             shards: pick(rng, a.shards, b.shards),
             depot_gate: pick(rng, a.depot_gate, b.depot_gate),
             carve_batch: pick(rng, a.carve_batch, b.carve_batch),
-            ship_batch: pick(rng, a.ship_batch, b.ship_batch),
         }
     }
 
@@ -131,15 +125,13 @@ impl Genome {
         step(&mut self.shards);
         step(&mut self.depot_gate);
         step(&mut self.carve_batch);
-        step(&mut self.ship_batch);
         self.clamped()
     }
 
     /// How far a genome sits from the baseline (sum of absolute field
     /// deltas). Used as a deterministic tie-break: among equally fit
-    /// genomes, prefer the least surprising one — in particular, knobs
-    /// the trace replay is flat in (the ship batch only matters to the
-    /// size-class front-end) stay at their defaults instead of drifting.
+    /// genomes, prefer the least surprising one, so knobs the trace
+    /// replay is flat in stay at their defaults instead of drifting.
     pub fn distance_from_baseline(&self) -> u64 {
         let b = Genome::baseline();
         let d = |x: u32, y: u32| x.abs_diff(y) as u64;
@@ -147,7 +139,6 @@ impl Genome {
             + d(self.shards, b.shards)
             + d(self.depot_gate, b.depot_gate)
             + d(self.carve_batch, b.carve_batch)
-            + d(self.ship_batch, b.ship_batch)
     }
 
     /// The pool this genome describes, over trace [`Chunk`]s.
@@ -171,7 +162,6 @@ impl Genome {
             shards: self.shards,
             depot_gate: self.depot_gate,
             carve_batch: self.carve_batch,
-            ship_batch: self.ship_batch,
         }
     }
 }
@@ -420,7 +410,6 @@ mod tests {
             assert!((SHARDS_RANGE.0..=SHARDS_RANGE.1).contains(&g.shards));
             assert!((DEPOT_GATE_RANGE.0..=DEPOT_GATE_RANGE.1).contains(&g.depot_gate));
             assert!((CARVE_BATCH_RANGE.0..=CARVE_BATCH_RANGE.1).contains(&g.carve_batch));
-            assert!((SHIP_BATCH_RANGE.0..=SHIP_BATCH_RANGE.1).contains(&g.ship_batch));
         }
     }
 

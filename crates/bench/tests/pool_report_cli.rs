@@ -64,8 +64,7 @@ fn heap_section() -> HeapProfileSection {
 }
 
 fn tune_section() -> PoolTuneSection {
-    let baseline =
-        TunedGenome { magazine_cap: 32, shards: 4, depot_gate: 1, carve_batch: 64, ship_batch: 32 };
+    let baseline = TunedGenome { magazine_cap: 32, shards: 4, depot_gate: 1, carve_batch: 64 };
     let winner = TunedGenome { magazine_cap: 128, carve_batch: 256, ..baseline };
     PoolTuneSection {
         schema: POOL_TUNE_SCHEMA.into(),

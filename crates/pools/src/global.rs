@@ -145,82 +145,6 @@ const MAG_CAP: [u32; NUM_CLASSES] = {
     caps
 };
 
-/// Runtime copy of [`MAG_CAP`], read at the cold refill/carve/flush
-/// decision points with a single relaxed load — never a locked RMW, and
-/// the hot local-list pop does not touch it at all. Defaults to the
-/// hand-tuned constants; the adaptive controller (the feature-gated
-/// `tune` module) and the offline tuner's feedback path adjust it via
-/// [`set_class_mag_cap`].
-static MAG_CAP_RT: [AtomicU32; NUM_CLASSES] = {
-    let mut rt = [const { AtomicU32::new(0) }; NUM_CLASSES];
-    let mut c = 0;
-    while c < NUM_CLASSES {
-        rt[c] = AtomicU32::new(MAG_CAP[c]);
-        c += 1;
-    }
-    rt
-};
-
-/// Runtime foreign-bucket ship threshold (defaults to [`REMOTE_BATCH`]).
-static REMOTE_BATCH_RT: AtomicU32 = AtomicU32::new(REMOTE_BATCH);
-
-/// Smallest runtime magazine cap [`set_class_mag_cap`] accepts.
-pub const MAG_CAP_MIN: u32 = 1;
-/// Largest runtime magazine cap [`set_class_mag_cap`] accepts. Refill and
-/// adoption batches are still clamped to [`BATCH_MAX`] blocks per trip,
-/// so a large cap lengthens the local list without growing any stack
-/// array.
-pub const MAG_CAP_MAX: u32 = 1024;
-
-#[inline]
-fn mag_cap(class: usize) -> u32 {
-    MAG_CAP_RT[class].load(Ordering::Relaxed)
-}
-
-/// Set one class's runtime magazine cap (clamped to
-/// `MAG_CAP_MIN..=MAG_CAP_MAX`); returns the applied value. A relaxed
-/// store: running threads observe it on their next cold refill or
-/// flush-threshold check — no fence, no stall, no locked RMW anywhere.
-pub fn set_class_mag_cap(class: usize, cap: u32) -> u32 {
-    let cap = cap.clamp(MAG_CAP_MIN, MAG_CAP_MAX);
-    MAG_CAP_RT[class].store(cap, Ordering::Relaxed);
-    cap
-}
-
-/// The current runtime magazine cap for `class`.
-pub fn class_mag_cap(class: usize) -> u32 {
-    mag_cap(class)
-}
-
-/// The compile-time default magazine cap for `class` (what
-/// [`reset_tuning`] restores).
-pub fn default_class_mag_cap(class: usize) -> u32 {
-    MAG_CAP[class]
-}
-
-/// Set the foreign-bucket ship threshold (clamped to `1..=1024`; segment
-/// counts pack into 16 bits, so the bound is generous). Returns the
-/// applied value.
-pub fn set_remote_batch(batch: u32) -> u32 {
-    let batch = batch.clamp(1, 1024);
-    REMOTE_BATCH_RT.store(batch, Ordering::Relaxed);
-    batch
-}
-
-/// The current foreign-bucket ship threshold.
-pub fn remote_batch() -> u32 {
-    REMOTE_BATCH_RT.load(Ordering::Relaxed)
-}
-
-/// Restore every runtime knob to its compile-time default (test hygiene:
-/// tuning experiments must not leak into later measurements).
-pub fn reset_tuning() {
-    for (class, slot) in MAG_CAP_RT.iter().enumerate() {
-        slot.store(MAG_CAP[class], Ordering::Relaxed);
-    }
-    REMOTE_BATCH_RT.store(REMOTE_BATCH, Ordering::Relaxed);
-}
-
 #[repr(C)]
 struct SlabHeader {
     magic: u32,
@@ -435,16 +359,6 @@ struct ClassFold {
 
 static FOLDED_CLASS: [ClassFold; NUM_CLASSES] =
     [const { ClassFold { allocs: AtomicU64::new(0), frees: AtomicU64::new(0) } }; NUM_CLASSES];
-
-/// Per-class refill/flush churn folded out of exited caches, so the
-/// adaptive controller's signal survives thread turnover.
-struct ChurnFold {
-    refills: AtomicU64,
-    flushes: AtomicU64,
-}
-
-static FOLDED_CHURN: [ChurnFold; NUM_CLASSES] =
-    [const { ChurnFold { refills: AtomicU64::new(0), flushes: AtomicU64::new(0) } }; NUM_CLASSES];
 
 /// Slabs carved per class, bumped inside [`carve_slab`] *before* the first
 /// block of the slab can be served — so any observer that sees a block's
@@ -908,12 +822,6 @@ struct ThreadCache {
     // pops the local list or takes `refill`, so hits = allocs - refills.
     refills: AtomicU64,
     slabs: AtomicU64,
-    /// Per-class refill / surplus-flush counts: the churn signal the
-    /// adaptive controller steers magazine caps by. Owner-only stores on
-    /// the already-cold refill/flush paths; wrapping u32s are fine — the
-    /// controller works on per-epoch deltas.
-    class_refills: [AtomicU32; NUM_CLASSES],
-    class_flushes: [AtomicU32; NUM_CLASSES],
     /// Sampled allocation-site counts per (class, caller tag): the
     /// profiler's per-thread table, folded on exit and summed in place by
     /// a live collection.
@@ -1014,14 +922,6 @@ fn teardown_cache() {
             FOLDED_CLASS[class]
                 .frees
                 .fetch_add(lc.frees.load(Ordering::Relaxed), Ordering::Release);
-            FOLDED_CHURN[class].refills.fetch_add(
-                cache_ref.class_refills[class].load(Ordering::Relaxed) as u64,
-                Ordering::Relaxed,
-            );
-            FOLDED_CHURN[class].flushes.fetch_add(
-                cache_ref.class_flushes[class].load(Ordering::Relaxed) as u64,
-                Ordering::Relaxed,
-            );
         }
         let refills = cache_ref.refills.load(Ordering::Relaxed);
         FOLDED.cache_hits.fetch_add(allocs_total.saturating_sub(refills), Ordering::Relaxed);
@@ -1266,8 +1166,7 @@ fn refill(cache: &mut ThreadCache, class: usize) -> *mut u8 {
     sync_flush_epoch(cache);
     observe_peak_net(&cache.classes[class]);
     owner_bump(&cache.refills);
-    owner_add32(&cache.class_refills[class], 1);
-    let cap = mag_cap(class) as usize;
+    let cap = MAG_CAP[class] as usize;
     let state = &CLASSES[class];
     let home = cache.home;
 
@@ -1492,7 +1391,7 @@ fn carve(cache: &mut ThreadCache, class: usize) -> *mut u8 {
     }
     owner_bump(&cache.slabs);
     let home = cache.home;
-    let cap = mag_cap(class) as usize;
+    let cap = MAG_CAP[class] as usize;
     let Some(base) = carve_slab(class, home) else { return std::ptr::null_mut() };
     let bytes = class_bytes(class);
     let nblocks = (SLAB_BYTES - HEADER_BYTES) / bytes;
@@ -1663,7 +1562,7 @@ fn dealloc_class(ptr: *mut u8, class: usize) {
             lc.head = ptr;
             let count = lc.count.load(Ordering::Relaxed) + 1;
             lc.count.store(count, Ordering::Relaxed);
-            if count > mag_cap(class) {
+            if count > MAG_CAP[class] {
                 flush_surplus(cache, class);
             }
         } else {
@@ -1697,7 +1596,7 @@ fn bucket_push(cache: &mut ThreadCache, class: usize, shard: usize, ptr: *mut u8
     }
     b.head = ptr;
     b.count += 1;
-    if b.count >= REMOTE_BATCH_RT.load(Ordering::Relaxed) {
+    if b.count >= REMOTE_BATCH {
         flush_bucket(class, shard, b);
     }
 }
@@ -1727,7 +1626,6 @@ fn flush_surplus(cache: &mut ThreadCache, class: usize) {
     if sync_flush_epoch(cache) {
         return;
     }
-    owner_add32(&cache.class_flushes[class], 1);
     let lc = &mut cache.classes[class];
     let count = lc.count.load(Ordering::Relaxed);
     let flush = (count / 2).max(1);
@@ -1960,40 +1858,6 @@ pub fn shard_occupancy_snapshot() -> [u32; CLASS_SHARDS] {
     let mut out = [0u32; CLASS_SHARDS];
     for (slot, occ) in SHARD_OCCUPANCY.iter().zip(out.iter_mut()) {
         *occ = slot.load(Ordering::Relaxed);
-    }
-    out
-}
-
-/// One class's cumulative controller signal: classed allocations, cold
-/// refills, and surplus flushes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassChurn {
-    pub allocs: u64,
-    pub refills: u64,
-    pub flushes: u64,
-}
-
-/// Snapshot the per-class churn counters the adaptive controller steers
-/// by: live caches summed under the registry lock plus the folded
-/// remainders of exited threads. Exact at quiescence, bounded-skew
-/// mid-run (owner-only counters, same publication rules as [`stats`]).
-pub fn class_churn() -> [ClassChurn; NUM_CLASSES] {
-    let mut out = [ClassChurn::default(); NUM_CLASSES];
-    for (class, slot) in out.iter_mut().enumerate() {
-        slot.allocs = FOLDED_CLASS[class].allocs.load(Ordering::Acquire);
-        slot.refills = FOLDED_CHURN[class].refills.load(Ordering::Relaxed);
-        slot.flushes = FOLDED_CHURN[class].flushes.load(Ordering::Relaxed);
-    }
-    let _g = REGISTRY.lock();
-    let mut cur = REGISTRY_HEAD.load(Ordering::Relaxed) as *const ThreadCache;
-    while !cur.is_null() {
-        let cache = unsafe { &*cur };
-        for (class, slot) in out.iter_mut().enumerate() {
-            slot.allocs += cache.classes[class].allocs.load(Ordering::Acquire);
-            slot.refills += cache.class_refills[class].load(Ordering::Relaxed) as u64;
-            slot.flushes += cache.class_flushes[class].load(Ordering::Relaxed) as u64;
-        }
-        cur = cache.next;
     }
     out
 }

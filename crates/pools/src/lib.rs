@@ -59,13 +59,10 @@ pub mod reclaim;
 pub mod registry;
 pub mod shadow;
 pub mod shadow_buf;
-pub mod shadow_vec;
 pub mod sharded;
 pub mod size_class;
 pub mod stats;
 pub mod structure_pool;
-#[cfg(feature = "adaptive")]
-pub mod tune;
 
 pub use bit_shadow::BitShadow;
 pub use global::GlobalPool;
@@ -76,7 +73,6 @@ pub use pool_box::PoolBox;
 pub use registry::{PoolRegistry, Trimmable};
 pub use shadow::Shadow;
 pub use shadow_buf::ShadowBuf;
-pub use shadow_vec::ShadowVec;
 pub use sharded::ShardedPool;
 pub use stats::PoolStats;
 pub use structure_pool::{Reusable, StructurePool};

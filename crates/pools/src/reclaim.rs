@@ -11,11 +11,8 @@
 //!   a pass bumps the cache-flush epoch, so blocks parked in other
 //!   threads' caches surface one pass later, and a short pass loop is
 //!   what converges on them;
-//! * [`ReclaimerConfig`] + [`BackgroundReclaimer`] (feature
-//!   `background-reclaim`) put that behind a thread driven by the
-//!   [`crate::heap_profile`] occupancy gauges: when the live/mapped
-//!   ratio drops under a low watermark, mapped is trimmed back toward
-//!   `live * headroom`.
+//! * [`reclaim_all`] retires everything idle, and [`totals`] reports the
+//!   process-wide retire/recarve ledger.
 //!
 //! Everything here runs in ordinary (non-allocator) context; nothing is
 //! called from alloc/dealloc paths.
@@ -107,100 +104,6 @@ pub fn totals() -> ReclaimTotals {
     }
 }
 
-/// Background-reclaimer policy knobs.
-#[cfg(feature = "background-reclaim")]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReclaimerConfig {
-    /// Gauge-check cadence.
-    pub interval: std::time::Duration,
-    /// Trigger: reclaim when `live / mapped` drops below this occupancy
-    /// (fragmentation high, pages mostly idle).
-    pub occupancy_low: f64,
-    /// Never trim mapped below this floor — tiny heaps are not worth
-    /// sweeping, and a floor keeps the reclaimer from fighting a warmup.
-    pub min_mapped_bytes: u64,
-    /// Watermark: trim mapped back toward `live_bytes * headroom`.
-    pub headroom: f64,
-}
-
-#[cfg(feature = "background-reclaim")]
-impl Default for ReclaimerConfig {
-    fn default() -> Self {
-        ReclaimerConfig {
-            interval: std::time::Duration::from_millis(50),
-            occupancy_low: 0.5,
-            min_mapped_bytes: 4 * 1024 * 1024,
-            headroom: 2.0,
-        }
-    }
-}
-
-/// The feature-gated background reclaimer: a thread that watches the
-/// heap-profile occupancy gauges and calls [`reclaim`] when the mapped
-/// set runs cold. Stop it explicitly with [`stop`](Self::stop) (drop
-/// also stops it, blocking until the thread exits).
-#[cfg(feature = "background-reclaim")]
-pub struct BackgroundReclaimer {
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<u64>>,
-}
-
-#[cfg(feature = "background-reclaim")]
-impl BackgroundReclaimer {
-    /// Start the reclaimer thread with `config`.
-    pub fn start(config: ReclaimerConfig) -> Self {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
-        let stop2 = std::sync::Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("pool-reclaimer".into())
-            .spawn(move || {
-                let mut reclaimed = 0u64;
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(config.interval);
-                    let g = heap_profile::gauges();
-                    let mapped = g.total_mapped_bytes();
-                    let live = g.total_live_bytes();
-                    if mapped <= config.min_mapped_bytes {
-                        continue;
-                    }
-                    let occupancy = live as f64 / mapped as f64;
-                    if occupancy >= config.occupancy_low {
-                        continue;
-                    }
-                    let watermark =
-                        ((live as f64 * config.headroom) as u64).max(config.min_mapped_bytes);
-                    reclaimed += reclaim(watermark).reclaimed_bytes;
-                }
-                reclaimed
-            })
-            .expect("spawn pool-reclaimer");
-        BackgroundReclaimer { stop, handle: Some(handle) }
-    }
-
-    /// [`start`](Self::start) with [`ReclaimerConfig::default`].
-    pub fn start_default() -> Self {
-        Self::start(ReclaimerConfig::default())
-    }
-
-    /// Stop the thread and return the total bytes it reclaimed.
-    pub fn stop(mut self) -> u64 {
-        self.shutdown().unwrap_or(0)
-    }
-
-    fn shutdown(&mut self) -> Option<u64> {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        self.handle.take().map(|h| h.join().expect("pool-reclaimer panicked"))
-    }
-}
-
-#[cfg(feature = "background-reclaim")]
-impl Drop for BackgroundReclaimer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,34 +143,5 @@ mod tests {
         let stats = reclaim(u64::MAX);
         assert_eq!(stats.reclaimed_slabs, 0);
         assert_eq!(stats.passes, 0);
-    }
-
-    #[cfg(feature = "background-reclaim")]
-    #[test]
-    fn background_reclaimer_trims_while_running() {
-        use std::time::Duration;
-        let reclaimer = BackgroundReclaimer::start(ReclaimerConfig {
-            interval: Duration::from_millis(2),
-            occupancy_low: 1.1, // always eligible
-            min_mapped_bytes: 0,
-            headroom: 1.0,
-        });
-        // Keep laying down idle bursts (each ~64 idle slabs) across many
-        // reclaimer ticks: even if a sibling test's one-shot reclaim
-        // steals some, the background thread must catch others.
-        let l = Layout::from_size_align(4096, 8).unwrap();
-        for _ in 0..10 {
-            std::thread::spawn(move || {
-                let held: Vec<usize> = (0..256).map(|_| global::raw_alloc(l) as usize).collect();
-                for p in held {
-                    unsafe { global::raw_dealloc(p as *mut u8, l) };
-                }
-            })
-            .join()
-            .unwrap();
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let reclaimed = reclaimer.stop();
-        assert!(reclaimed > 0, "the background thread must have reclaimed something");
     }
 }

@@ -274,8 +274,6 @@ pub struct TunedGenome {
     pub depot_gate: u32,
     /// Objects carved from a slab per miss.
     pub carve_batch: u32,
-    /// Remote-free batch size shipped back to the owning CPU.
-    pub ship_batch: u32,
 }
 
 /// One generation of the evolutionary search. Fitness is a deterministic
@@ -728,15 +726,15 @@ impl Report {
             );
             let _ = writeln!(
                 out,
-                "  {:<12}{:>8}{:>8}{:>6}{:>7}{:>6}",
-                "family", "mag_cap", "shards", "gate", "carve", "ship"
+                "  {:<12}{:>8}{:>8}{:>6}{:>7}",
+                "family", "mag_cap", "shards", "gate", "carve"
             );
             for f in &pt.families {
                 let w = &f.winner;
                 let _ = writeln!(
                     out,
-                    "  {:<12}{:>8}{:>8}{:>6}{:>7}{:>6}",
-                    f.family, w.magazine_cap, w.shards, w.depot_gate, w.carve_batch, w.ship_batch
+                    "  {:<12}{:>8}{:>8}{:>6}{:>7}",
+                    f.family, w.magazine_cap, w.shards, w.depot_gate, w.carve_batch
                 );
             }
             for f in &pt.families {
@@ -1306,13 +1304,7 @@ mod tests {
     }
 
     fn sample_pool_tune() -> PoolTuneSection {
-        let default = TunedGenome {
-            magazine_cap: 32,
-            shards: 8,
-            depot_gate: 1,
-            carve_batch: 64,
-            ship_batch: 32,
-        };
+        let default = TunedGenome { magazine_cap: 32, shards: 8, depot_gate: 1, carve_batch: 64 };
         let winner = TunedGenome { magazine_cap: 64, shards: 4, ..default };
         PoolTuneSection {
             schema: POOL_TUNE_SCHEMA.into(),
@@ -1358,6 +1350,15 @@ mod tests {
         let back = Report::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.pool_tune.unwrap().improved_families(), 1);
+
+        // Older pool-tune-v1 reports carry a fifth gene, `ship_batch`,
+        // that the tuner no longer searches: it must parse and be dropped.
+        let old = r.to_json().replace(
+            "\"carve_batch\": 64\n",
+            "\"carve_batch\": 64,\n          \"ship_batch\": 32\n",
+        );
+        assert!(old.contains("\"ship_batch\": 32"), "{old}");
+        assert_eq!(Report::from_json(&old).unwrap(), r);
     }
 
     #[test]
