@@ -154,9 +154,9 @@ pub fn write_csv(runs: &[NativeRun], dir: &Path) -> std::io::Result<std::path::P
 /// layout, `[u8; 64]`, 4 shards).
 pub fn expected_hit_pair_ns() -> f64 {
     if cfg!(feature = "telemetry") {
-        35.25
+        13.94
     } else {
-        35.77
+        12.02
     }
 }
 
@@ -402,7 +402,7 @@ pub fn check_reclaim_global_pair_envelope(pairs: u64) -> EnvelopeCheck {
 /// knobs are read only at the cold decision points, so the tuned pair
 /// runs the same pop/push instructions as the default one.
 pub fn expected_tuned_hit_pair_ns() -> f64 {
-    31.2
+    11.09
 }
 
 /// [`check_hit_pair_envelope`] under the tuned configuration.

@@ -11,14 +11,13 @@
 
 use crate::backend::{Allocation, BackendStats, MemBackend, Structured};
 use pools::{PoolConfig, StructurePool};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A [`MemBackend`] over a [`StructurePool`].
+/// A [`MemBackend`] over a [`StructurePool`]. Holds no counters of its own:
+/// frees and live bytes come from the pool's ledger, which the magazine hit
+/// path keeps in owner-written fields instead of shared atomics.
 pub struct PooledBackend<T: Structured> {
     name: &'static str,
     pool: StructurePool<T>,
-    live_bytes: AtomicU64,
-    frees: AtomicU64,
 }
 
 impl<T: Structured> PooledBackend<T> {
@@ -44,7 +43,7 @@ impl<T: Structured> PooledBackend<T> {
 
     /// Wrap an explicitly configured pool under a display name.
     pub fn from_pool(name: &'static str, pool: StructurePool<T>) -> Self {
-        PooledBackend { name, pool, live_bytes: AtomicU64::new(0), frees: AtomicU64::new(0) }
+        PooledBackend { name, pool }
     }
 
     /// The wrapped pool.
@@ -62,28 +61,26 @@ where
     }
 
     fn alloc(&self, params: &T::Params) -> Allocation<T> {
-        let obj = self.pool.alloc(params);
         let bytes = T::footprint(params);
-        self.live_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let obj = self.pool.alloc_sized(params, bytes);
         // No per-node handles: the pool parks/revives whole structures.
         Allocation::new(obj, Vec::new(), bytes)
     }
 
     fn free(&self, allocation: Allocation<T>) {
-        self.live_bytes.fetch_sub(allocation.bytes(), Ordering::Relaxed);
-        self.frees.fetch_add(1, Ordering::Relaxed);
-        self.pool.free(allocation.into_object());
+        let bytes = allocation.bytes();
+        self.pool.free_sized(allocation.into_object(), bytes);
     }
 
     fn stats(&self) -> BackendStats {
         let s = self.pool.stats();
         BackendStats::new(
             s.total_allocs(),
-            self.frees.load(Ordering::Relaxed),
+            s.frees(),
             s.pool_hits(),
             s.fresh_allocs(),
             s.failed_locks(),
-            self.live_bytes.load(Ordering::Relaxed),
+            s.live_bytes(),
         )
         .with_depot_detail(s.depot_swaps(), s.depot_parks(), s.slab_carves())
         .with_fallbacks(s.fallback_allocs())
@@ -140,6 +137,83 @@ mod tests {
         exercise(&PooledBackend::local());
         exercise(&PooledBackend::sharded(4));
         exercise(&PooledBackend::with_magazines(4));
+    }
+
+    /// Every layout, uncapped and with a population cap of 2 (so frees
+    /// past the cap drop: at release time in the local and direct
+    /// layouts, at flush time behind magazines).
+    fn every_layout() -> Vec<PooledBackend<Blob>> {
+        let capped = PoolConfig { max_objects: Some(2), ..Default::default() };
+        vec![
+            PooledBackend::local(),
+            PooledBackend::sharded(4),
+            PooledBackend::with_magazines(4),
+            PooledBackend::from_pool("capped-local", StructurePool::with_config(capped)),
+            PooledBackend::from_pool(
+                "capped-sharded",
+                StructurePool::new_sharded_with_magazines(2, capped, 0),
+            ),
+            PooledBackend::from_pool(
+                "capped-magazines",
+                StructurePool::new_sharded_with_magazines(2, capped, 4),
+            ),
+        ]
+    }
+
+    /// The quiescent ledger: `allocs` and `frees` as given, nothing live,
+    /// every alloc a hit or a fresh build.
+    fn assert_exact(backend: &PooledBackend<Blob>, allocs: u64, frees: u64, live_bytes: u64) {
+        let s = backend.stats();
+        let name = backend.name;
+        assert_eq!(s.allocs(), allocs, "{name}: allocs");
+        assert_eq!(s.frees(), frees, "{name}: frees");
+        assert_eq!(s.live_bytes(), live_bytes, "{name}: live_bytes");
+        assert_eq!(s.pool_hits() + s.fresh_allocs(), s.allocs(), "{name}: hits + fresh");
+    }
+
+    #[test]
+    fn ledger_is_exact_when_another_thread_frees() {
+        for backend in every_layout() {
+            let held: Vec<_> = std::thread::scope(|scope| {
+                scope.spawn(|| (0..20).map(|_| backend.alloc(&32)).collect()).join().unwrap()
+            });
+            assert_exact(&backend, 20, 0, 20 * 32);
+            std::thread::scope(|scope| {
+                scope.spawn(|| held.into_iter().for_each(|a| backend.free(a)));
+            });
+            assert_exact(&backend, 20, 20, 0);
+        }
+    }
+
+    #[test]
+    fn ledger_is_exact_after_a_thread_exits_with_cached_objects() {
+        for backend in every_layout() {
+            // The worker's last frees stay cached in its magazine until
+            // the thread exits and folds its counts into the pool.
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for _ in 0..3 {
+                        let held: Vec<_> = (0..10).map(|_| backend.alloc(&16)).collect();
+                        held.into_iter().for_each(|a| backend.free(a));
+                    }
+                });
+            });
+            assert_exact(&backend, 30, 30, 0);
+            let kept = backend.alloc(&16);
+            assert_exact(&backend, 31, 30, 16);
+            backend.free(kept);
+            assert_exact(&backend, 31, 31, 0);
+        }
+    }
+
+    #[test]
+    fn capped_drops_count_each_free_once() {
+        for backend in every_layout().into_iter().skip(3) {
+            let held: Vec<_> = (0..20).map(|_| backend.alloc(&8)).collect();
+            held.into_iter().for_each(|a| backend.free(a));
+            assert_exact(&backend, 20, 20, 0);
+            assert!(backend.pool().stats().dropped() > 0, "{}: the cap must drop", backend.name);
+        }
     }
 
     #[test]

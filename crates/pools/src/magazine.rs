@@ -40,12 +40,11 @@ use crate::limits::PoolConfig;
 use crate::object_pool::ObjectPool;
 use crate::obs::{pool_event, pool_hist};
 use crate::pool_box::{PoolBox, SlabReserve, SlabSlot};
-use crate::stats::PoolStats;
+use crate::stats::{PoolStats, StatsSnapshot};
 use parking_lot::Mutex;
-use std::any::Any;
 use std::cell::RefCell;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Default objects a magazine may hold (per thread, per pool).
@@ -59,10 +58,62 @@ const MAX_SLAB_BYTES: usize = 64 * 1024;
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// This thread's magazines, indexed by pool id. `dyn Any` erases the
-    /// pooled object type; a slot is only ever written by the pool owning
-    /// that id, so the downcast always succeeds.
-    static MAGAZINES: RefCell<Vec<Option<Box<dyn Any>>>> = const { RefCell::new(Vec::new()) };
+    /// This thread's magazines, indexed by pool id. The `RefCell` borrow is
+    /// the reentrancy guard (see [`with_magazine`]).
+    static MAGAZINES: RefCell<Vec<Option<MagSlot>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One thread's magazine for one pool, its object type erased: a pointer to
+/// a boxed `Magazine<T>` plus the function that drops it. A slot is only
+/// ever filled by the pool owning its index, and pool ids are never reused,
+/// so the id alone fixes `T` — the fast paths cast instead of downcasting.
+struct MagSlot {
+    mag: NonNull<()>,
+    drop_mag: unsafe fn(NonNull<()>),
+    #[cfg(debug_assertions)]
+    type_id: std::any::TypeId,
+}
+
+impl MagSlot {
+    fn new<T: 'static>(mag: Magazine<T>) -> Self {
+        /// # Safety
+        /// `mag` must be the pointer a `MagSlot::new::<T>` leaked, not yet
+        /// dropped.
+        unsafe fn drop_mag<T>(mag: NonNull<()>) {
+            // SAFETY: `mag` came from `Box::leak` in `MagSlot::new::<T>`.
+            drop(unsafe { Box::from_raw(mag.cast::<Magazine<T>>().as_ptr()) });
+        }
+        MagSlot {
+            mag: NonNull::from(Box::leak(Box::new(mag))).cast(),
+            drop_mag: drop_mag::<T>,
+            #[cfg(debug_assertions)]
+            type_id: std::any::TypeId::of::<Magazine<T>>(),
+        }
+    }
+
+    /// The typed magazine.
+    ///
+    /// # Safety
+    /// `T` must be the type the slot was created with: the caller indexes
+    /// the slot by its own pool's id.
+    #[inline(always)]
+    unsafe fn magazine<T: 'static>(&mut self) -> &mut Magazine<T> {
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            self.type_id == std::any::TypeId::of::<Magazine<T>>(),
+            "pool ids are never reused, so the slot type matches"
+        );
+        // SAFETY: per the contract, the pointee is a live `Magazine<T>`,
+        // borrowed through `&mut self`.
+        unsafe { &mut *self.mag.cast::<Magazine<T>>().as_ptr() }
+    }
+}
+
+impl Drop for MagSlot {
+    fn drop(&mut self) {
+        // SAFETY: `drop_mag` is the drop function for this pointee's type.
+        unsafe { (self.drop_mag)(self.mag) }
+    }
 }
 
 /// The shared half of a magazine-fronted pool: the shard array, the
@@ -162,19 +213,25 @@ impl<T> Depot<T> {
         self.mag_counts.lock().iter().map(|c| c.parked.load(Ordering::Relaxed)).sum()
     }
 
-    /// Hits and releases counted by live magazines but not yet folded into
-    /// [`Depot::stats`] (that happens when a magazine drops). Read
-    /// `releases` before `hits` within each cell for the same reason
-    /// [`PoolStats::snapshot`] reads them in that order.
-    pub(crate) fn magazine_hot_counts(&self) -> (u64, u64) {
+    /// Aggregate statistics: the shared counters, every shard's, and the
+    /// counts live magazines hold but have not folded yet. Taken under the
+    /// cell lock, so a magazine retiring concurrently (which folds and
+    /// drops its cell in one critical section) is counted exactly once.
+    /// Every source is read in the three phases [`StatsSnapshot`] documents
+    /// — frees, net bytes, allocations — and the owners publish in the
+    /// matching order (see [`publish_cells`]).
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let cells = self.mag_counts.lock();
-        let mut hits = 0;
-        let mut releases = 0;
-        for c in cells.iter() {
-            releases += c.releases.load(Ordering::Relaxed);
-            hits += c.hits.load(Ordering::Relaxed);
-        }
-        (hits, releases)
+        let sources = || std::iter::once(&self.stats).chain(self.shards.iter().map(|s| s.stats()));
+        let mut s = StatsSnapshot::default();
+        sources().for_each(|p| s.add_frees_of(p));
+        let releases = cells.iter().map(|c| c.releases.load(Ordering::Relaxed)).sum();
+        sources().for_each(|p| s.add_bytes_of(p));
+        let bytes = cells.iter().map(|c| c.bytes.load(Ordering::Relaxed)).sum();
+        sources().for_each(|p| s.add_allocs_of(p));
+        let hits = cells.iter().map(|c| c.hits.load(Ordering::Relaxed)).sum();
+        s.add_magazine_counts(hits, releases, bytes);
+        s
     }
 
     /// Objects parked in full magazines on the depot stacks.
@@ -331,7 +388,7 @@ impl<T> Drop for Depot<T> {
 }
 
 /// One magazine's shared counter cell. The owning thread publishes with
-/// relaxed *stores* after every operation (see [`with_magazine`]) — plain
+/// relaxed *stores* after every operation (see [`publish_cells`]) — plain
 /// `mov`s to a line no other thread writes, so the fast paths carry no
 /// locked RMW at all. Cross-thread readers go through [`Depot::mag_counts`]
 /// and see values exact at quiescent points (thread-join or barrier
@@ -344,6 +401,9 @@ struct MagCells {
     hits: AtomicU64,
     /// Magazine releases (mirrors `Magazine::releases`).
     releases: AtomicU64,
+    /// Net bytes of this magazine's hits and releases (mirrors
+    /// `Magazine::bytes`).
+    bytes: AtomicI64,
 }
 
 /// One thread's cache of parked objects for one pool.
@@ -357,6 +417,11 @@ pub(crate) struct Magazine<T> {
     hits: u64,
     /// Releases accepted by this magazine; same lifecycle as `hits`.
     releases: u64,
+    /// Net byte ledger of this magazine's hits (+) and releases (−), as
+    /// passed by sized callers; same lifecycle as `hits`. Negative when
+    /// the thread frees more than it reuses (its allocs took cold paths,
+    /// which book their bytes in the shared ledger).
+    bytes: i64,
     /// Home shard for refills and flushes.
     shard: usize,
     /// Copy of [`Depot::trim_epoch`] from the last (in)validation.
@@ -390,6 +455,7 @@ impl<T> Drop for Magazine<T> {
                 cells: &'a Arc<MagCells>,
                 hits: u64,
                 releases: u64,
+                bytes: i64,
             }
             impl<T> Drop for FoldOnDrop<'_, T> {
                 fn drop(&mut self) {
@@ -398,7 +464,7 @@ impl<T> Drop for Magazine<T> {
                     // (which also locks `mag_counts`) never counts them
                     // twice — and never loses them to a mid-park panic.
                     let mut cells = self.depot.mag_counts.lock();
-                    self.depot.stats.fold_magazine_counts(self.hits, self.releases);
+                    self.depot.stats.fold_magazine_counts(self.hits, self.releases, self.bytes);
                     cells.retain(|c| !Arc::ptr_eq(c, self.cells));
                 }
             }
@@ -407,6 +473,7 @@ impl<T> Drop for Magazine<T> {
                 cells: &self.cells,
                 hits: self.hits,
                 releases: self.releases,
+                bytes: self.bytes,
             };
             if let Some(node) = self.spare.take() {
                 depot.free_nodes.push(node);
@@ -432,43 +499,59 @@ fn with_magazine<T: 'static, R>(depot: &Arc<Depot<T>>, f: impl FnOnce(&mut Magaz
         if slots.len() <= idx {
             slots.resize_with(idx + 1, || None);
         }
-        let slot = &mut slots[idx];
-        if slot.is_none() {
+        let slot = slots[idx].get_or_insert_with(|| {
             let shard = depot.next_shard.fetch_add(1, Ordering::Relaxed) % depot.shards.len();
             let cells = Arc::new(MagCells::default());
             depot.mag_counts.lock().push(Arc::clone(&cells));
-            *slot = Some(Box::new(Magazine {
+            MagSlot::new(Magazine {
                 depot: Arc::downgrade(depot),
                 items: Vec::with_capacity(depot.magazine_cap),
                 cells,
                 hits: 0,
                 releases: 0,
+                bytes: 0,
                 shard,
                 epoch: depot.trim_epoch.load(Ordering::Relaxed),
                 spare: None,
                 flush_buf: Vec::new(),
                 reserve: None,
-            }));
-        }
-        let mag = slot
-            .as_mut()
-            .expect("slot was just filled")
-            .downcast_mut::<Magazine<T>>()
-            .expect("pool ids are never reused, so the slot type matches");
+            })
+        });
+        // SAFETY: the slot at this pool's id holds this pool's magazine.
+        let mag = unsafe { slot.magazine::<T>() };
         let r = f(mag);
         publish_cells(mag);
         r
     })
 }
 
-/// Publish a magazine's local counters to its shared cell — three relaxed
-/// stores to one thread-owned line, the whole cost of cross-thread counter
-/// visibility on the fast paths.
+/// Publish a magazine's local counters to its shared cell — relaxed stores
+/// to one thread-owned line, the whole cost of cross-thread counter
+/// visibility. The order pairs with [`Depot::snapshot`]'s reads: an
+/// acquire's `hits` before its `bytes`, a release's `bytes` before its
+/// `releases`.
 #[inline(always)]
 fn publish_cells<T>(mag: &Magazine<T>) {
     mag.cells.parked.store(mag.items.len(), Ordering::Relaxed);
     mag.cells.hits.store(mag.hits, Ordering::Relaxed);
+    mag.cells.bytes.store(mag.bytes, Ordering::Relaxed);
     mag.cells.releases.store(mag.releases, Ordering::Relaxed);
+}
+
+/// Run `f` on the calling thread's magazine for `depot` if it has one —
+/// the fast paths' entry: one registry borrow and a cast, no creation, no
+/// publish (`f` publishes what it changed).
+#[inline(always)]
+fn with_existing<T: 'static, R>(
+    depot: &Depot<T>,
+    f: impl FnOnce(&mut Magazine<T>) -> Option<R>,
+) -> Option<R> {
+    MAGAZINES.with(|slots| {
+        let mut slots = slots.borrow_mut();
+        // SAFETY: the slot at this pool's id holds this pool's magazine.
+        let mag = unsafe { slots.get_mut(depot.id as usize)?.as_mut()?.magazine::<T>() };
+        f(mag)
+    })
 }
 
 /// Like [`with_magazine`] but without creating a missing magazine.
@@ -476,14 +559,7 @@ fn with_magazine_opt<T: 'static, R>(
     depot: &Arc<Depot<T>>,
     f: impl FnOnce(&mut Magazine<T>) -> R,
 ) -> Option<R> {
-    let idx = depot.id as usize;
-    MAGAZINES.with(|slots| {
-        let mut slots = slots.borrow_mut();
-        let mag = slots
-            .get_mut(idx)?
-            .as_mut()?
-            .downcast_mut::<Magazine<T>>()
-            .expect("pool ids are never reused, so the slot type matches");
+    with_existing(depot, |mag| {
         let r = f(mag);
         publish_cells(mag);
         Some(r)
@@ -530,21 +606,48 @@ fn recycle_node<T>(mag: &mut Magazine<T>, depot: &Depot<T>, node: NonNull<DepotN
     }
 }
 
-/// Pop one cached object — the lock-free acquire hit path. `None` means the
-/// magazine is empty and the caller should try the depot.
-pub(crate) fn pop<T: 'static>(depot: &Arc<Depot<T>>) -> Option<PoolBox<T>> {
-    let (obj, stale) = with_magazine(depot, |mag| {
-        let stale = invalidate_if_stale(mag, depot);
-        let obj = mag.items.pop();
-        mag.hits += obj.is_some() as u64;
-        (obj, stale)
+/// Pop one cached object — the lock-free acquire hit path, booking `bytes`
+/// in the magazine's own ledger. `None` means the magazine is empty and the
+/// caller should try the depot.
+///
+/// Split hot/cold: the inlined part is one registry borrow, the epoch
+/// compare, the pop and the owner-counter stores. A missing magazine, a
+/// stale epoch or an empty magazine is a miss, handled by [`pop_cold`].
+#[inline]
+pub(crate) fn pop<T: 'static>(depot: &Arc<Depot<T>>, bytes: u64) -> Option<PoolBox<T>> {
+    let hit = with_existing(depot, |mag| {
+        if mag.epoch != depot.trim_epoch.load(Ordering::Relaxed) {
+            return None;
+        }
+        let obj = mag.items.pop()?;
+        mag.hits += 1;
+        mag.bytes = mag.bytes.wrapping_add(bytes as i64);
+        mag.cells.parked.store(mag.items.len(), Ordering::Relaxed);
+        mag.cells.hits.store(mag.hits, Ordering::Relaxed);
+        mag.cells.bytes.store(mag.bytes, Ordering::Relaxed);
+        Some(obj)
     });
-    if obj.is_some() {
-        depot.guard.record_unpark();
+    match hit {
+        Some(obj) => {
+            depot.guard.record_unpark();
+            Some(obj)
+        }
+        None => {
+            pop_cold(depot);
+            None
+        }
     }
+}
+
+/// The magazine side of an acquire miss: create the thread's magazine on
+/// first touch, or surrender a cache a trim made stale. Nothing is left to
+/// pop — the hot path served any valid cached object.
+#[cold]
+#[inline(never)]
+fn pop_cold<T: 'static>(depot: &Arc<Depot<T>>) {
+    let stale = with_magazine(depot, |mag| invalidate_if_stale(mag, depot));
     depot.guard.record_reclaim(stale.len());
     drop(stale); // outside the borrow: destructors may re-enter pool code
-    obj
 }
 
 /// Swap the (empty) magazine for a full one parked on the depot: one CAS
@@ -621,10 +724,52 @@ pub(crate) enum PushOutcome<T> {
     },
 }
 
-/// Cache one released object — the lock-free release path. A full magazine
-/// in an uncapped pool parks *whole* on the depot (one CAS); in a capped
-/// pool the older half is handed back for the caller to park in a shard.
-pub(crate) fn push<T: 'static>(depot: &Arc<Depot<T>>, obj: PoolBox<T>) -> Option<PushOutcome<T>> {
+/// Cache one released object — the lock-free release path, booking
+/// `bytes` out of the magazine's ledger. A full magazine in an uncapped
+/// pool parks *whole* on the depot (one CAS); in a capped pool the older
+/// half is handed back for the caller to park in a shard.
+///
+/// Split hot/cold like [`pop`]: the inlined part caches the object below
+/// capacity; a missing magazine, a stale epoch or a full magazine (and
+/// with it the flush-delay fault draw) falls to [`push_cold`].
+#[inline]
+pub(crate) fn push<T: 'static>(
+    depot: &Arc<Depot<T>>,
+    obj: PoolBox<T>,
+    bytes: u64,
+) -> Option<PushOutcome<T>> {
+    // Taken by the closure only when it caches the object.
+    let mut obj = Some(obj);
+    with_existing(depot, |mag| {
+        if mag.epoch != depot.trim_epoch.load(Ordering::Relaxed)
+            || mag.items.len() >= depot.magazine_cap
+        {
+            return None;
+        }
+        mag.items.push(obj.take()?);
+        mag.releases += 1;
+        mag.bytes = mag.bytes.wrapping_sub(bytes as i64);
+        mag.cells.parked.store(mag.items.len(), Ordering::Relaxed);
+        mag.cells.bytes.store(mag.bytes, Ordering::Relaxed);
+        mag.cells.releases.store(mag.releases, Ordering::Relaxed);
+        Some(())
+    });
+    match obj {
+        None => {
+            depot.guard.record_park();
+            None
+        }
+        Some(obj) => push_cold(depot, obj, bytes),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn push_cold<T: 'static>(
+    depot: &Arc<Depot<T>>,
+    obj: PoolBox<T>,
+    bytes: u64,
+) -> Option<PushOutcome<T>> {
     let (outcome, stale) = with_magazine(depot, |mag| {
         let stale = invalidate_if_stale(mag, depot);
         let cap = depot.magazine_cap;
@@ -665,6 +810,7 @@ pub(crate) fn push<T: 'static>(depot: &Arc<Depot<T>>, obj: PoolBox<T>) -> Option
         };
         mag.items.push(obj);
         mag.releases += 1;
+        mag.bytes = mag.bytes.wrapping_sub(bytes as i64);
         (outcome, stale)
     });
     depot.guard.record_park();
@@ -758,10 +904,10 @@ mod tests {
     #[test]
     fn pop_empty_then_push_then_pop() {
         let d = depot(2, 4);
-        assert!(pop(&d).is_none());
-        assert!(push(&d, PoolBox::new(7)).is_none());
+        assert!(pop(&d, 0).is_none());
+        assert!(push(&d, PoolBox::new(7), 0).is_none());
         assert_eq!(d.magazine_parked(), 1);
-        assert_eq!(pop(&d).map(|b| *b), Some(7));
+        assert_eq!(pop(&d, 0).map(|b| *b), Some(7));
         assert_eq!(d.magazine_parked(), 0);
     }
 
@@ -769,9 +915,9 @@ mod tests {
     fn overflow_parks_whole_magazine_on_depot() {
         let d = depot(1, 4);
         for i in 0..4 {
-            assert!(push(&d, PoolBox::new(i)).is_none());
+            assert!(push(&d, PoolBox::new(i), 0).is_none());
         }
-        match push(&d, PoolBox::new(99)) {
+        match push(&d, PoolBox::new(99), 0) {
             Some(PushOutcome::Parked) => {}
             _ => panic!("uncapped pool must park on the depot"),
         }
@@ -784,18 +930,18 @@ mod tests {
     fn depot_swap_returns_parked_magazine() {
         let d = depot(1, 4);
         for i in 0..5 {
-            push(&d, PoolBox::new(i)); // fifth push parks [0,1,2,3]
+            push(&d, PoolBox::new(i), 0); // fifth push parks [0,1,2,3]
         }
         // Empty the live magazine first (holds only `4`).
-        assert_eq!(pop(&d).map(|b| *b), Some(4));
-        assert!(pop(&d).is_none());
+        assert_eq!(pop(&d, 0).map(|b| *b), Some(4));
+        assert!(pop(&d, 0).is_none());
         let got = depot_swap(&d).expect("a full magazine is parked");
         assert_eq!(*got, 3, "LIFO within the swapped magazine");
         assert_eq!(d.depot_parked(), 0);
         assert_eq!(d.magazine_parked(), 3);
         assert_eq!(d.stats.depot_swaps(), 1);
         for want in [2, 1, 0] {
-            assert_eq!(pop(&d).map(|b| *b), Some(want));
+            assert_eq!(pop(&d, 0).map(|b| *b), Some(want));
         }
     }
 
@@ -803,9 +949,9 @@ mod tests {
     fn capped_pool_flushes_older_half_with_recycled_buffer() {
         let d = capped_depot(1, 4, 64);
         for i in 0..4 {
-            assert!(push(&d, PoolBox::new(i)).is_none());
+            assert!(push(&d, PoolBox::new(i), 0).is_none());
         }
-        let Some(PushOutcome::Flush { buf, shard }) = push(&d, PoolBox::new(99)) else {
+        let Some(PushOutcome::Flush { buf, shard }) = push(&d, PoolBox::new(99), 0) else {
             panic!("capped pool must flush through the shard locks");
         };
         // Keep = 2 newest + the incoming object; flush the 2 oldest.
@@ -817,8 +963,8 @@ mod tests {
         restore_flush_buf(&d, buf);
         assert!(capacity >= 2);
         // Next overflow reuses the same buffer: no fresh capacity needed.
-        push(&d, PoolBox::new(100)); // magazine back at cap
-        let Some(PushOutcome::Flush { buf, .. }) = push(&d, PoolBox::new(101)) else {
+        push(&d, PoolBox::new(100), 0); // magazine back at cap
+        let Some(PushOutcome::Flush { buf, .. }) = push(&d, PoolBox::new(101), 0) else {
             panic!("second overflow");
         };
         assert_eq!(buf.capacity(), capacity, "flush buffer must be recycled");
@@ -827,8 +973,8 @@ mod tests {
     #[test]
     fn cap_one_magazine_never_exceeds_one() {
         let d = depot(1, 1);
-        assert!(push(&d, PoolBox::new(1)).is_none());
-        assert!(matches!(push(&d, PoolBox::new(2)), Some(PushOutcome::Parked)));
+        assert!(push(&d, PoolBox::new(1), 0).is_none());
+        assert!(matches!(push(&d, PoolBox::new(2), 0), Some(PushOutcome::Parked)));
         assert_eq!(d.magazine_parked(), 1);
         assert_eq!(d.depot_parked(), 1);
     }
@@ -837,10 +983,10 @@ mod tests {
     fn stale_epoch_drops_cache() {
         let d = depot(1, 8);
         for i in 0..3 {
-            push(&d, PoolBox::new(i));
+            push(&d, PoolBox::new(i), 0);
         }
         d.bump_trim_epoch();
-        assert!(pop(&d).is_none(), "post-trim cache must not serve");
+        assert!(pop(&d, 0).is_none(), "post-trim cache must not serve");
         assert_eq!(d.magazine_parked(), 0);
     }
 
@@ -848,13 +994,13 @@ mod tests {
     fn stale_depot_node_is_discarded_on_swap() {
         let d = depot(1, 2);
         for i in 0..3 {
-            push(&d, PoolBox::new(i)); // parks [0,1]
+            push(&d, PoolBox::new(i), 0); // parks [0,1]
         }
         assert_eq!(d.depot_parked(), 2);
         d.bump_trim_epoch();
         // The live magazine invalidates; the parked node's epoch is stale
         // too, so the swap must refuse to serve it.
-        assert!(pop(&d).is_none());
+        assert!(pop(&d, 0).is_none());
         assert!(depot_swap(&d).is_none(), "pre-trim depot magazines must drop");
         assert_eq!(d.depot_parked(), 0);
         assert_eq!(d.magazine_parked(), 0);
@@ -880,7 +1026,7 @@ mod tests {
         let d2 = Arc::clone(&d);
         std::thread::spawn(move || {
             for i in 0..5 {
-                push(&d2, PoolBox::new(i));
+                push(&d2, PoolBox::new(i), 0);
             }
         })
         .join()
@@ -895,7 +1041,7 @@ mod tests {
     fn drain_local_does_not_create_magazines() {
         let d = depot(1, 8);
         assert!(drain_local(&d).is_empty());
-        push(&d, PoolBox::new(1));
+        push(&d, PoolBox::new(1), 0);
         assert_eq!(drain_local(&d).len(), 1);
         assert_eq!(d.magazine_parked(), 0);
     }
@@ -926,6 +1072,7 @@ mod tests {
             cells,
             hits: 5,
             releases: 7,
+            bytes: 0,
             shard: 0,
             epoch: 0,
             spare: None,

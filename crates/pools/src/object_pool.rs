@@ -140,7 +140,7 @@ impl<T> ObjectPool<T> {
             self.stats.record_release();
         } else {
             drop(free);
-            self.stats.record_dropped();
+            self.stats.record_refused();
             // obj drops here, returning memory to the system allocator —
             // the paper's "returning memory from the pools ... when the
             // pools exceed a certain limit".
@@ -157,7 +157,7 @@ impl<T> ObjectPool<T> {
                     free.push(obj);
                     self.stats.record_release();
                 } else {
-                    self.stats.record_dropped();
+                    self.stats.record_refused();
                 }
                 Ok(())
             }

@@ -87,15 +87,9 @@ impl<T> ShardedPool<T> {
     }
 
     /// Aggregate statistics: per-shard counters plus the magazine fast
-    /// path's hit/fresh/release counts.
+    /// path's hit/fresh/release counts and the net byte ledger.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut agg = self.depot.stats.snapshot();
-        let (mag_hits, mag_releases) = self.depot.magazine_hot_counts();
-        agg.add_magazine_counts(mag_hits, mag_releases);
-        for s in self.depot.shards.iter() {
-            agg.merge(&s.stats().snapshot());
-        }
-        agg
+        self.depot.snapshot()
     }
 
     /// Per-shard parked-object counts (for balance diagnostics; magazine
@@ -161,29 +155,60 @@ impl<T: 'static> ShardedPool<T> {
         fresh: impl FnOnce() -> T,
         reinit: impl FnOnce(&mut T),
     ) -> PoolBox<T> {
+        self.acquire_sized(fresh, reinit, 0)
+    }
+
+    /// [`ShardedPool::acquire_with`] that also books `bytes` in the pool's
+    /// net byte ledger ([`StatsSnapshot::live_bytes`]); release the object
+    /// with [`ShardedPool::release_sized`] and the same count.
+    #[inline]
+    pub fn acquire_sized(
+        &self,
+        fresh: impl FnOnce() -> T,
+        reinit: impl FnOnce(&mut T),
+        bytes: u64,
+    ) -> PoolBox<T> {
         // The fault decision is drawn once, at entry, so an injection
         // schedule depends only on (seed, thread, op ordinal) — never on
         // which cache level would have served the request.
         if fault::fail_fresh_alloc() {
-            return self.acquire_fallback(fresh);
+            return self.acquire_fallback(fresh, bytes);
         }
         if self.depot.magazine_cap == 0 {
-            return self.acquire_direct(fresh, reinit);
+            return self.acquire_direct(fresh, reinit, bytes);
         }
-        if let Some(mut obj) = magazine::pop(&self.depot) {
-            // The hit itself was counted inside `pop` (a plain field in the
-            // magazine — no shared-counter RMW on the fast path); only the
-            // telemetry event is emitted here.
+        if let Some(mut obj) = magazine::pop(&self.depot, bytes) {
+            // The hit and its bytes were counted inside `pop` (plain fields
+            // in the magazine — no shared-counter RMW on the fast path);
+            // only the telemetry event is emitted here.
             pool_event!(AcquireHit);
             reinit(&mut obj);
             return obj;
         }
-        self.acquire_cold(fresh, reinit)
+        self.acquire_cold(fresh, reinit, bytes)
     }
 
     /// The three-level miss path, outlined so the hit path stays small.
+    /// Each level books the bytes in the shared ledger after its hit or
+    /// fresh count.
     #[cold]
-    fn acquire_cold(&self, fresh: impl FnOnce() -> T, reinit: impl FnOnce(&mut T)) -> PoolBox<T> {
+    #[inline(never)]
+    fn acquire_cold(
+        &self,
+        fresh: impl FnOnce() -> T,
+        reinit: impl FnOnce(&mut T),
+        bytes: u64,
+    ) -> PoolBox<T> {
+        let obj = self.acquire_cold_unbooked(fresh, reinit);
+        self.depot.stats.add_live_bytes(bytes as i64);
+        obj
+    }
+
+    fn acquire_cold_unbooked(
+        &self,
+        fresh: impl FnOnce() -> T,
+        reinit: impl FnOnce(&mut T),
+    ) -> PoolBox<T> {
         // Level 2: swap the empty magazine for a full one from the depot —
         // one CAS, no locks, no per-object moves.
         if let Some(mut obj) = magazine::depot_swap(&self.depot) {
@@ -237,9 +262,11 @@ impl<T: 'static> ShardedPool<T> {
     /// fresh alloc *plus* a fallback (see [`crate::fault`]) — never a
     /// panic, and never a change to what the caller observes.
     #[cold]
-    fn acquire_fallback(&self, fresh: impl FnOnce() -> T) -> PoolBox<T> {
+    #[inline(never)]
+    fn acquire_fallback(&self, fresh: impl FnOnce() -> T, bytes: u64) -> PoolBox<T> {
         self.depot.stats.record_fresh();
         self.depot.stats.record_fallback();
+        self.depot.stats.add_live_bytes(bytes as i64);
         PoolBox::new(fresh())
     }
 
@@ -247,24 +274,37 @@ impl<T: 'static> ShardedPool<T> {
     /// wholesale on the depot (uncapped pools, one CAS) or flushes its
     /// older half to a shard (capped pools, spilling on contention).
     pub fn release(&self, obj: impl Into<PoolBox<T>>) {
+        self.release_sized(obj, 0);
+    }
+
+    /// [`ShardedPool::release`] that also takes `bytes` out of the net byte
+    /// ledger (the count the object was acquired with).
+    #[inline]
+    pub fn release_sized(&self, obj: impl Into<PoolBox<T>>, bytes: u64) {
         let obj = obj.into();
         if self.depot.magazine_cap == 0 {
-            return self.release_direct(obj);
+            return self.release_direct(obj, bytes);
         }
-        // Counted inside `push` (plain magazine field); event only here.
+        // Counted inside `push` (plain magazine fields); event only here.
         pool_event!(Release);
-        match magazine::push(&self.depot, obj) {
+        match magazine::push(&self.depot, obj, bytes) {
             None | Some(PushOutcome::Parked) => {}
-            Some(PushOutcome::Flush { mut buf, shard }) => {
-                pool_event!(MagazineFlush, buf.len());
-                pool_hist!(
-                    "pools.magazine_occupancy",
-                    (self.depot.magazine_cap + 1).saturating_sub(buf.len())
-                );
-                self.depot.park_batch(shard, &mut buf);
-                magazine::restore_flush_buf(&self.depot, buf);
-            }
+            Some(PushOutcome::Flush { buf, shard }) => self.flush(buf, shard),
         }
+    }
+
+    /// Park a capped magazine's older half through the shard locks, where
+    /// the population cap drops what it must.
+    #[cold]
+    #[inline(never)]
+    fn flush(&self, mut buf: Vec<PoolBox<T>>, shard: usize) {
+        pool_event!(MagazineFlush, buf.len());
+        pool_hist!(
+            "pools.magazine_occupancy",
+            (self.depot.magazine_cap + 1).saturating_sub(buf.len())
+        );
+        self.depot.park_batch(shard, &mut buf);
+        magazine::restore_flush_buf(&self.depot, buf);
     }
 
     /// Drop all parked objects: the calling thread's magazine, then every
@@ -297,9 +337,28 @@ impl<T: 'static> ShardedPool<T> {
         n
     }
 
-    /// The pre-magazine path: try-lock the home shard, spin to the next on
-    /// contention, block on the home shard when all are contended.
-    fn acquire_direct(&self, fresh: impl FnOnce() -> T, reinit: impl FnOnce(&mut T)) -> PoolBox<T> {
+    /// The pre-magazine path, booking its bytes in the shared ledger after
+    /// the shard counted the hit or fresh alloc. Outlined: it is a layout
+    /// of its own, and inlined it would bloat the magazine hit path.
+    #[inline(never)]
+    fn acquire_direct(
+        &self,
+        fresh: impl FnOnce() -> T,
+        reinit: impl FnOnce(&mut T),
+        bytes: u64,
+    ) -> PoolBox<T> {
+        let obj = self.acquire_direct_unbooked(fresh, reinit);
+        self.depot.stats.add_live_bytes(bytes as i64);
+        obj
+    }
+
+    /// Try-lock the home shard, spin to the next on contention, block on
+    /// the home shard when all are contended.
+    fn acquire_direct_unbooked(
+        &self,
+        fresh: impl FnOnce() -> T,
+        reinit: impl FnOnce(&mut T),
+    ) -> PoolBox<T> {
         let n = self.depot.shards.len();
         let start = magazine::home_shard(&self.depot);
         for off in 0..n {
@@ -333,7 +392,11 @@ impl<T: 'static> ShardedPool<T> {
         obj
     }
 
-    fn release_direct(&self, mut obj: PoolBox<T>) {
+    #[inline(never)]
+    fn release_direct(&self, mut obj: PoolBox<T>, bytes: u64) {
+        // Booked before the shard counts the release (see
+        // `PoolStats::add_live_bytes`).
+        self.depot.stats.add_live_bytes(-(bytes as i64));
         self.depot.guard.record_park();
         let n = self.depot.shards.len();
         let start = magazine::home_shard(&self.depot);

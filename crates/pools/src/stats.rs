@@ -6,7 +6,7 @@
 //! so they agree by construction.
 
 use crate::obs::pool_event;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Counters describing a pool's behaviour. All methods use relaxed atomics —
 /// these are statistics, not synchronization.
@@ -19,12 +19,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   (pool empty, or the parked memory was unusable);
 /// * `failed_locks` — try-lock failures; the paper monitors exactly this to
 ///   argue Amplify's critical sections are short (§5.1).
+///
+/// Two more figures, read through [`StatsSnapshot`], serve callers that
+/// account in bytes (the `mem-api` backends): `frees` counts every release
+/// call exactly once, and `live_bytes` is a net ledger of the byte counts
+/// callers pass to the sized acquire/release entry points.
 #[derive(Debug, Default)]
 pub struct PoolStats {
     pool_hits: AtomicU64,
     fresh_allocs: AtomicU64,
     releases: AtomicU64,
     dropped: AtomicU64,
+    /// Objects the population cap turned away at release time (a subset of
+    /// `dropped`; the rest are dropped later, by a batch flush).
+    refused: AtomicU64,
+    /// Net bytes handed out: sized acquires add, sized releases subtract.
+    net_bytes: AtomicI64,
     failed_locks: AtomicU64,
     lock_acquisitions: AtomicU64,
     depot_swaps: AtomicU64,
@@ -45,12 +55,26 @@ impl PoolStats {
         pool_event!(AcquireHit);
     }
 
-    /// Fold a retiring magazine's locally-counted hits and releases into the
-    /// shared counters (see `magazine::MagCells`). No events: the owning
-    /// thread already emitted one per operation.
-    pub(crate) fn fold_magazine_counts(&self, hits: u64, releases: u64) {
+    /// Fold a retiring magazine's locally-counted hits, releases and net
+    /// bytes into the shared counters (see `magazine::MagCells`). No
+    /// events: the owning thread already emitted one per operation.
+    pub(crate) fn fold_magazine_counts(&self, hits: u64, releases: u64, bytes: i64) {
         self.pool_hits.fetch_add(hits, Ordering::Relaxed);
+        self.net_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.releases.fetch_add(releases, Ordering::Relaxed);
+    }
+
+    /// Move the net byte ledger by `delta` (the cold paths' one relaxed
+    /// RMW; the magazine hit path keeps its own owner-written field).
+    /// Record an acquire's bytes *after* its hit/fresh count and a
+    /// release's bytes *before* its release count: [`PoolStats::snapshot`]
+    /// reads frees, then bytes, then allocations, and this order keeps
+    /// `live_bytes ≤ (allocs − frees) × size` true for a concurrent reader.
+    #[inline]
+    pub(crate) fn add_live_bytes(&self, delta: i64) {
+        if delta != 0 {
+            self.net_bytes.fetch_add(delta, Ordering::Relaxed);
+        }
     }
 
     #[inline]
@@ -65,8 +89,11 @@ impl PoolStats {
         pool_event!(Release);
     }
 
+    /// A release the population cap turned away: the object is dropped
+    /// instead of parked, and the release call still counts as a free.
     #[inline]
-    pub(crate) fn record_dropped(&self) {
+    pub(crate) fn record_refused(&self) {
+        self.refused.fetch_add(1, Ordering::Relaxed);
         self.dropped.fetch_add(1, Ordering::Relaxed);
         pool_event!(Drop, 1);
     }
@@ -185,24 +212,11 @@ impl PoolStats {
 
     /// Snapshot all counters into a plain struct (for reports).
     pub fn snapshot(&self) -> StatsSnapshot {
-        // The loads are not one atomic cut. Read `releases` before the
-        // allocation counters: a release always follows its acquire, so
-        // this order keeps `releases ≤ total_allocs + in-flight` true for
-        // any concurrent observer (asserted by the snapshot-consistency
-        // integration test).
-        let releases = self.releases();
-        StatsSnapshot {
-            pool_hits: self.pool_hits(),
-            fresh_allocs: self.fresh_allocs(),
-            releases,
-            dropped: self.dropped(),
-            failed_locks: self.failed_locks(),
-            lock_acquisitions: self.lock_acquisitions(),
-            depot_swaps: self.depot_swaps(),
-            depot_parks: self.depot_parks(),
-            slab_carves: self.slab_carves(),
-            fallback_allocs: self.fallback_allocs(),
-        }
+        let mut s = StatsSnapshot::default();
+        s.add_frees_of(self);
+        s.add_bytes_of(self);
+        s.add_allocs_of(self);
+        s
     }
 }
 
@@ -218,6 +232,8 @@ pub struct StatsSnapshot {
     fresh_allocs: u64,
     releases: u64,
     dropped: u64,
+    refused: u64,
+    net_bytes: i64,
     failed_locks: u64,
     lock_acquisitions: u64,
     depot_swaps: u64,
@@ -226,13 +242,46 @@ pub struct StatsSnapshot {
     fallback_allocs: u64,
 }
 
+// The loads of a snapshot are not one atomic cut, so an aggregate reads
+// every source in three phases: frees, then net bytes, then allocations.
+// A release always follows its acquire, and each ledger update is ordered
+// after its acquire's count and before its release's count (see
+// `PoolStats::add_live_bytes`), so this order keeps `frees ≤ allocs +
+// in-flight` and `live_bytes ≤ (allocs − frees + in-flight) × size` true
+// for any concurrent observer (asserted by the snapshot-consistency
+// integration tests).
 impl StatsSnapshot {
-    /// Add hits/releases still held in live magazines' local counters
-    /// (published via `magazine::MagCells`, not yet folded into the shared
-    /// [`PoolStats`]).
-    pub(crate) fn add_magazine_counts(&mut self, hits: u64, releases: u64) {
+    /// Phase 1: the free-side counters of `p`.
+    pub(crate) fn add_frees_of(&mut self, p: &PoolStats) {
+        self.releases += p.releases();
+        self.refused += p.refused.load(Ordering::Relaxed);
+    }
+
+    /// Phase 2: the net byte ledger of `p`.
+    pub(crate) fn add_bytes_of(&mut self, p: &PoolStats) {
+        self.net_bytes += p.net_bytes.load(Ordering::Relaxed);
+    }
+
+    /// Phase 3: the allocation side and everything else of `p`.
+    pub(crate) fn add_allocs_of(&mut self, p: &PoolStats) {
+        self.pool_hits += p.pool_hits();
+        self.fresh_allocs += p.fresh_allocs();
+        self.dropped += p.dropped();
+        self.failed_locks += p.failed_locks();
+        self.lock_acquisitions += p.lock_acquisitions();
+        self.depot_swaps += p.depot_swaps();
+        self.depot_parks += p.depot_parks();
+        self.slab_carves += p.slab_carves();
+        self.fallback_allocs += p.fallback_allocs();
+    }
+
+    /// Add the counts still held in live magazines' cells (published via
+    /// `magazine::MagCells`, not yet folded into the shared
+    /// [`PoolStats`]); the caller loads them in the three-phase order.
+    pub(crate) fn add_magazine_counts(&mut self, hits: u64, releases: u64, bytes: i64) {
         self.pool_hits += hits;
         self.releases += releases;
+        self.net_bytes += bytes;
     }
 
     /// Allocations served by reuse (method form, mirroring [`PoolStats`]).
@@ -253,6 +302,20 @@ impl StatsSnapshot {
     /// Objects the pool refused to keep and dropped.
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// Release calls, each counted once: the parked ones (`releases`) plus
+    /// those the cap turned away on the spot. An object a magazine accepted
+    /// and a later batch flush dropped counts once, as a release.
+    pub fn frees(&self) -> u64 {
+        self.releases + self.refused
+    }
+
+    /// Net bytes handed out through the sized entry points. Exact at
+    /// quiescent points; a concurrent read can sum below zero (a free seen
+    /// before its remote alloc), which clamps to 0 rather than wrapping.
+    pub fn live_bytes(&self) -> u64 {
+        self.net_bytes.max(0) as u64
     }
 
     /// try-lock attempts that found the lock held.
@@ -307,6 +370,8 @@ impl StatsSnapshot {
         self.fresh_allocs += other.fresh_allocs;
         self.releases += other.releases;
         self.dropped += other.dropped;
+        self.refused += other.refused;
+        self.net_bytes += other.net_bytes;
         self.failed_locks += other.failed_locks;
         self.lock_acquisitions += other.lock_acquisitions;
         self.depot_swaps += other.depot_swaps;

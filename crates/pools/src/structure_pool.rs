@@ -114,20 +114,45 @@ impl<T: Reusable + 'static> StructurePool<T> {
     /// Allocate a structure: one pool access regardless of how many
     /// sub-objects the structure contains.
     pub fn alloc(&self, params: &T::Params) -> PoolBox<T> {
+        self.alloc_sized(params, 0)
+    }
+
+    /// [`StructurePool::alloc`] that also books `bytes` (the structure's
+    /// footprint, say) in the pool's net byte ledger, reported as
+    /// [`StatsSnapshot::live_bytes`]. Free it with
+    /// [`StructurePool::free_sized`] and the same count.
+    #[inline]
+    pub fn alloc_sized(&self, params: &T::Params, bytes: u64) -> PoolBox<T> {
         match &self.inner {
-            Backend::Plain(p) => p.acquire_with(|| T::fresh(params), |t| t.reinit(params)),
-            Backend::Sharded(s) => s.acquire_with(|| T::fresh(params), |t| t.reinit(params)),
+            Backend::Plain(p) => {
+                let obj = p.acquire_with(|| T::fresh(params), |t| t.reinit(params));
+                p.stats().add_live_bytes(bytes as i64);
+                obj
+            }
+            Backend::Sharded(s) => {
+                s.acquire_sized(|| T::fresh(params), |t| t.reinit(params), bytes)
+            }
         }
     }
 
     /// Free a structure: run `recycle` (the destructor chain) and park the
     /// whole thing, links intact.
     pub fn free(&self, structure: impl Into<PoolBox<T>>) {
+        self.free_sized(structure, 0);
+    }
+
+    /// [`StructurePool::free`] that also takes `bytes` out of the net byte
+    /// ledger.
+    #[inline]
+    pub fn free_sized(&self, structure: impl Into<PoolBox<T>>, bytes: u64) {
         let mut structure = structure.into();
         structure.recycle();
         match &self.inner {
-            Backend::Plain(p) => p.release(structure),
-            Backend::Sharded(s) => s.release(structure),
+            Backend::Plain(p) => {
+                p.stats().add_live_bytes(-(bytes as i64));
+                p.release(structure);
+            }
+            Backend::Sharded(s) => s.release_sized(structure, bytes),
         }
     }
 

@@ -14,7 +14,7 @@
 
 #![cfg(feature = "fault-inject")]
 
-use pools::fault::{self, FaultConfig};
+use pools::fault::{self, FaultConfig, FaultCounts};
 use pools::{PoolBox, PoolConfig, ShardedPool};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,7 +33,39 @@ fn injected_epoch_bump_between_pop_and_validate_cannot_double_hand_out() {
     const THREADS: usize = 4;
     const CYCLES: usize = 20;
     const BURST: usize = 40;
-    fault::reset_counts();
+    const CAP: usize = 8;
+    let pool: Arc<ShardedPool<u64>> =
+        Arc::new(ShardedPool::with_magazines(2, PoolConfig::default(), CAP));
+
+    // Forced window, before any thread races: park a full magazine on the
+    // depot, empty the live one, then acquire with both depot faults
+    // certain. The acquire misses the magazine, pops the parked node (and
+    // is forced to retry the pop once), and the epoch moves between the
+    // pop and the validate — whatever the scheduler does later.
+    let forced = {
+        let p = Arc::clone(&pool);
+        std::thread::spawn(move || {
+            fault::set_thread_ordinal(THREADS as u64);
+            for v in 0..=CAP as u64 {
+                p.release(PoolBox::new(u64::MAX - 1 - v)); // the ninth parks the first eight
+            }
+            let last = p.acquire(|| unreachable!("the magazine holds one object"));
+            assert_eq!(p.depot_parked(), CAP, "a full magazine waits on the depot");
+            fault::install(FaultConfig { depot_retry: 1.0, epoch_bump: 1.0, ..FaultConfig::off() });
+            let swapped = p.acquire(|| unreachable!("the depot holds a full magazine"));
+            let counts = fault::injected_counts();
+            fault::clear();
+            assert_eq!(p.depot_parked(), 0, "the swap took the parked magazine");
+            p.release(last);
+            p.release(swapped);
+            counts
+        })
+        .join()
+        .unwrap()
+    };
+    assert_eq!(forced.depot_retry, 1, "the forced acquire retried its pop");
+    assert_eq!(forced.epoch_bump, 1, "the forced acquire hit the pop/validate window");
+
     fault::install(FaultConfig {
         seed: 0xDEAD_BEEF,
         fail_fresh: 0.0,
@@ -42,8 +74,6 @@ fn injected_epoch_bump_between_pop_and_validate_cannot_double_hand_out() {
         epoch_bump: 0.3,
         flush_delay: 0.1,
     });
-    let pool: Arc<ShardedPool<u64>> =
-        Arc::new(ShardedPool::with_magazines(2, PoolConfig::default(), 8));
     let barrier = Arc::new(Barrier::new(THREADS));
     let stop = Arc::new(AtomicBool::new(false));
     let trimmer = {
@@ -88,7 +118,13 @@ fn injected_epoch_bump_between_pop_and_validate_cannot_double_hand_out() {
     stop.store(true, Ordering::Relaxed);
     trimmer.join().unwrap();
 
-    let injected = fault::injected_counts();
+    // `install` zeroed the totals, so add the forced phase back in.
+    let threaded = fault::injected_counts();
+    let injected = FaultCounts {
+        epoch_bump: forced.epoch_bump + threaded.epoch_bump,
+        depot_retry: forced.depot_retry + threaded.depot_retry,
+        ..threaded
+    };
     assert!(injected.epoch_bump > 0, "the schedule must hit the pop/validate window");
     assert!(injected.depot_retry > 0, "the schedule must force CAS retries");
     fault::clear();
