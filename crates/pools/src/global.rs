@@ -25,7 +25,10 @@
 //! 4. **Slab carve** — a 64 KiB slab, 64 KiB-*aligned*, is carved into
 //!    blocks. The alignment is the ownership trick: `ptr & !(SLAB_BYTES-1)`
 //!    recovers the slab header on free, so `dealloc` learns the block's
-//!    class shard without any lookup table.
+//!    class shard without any lookup table. Fresh slabs are bump-cut from
+//!    4 MiB segments (one [`System`] allocation per 64 slabs), and a carve
+//!    prefaults the pages it is about to link with one
+//!    `madvise(MADV_POPULATE_WRITE)` instead of a demand fault per page.
 //!
 //! # Cross-thread free (the remote-free queue)
 //!
@@ -60,29 +63,29 @@
 //!
 //! Code reachable from `alloc`/`dealloc` must not allocate through the
 //! global allocator — that recurses. Hence: intrusive lists instead of
-//! collections, all internal storage (thread caches, slabs) obtained
-//! directly from [`System`], plain-field per-thread counters folded into
-//! global atomics on thread exit (the `MagCells` idiom), and **no**
-//! telemetry ring writes on the hot paths — aggregate counts are published
-//! as `remote_free` / `class_refill` events only when a caller explicitly
-//! asks via [`publish_telemetry`]. Thread-local state is a const-init
-//! `Cell` (no lazy-init allocation, no destructor of its own); a separate
-//! drop guard flushes the cache at thread exit and leaves a DEAD sentinel
-//! so late frees from TLS teardown degrade to remote pushes instead of
-//! touching a freed cache.
+//! collections, all internal storage (thread caches, slab segments)
+//! obtained directly from [`System`], plain-field per-thread counters
+//! folded into global atomics on thread exit (the `MagCells` idiom), and
+//! **no** telemetry ring writes on the hot paths — aggregate counts are
+//! published as `remote_free` / `class_refill` events only when a caller
+//! explicitly asks via [`publish_telemetry`]. Thread-local state is a
+//! const-init `Cell` (no lazy-init allocation, no destructor of its own);
+//! a separate drop guard flushes the cache at thread exit and leaves a
+//! DEAD sentinel so late frees from TLS teardown degrade to remote pushes
+//! instead of touching a freed cache.
 //!
 //! Slab *address space* is process-lifetime, but the pages behind it are
 //! not: [`sweep_and_retire`] drains the shared levels, finds slabs whose
 //! entire block population is idle, and returns their pages to the OS
-//! with `madvise(MADV_DONTNEED)` — the mapping itself is never unmapped,
-//! which preserves the type-stability the Treiber `next` reads rely on
-//! (a stale reader can still dereference a retired block's link word; it
-//! reads zeros and its tag CAS fails, exactly as for any lost race).
-//! Retired slabs sit in a quarantine pool until the retiring pass has
-//! fully completed, then [`carve_slab`] re-stamps them ahead of asking
-//! [`System`] for fresh memory. Policy (watermarks, the background
-//! reclaimer thread) lives in [`crate::reclaim`]; the mechanism here is
-//! DESIGN.md §13.
+//! with one `madvise(MADV_DONTNEED)` per run of address-adjacent retired
+//! slabs — the mapping itself is never unmapped, which preserves the
+//! type-stability the Treiber `next` reads rely on (a stale reader can
+//! still dereference a retired block's link word; it reads zeros and its
+//! tag CAS fails, exactly as for any lost race). Retired slabs sit in a
+//! quarantine pool until the retiring pass has fully completed, then
+//! [`carve_slab`] re-stamps them ahead of cutting a fresh slab from the
+//! current segment. Policy (the watermark and the pass loop) lives in
+//! [`crate::reclaim`]; the mechanism here is DESIGN.md §13.
 //!
 //! # Observability (the heap-profile layer)
 //!
@@ -424,35 +427,53 @@ static RETIRED: Spin = Spin::new();
 static RETIRED_HEAD: AtomicUsize = AtomicUsize::new(0);
 static RETIRED_LEN: AtomicUsize = AtomicUsize::new(0);
 
-/// `madvise(base, len, MADV_DONTNEED)` via raw syscall (no libc in the
-/// dependency tree). Returns whether the kernel actually dropped the
-/// pages; on other targets this is a no-op and retirement degrades to
-/// quarantine-without-release (the accounting stays correct either way).
+/// `madvise` advice values (Linux UAPI).
+const MADV_DONTNEED: usize = 4;
+const MADV_POPULATE_WRITE: usize = 23;
+/// `-EINVAL`: the kernel does not know the advice (pre-5.14 for
+/// [`MADV_POPULATE_WRITE`]).
+const NEG_EINVAL: isize = -22;
+
+/// `madvise(base, len, advice)` via raw syscall (no libc in the
+/// dependency tree): 0 on success, `-errno` on failure. On other targets
+/// it is a no-op that reports `-EINVAL`, so retirement degrades to
+/// quarantine-without-release and the carve prefault switches itself off
+/// (the accounting stays correct either way).
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn advise_dont_need(base: *mut u8, len: usize) -> bool {
+fn madvise(base: *mut u8, len: usize, advice: usize) -> isize {
     const SYS_MADVISE: usize = 28;
-    const MADV_DONTNEED: usize = 4;
     let ret: isize;
-    // SAFETY: madvise on a mapping we own; DONTNEED cannot fault and the
-    // syscall clobbers only rcx/r11 beyond its return register.
+    // SAFETY: madvise on a mapping we own; neither advice used here can
+    // fault, and the syscall clobbers only rcx/r11 beyond its return
+    // register.
     unsafe {
         std::arch::asm!(
             "syscall",
             inlateout("rax") SYS_MADVISE => ret,
             in("rdi") base as usize,
             in("rsi") len,
-            in("rdx") MADV_DONTNEED,
+            in("rdx") advice,
             lateout("rcx") _,
             lateout("r11") _,
             options(nostack),
         );
     }
-    ret == 0
+    ret
 }
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn advise_dont_need(_base: *mut u8, _len: usize) -> bool {
-    false
+fn madvise(_base: *mut u8, _len: usize, _advice: usize) -> isize {
+    NEG_EINVAL
+}
+
+/// Maximal runs of address-adjacent slabs in `sorted` (ascending bases),
+/// as `(first base, slab count)`. A run may cross segment (and class)
+/// boundaries: adjacent slabs are always both mapped, so one `madvise`
+/// over the run is as valid as one per slab.
+fn slab_runs(sorted: &[*mut u8]) -> impl Iterator<Item = (*mut u8, usize)> + '_ {
+    sorted
+        .chunk_by(|a, b| (*b as usize).wrapping_sub(*a as usize) == SLAB_BYTES)
+        .map(|run| (run[0], run.len()))
 }
 
 /// Pop a quarantined slab for recarving. Everything in the pool belongs
@@ -528,9 +549,10 @@ const RETIRE_BIT: u32 = 0x8000_0000;
 /// shared levels. Survivor blocks are pushed back to their stamped
 /// shards in per-shard chains. Retired slabs leave [`MAPPED_SLABS`]
 /// under the [`RETIRE_GAUGE`] lock (so a gauge collection never sees
-/// mapped shrink mid-fold), get their pages released with
-/// `madvise(MADV_DONTNEED)`, and enter the quarantine pool once the
-/// pass's completion is published.
+/// mapped shrink mid-fold). Once every class is swept, their pages are
+/// released with one `madvise(MADV_DONTNEED)` per run of address-adjacent
+/// slabs, and they enter the quarantine pool once the pass's completion
+/// is published.
 ///
 /// Retirement stops once total mapped bytes drop to `target_mapped_bytes`
 /// (0 = retire everything idle). Blocks parked in *other* threads'
@@ -556,6 +578,15 @@ pub fn sweep_and_retire(target_mapped_bytes: u64) -> SweepOutcome {
     let mut quarantine: Vec<*mut u8> = Vec::new();
     for class in 0..NUM_CLASSES {
         sweep_class(class, pass_id, &mut shed_budget, &mut out, &mut quarantine);
+    }
+    // Release the pages: one `madvise` per run of address-adjacent
+    // retired slabs, across classes, instead of one per slab.
+    quarantine.sort_unstable();
+    for (first, len) in slab_runs(&quarantine) {
+        if madvise(first, len * SLAB_BYTES, MADV_DONTNEED) == 0 {
+            ADVISED_SLABS.fetch_add(len as u64, Ordering::Relaxed);
+            out.advised_slabs += len as u64;
+        }
     }
     // Publish completion, then expose this pass's slabs for recarving:
     // every header scrub and madvise above happened-before the push.
@@ -696,12 +727,9 @@ fn sweep_class(
             continue;
         }
         // Scrub the magic so any late header read of a retired slab
-        // trips the debug integrity asserts instead of routing.
+        // trips the debug integrity asserts instead of routing. The
+        // pages are released by the caller, once per run of slabs.
         unsafe { (*(base as *mut SlabHeader)).magic = 0 };
-        if advise_dont_need(base, SLAB_BYTES) {
-            ADVISED_SLABS.fetch_add(1, Ordering::Relaxed);
-            out.advised_slabs += 1;
-        }
         quarantine.push(base);
     }
 }
@@ -1445,24 +1473,83 @@ fn carve_shared(class: usize, home: usize) -> *mut u8 {
     block_at(0)
 }
 
+/// Fresh slabs are bump-carved from segments of this many bytes: one
+/// [`System`] allocation per 64 slabs. Segments are never freed, so slab
+/// memory stays type-stable.
+const SEGMENT_BYTES: usize = 4 << 20;
+
+/// The segment fresh slabs are cut from: `[SEGMENT_NEXT, SEGMENT_END)`
+/// is its uncarved tail. Both are read and written only under
+/// [`SEGMENT`], whose acquire/release orders them (hence `Relaxed`). The
+/// critical section is a bump, plus one `System` allocation per segment —
+/// never a path back into this allocator.
+static SEGMENT: Spin = Spin::new();
+static SEGMENT_NEXT: AtomicUsize = AtomicUsize::new(0);
+static SEGMENT_END: AtomicUsize = AtomicUsize::new(0);
+
+/// Bump one fresh, slab-aligned slab off the current segment, mapping a
+/// new segment when it is used up. `None` on OOM.
+fn segment_slab() -> Option<*mut u8> {
+    let _g = SEGMENT.lock();
+    let mut next = SEGMENT_NEXT.load(Ordering::Relaxed);
+    if next == SEGMENT_END.load(Ordering::Relaxed) {
+        let layout =
+            Layout::from_size_align(SEGMENT_BYTES, SLAB_BYTES).expect("static segment layout");
+        // SAFETY: the layout has a non-zero size.
+        let base = unsafe { System.alloc(layout) };
+        if base.is_null() {
+            return None;
+        }
+        next = base as usize;
+        SEGMENT_END.store(next + SEGMENT_BYTES, Ordering::Relaxed);
+    }
+    SEGMENT_NEXT.store(next + SLAB_BYTES, Ordering::Relaxed);
+    Some(next as *mut u8)
+}
+
+const PAGE_BYTES: usize = 4096;
+
+/// Bytes at the start of a `class` slab that a carve writes: the header
+/// through the last block's link word ([`carve`] and [`carve_shared`]
+/// link every block but the served first one), rounded up to a page.
+/// This is what [`carve_slab`] prefaults — no more, so a carve never
+/// maps a page its own writes would not have faulted in.
+fn carve_extent(class: usize) -> usize {
+    let bytes = class_bytes(class);
+    let nblocks = (SLAB_BYTES - HEADER_BYTES) / bytes;
+    let end = HEADER_BYTES + (nblocks - 1) * bytes + std::mem::size_of::<usize>();
+    end.next_multiple_of(PAGE_BYTES)
+}
+
+/// Latched once the kernel rejects [`MADV_POPULATE_WRITE`] as unknown,
+/// so older kernels pay for one failed call, not one per carve. Publishes
+/// nothing else, hence `Relaxed`.
+static PREFAULT_OFF: AtomicBool = AtomicBool::new(false);
+
+/// Fault in the pages a carve of `class` is about to write with one
+/// `MADV_POPULATE_WRITE` instead of one demand fault per page. Advisory:
+/// on any failure the carve's own writes fault the pages in anyway.
+fn prefault(base: *mut u8, class: usize) {
+    if PREFAULT_OFF.load(Ordering::Relaxed) {
+        return;
+    }
+    if madvise(base, carve_extent(class), MADV_POPULATE_WRITE) == NEG_EINVAL {
+        PREFAULT_OFF.store(true, Ordering::Relaxed);
+    }
+}
+
 /// Allocate and stamp one slab: a quarantined retired slab when one is
 /// available (its retiring pass has fully completed — pushes happen only
-/// after `PASS_DONE` is published), else fresh memory from [`System`].
-/// `None` on OOM (propagates as a null from `alloc`, per the
+/// after `PASS_DONE` is published), else a fresh one from the current
+/// segment. Either way the pages the carve writes are prefaulted in one
+/// call first. `None` on OOM (propagates as a null from `alloc`, per the
 /// `GlobalAlloc` contract).
 fn carve_slab(class: usize, home: usize) -> Option<*mut u8> {
     let base = match retired_pop() {
         Some(base) => base,
-        None => {
-            let layout =
-                Layout::from_size_align(SLAB_BYTES, SLAB_BYTES).expect("static slab layout");
-            let base = unsafe { System.alloc(layout) };
-            if base.is_null() {
-                return None;
-            }
-            base
-        }
+        None => segment_slab()?,
     };
+    prefault(base, class);
     let header = base as *mut SlabHeader;
     unsafe {
         (*header).magic = SLAB_MAGIC;
@@ -2219,6 +2306,46 @@ mod tests {
             std::ptr::write_bytes(p, 0xC3, 2048);
             raw_dealloc(p, l);
         }
+    }
+
+    #[test]
+    fn slab_runs_split_sorted_bases_at_every_gap() {
+        let runs = |bases: &[usize]| -> Vec<(usize, usize)> {
+            let ptrs: Vec<*mut u8> = bases.iter().map(|&b| b as *mut u8).collect();
+            slab_runs(&ptrs).map(|(first, len)| (first as usize, len)).collect()
+        };
+        let s = SLAB_BYTES;
+        let at = |i: usize| (1 << 30) + i * s;
+        assert_eq!(runs(&[]), []);
+        assert_eq!(runs(&[at(3)]), [(at(3), 1)]);
+        let long: Vec<usize> = (0..64).map(at).collect();
+        assert_eq!(runs(&long), [(at(0), 64)]);
+        assert_eq!(
+            runs(&[at(0), at(1), at(3), at(5), at(6), at(7), at(9)]),
+            [(at(0), 2), (at(3), 1), (at(5), 3), (at(9), 1)]
+        );
+        // Adjacent slabs on either side of a segment boundary are one run.
+        let per_segment = SEGMENT_BYTES / s;
+        let seam: Vec<usize> = (per_segment - 2..per_segment + 2).map(at).collect();
+        assert_eq!(at(per_segment) % SEGMENT_BYTES, 0);
+        assert_eq!(runs(&seam), [(at(per_segment - 2), 4)]);
+    }
+
+    #[test]
+    fn carve_extent_covers_exactly_the_pages_a_carve_links() {
+        for class in 0..NUM_CLASSES {
+            let bytes = class_bytes(class);
+            let nblocks = (SLAB_BYTES - HEADER_BYTES) / bytes;
+            let last_link_end = HEADER_BYTES + (nblocks - 1) * bytes + 8;
+            let extent = carve_extent(class);
+            assert_eq!(extent % PAGE_BYTES, 0, "class {bytes}: not a page multiple");
+            assert!(extent >= last_link_end, "class {bytes}: misses the last link word");
+            assert!(extent - last_link_end < PAGE_BYTES, "class {bytes}: a page too many");
+            assert!(extent <= SLAB_BYTES, "class {bytes}: exceeds the slab");
+        }
+        // 15 blocks of 4 KiB: the last link word ends in page 15, and page
+        // 16 (the tail of block 14) is left for the caller to touch.
+        assert_eq!(carve_extent(class_for(4096, 8).unwrap()), 15 * PAGE_BYTES);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! The mechanism — [`crate::global::sweep_and_retire`] — is a single
 //! pass: drain the shared levels, retire every fully-idle slab down to a
-//! mapped-bytes target, release the pages with `madvise(MADV_DONTNEED)`,
-//! quarantine the slabs for recarving. This module decides *when* and
-//! *how far*:
+//! mapped-bytes target, release the pages with one `madvise(MADV_DONTNEED)`
+//! per run of address-adjacent retired slabs, quarantine the slabs for
+//! recarving (a recarve prefaults the pages it links in one call). This
+//! module decides *when* and *how far*:
 //!
 //! * [`reclaim`] runs passes until the target is met or progress stops —
 //!   a pass bumps the cache-flush epoch, so blocks parked in other

@@ -314,6 +314,10 @@ fn fallback_blocks_are_excluded_from_slab_occupancy() {
 
     let _g = ledger_lock();
     let class = block_class();
+    // A sibling test that ran first may have left tens of thousands of
+    // free 64-byte blocks in the shared levels, enough to serve this
+    // whole burst without a single carve. Retire them so it must carve.
+    pools::reclaim::reclaim_all();
     fault::clear();
     fault::reset_counts();
     // Half of all slab carves fail: a fresh thread carving dozens of
