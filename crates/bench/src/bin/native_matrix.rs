@@ -7,19 +7,14 @@
 //! cargo run --release -p bench --bin native_matrix -- --heap-profile
 //! ```
 //!
-//! Prints the per-depth tables, writes `results/native_matrix.csv`,
-//! checks the sharded+magazine hit and miss paths against the
-//! `BENCH_pools.json` envelopes, and (with `--metrics-out <path>`) emits
-//! a `telemetry-v1` report whose `native_runs` section carries every cell
-//! tagged by backend name. `--heap-profile` runs the matrix under the
-//! allocator's heap profiler and attaches the `heap-profile-v1` section
-//! (per-class occupancy, sampled sites, occupancy timeline) to that
-//! report.
+//! Prints the per-depth tables, writes `results/native_matrix.csv`, and
+//! (with `--metrics-out <path>`) emits a `telemetry-v1` report whose
+//! `native_runs` section carries every cell tagged by backend name.
+//! `--heap-profile` runs the matrix under the allocator's heap profiler
+//! and attaches the `heap-profile-v1` section (per-class occupancy,
+//! sampled sites, occupancy timeline) to that report.
 
-use bench::native::{
-    ascii_tables, check_hit_pair_envelope, check_miss_pair_envelope, run_matrix, write_csv,
-    MatrixConfig,
-};
+use bench::native::{ascii_tables, run_matrix, write_csv, MatrixConfig};
 use std::path::Path;
 use telemetry::Report;
 
@@ -45,12 +40,6 @@ fn main() {
         Ok(path) => eprintln!("[native_matrix] csv -> {}", path.display()),
         Err(e) => eprintln!("[native_matrix] cannot write csv: {e}"),
     }
-
-    // The hit/miss sanity checks: advisory in smoke mode (short runs on a
-    // loaded CI host are noisy), measured properly in the full sweep.
-    let pairs = if smoke { 2_000_000 } else { 20_000_000 };
-    println!("{}", check_hit_pair_envelope(pairs).render());
-    println!("{}", check_miss_pair_envelope(pairs / 4).render());
 
     if let Some(path) = bench::metrics::metrics_out_from_args() {
         let mut report = Report::gather("native_matrix");

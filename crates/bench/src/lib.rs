@@ -1,9 +1,9 @@
 //! The experiment harness: shared machinery for regenerating every table
 //! and figure of the paper's evaluation section.
 //!
-//! Each figure has a binary (`fig04` … `fig11`, `table1`) that prints the
-//! series as an ASCII table and writes CSV into `results/`; the `repro`
-//! binary runs the whole evaluation and checks the paper's headline claims.
+//! The `repro` binary runs the whole evaluation — Table 1 and Figures
+//! 4–11, each printed as an ASCII table and written as CSV into
+//! `results/` — and checks the paper's headline claims.
 
 pub mod figures;
 pub mod heapprof;

@@ -6,8 +6,8 @@
 //! * **sharded** — ptmalloc-style try-lock-and-spill shards, no thread
 //!   caches (§3.2 as published);
 //! * **sharded+magazines** — shards fronted by lock-free thread-local
-//!   magazines (the layout Amplify's threaded builds use; the hit path the
-//!   `BENCH_pools.json` envelope measures).
+//!   magazines (the layout Amplify's threaded builds use; the hit path
+//!   `envelope_check`'s `hit-pair` envelope measures).
 
 use crate::backend::{Allocation, BackendStats, MemBackend, Structured};
 use pools::{PoolConfig, StructurePool};

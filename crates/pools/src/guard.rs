@@ -3,8 +3,8 @@
 //! Active when either `debug_assertions` or the `fault-inject` feature is
 //! on; in a default release build every type here is a zero-sized no-op and
 //! every method an empty `#[inline(always)]` body, so the guard adds **no
-//! metadata and no instructions** to the fast paths the
-//! `BENCH_pools.json` envelopes measure.
+//! metadata and no instructions** to the fast paths `envelope_check`'s
+//! envelopes measure.
 //!
 //! Two mechanisms:
 //!

@@ -3,7 +3,7 @@
 //!
 //! Hot paths call these macros unconditionally; with the feature disabled
 //! they expand to nothing, so the default build compiles to exactly the
-//! uninstrumented code (verified by the overhead entry in BENCH_pools.json).
+//! uninstrumented code (`envelope_check` records the hit pair per mode).
 //! With the feature enabled, `pool_event!` records into the calling
 //! thread's event ring and `pool_hist!` into a process-wide histogram whose
 //! handle is resolved once per call site.

@@ -14,8 +14,8 @@
 //!
 //! Constructing the pool with a magazine capacity of 0 (see
 //! [`ShardedPool::with_magazines`]) disables the cache and yields the bare
-//! try-lock-and-spill sharding — the baseline the Criterion benchmarks
-//! compare the fast path against.
+//! try-lock-and-spill sharding — the baseline the native matrix's
+//! `amplify-sharded` row compares the fast path against.
 
 use crate::fault;
 use crate::limits::PoolConfig;

@@ -8,18 +8,51 @@
 //! Exact-equality reconciliation only holds feature-off (with
 //! `global-alloc` installed the harness's own heap traffic shares the
 //! process-wide counters); installed builds assert the same invariants
-//! as floors. Tests serialize on one lock: the gauges are process-wide.
+//! as floors. The gauges are process-wide, so each test runs in a child
+//! process of its own ([`in_own_process`]).
 
 use pools::global::{self, CLASS_SHARDS};
 use pools::heap_profile as hp;
 use std::alloc::Layout;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
-fn ledger_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
+/// Set in the child process that runs one test alone.
+const CHILD_ENV: &str = "HEAP_PROFILE_STRESS_CHILD";
+
+/// Run test `name` alone in a child process of this binary. With
+/// `global-alloc` installed, a sibling test that finishes inside another
+/// test's measuring window frees its thread name and handles there and
+/// moves that window's live count; in a process of its own the only
+/// traffic in the window is the test's own. Returns true in the child,
+/// where the caller runs its body; in the parent it asserts the child ran
+/// the test and passed, and returns false.
+fn in_own_process(name: &str) -> bool {
+    if std::env::var_os(CHILD_ENV).is_some() {
+        return true;
+    }
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["--exact", name, "--test-threads=1", "--quiet"])
+        .env(CHILD_ENV, "1")
+        .output()
+        .expect("spawn the child test process");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "{name} failed in its own process:\n{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    false
+}
+
+/// Join every producer explicitly. `thread::scope`'s implicit join
+/// returns once the closures finish, before the threads' TLS destructors
+/// run; with `global-alloc` installed those destructors free blocks after
+/// the thread's cache has folded, which lands in a later measurement.
+fn join_all(handles: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
+    for h in handles {
+        h.join().expect("producer");
+    }
 }
 
 const BLOCK_LAYOUT: Layout = match Layout::from_size_align(64, 8) {
@@ -44,7 +77,9 @@ fn class_live_bytes(g: &hp::HeapGauges, class: usize) -> u64 {
 /// whole time.
 #[test]
 fn every_snapshot_bounds_live_by_mapped_and_quiesce_reconciles() {
-    let _g = ledger_lock();
+    if !in_own_process("every_snapshot_bounds_live_by_mapped_and_quiesce_reconciles") {
+        return;
+    }
     let class = block_class();
     let before = hp::gauges();
     let before_stats = global::stats();
@@ -84,18 +119,26 @@ fn every_snapshot_bounds_live_by_mapped_and_quiesce_reconciles() {
             }
         });
 
-        let (tx, rx) = mpsc::channel::<usize>();
-        for p in 0..PRODUCERS {
-            let tx = tx.clone();
-            s.spawn(move || {
-                assert!(global::pin_home_shard(p));
-                for _ in 0..PER {
-                    let block = global::raw_alloc(BLOCK_LAYOUT);
-                    assert!(!block.is_null());
-                    tx.send(block as usize).expect("consumer alive");
-                }
-            });
+        // Start the churn only once the observer has snapshotted: on a
+        // loaded host it might otherwise not be scheduled before the churn
+        // ends.
+        while snapshots_taken.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
         }
+        let (tx, rx) = mpsc::channel::<usize>();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let tx = tx.clone();
+                s.spawn(move || {
+                    assert!(global::pin_home_shard(p));
+                    for _ in 0..PER {
+                        let block = global::raw_alloc(BLOCK_LAYOUT);
+                        assert!(!block.is_null());
+                        tx.send(block as usize).expect("consumer alive");
+                    }
+                })
+            })
+            .collect();
         drop(tx);
         let consumer = s.spawn(move || {
             assert!(global::pin_home_shard(CLASS_SHARDS - 1));
@@ -108,6 +151,7 @@ fn every_snapshot_bounds_live_by_mapped_and_quiesce_reconciles() {
         });
         let freed = consumer.join().expect("consumer");
         assert_eq!(freed, PRODUCERS * PER);
+        join_all(producers);
         stop.store(true, Ordering::Relaxed);
         observer.join().expect("observer");
     });
@@ -146,8 +190,8 @@ fn every_snapshot_bounds_live_by_mapped_and_quiesce_reconciles() {
     assert!(after.classes[class].peak_live_bytes >= 64, "peak watermark never moved");
     assert!(
         after.classes[class].mapped_bytes >= before.classes[class].mapped_bytes,
-        "nothing reclaims during this test (the ledger lock serializes the reclaim \
-         stress away), so the mapped gauge cannot shrink mid-test"
+        "nothing reclaims during this test (it runs in a process of its own), so the \
+         mapped gauge cannot shrink mid-test"
     );
 }
 
@@ -160,7 +204,9 @@ fn every_snapshot_bounds_live_by_mapped_and_quiesce_reconciles() {
 /// recarved mid-run.
 #[test]
 fn snapshots_hold_while_the_reclaimer_sweeps_the_churn() {
-    let _g = ledger_lock();
+    if !in_own_process("snapshots_hold_while_the_reclaimer_sweeps_the_churn") {
+        return;
+    }
     const CHURN_LAYOUT: Layout = match Layout::from_size_align(96, 8) {
         Ok(l) => l,
         Err(_) => panic!("static layout"),
@@ -195,19 +241,26 @@ fn snapshots_hold_while_the_reclaimer_sweeps_the_churn() {
                 }
             }
         });
-        let (tx, rx) = mpsc::channel::<usize>();
-        for p in 0..PRODUCERS {
-            let tx = tx.clone();
-            s.spawn(move || {
-                assert!(global::pin_home_shard(p));
-                for _ in 0..PER {
-                    let block = global::raw_alloc(CHURN_LAYOUT);
-                    assert!(!block.is_null());
-                    unsafe { std::ptr::write_bytes(block, 0x5A, 96) };
-                    tx.send(block as usize).expect("consumer alive");
-                }
-            });
+        // Start the churn only once the reclaimer has swept: on a loaded
+        // host it might otherwise not be scheduled before the churn ends.
+        while passes.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
         }
+        let (tx, rx) = mpsc::channel::<usize>();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let tx = tx.clone();
+                s.spawn(move || {
+                    assert!(global::pin_home_shard(p));
+                    for _ in 0..PER {
+                        let block = global::raw_alloc(CHURN_LAYOUT);
+                        assert!(!block.is_null());
+                        unsafe { std::ptr::write_bytes(block, 0x5A, 96) };
+                        tx.send(block as usize).expect("consumer alive");
+                    }
+                })
+            })
+            .collect();
         drop(tx);
         let consumer = s.spawn(move || {
             assert!(global::pin_home_shard(CLASS_SHARDS - 1));
@@ -220,6 +273,7 @@ fn snapshots_hold_while_the_reclaimer_sweeps_the_churn() {
         });
         let freed = consumer.join().expect("consumer");
         assert_eq!(freed, PRODUCERS * PER);
+        join_all(producers);
         stop.store(true, Ordering::Relaxed);
         reclaimer.join().expect("reclaimer");
         observer.join().expect("observer");
@@ -261,7 +315,9 @@ fn snapshots_hold_while_the_reclaimer_sweeps_the_churn() {
 /// gauge delta equals the held blocks exactly; installed, it is a floor.
 #[test]
 fn held_blocks_show_up_in_live_bytes_exactly() {
-    let _g = ledger_lock();
+    if !in_own_process("held_blocks_show_up_in_live_bytes_exactly") {
+        return;
+    }
     let class = block_class();
     let before = hp::gauges();
     const HELD: usize = 2_048;
@@ -284,7 +340,7 @@ fn held_blocks_show_up_in_live_bytes_exactly() {
     let during = hp::gauges();
     let grew = class_live_bytes(&during, class) - class_live_bytes(&before, class);
     if global::installed() {
-        assert!(grew >= (HELD as u64) * 64);
+        assert!(grew >= (HELD as u64) * 64, "live grew {grew} B for {HELD} held blocks");
     } else {
         assert_eq!(grew, (HELD as u64) * 64, "held blocks must be exactly visible");
     }
@@ -312,12 +368,10 @@ fn held_blocks_show_up_in_live_bytes_exactly() {
 fn fallback_blocks_are_excluded_from_slab_occupancy() {
     use pools::fault::{self, FaultConfig};
 
-    let _g = ledger_lock();
+    if !in_own_process("fallback_blocks_are_excluded_from_slab_occupancy") {
+        return;
+    }
     let class = block_class();
-    // A sibling test that ran first may have left tens of thousands of
-    // free 64-byte blocks in the shared levels, enough to serve this
-    // whole burst without a single carve. Retire them so it must carve.
-    pools::reclaim::reclaim_all();
     fault::clear();
     fault::reset_counts();
     // Half of all slab carves fail: a fresh thread carving dozens of
@@ -355,7 +409,11 @@ fn fallback_blocks_are_excluded_from_slab_occupancy() {
     let grew = class_live_bytes(&during, class) - class_live_bytes(&before, class);
     let fb_grew = during.classes[class].fallback_bytes - before.classes[class].fallback_bytes;
     if global::installed() {
-        assert!(grew >= (HELD as u64 - fb_blocks) * 64);
+        assert!(
+            grew >= (HELD as u64 - fb_blocks) * 64,
+            "live grew {grew} B for {} slab-served blocks",
+            HELD as u64 - fb_blocks
+        );
         assert!(fb_grew >= fb_blocks * 64);
     } else {
         assert_eq!(grew, (HELD as u64 - fb_blocks) * 64, "slab live must exclude fallbacks");

@@ -37,8 +37,8 @@ pub struct RunMetrics {
     pub ctx_switches: u64,
     /// Engine dispatch events processed (scheduler pops that drove CPU
     /// work; timeline-sampler firings are not counted). `events / real
-    /// wall-clock` is the engine-throughput figure `BENCH_sim.json`
-    /// tracks.
+    /// wall-clock` is the engine-throughput figure `envelope_check`'s
+    /// `sim-engine` path gates.
     pub events: u64,
     /// Cache hits.
     pub cache_hits: u64,

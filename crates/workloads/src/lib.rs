@@ -5,8 +5,8 @@
 //! * the **simulator** (`smp-sim`) regenerates the paper's 8-CPU figures
 //!   from workload *shapes*;
 //! * the **real runtimes** (`pools`, `allocators`) execute the same
-//!   workloads natively — that is what the Criterion micro-benchmarks and
-//!   the umbrella integration tests drive.
+//!   workloads natively — that is what the native matrices and the
+//!   umbrella integration tests drive.
 //!
 //! Modules:
 //!
