@@ -18,20 +18,7 @@
 //! machine, while a 3x cliff on any one path still trips the gate. Being
 //! faster than the record never fails.
 
-use bench::native::{measure_envelopes, GATE, PAIRS, TRIALS};
-
-/// The CPU model `/proc/cpuinfo` names ("unknown" elsewhere).
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split_once(':'))
-                .map(|(_, v)| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
+use bench::native::{cpu_model, measure_envelopes, GATE, PAIRS, TRIALS};
 
 fn main() {
     eprintln!(

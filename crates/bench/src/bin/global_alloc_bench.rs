@@ -21,10 +21,14 @@
 //! steady. Checksums are asserted identical across compile states (same
 //! seeds ⇒ same trees, whoever allocates them).
 //!
+//! Every invocation times 5 rounds (2 with `--smoke`) and records the
+//! median round with its quartiles, plus the host it ran on.
+//!
 //! `--smoke` shrinks the run for CI; `[output_dir]` defaults to `.`.
 //! `--heap-profile` samples allocation sites while the workload runs;
 //! `--sample-period N` (power of two, default 64) sets its 1-in-N rate.
 
+use bench::native::{cpu_model, Summary};
 use serde::Value;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -178,8 +182,14 @@ fn main() {
          consumers, half the frees cross-thread, backlog {CHANNEL_BACKLOG}"
     );
 
+    let host = format!(
+        "{}, {} CPUs",
+        cpu_model(),
+        std::thread::available_parallelism().map_or(0, |n| n.get())
+    );
+    eprintln!("[global_alloc_bench] host: {host}");
     eprintln!(
-        "[global_alloc_bench] allocator: {} ({this_half}); {workload}; best of {rounds}",
+        "[global_alloc_bench] allocator: {} ({this_half}); {workload}; median of {rounds} rounds",
         if feature_on { "pools::GlobalPool" } else { "system" }
     );
 
@@ -187,7 +197,8 @@ fn main() {
     let profiler = profile.then(|| {
         bench::heapprof::HeapProfiler::start(sample_period, bench::heapprof::DEFAULT_CAPTURE_EVERY)
     });
-    let mut best: Option<RunResult> = None;
+    let mut first: Option<RunResult> = None;
+    let mut round_ms = Vec::with_capacity(rounds);
     for round in 0..rounds {
         let r = run_once(trees_per_thread);
         eprintln!(
@@ -196,17 +207,17 @@ fn main() {
             r.elapsed.as_secs_f64() * 1e3,
             r.elapsed.as_nanos() as f64 / r.nodes as f64
         );
-        if let Some(b) = &best {
-            assert_eq!(r.checksum, b.checksum, "checksums must not vary across rounds");
+        if let Some(f) = &first {
+            assert_eq!(r.checksum, f.checksum, "checksums must not vary across rounds");
         }
-        if best.as_ref().is_none_or(|b| r.elapsed < b.elapsed) {
-            best = Some(r);
-        }
+        round_ms.push(r.elapsed.as_secs_f64() * 1e3);
+        first.get_or_insert(r);
     }
-    let best = best.expect("at least one round");
+    let run = first.expect("at least one round");
+    let ms = Summary::of(&round_ms);
     let heap_profile = profiler.map(bench::heapprof::HeapProfiler::finish);
     let stats_after = pools::global::stats();
-    let ns_per_pair = best.elapsed.as_nanos() as f64 / best.nodes as f64;
+    let ns_per_pair = ms.median * 1e6 / run.nodes as f64;
 
     // With the allocator installed, the run's node traffic shows up on the
     // size-class ledger; feature-off the heap trees never touch it.
@@ -226,11 +237,15 @@ fn main() {
 
     let mine = obj(vec![
         ("workload", Value::String(workload.clone())),
-        ("elapsed_ms", round2(best.elapsed.as_secs_f64() * 1e3)),
-        ("trees", Value::UInt(best.trees)),
-        ("nodes", Value::UInt(best.nodes)),
+        ("host", Value::String(host)),
+        ("rounds", Value::UInt(rounds as u64)),
+        ("elapsed_ms", round2(ms.median)),
+        ("elapsed_ms_q1", round2(ms.q1)),
+        ("elapsed_ms_q3", round2(ms.q3)),
+        ("trees", Value::UInt(run.trees)),
+        ("nodes", Value::UInt(run.nodes)),
         ("ns_per_node_pair", round2(ns_per_pair)),
-        ("checksum", Value::UInt(best.checksum)),
+        ("checksum", Value::UInt(run.checksum)),
     ]);
 
     let out_path = dir.join("BENCH_global_alloc.json");
@@ -239,7 +254,7 @@ fn main() {
         Some(other) => {
             // Same seeds must mean the same trees under either allocator.
             if let Value::UInt(c) = other["checksum"] {
-                assert_eq!(c, best.checksum, "checksum differs across compile states");
+                assert_eq!(c, run.checksum, "checksum differs across compile states");
             }
             let (sys, glo) = if feature_on {
                 (half_f64(other, "ns_per_node_pair"), Some(ns_per_pair))
@@ -265,7 +280,7 @@ fn main() {
         }
     };
     let report = obj(vec![
-        ("schema", Value::String("global-alloc-bench-v1".into())),
+        ("schema", Value::String("global-alloc-bench-v2".into())),
         ("measured", Value::String(this_half.into())),
         ("system_alloc", system_half),
         ("global_alloc", global_half),
@@ -278,8 +293,11 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_global_alloc.json");
 
     eprintln!(
-        "[global_alloc_bench] best: {:.1} ms, {ns_per_pair:.2} ns/node pair -> {}",
-        best.elapsed.as_secs_f64() * 1e3,
+        "[global_alloc_bench] median round: {:.1} ms [{:.1}, {:.1}], {ns_per_pair:.2} ns/node pair \
+         -> {}",
+        ms.median,
+        ms.q1,
+        ms.q3,
         out_path.display()
     );
     match speedup_pct {

@@ -163,6 +163,20 @@ mod record;
 
 pub use record::Summary;
 
+/// The CPU model `/proc/cpuinfo` names ("unknown" elsewhere), for the
+/// host line every timing bin prints.
+pub fn cpu_model() -> String {
+    fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// Trials per envelope run. Each runs every path once, in turn, plus one
 /// reference pair.
 pub const TRIALS: usize = 11;
@@ -205,15 +219,15 @@ const fn by_mode(off: f64, telemetry: f64, global_alloc: f64) -> f64 {
 pub const ENVELOPE_PATHS: [EnvelopePath; 7] = [
     EnvelopePath { label: "hit-pair", recorded: by_mode(1.15, 1.41, 1.13), run: hit_pair },
     EnvelopePath { label: "miss-pair", recorded: by_mode(3.94, 4.11, 3.68), run: miss_pair },
-    EnvelopePath { label: "global-pair", recorded: by_mode(0.70, 0.61, 0.65), run: global_pair },
+    EnvelopePath { label: "global-pair", recorded: by_mode(0.63, 0.66, 0.65), run: global_pair },
     EnvelopePath {
         label: "global-pair-profiled",
-        recorded: by_mode(0.71, 0.63, 0.67),
+        recorded: by_mode(0.67, 0.69, 0.68),
         run: profiled_global_pair,
     },
     EnvelopePath {
         label: "reclaim-global-pair",
-        recorded: by_mode(0.73, 0.64, 0.66),
+        recorded: by_mode(0.67, 0.67, 0.69),
         run: reclaim_global_pair,
     },
     EnvelopePath { label: "sim-engine", recorded: by_mode(10.45, 10.29, 10.71), run: sim_engine },

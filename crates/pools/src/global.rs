@@ -20,8 +20,12 @@
 //!    (see [`seg_stamp`]), the kept prefix is served lazily off the
 //!    thread cache, and no block in the backlog is walked.
 //! 3. **Central free stacks** — version-tagged Treiber stacks (the
-//!    [`crate::depot`] ABA scheme) holding flushed surplus; refills pop a
-//!    batch, probing shards round-robin from the thread's home shard.
+//!    [`crate::depot`] ABA scheme) of stamped *segments*: flushed surplus,
+//!    carve remainders, sweep survivors and donated remote batches, each
+//!    a chain of at most a refill batch (remote batches keep their
+//!    [`REMOTE_BATCH`] size). A refill pops one whole segment with one CAS
+//!    and adopts it onto the thread cache without touching its blocks,
+//!    probing shards round-robin from the thread's home shard.
 //! 4. **Slab carve** — a 64 KiB slab, 64 KiB-*aligned*, is carved into
 //!    blocks. The alignment is the ownership trick: `ptr & !(SLAB_BYTES-1)`
 //!    recovers the slab header on free, so `dealloc` learns the block's
@@ -54,10 +58,10 @@
 //! them to its home — slab adoption, in the spirit of mimalloc's
 //! abandoned-page reclaim — so the thief's upcoming frees of those blocks
 //! go local instead of bouncing through a remote queue forever. Surplus
-//! flushes deliberately ignore stamps and return the detached half to the
-//! home central stack; a block whose hint went stale (its slab re-stamped
-//! while it sat elsewhere) simply takes one extra remote hop on its next
-//! free and settles.
+//! flushes deliberately ignore slab stamps and return the detached half
+//! to the home central stack; a block whose hint went stale (its slab
+//! re-stamped while it sat elsewhere) simply takes one extra remote hop
+//! on its next free and settles.
 //!
 //! # Re-entrancy rules (why this module looks spartan)
 //!
@@ -103,7 +107,9 @@ use crate::heap_profile::{HEAP_PROFILE_TAGS, HEAP_PROFILE_THREAD_SLOTS};
 use crate::size_class::{class_bytes, class_for, NUM_CLASSES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{
+    fence, AtomicBool, AtomicU16, AtomicU32, AtomicU64, AtomicUsize, Ordering,
+};
 
 /// Slab size and alignment: ownership-by-address-mask needs them equal.
 pub const SLAB_BYTES: usize = 64 * 1024;
@@ -168,6 +174,8 @@ struct SlabHeader {
 }
 
 /// A Treiber stack of raw blocks; the link is the block's first word.
+/// Every push is a chain stamped by [`seg_stamp`], so the stack is a
+/// stack of *segments*, each tail linking to the next segment's head.
 ///
 /// Safety relies on the same two depot arguments: the version tag defeats
 /// ABA between a pop's load and CAS, and slab memory is never unmapped, so
@@ -186,11 +194,6 @@ impl BlockStack {
         // Blocks are >= 16 bytes and 16-aligned; the first word holds the
         // intrusive link while the block is free.
         unsafe { &*(block as *const AtomicUsize) }
-    }
-
-    /// Push one block (a chain of length 1).
-    fn push(&self, block: *mut u8) {
-        self.push_chain(block, block);
     }
 
     /// Push a pre-linked chain `head..=tail` (interior links already set,
@@ -216,21 +219,36 @@ impl BlockStack {
         }
     }
 
-    /// Pop the top block. `None` when empty.
-    fn pop(&self) -> Option<*mut u8> {
+    /// Pop the top *segment*: `(head, tail, count)` with one CAS, no block
+    /// in between touched. `tail`'s link still points into the stack.
+    ///
+    /// The stamp is read before anything is dereferenced, and the head is
+    /// then re-loaded: once a rival pops this segment and hands its head
+    /// out, the stamp word is user data. An unchanged tagged head means no
+    /// pop intervened (every CAS bumps the tag), so the stamp read is the
+    /// pusher's (DESIGN.md §8).
+    fn pop_segment(&self) -> Option<(*mut u8, *mut u8, usize)> {
         let mut head = self.head.load(Ordering::Acquire);
         loop {
             let block = (head & PTR_MASK) as *mut u8;
             if block.is_null() {
                 return None;
             }
-            // Type-stable memory: safe even if a rival pop already won the
-            // block; the tag CAS below rejects our stale view.
-            let next = unsafe { Self::link_of(block) }.load(Ordering::Relaxed) as u64;
+            let (tail, n) = seg_read(block);
+            fence(Ordering::Acquire);
+            let now = self.head.load(Ordering::Relaxed);
+            if now != head {
+                head = now;
+                continue;
+            }
+            // SAFETY: the re-check proved the stamp the pusher's, so
+            // `tail` is a block in type-stable slab memory, readable even
+            // if a rival wins the segment from here on.
+            let next = unsafe { Self::link_of(tail) }.load(Ordering::Relaxed) as u64;
             let tagged = (next & PTR_MASK) | (head & !PTR_MASK).wrapping_add(TAG_ONE);
             match self.head.compare_exchange_weak(head, tagged, Ordering::AcqRel, Ordering::Acquire)
             {
-                Ok(_) => return Some(block),
+                Ok(_) => return Some((block, tail, n)),
                 Err(current) => head = current,
             }
         }
@@ -266,7 +284,8 @@ impl BlockStack {
 }
 
 struct ClassShard {
-    /// Central free stack: flushed surplus and teardown remainders.
+    /// Central free stack of stamped segments: flushed surplus, carve
+    /// remainders, sweep survivors, donated remote batches.
     free: BlockStack,
     /// Approximate population of `free` (refills skip empty shards).
     free_len: AtomicUsize,
@@ -683,9 +702,12 @@ fn sweep_class(
     }
 
     // Phase 4: push survivors back to their stamped shards, one chain
-    // per shard. Blocks of retiring slabs simply stay behind.
+    // per shard, stamped into segments of `seg_max` blocks as it is built
+    // (by prepending). Blocks of retiring slabs simply stay behind.
+    let seg = seg_max(class);
     let mut heads = [std::ptr::null_mut::<u8>(); CLASS_SHARDS];
     let mut tails = [std::ptr::null_mut::<u8>(); CLASS_SHARDS];
+    let mut seg_tails = [std::ptr::null_mut::<u8>(); CLASS_SHARDS];
     let mut counts = [0usize; CLASS_SHARDS];
     for &b in &blocks {
         let header = ((b as usize) & !SLAB_MASK) as *const SlabHeader;
@@ -698,11 +720,20 @@ fn sweep_class(
         if heads[s].is_null() {
             tails[s] = b;
         }
+        if counts[s].is_multiple_of(seg) {
+            seg_tails[s] = b;
+        }
         heads[s] = b;
         counts[s] += 1;
+        if counts[s].is_multiple_of(seg) {
+            seg_stamp(b, seg_tails[s], seg as u32);
+        }
     }
     for s in 0..CLASS_SHARDS {
         if !heads[s].is_null() {
+            if !counts[s].is_multiple_of(seg) {
+                seg_stamp(heads[s], seg_tails[s], (counts[s] % seg) as u32);
+            }
             state.shards[s].free.push_chain(heads[s], tails[s]);
             state.shards[s].free_len.fetch_add(counts[s], Ordering::Relaxed);
         }
@@ -784,14 +815,13 @@ struct LocalClass {
     /// pairs (never a locked RMW); atomic only so gauge collection can
     /// read the parked-magazine population cross-thread.
     count: AtomicU32,
-    /// An adopted remote chain, served lazily: a refill parks the kept
-    /// prefix here *without walking it* (see the Level-2 zero-touch
-    /// adoption in [`refill`]); each block's link is read only when that
+    /// An adopted chain, served lazily: a refill parks a drained remote
+    /// prefix or a popped central segment here *without walking it* (see
+    /// [`adopt`]); each block's link is read only when that
     /// block is handed out — a load on the very line the caller is about
     /// to write. Local frees still push onto `head`, which is preferred
     /// on allocation, so the chain drains only when the hot list is dry.
     chain: *mut u8,
-    chain_tail: *mut u8,
     chain_left: AtomicU32,
     /// Slab blocks allocated / freed in this class by this thread.
     /// Owner-only writes: a relaxed load and a *release* store — the
@@ -1108,44 +1138,48 @@ fn alloc_shared_counted(class: usize) -> *mut u8 {
     block
 }
 
-/// Cache-less single-block acquire (DEAD paths): remote drain of one
-/// shard, then central pops, then a carve whose surplus all goes central.
+/// Cache-less single-block acquire (DEAD paths): a central segment, then
+/// a remote drain, then a carve whose surplus all goes central. The
+/// first two serve one block and push the rest back ([`serve_head`]).
 fn alloc_shared(class: usize, home: usize) -> *mut u8 {
     let state = &CLASSES[class];
     for off in 0..CLASS_SHARDS {
         let shard = &state.shards[(home + off) % CLASS_SHARDS];
-        if let Some(block) = shard.free.pop() {
-            shard.free_len.fetch_sub(1, Ordering::Relaxed);
-            return block;
+        if let Some((head, tail, n)) = shard.free.pop_segment() {
+            shard.free_len.fetch_sub(n, Ordering::Relaxed);
+            return serve_head(shard, head, tail, n);
         }
     }
     for off in 0..CLASS_SHARDS {
-        let idx = (home + off) % CLASS_SHARDS;
-        let shard = &state.shards[idx];
+        let shard = &state.shards[(home + off) % CLASS_SHARDS];
         let chain = shard.remote.take_all();
-        if chain.is_null() {
-            continue;
+        if !chain.is_null() {
+            let (tail, n) = drain_front(shard, chain, 1);
+            return serve_head(shard, chain, tail, n);
         }
-        // Hop batch heads for the count + tail (see `seg_stamp`); keep the
-        // first block, donate the rest central in one push.
-        let mut n = 0usize;
-        let mut tail = chain;
-        let mut seg = chain;
-        while !seg.is_null() {
-            let (seg_tail, count) = seg_read(seg);
-            n += count;
-            tail = seg_tail;
-            seg = unsafe { *(seg_tail as *mut *mut u8) };
-        }
-        shard.remote_drained.fetch_add(n as u64, Ordering::Relaxed);
-        if n > 1 {
-            let rest = unsafe { *(chain as *mut *mut u8) };
-            shard.free.push_chain(rest, tail);
-            shard.free_len.fetch_add(n - 1, Ordering::Relaxed);
-        }
-        return chain;
     }
     carve_shared(class, home)
+}
+
+/// Serve `head` of a private segment `head..=tail` of `n` blocks and push
+/// the other `n - 1` back onto `shard`'s central stack, re-stamped as one
+/// segment.
+fn serve_head(shard: &ClassShard, head: *mut u8, tail: *mut u8, n: usize) -> *mut u8 {
+    if n > 1 {
+        let rest = next_of(head);
+        seg_stamp(rest, tail, (n - 1) as u32);
+        shard.free.push_chain(rest, tail);
+        shard.free_len.fetch_add(n - 1, Ordering::Relaxed);
+    }
+    head
+}
+
+/// The link word of a free block: the next block of its chain.
+#[inline]
+fn next_of(block: *mut u8) -> *mut u8 {
+    // SAFETY: callers pass a free block of a chain they own; blocks are
+    // at least 16 bytes and 16-aligned, and the first word is the link.
+    unsafe { *(block as *const *mut u8) }
 }
 
 /// Walk a detached chain: (length, tail pointer). The chain is private to
@@ -1153,11 +1187,9 @@ fn alloc_shared(class: usize, home: usize) -> *mut u8 {
 fn chain_measure(head: *mut u8) -> (usize, *mut u8) {
     let mut n = 1usize;
     let mut tail = head;
-    unsafe {
-        while !(*(tail as *mut *mut u8)).is_null() {
-            tail = *(tail as *mut *mut u8);
-            n += 1;
-        }
+    while !next_of(tail).is_null() {
+        tail = next_of(tail);
+        n += 1;
     }
     (n, tail)
 }
@@ -1188,7 +1220,8 @@ fn observe_peak_net(lc: &LocalClass) {
     }
 }
 
-/// Thread-cache refill: remote drain → central pops → slab carve.
+/// Thread-cache refill: remote drain → central segment → remote sweep →
+/// slab carve. Every level but the carve ends in [`adopt`].
 #[cold]
 fn refill(cache: &mut ThreadCache, class: usize) -> *mut u8 {
     sync_flush_epoch(cache);
@@ -1199,93 +1232,49 @@ fn refill(cache: &mut ThreadCache, class: usize) -> *mut u8 {
     let home = cache.home;
 
     // Level 2: adopt this home shard's remote-free queue in one swap,
-    // *zero-touch*: hop batch heads for counts (see [`seg_stamp`]), cut
-    // the chain at the first batch boundary past `cap`, park the kept
-    // prefix on `lc.chain` for lazy serving, and donate the suffix
-    // central in one push. No block in the backlog is touched here —
-    // kept blocks are first read when they are handed out, donated
-    // blocks not at all. (Blocks on the home queue already carry the
-    // home stamp — that is how they were routed here.)
+    // *zero-touch*: whole batches up to `cap` are kept, the rest donated
+    // central in one push ([`drain_front`]). (Blocks on the home queue
+    // already carry the home stamp — that is how they were routed here.)
     let shard = &state.shards[home];
     let chain = shard.remote.take_all();
     if !chain.is_null() {
-        let mut kept = 0usize;
-        let mut cut_tail = chain;
-        let mut seg = chain;
-        while !seg.is_null() && kept < cap {
-            let (seg_tail, count) = seg_read(seg);
-            kept += count;
-            cut_tail = seg_tail;
-            seg = unsafe { *(seg_tail as *mut *mut u8) };
-        }
-        let mut drained = kept;
-        if !seg.is_null() {
-            unsafe { *(cut_tail as *mut *mut u8) = std::ptr::null_mut() };
-            let mut rest = 0usize;
-            let mut tail = seg;
-            let mut s = seg;
-            while !s.is_null() {
-                let (t, c) = seg_read(s);
-                rest += c;
-                tail = t;
-                s = unsafe { *(t as *mut *mut u8) };
-            }
-            shard.free.push_chain(seg, tail);
-            shard.free_len.fetch_add(rest, Ordering::Relaxed);
-            drained += rest;
-        }
-        shard.remote_drained.fetch_add(drained as u64, Ordering::Relaxed);
-        let lc = &mut cache.classes[class];
-        debug_assert!(lc.chain.is_null(), "refill with a live adopted chain");
-        lc.chain = unsafe { *(chain as *mut *mut u8) };
-        lc.chain_tail = cut_tail;
-        lc.chain_left.store((kept - 1) as u32, Ordering::Relaxed);
-        return chain;
+        let (tail, kept) = drain_front(shard, chain, cap);
+        return adopt(cache, class, chain, tail, kept, None);
     }
 
-    // Level 3: batch-pop central stacks, probing round-robin from home.
-    // Stolen foreign blocks are re-stamped: the thief becomes the owner,
-    // so its upcoming frees of these blocks go local instead of riding a
-    // remote queue back to a shard that may have no thread at all.
+    // Level 3: pop one whole segment off the first non-empty central
+    // stack, probing from home — one CAS, and the segment is adopted with
+    // its tail link nulled (that link still points into the stack). A
+    // segment stolen from another shard is re-stamped: the thief becomes
+    // the owner, so its upcoming frees of these blocks go local instead
+    // of riding a remote queue back to a shard that may have no thread.
     for off in 0..CLASS_SHARDS {
         let idx = (home + off) % CLASS_SHARDS;
         let s = &state.shards[idx];
         if s.free_len.load(Ordering::Relaxed) == 0 && s.free.is_empty_hint() {
             continue;
         }
-        let want = (cap / 2 + 1).min(BATCH_MAX);
-        let mut batch = [std::ptr::null_mut::<u8>(); BATCH_MAX];
-        let mut taken = 0usize;
-        while taken < want {
-            match s.free.pop() {
-                Some(block) => {
-                    if idx != home {
-                        restamp(block, home);
-                    }
-                    batch[taken] = block;
-                    taken += 1;
-                }
-                None => break,
-            }
-        }
-        if taken > 0 {
-            s.free_len.fetch_sub(taken, Ordering::Relaxed);
-            return link_batch(cache, class, &mut batch[..taken]);
+        if let Some((head, tail, n)) = s.free.pop_segment() {
+            s.free_len.fetch_sub(n, Ordering::Relaxed);
+            // SAFETY: the pop made the segment ours; `tail` is its last
+            // block.
+            unsafe { *(tail as *mut *mut u8) = std::ptr::null_mut() };
+            return adopt(cache, class, head, tail, n, (idx != home).then_some(home));
         }
     }
 
     // Level 3½: before paying for a new slab, sweep *other* shards'
     // remote queues — blocks stranded on queues whose home threads have
-    // gone idle would otherwise accumulate unbounded. Swept blocks are
-    // adopted outright: the kept prefix is re-stamped to home, the
-    // surplus goes to the source's central stack (where Level 3 finds
-    // and re-stamps it later).
+    // gone idle would otherwise accumulate unbounded. Whole batches are
+    // adopted as at Level 2 and re-stamped to home; the surplus goes to
+    // the source's central stack (where Level 3 finds and re-stamps it).
     for off in 1..CLASS_SHARDS {
         let idx = (home + off) % CLASS_SHARDS;
         let s = &state.shards[idx];
         let chain = s.remote.take_all();
         if !chain.is_null() {
-            return adopt_chain(cache, class, s, chain, cap, Some(home));
+            let (tail, kept) = drain_front(s, chain, cap);
+            return adopt(cache, class, chain, tail, kept, Some(home));
         }
     }
 
@@ -1293,31 +1282,41 @@ fn refill(cache: &mut ThreadCache, class: usize) -> *mut u8 {
     carve(cache, class)
 }
 
-/// Largest refill batch linked into the local list in one go. Runtime
-/// caps may exceed this; the `.min(BATCH_MAX)` clamps on the batch paths
-/// keep the stack arrays bounded and simply spread a bigger cap over
-/// more trips.
-const BATCH_MAX: usize = 64;
+/// Most blocks in one central segment that a carve, flush or sweep cuts:
+/// the class's refill batch (half a magazine, at most 64), which is what
+/// one Level 3 pop then takes.
+#[inline]
+fn seg_max(class: usize) -> usize {
+    (MAG_CAP[class] as usize / 2 + 1).min(64)
+}
 
-/// Serve a refill batch: return the first block and thread the rest onto
-/// the local list in batch order, so pops replay the order the blocks
-/// were freed in (address-sorting the batch here was measured and lost —
-/// the sort cost more than the locality it recovered).
-fn link_batch(cache: &mut ThreadCache, class: usize, batch: &mut [*mut u8]) -> *mut u8 {
-    debug_assert!(!batch.is_empty());
-    let lc = &mut cache.classes[class];
-    let n = batch.len();
-    unsafe {
-        for i in 1..n {
-            let next = if i + 1 < n { batch[i + 1] } else { lc.head };
-            *(batch[i] as *mut *mut u8) = next;
+/// Serve a private, null-terminated chain `head..=tail` of `n` blocks
+/// from the thread cache: `head` is returned and the rest parks on
+/// `lc.chain`, each link read only when its block is handed out — a load
+/// on the very line the caller is about to write. With `restamp_home`
+/// set the chain was stolen from a foreign shard, and it is walked once
+/// to re-stamp its slabs to the thief.
+fn adopt(
+    cache: &mut ThreadCache,
+    class: usize,
+    head: *mut u8,
+    tail: *mut u8,
+    n: usize,
+    restamp_home: Option<usize>,
+) -> *mut u8 {
+    debug_assert_eq!(chain_measure(head), (n, tail), "adopted chain disagrees with its stamp");
+    if let Some(home) = restamp_home {
+        let mut b = head;
+        while !b.is_null() {
+            restamp(b, home);
+            b = next_of(b);
         }
     }
-    if n > 1 {
-        lc.head = batch[1];
-        owner_add32(&lc.count, (n - 1) as u32);
-    }
-    batch[0]
+    let lc = &mut cache.classes[class];
+    debug_assert!(lc.chain.is_null(), "refill with a live adopted chain");
+    lc.chain = next_of(head);
+    lc.chain_left.store((n - 1) as u32, Ordering::Relaxed);
+    head
 }
 
 /// Re-own `block`'s slab: write the home shard into the header hint. The
@@ -1329,86 +1328,82 @@ fn restamp(block: *mut u8, home: usize) {
     unsafe { (*header).shard.store(home as u16, Ordering::Relaxed) };
 }
 
-/// Segment metadata: a remote queue is a chain of *flush batches*, and
-/// each batch head's second word packs the batch's tail pointer (low 48
-/// bits) with its block count (high 16). Written before the publishing
-/// CAS and read only after a `take_all` detaches the chain, so the word
-/// is never read and written concurrently. This is what keeps draining
-/// O(batches): a drain can account for the blocks it does *not* adopt by
-/// hopping batch heads instead of walking every block of a backlog that
-/// can run to tens of thousands.
+/// Segment metadata: every remote queue and central stack is a stack of
+/// *segments*, chains whose head's second word packs the tail pointer
+/// (low 48 bits) with the block count (high 16), written before the
+/// publishing CAS. This keeps a central refill one CAS and a drain
+/// O(segments): it accounts for the blocks it does *not* adopt by hopping
+/// segment heads, never walking a backlog that can run to tens of
+/// thousands of blocks.
 #[inline]
 fn seg_stamp(head: *mut u8, tail: *mut u8, count: u32) {
     debug_assert!(count > 0 && (count as u64) < (1 << (64 - TAG_SHIFT)));
     let packed = (tail as u64 & PTR_MASK) | ((count as u64) << TAG_SHIFT);
-    unsafe { *(head.add(8) as *mut u64) = packed };
+    // SAFETY: blocks are at least 16 bytes and 16-aligned, and `head` is
+    // a free block the caller owns. Relaxed: the push CAS (release)
+    // publishes the stamp with the chain.
+    unsafe { &*(head.add(8) as *const AtomicU64) }.store(packed, Ordering::Relaxed);
 }
 
-/// The (tail, count) a [`seg_stamp`] left in a detached batch head.
+/// The (tail, count) a [`seg_stamp`] left in a segment head.
 #[inline]
 fn seg_read(head: *mut u8) -> (*mut u8, usize) {
-    let packed = unsafe { *(head.add(8) as *const u64) };
+    // SAFETY: as in `seg_stamp`; a stale `head` still lies in type-stable
+    // slab memory, and [`BlockStack::pop_segment`] discards what it read.
+    let packed = unsafe { &*(head.add(8) as *const AtomicU64) }.load(Ordering::Relaxed);
     ((packed & PTR_MASK) as *mut u8, (packed >> TAG_SHIFT) as usize)
 }
 
-/// Take up to `cap` blocks of a detached remote chain into the local list
-/// (returning the first as the served block) and donate the surplus to
-/// `source`'s central stack. Credits the whole chain to `source`'s
-/// remote-drain ledger. With `restamp_home` set the chain was stolen from
-/// a foreign queue: the *adopted* blocks are re-stamped (the thief now
-/// owns them); donated surplus keeps its stamp — the stamp is a routing
-/// hint, so central blocks with a foreign stamp still route validly, and
-/// skipping them is what keeps this walk O(adopted + batches).
-fn adopt_chain(
-    cache: &mut ThreadCache,
-    class: usize,
-    source: &ClassShard,
-    chain: *mut u8,
-    cap: usize,
-    restamp_home: Option<usize>,
-) -> *mut u8 {
-    let take = cap.min(BATCH_MAX);
-    let mut batch = [std::ptr::null_mut::<u8>(); BATCH_MAX];
-    let mut adopted = 0usize;
-    let mut total = 0usize;
-    let mut tail = chain;
-    let mut rest_head: *mut u8 = std::ptr::null_mut();
-    let mut seg = chain;
-    while !seg.is_null() {
-        let (seg_tail, count) = seg_read(seg);
-        total += count;
-        tail = seg_tail;
-        if adopted < take {
-            // Adopt this batch's prefix block by block (these blocks are
-            // about to be served, so touching them is useful prefetch).
-            let mut block = seg;
-            let mut left = count;
-            while left > 0 && adopted < take {
-                if let Some(home) = restamp_home {
-                    restamp(block, home);
-                }
-                batch[adopted] = block;
-                adopted += 1;
-                block = unsafe { *(block as *mut *mut u8) };
-                left -= 1;
-            }
-            if left > 0 {
-                rest_head = block;
-            }
-        } else if rest_head.is_null() {
-            rest_head = seg;
+/// Stamp the first `n` blocks of the private chain at `head` as segments
+/// of at most `seg` blocks; returns the `n`th block (the last tail).
+fn stamp_segments(head: *mut u8, n: usize, seg: usize) -> *mut u8 {
+    let (mut first, mut left) = (head, n);
+    loop {
+        let k = left.min(seg);
+        let mut tail = first;
+        for _ in 1..k {
+            tail = next_of(tail);
         }
-        // The next batch head, if any, is linked from this batch's tail.
-        seg = unsafe { *(seg_tail as *mut *mut u8) };
+        seg_stamp(first, tail, k as u32);
+        left -= k;
+        if left == 0 {
+            return tail;
+        }
+        first = next_of(tail);
     }
-    let first = link_batch(cache, class, &mut batch[..adopted]);
-    if !rest_head.is_null() {
-        debug_assert!(total > adopted);
-        source.free.push_chain(rest_head, tail);
-        source.free_len.fetch_add(total - adopted, Ordering::Relaxed);
+}
+
+/// Split a detached remote chain (a stack of stamped batches): whole
+/// batches stay with the caller until at least `want` blocks are kept,
+/// cut off by a null tail link, and the rest goes to `source`'s central
+/// stack in one push, stamps intact. Credits the whole chain to
+/// `source`'s remote-drain ledger. Reads only batch heads' stamps and
+/// tails' links: O(batches), no block in between touched. Returns the
+/// kept prefix's (tail, count).
+fn drain_front(source: &ClassShard, chain: *mut u8, want: usize) -> (*mut u8, usize) {
+    let (mut kept, mut tail, mut seg) = (0usize, chain, chain);
+    while !seg.is_null() && kept < want {
+        let (t, n) = seg_read(seg);
+        kept += n;
+        tail = t;
+        seg = next_of(t);
+    }
+    let mut total = kept;
+    if !seg.is_null() {
+        // SAFETY: the chain is detached and private to the caller.
+        unsafe { *(tail as *mut *mut u8) = std::ptr::null_mut() };
+        let (rest, mut last) = (seg, seg);
+        while !seg.is_null() {
+            let (t, n) = seg_read(seg);
+            total += n;
+            last = t;
+            seg = next_of(t);
+        }
+        source.free.push_chain(rest, last);
+        source.free_len.fetch_add(total - kept, Ordering::Relaxed);
     }
     source.remote_drained.fetch_add(total as u64, Ordering::Relaxed);
-    first
+    (tail, kept)
 }
 
 /// Carve a slab for the cache's home shard: first block served, up to
@@ -1432,19 +1427,7 @@ fn carve(cache: &mut ThreadCache, class: usize) -> *mut u8 {
         lc.head = b;
     }
     owner_add32(&lc.count, keep as u32);
-    if keep + 1 < nblocks {
-        // Chain the remainder in place and donate it central.
-        let first_rest = block_at(keep + 1);
-        let mut prev = first_rest;
-        for i in keep + 2..nblocks {
-            let b = block_at(i);
-            unsafe { *(prev as *mut *mut u8) = b };
-            prev = b;
-        }
-        let shard = &CLASSES[class].shards[home];
-        shard.free.push_chain(first_rest, prev);
-        shard.free_len.fetch_add(nblocks - keep - 1, Ordering::Relaxed);
-    }
+    donate_slab_rest(class, home, base, keep + 1);
     block_at(0)
 }
 
@@ -1455,22 +1438,35 @@ fn carve_shared(class: usize, home: usize) -> *mut u8 {
     }
     FOLDED.slabs_carved.fetch_add(1, Ordering::Relaxed);
     let Some(base) = carve_slab(class, home) else { return std::ptr::null_mut() };
+    donate_slab_rest(class, home, base, 1);
+    unsafe { base.add(HEADER_BYTES) }
+}
+
+/// Chain blocks `first..` of the freshly carved `class` slab at `base` in
+/// place, as stamped segments of at most [`seg_max`] blocks, and push
+/// them onto `home`'s central stack in one CAS.
+fn donate_slab_rest(class: usize, home: usize, base: *mut u8, first: usize) {
     let bytes = class_bytes(class);
     let nblocks = (SLAB_BYTES - HEADER_BYTES) / bytes;
-    let block_at = |i: usize| unsafe { base.add(HEADER_BYTES + i * bytes) };
-    if nblocks > 1 {
-        let first_rest = block_at(1);
-        let mut prev = first_rest;
-        for i in 2..nblocks {
-            let b = block_at(i);
-            unsafe { *(prev as *mut *mut u8) = b };
-            prev = b;
-        }
-        let shard = &CLASSES[class].shards[home];
-        shard.free.push_chain(first_rest, prev);
-        shard.free_len.fetch_add(nblocks - 1, Ordering::Relaxed);
+    if first >= nblocks {
+        return;
     }
-    block_at(0)
+    let block_at = |i: usize| unsafe { base.add(HEADER_BYTES + i * bytes) };
+    let seg = seg_max(class);
+    for i in first..nblocks {
+        if (i - first).is_multiple_of(seg) {
+            let n = seg.min(nblocks - i);
+            seg_stamp(block_at(i), block_at(i + n - 1), n as u32);
+        }
+        if i + 1 < nblocks {
+            // SAFETY: the slab was just carved for the caller, and both
+            // blocks lie inside it.
+            unsafe { *(block_at(i) as *mut *mut u8) = block_at(i + 1) };
+        }
+    }
+    let shard = &CLASSES[class].shards[home];
+    shard.free.push_chain(block_at(first), block_at(nblocks - 1));
+    shard.free_len.fetch_add(nblocks - first, Ordering::Relaxed);
 }
 
 /// Fresh slabs are bump-carved from segments of this many bytes: one
@@ -1668,7 +1664,7 @@ fn dealloc_class(ptr: *mut u8, class: usize) {
 fn remote_push(class: usize, shard_idx: usize, ptr: *mut u8) {
     let shard = &CLASSES[class].shards[shard_idx];
     seg_stamp(ptr, ptr, 1);
-    shard.remote.push(ptr);
+    shard.remote.push_chain(ptr, ptr);
     shard.remote_pushes.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -1703,9 +1699,10 @@ fn flush_bucket(class: usize, shard_idx: usize, b: &mut ForeignBucket) {
 }
 
 /// Detach half the local list and donate it to the *home* central stack,
-/// stamps unseen: the detach walk touches just-freed (hot) links and the
-/// donation is one `push_chain`. Stolen blocks flushed here carry a stale
-/// stamp until their next trip through `dealloc` re-buckets them.
+/// slab stamps unseen: the detach walk touches just-freed (hot) links,
+/// stamping segments as it goes, and the donation is one `push_chain`.
+/// Stolen blocks flushed here carry a stale slab stamp until their next
+/// trip through `dealloc` re-buckets them.
 #[cold]
 fn flush_surplus(cache: &mut ThreadCache, class: usize) {
     // A pending reclaim epoch empties the whole cache — nothing left to
@@ -1717,11 +1714,8 @@ fn flush_surplus(cache: &mut ThreadCache, class: usize) {
     let count = lc.count.load(Ordering::Relaxed);
     let flush = (count / 2).max(1);
     let head = lc.head;
-    let mut tail = head;
-    for _ in 1..flush {
-        tail = unsafe { *(tail as *mut *mut u8) };
-    }
-    lc.head = unsafe { *(tail as *mut *mut u8) };
+    let tail = stamp_segments(head, flush as usize, seg_max(class));
+    lc.head = next_of(tail);
     lc.count.store(count - flush, Ordering::Relaxed);
     let shard = &CLASSES[class].shards[cache.home];
     shard.free.push_chain(head, tail);
@@ -1736,12 +1730,9 @@ fn flush_all(cache: &mut ThreadCache) {
     let ThreadCache { classes, foreign, .. } = cache;
     for (class, (lc, buckets)) in classes.iter_mut().zip(foreign.iter_mut()).enumerate() {
         if !lc.head.is_null() {
-            let (n, tail) = chain_measure(lc.head);
-            debug_assert_eq!(
-                n,
-                lc.count.load(Ordering::Relaxed) as usize,
-                "local list count drifted"
-            );
+            let n = lc.count.load(Ordering::Relaxed) as usize;
+            debug_assert_eq!(chain_measure(lc.head).0, n, "local list count drifted");
+            let tail = stamp_segments(lc.head, n, seg_max(class));
             let shard = &CLASSES[class].shards[home];
             shard.free.push_chain(lc.head, tail);
             shard.free_len.fetch_add(n, Ordering::Relaxed);
@@ -1749,15 +1740,15 @@ fn flush_all(cache: &mut ThreadCache) {
             lc.count.store(0, Ordering::Relaxed);
         }
         if !lc.chain.is_null() {
-            // A lazily-served adopted chain: its count and tail were
-            // tracked at adoption, so returning it central needs no walk.
+            // A lazily-served adopted chain, re-cut into segments: its
+            // served prefix took the first segment head's stamp with it.
+            let n = lc.chain_left.load(Ordering::Relaxed) as usize;
+            let tail = stamp_segments(lc.chain, n, seg_max(class));
+            debug_assert!(next_of(tail).is_null(), "adopted chain count drifted");
             let shard = &CLASSES[class].shards[home];
-            shard.free.push_chain(lc.chain, lc.chain_tail);
-            shard
-                .free_len
-                .fetch_add(lc.chain_left.load(Ordering::Relaxed) as usize, Ordering::Relaxed);
+            shard.free.push_chain(lc.chain, tail);
+            shard.free_len.fetch_add(n, Ordering::Relaxed);
             lc.chain = std::ptr::null_mut();
-            lc.chain_tail = std::ptr::null_mut();
             lc.chain_left.store(0, Ordering::Relaxed);
         }
         for (s, b) in buckets.iter_mut().enumerate() {
@@ -1771,7 +1762,9 @@ fn flush_all(cache: &mut ThreadCache) {
 /// Raw entry points: the same block machinery without going through a
 /// `#[global_allocator]` installation. `mem-api`'s `global` backend and
 /// the bench envelopes call these directly, so the front-end is measurable
-/// even in feature-off builds.
+/// even in feature-off builds. Inlined so callers in other crates get the
+/// classed hit path without a call.
+#[inline]
 pub fn raw_alloc(layout: Layout) -> *mut u8 {
     match class_for(layout.size(), layout.align()) {
         Some(class) => alloc_class(class),
@@ -1787,6 +1780,7 @@ pub fn raw_alloc(layout: Layout) -> *mut u8 {
 /// # Safety
 /// `ptr` must come from [`raw_alloc`] (or the installed [`GlobalPool`])
 /// with exactly this `layout`, and must not be freed twice.
+#[inline]
 pub unsafe fn raw_dealloc(ptr: *mut u8, layout: Layout) {
     match class_for(layout.size(), layout.align()) {
         Some(class) => dealloc_class(ptr, class),
@@ -2346,6 +2340,187 @@ mod tests {
         // 15 blocks of 4 KiB: the last link word ends in page 15, and page
         // 16 (the tail of block 14) is left for the caller to touch.
         assert_eq!(carve_extent(class_for(4096, 8).unwrap()), 15 * PAGE_BYTES);
+    }
+
+    /// A 16-byte test block. A `Vec` of them outlives every stack op in
+    /// its test, standing in for type-stable slab memory.
+    #[repr(C, align(16))]
+    struct TestBlock([u64; 2]);
+
+    fn test_blocks(n: usize) -> (Vec<TestBlock>, Vec<*mut u8>) {
+        let mut mem: Vec<TestBlock> = (0..n).map(|_| TestBlock([0; 2])).collect();
+        let ptrs = mem.iter_mut().map(|b| b as *mut TestBlock as *mut u8).collect();
+        (mem, ptrs)
+    }
+
+    /// Link `blocks` in order, stamp them as one segment and push it.
+    fn push_segment(stack: &BlockStack, blocks: &[*mut u8]) {
+        for w in blocks.windows(2) {
+            // SAFETY: the blocks are test blocks the caller holds.
+            unsafe { *(w[0] as *mut *mut u8) = w[1] };
+        }
+        let (head, tail) = (blocks[0], blocks[blocks.len() - 1]);
+        seg_stamp(head, tail, blocks.len() as u32);
+        stack.push_chain(head, tail);
+    }
+
+    /// The `n` blocks of a popped segment, reached through its `n - 1`
+    /// links.
+    fn walk(head: *mut u8, n: usize) -> Vec<*mut u8> {
+        let mut out = vec![head];
+        while out.len() < n {
+            out.push(next_of(out[out.len() - 1]));
+        }
+        out
+    }
+
+    #[test]
+    fn stamped_segments_pop_whole_in_lifo_order() {
+        let (_mem, b) = test_blocks(10);
+        let shard = ClassShard::new();
+        for seg in [&b[0..3], &b[3..4], &b[4..10]] {
+            push_segment(&shard.free, seg);
+        }
+        for want in [&b[4..10], &b[3..4], &b[0..3]] {
+            let (head, tail, n) = shard.free.pop_segment().expect("a stamped segment");
+            assert_eq!((head, tail, n), (want[0], want[want.len() - 1], want.len()));
+            assert_eq!(walk(head, n), want);
+        }
+        assert!(shard.free.pop_segment().is_none());
+
+        // The DEAD path serves a segment's head and pushes the rest back
+        // as one segment, re-stamped from its new head.
+        push_segment(&shard.free, &b[0..5]);
+        let (head, tail, n) = shard.free.pop_segment().unwrap();
+        assert_eq!(serve_head(&shard, head, tail, n), b[0]);
+        assert_eq!(shard.free_len.load(Ordering::Relaxed), 4);
+        let (head, tail, n) = shard.free.pop_segment().expect("the remainder went back");
+        assert_eq!((head, tail, n), (b[1], b[4], 4));
+        assert_eq!(walk(head, n), &b[1..5]);
+        push_segment(&shard.free, &b[5..6]);
+        let (head, tail, n) = shard.free.pop_segment().unwrap();
+        assert_eq!(serve_head(&shard, head, tail, n), b[5]);
+        assert!(shard.free.pop_segment().is_none(), "a one-block segment leaves nothing");
+    }
+
+    #[test]
+    fn drain_front_keeps_whole_batches_and_donates_the_rest_stamped() {
+        let (_mem, b) = test_blocks(9);
+        let shard = ClassShard::new();
+        for batch in [&b[0..2], &b[2..5], &b[5..9]] {
+            push_segment(&shard.remote, batch);
+        }
+        let chain = shard.remote.take_all();
+        // 4 blocks fall short of 5, so the next whole batch comes too.
+        let (tail, kept) = drain_front(&shard, chain, 5);
+        assert_eq!((chain, tail, kept), (b[5], b[4], 7));
+        assert_eq!(chain_measure(chain), (7, b[4]), "the kept prefix is cut off");
+        assert_eq!(shard.remote_drained.load(Ordering::Relaxed), 9);
+        assert_eq!(shard.free_len.load(Ordering::Relaxed), 2);
+        assert_eq!(shard.free.pop_segment(), Some((b[0], b[1], 2)));
+        assert!(shard.free.pop_segment().is_none());
+    }
+
+    #[test]
+    fn segment_stack_hands_out_every_block_exactly_once_under_contention() {
+        // Four threads push random-size stamped segments of the blocks
+        // they hold and pop whatever is on top, keeping what they pop for
+        // later pushes, so blocks recycle through every thread (the ABA
+        // pattern the tag defeats). A bit per block marks it as on the
+        // stack: set before its push, cleared by the pop that takes it, so
+        // a block handed out twice trips at once. Popped blocks are
+        // scribbled over like user data, so a pop that trusted a stale
+        // stamp would chase a wild tail.
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 4096;
+        const STEPS: usize = 50_000;
+        let (_mem, blocks) = test_blocks(THREADS * PER_THREAD);
+        // Addresses, not pointers, cross into the threads.
+        let base = blocks[0] as usize;
+        let stack = BlockStack::new();
+        let on_stack: Vec<AtomicU64> =
+            (0..(THREADS * PER_THREAD).div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        let flip = |p: *mut u8, onto: bool| {
+            let i = (p as usize - base) / 16;
+            let bit = 1u64 << (i % 64);
+            let prev = if onto {
+                on_stack[i / 64].fetch_or(bit, Ordering::Relaxed)
+            } else {
+                on_stack[i / 64].fetch_and(!bit, Ordering::Relaxed)
+            };
+            assert_eq!(prev & bit == 0, onto, "block {i} handed out twice");
+        };
+        let take = |held: &mut Vec<*mut u8>, (head, tail, n): (*mut u8, *mut u8, usize)| {
+            let segment = walk(head, n);
+            assert_eq!(segment[n - 1], tail, "a segment's links must end at its stamped tail");
+            for &p in &segment {
+                flip(p, false);
+                for word in 0..2 {
+                    // SAFETY: the pop handed this 16-byte block to us.
+                    unsafe { &*(p.add(8 * word) as *const AtomicU64) }
+                        .store(!0 << 4, Ordering::Relaxed);
+                }
+            }
+            held.extend(segment);
+        };
+        let start = std::sync::Barrier::new(THREADS);
+        let held_at_end: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (stack, flip, take, start) = (&stack, &flip, &take, &start);
+                    s.spawn(move || {
+                        let mut held: Vec<*mut u8> = (t * PER_THREAD..(t + 1) * PER_THREAD)
+                            .map(|i| (base + i * 16) as *mut u8)
+                            .collect();
+                        let mut rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1);
+                        start.wait();
+                        for _ in 0..STEPS {
+                            rng ^= rng << 13;
+                            rng ^= rng >> 7;
+                            rng ^= rng << 17;
+                            if !held.is_empty() && rng & 1 == 0 {
+                                let n = (1 + (rng >> 8) as usize % 64).min(held.len());
+                                let segment = held.split_off(held.len() - n);
+                                for &p in &segment {
+                                    flip(p, true);
+                                }
+                                push_segment(stack, &segment);
+                            } else if let Some(popped) = stack.pop_segment() {
+                                take(&mut held, popped);
+                            }
+                        }
+                        held.len()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        let mut drained = Vec::new();
+        while let Some(popped) = stack.pop_segment() {
+            take(&mut drained, popped);
+        }
+        assert_eq!(held_at_end + drained.len(), THREADS * PER_THREAD, "every block must come out");
+        assert!(on_stack.iter().all(|w| w.load(Ordering::Relaxed) == 0));
+    }
+
+    #[test]
+    fn flushed_surplus_comes_back_as_whole_segments() {
+        // Freeing far past the magazine cap makes `flush_surplus` cut
+        // stamped segments; allocating them all back makes Level 3 pop
+        // them, and debug builds walk each adopted segment against its
+        // stamp. Carve remainders take the same road on the first round.
+        let l = layout(640, 8);
+        std::thread::spawn(move || {
+            for _ in 0..3 {
+                let held: Vec<usize> = (0..600).map(|_| raw_alloc(l) as usize).collect();
+                assert!(held.iter().all(|&p| p != 0));
+                for &p in &held {
+                    unsafe { raw_dealloc(p as *mut u8, l) };
+                }
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
