@@ -31,34 +31,34 @@ pub trait Structured: Reusable + Send + 'static {
 }
 
 /// A live structure handed out by a [`MemBackend`]: the object itself plus
-/// whatever the backend needs to take it back.
+/// whatever the backend needs to take it back — four words.
 ///
-/// Malloc-style backends carry one [`BlockRef`] per node (the modeled
-/// allocator traffic); pool backends carry none — their free path parks the
-/// whole object, so the handle vector stays empty and costs nothing.
+/// Malloc-style backends carry their per-node handles boxed in `nodes`;
+/// pool backends carry `None` — their free path parks the whole object, so
+/// a hit builds and drops no handle storage at all.
 pub struct Allocation<T> {
-    obj: PoolBox<T>,
-    pub(crate) blocks: Vec<BlockRef>,
-    /// Raw per-node blocks from the size-class front-end (`(address,
-    /// size)`; the `global` backend's analogue of `blocks`). Addresses are
-    /// carried as `usize` so the allocation stays `Send`.
-    pub(crate) raw_nodes: Vec<(usize, u32)>,
+    pub(crate) obj: PoolBox<T>,
+    pub(crate) nodes: Option<Box<Nodes>>,
     pub(crate) bytes: u64,
+}
+
+/// The per-node handles of a malloc-style allocation.
+pub(crate) enum Nodes {
+    /// One [`BlockRef`] per node (the modeled allocator traffic).
+    Blocks(Vec<BlockRef>),
+    /// The size-class front-end's raw blocks, `(address, size)`, for the
+    /// `global` backend (`usize` addresses keep the allocation `Send`).
+    Raw(Vec<(usize, u32)>),
 }
 
 impl<T> Allocation<T> {
     /// Assemble an allocation (for backend implementations). Accepts a
     /// plain `Box<T>` or a pool-served [`PoolBox<T>`] (which may live in a
     /// slab rather than its own heap block).
+    #[inline(always)]
     pub fn new(obj: impl Into<PoolBox<T>>, blocks: Vec<BlockRef>, bytes: u64) -> Self {
-        Allocation { obj: obj.into(), blocks, raw_nodes: Vec::new(), bytes }
-    }
-
-    /// Attach raw size-class blocks (builder style, for the `global`
-    /// backend).
-    pub(crate) fn with_raw_nodes(mut self, raw_nodes: Vec<(usize, u32)>) -> Self {
-        self.raw_nodes = raw_nodes;
-        self
+        let nodes = (!blocks.is_empty()).then(|| Box::new(Nodes::Blocks(blocks)));
+        Allocation { obj: obj.into(), nodes, bytes }
     }
 
     /// Payload bytes this structure accounts for.

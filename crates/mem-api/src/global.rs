@@ -14,7 +14,7 @@
 //! blocks may be freed by a different thread than allocated them, which
 //! rides the front-end's remote-free queues.
 
-use crate::backend::{Allocation, BackendStats, MemBackend, Structured};
+use crate::backend::{Allocation, BackendStats, MemBackend, Nodes, Structured};
 use std::alloc::Layout;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -80,11 +80,15 @@ impl<T: Structured> MemBackend<T> for GlobalBackend {
             .collect::<Vec<_>>();
         let bytes = T::footprint(params);
         self.live_bytes.fetch_add(bytes, Ordering::Relaxed);
-        Allocation::new(Box::new(T::fresh(params)), Vec::new(), bytes).with_raw_nodes(raw)
+        let obj = Box::new(T::fresh(params)).into();
+        Allocation { obj, nodes: Some(Box::new(Nodes::Raw(raw))), bytes }
     }
 
     fn free(&self, mut allocation: Allocation<T>) {
-        let raw = std::mem::take(&mut allocation.raw_nodes);
+        let raw = match allocation.nodes.take().map(|n| *n) {
+            Some(Nodes::Raw(raw)) => raw,
+            _ => Vec::new(),
+        };
         let had_nodes = !raw.is_empty();
         let bytes = allocation.bytes();
         let mut obj = allocation.into_object();

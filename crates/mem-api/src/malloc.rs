@@ -7,7 +7,7 @@
 //! checksum determinism. Freeing releases the nodes in reverse order, as
 //! destructors run.
 
-use crate::backend::{Allocation, BackendStats, MemBackend, Structured};
+use crate::backend::{Allocation, BackendStats, MemBackend, Nodes, Structured};
 use allocators::ParallelAllocator;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,7 +69,10 @@ impl<T: Structured> MemBackend<T> for MallocBackend {
     }
 
     fn free(&self, mut allocation: Allocation<T>) {
-        let blocks = std::mem::take(&mut allocation.blocks);
+        let blocks = match allocation.nodes.take().map(|n| *n) {
+            Some(Nodes::Blocks(blocks)) => blocks,
+            _ => Vec::new(),
+        };
         let mut obj = allocation.into_object();
         obj.recycle();
         drop(obj);

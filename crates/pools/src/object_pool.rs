@@ -132,34 +132,47 @@ impl<T> ObjectPool<T> {
     /// Return an object to the free list. If the pool is at its population
     /// cap the object is dropped (freed) instead.
     pub fn release(&self, obj: impl Into<PoolBox<T>>) {
-        let obj = obj.into();
+        self.release_parked(obj.into());
+    }
+
+    /// [`ObjectPool::release`], reporting whether the object was parked
+    /// (`false`: the cap dropped it).
+    pub(crate) fn release_parked(&self, obj: PoolBox<T>) -> bool {
         let mut free = self.free.lock();
         self.stats.record_lock();
         if self.config.accepts_object(free.len()) {
             free.push(obj);
             self.stats.record_release();
+            true
         } else {
             drop(free);
             self.stats.record_refused();
             // obj drops here, returning memory to the system allocator —
             // the paper's "returning memory from the pools ... when the
             // pools exceed a certain limit".
+            false
         }
     }
 
     /// Try to return an object without blocking. On lock failure the object
     /// is handed back to the caller.
     pub fn try_release(&self, obj: PoolBox<T>) -> Result<(), PoolBox<T>> {
+        self.try_release_parked(obj).map(|_| ())
+    }
+
+    /// [`ObjectPool::try_release`], reporting whether the object was parked.
+    pub(crate) fn try_release_parked(&self, obj: PoolBox<T>) -> Result<bool, PoolBox<T>> {
         match self.free.try_lock() {
             Some(mut free) => {
                 self.stats.record_lock();
-                if self.config.accepts_object(free.len()) {
+                let parked = self.config.accepts_object(free.len());
+                if parked {
                     free.push(obj);
                     self.stats.record_release();
                 } else {
                     self.stats.record_refused();
                 }
-                Ok(())
+                Ok(parked)
             }
             None => {
                 self.stats.record_failed_lock();

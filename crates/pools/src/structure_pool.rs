@@ -121,18 +121,23 @@ impl<T: Reusable + 'static> StructurePool<T> {
     /// footprint, say) in the pool's net byte ledger, reported as
     /// [`StatsSnapshot::live_bytes`]. Free it with
     /// [`StructurePool::free_sized`] and the same count.
-    #[inline]
+    #[inline(always)]
     pub fn alloc_sized(&self, params: &T::Params, bytes: u64) -> PoolBox<T> {
         match &self.inner {
-            Backend::Plain(p) => {
-                let obj = p.acquire_with(|| T::fresh(params), |t| t.reinit(params));
-                p.stats().add_live_bytes(bytes as i64);
-                obj
-            }
             Backend::Sharded(s) => {
                 s.acquire_sized(|| T::fresh(params), |t| t.reinit(params), bytes)
             }
+            Backend::Plain(p) => Self::alloc_plain(p, params, bytes),
         }
+    }
+
+    /// The single-list layout's alloc, out of line so the sharded hit path
+    /// inlines into callers without it.
+    #[inline(never)]
+    fn alloc_plain(p: &ObjectPool<T>, params: &T::Params, bytes: u64) -> PoolBox<T> {
+        let obj = p.acquire_with(|| T::fresh(params), |t| t.reinit(params));
+        p.stats().add_live_bytes(bytes as i64);
+        obj
     }
 
     /// Free a structure: run `recycle` (the destructor chain) and park the
@@ -143,17 +148,20 @@ impl<T: Reusable + 'static> StructurePool<T> {
 
     /// [`StructurePool::free`] that also takes `bytes` out of the net byte
     /// ledger.
-    #[inline]
+    #[inline(always)]
     pub fn free_sized(&self, structure: impl Into<PoolBox<T>>, bytes: u64) {
         let mut structure = structure.into();
         structure.recycle();
         match &self.inner {
-            Backend::Plain(p) => {
-                p.stats().add_live_bytes(-(bytes as i64));
-                p.release(structure);
-            }
             Backend::Sharded(s) => s.release_sized(structure, bytes),
+            Backend::Plain(p) => Self::free_plain(p, structure, bytes),
         }
+    }
+
+    #[inline(never)]
+    fn free_plain(p: &ObjectPool<T>, structure: PoolBox<T>, bytes: u64) {
+        p.stats().add_live_bytes(-(bytes as i64));
+        p.release(structure);
     }
 
     /// Number of parked structures (including magazine contents when
