@@ -217,8 +217,8 @@ const fn by_mode(off: f64, telemetry: f64, global_alloc: f64) -> f64 {
 
 /// Every gated path, in the order a trial runs them.
 pub const ENVELOPE_PATHS: [EnvelopePath; 7] = [
-    EnvelopePath { label: "hit-pair", recorded: by_mode(1.15, 1.41, 1.13), run: hit_pair },
-    EnvelopePath { label: "miss-pair", recorded: by_mode(3.94, 4.11, 3.68), run: miss_pair },
+    EnvelopePath { label: "hit-pair", recorded: by_mode(0.69, 0.86, 0.69), run: hit_pair },
+    EnvelopePath { label: "miss-pair", recorded: by_mode(3.78, 3.94, 3.67), run: miss_pair },
     EnvelopePath { label: "global-pair", recorded: by_mode(0.63, 0.66, 0.65), run: global_pair },
     EnvelopePath {
         label: "global-pair-profiled",
@@ -233,7 +233,7 @@ pub const ENVELOPE_PATHS: [EnvelopePath; 7] = [
     EnvelopePath { label: "sim-engine", recorded: by_mode(10.45, 10.29, 10.71), run: sim_engine },
     EnvelopePath {
         label: "tuned-hit-pair",
-        recorded: by_mode(1.16, 1.41, 1.11),
+        recorded: by_mode(0.69, 0.87, 0.69),
         run: tuned_hit_pair,
     },
 ];

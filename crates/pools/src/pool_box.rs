@@ -193,7 +193,7 @@ impl<T> SlabReserve<T> {
 /// One uninitialized slot taken from a slab, waiting for its value.
 ///
 /// Split from [`SlabReserve::take`] so the user's constructor closure runs
-/// *outside* the thread-local magazine borrow (constructors are user code
+/// *outside* the thread-local magazine table hold (constructors are user code
 /// and may re-enter pool operations). If `fill` is never called (e.g. the
 /// constructor panics), the slot's memory is simply never reused; the
 /// slab still frees once every sibling is gone — leaked capacity, no UB.
