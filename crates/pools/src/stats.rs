@@ -65,7 +65,7 @@ impl PoolStats {
     }
 
     /// Move the net byte ledger by `delta` (the cold paths' one relaxed
-    /// RMW; the magazine hit path keeps its own owner-written field).
+    /// RMW; the magazine hit path keeps its own owner-written cell).
     /// Record an acquire's bytes *after* its hit/fresh count and a
     /// release's bytes *before* its release count: [`PoolStats::snapshot`]
     /// reads frees, then bytes, then allocations, and this order keeps
