@@ -23,7 +23,7 @@ use std::path::Path;
 use std::time::Instant;
 use telemetry::report::NativeRun;
 use workloads::exec::run_workload;
-use workloads::tree::{PoolTree, TreeWorkload};
+use workloads::tree::{PoolTree, TreeParams, TreeWorkload};
 
 /// The swept grid: backend × tree depth × thread count.
 #[derive(Debug, Clone)]
@@ -216,9 +216,9 @@ const fn by_mode(off: f64, telemetry: f64, global_alloc: f64) -> f64 {
 }
 
 /// Every gated path, in the order a trial runs them.
-pub const ENVELOPE_PATHS: [EnvelopePath; 7] = [
-    EnvelopePath { label: "hit-pair", recorded: by_mode(0.69, 0.86, 0.69), run: hit_pair },
-    EnvelopePath { label: "miss-pair", recorded: by_mode(3.78, 3.94, 3.67), run: miss_pair },
+pub const ENVELOPE_PATHS: [EnvelopePath; 8] = [
+    EnvelopePath { label: "hit-pair", recorded: by_mode(0.64, 0.81, 0.64), run: hit_pair },
+    EnvelopePath { label: "miss-pair", recorded: by_mode(2.64, 2.73, 2.68), run: miss_pair },
     EnvelopePath { label: "global-pair", recorded: by_mode(0.63, 0.66, 0.65), run: global_pair },
     EnvelopePath {
         label: "global-pair-profiled",
@@ -233,9 +233,10 @@ pub const ENVELOPE_PATHS: [EnvelopePath; 7] = [
     EnvelopePath { label: "sim-engine", recorded: by_mode(10.45, 10.29, 10.71), run: sim_engine },
     EnvelopePath {
         label: "tuned-hit-pair",
-        recorded: by_mode(0.69, 0.87, 0.69),
+        recorded: by_mode(0.64, 0.81, 0.64),
         run: tuned_hit_pair,
     },
+    EnvelopePath { label: "mem-api-pair", recorded: by_mode(1.35, 1.50, 1.29), run: mem_api_pair },
 ];
 
 /// ns per call of `op`, over `ops` calls.
@@ -303,6 +304,26 @@ fn tuned_hit_pair(pairs: u64) -> f64 {
         ),
         pairs,
     )
+}
+
+/// One alloc → free pair through `&dyn MemBackend` on the registry's
+/// `amplify` backend: a depth-1 tree, primed so every alloc is a magazine
+/// hit. The layer both typed benchmark workloads pay for — the backend's
+/// dispatch, the two-word `Allocation` and the structure's `reinit` on top
+/// of the typed hit pair.
+fn mem_api_pair(pairs: u64) -> f64 {
+    let backend = BackendRegistry::<PoolTree>::standard().build("amplify").expect("registered");
+    let backend: &dyn mem_api::MemBackend<PoolTree> = &*backend;
+    let params = TreeParams { depth: 1, seed: 7 };
+    let seed: Vec<_> = (0..8).map(|_| backend.alloc(&params)).collect();
+    seed.into_iter().for_each(|a| backend.free(a));
+    let mut pair = || {
+        let a = backend.alloc(black_box(&params));
+        black_box(&a);
+        backend.free(a);
+    };
+    ns_per_op(warm_ops(pairs), &mut pair);
+    ns_per_op(pairs, pair)
 }
 
 /// The acquire-miss path: acquire-and-drop on a sharded+magazine pool

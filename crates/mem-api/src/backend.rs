@@ -31,15 +31,16 @@ pub trait Structured: Reusable + Send + 'static {
 }
 
 /// A live structure handed out by a [`MemBackend`]: the object itself plus
-/// whatever the backend needs to take it back — four words.
+/// one word the backend needs to take it back — two words in all, so it
+/// is returned in registers.
 ///
-/// Malloc-style backends carry their per-node handles boxed in `nodes`;
-/// pool backends carry `None` — their free path parks the whole object, so
-/// a hit builds and drops no handle storage at all.
+/// Pool backends store the structure's byte count in the word, tagged;
+/// their free path parks the whole object, so a hit builds and drops no
+/// handle storage at all. Malloc-style backends store a pointer to their
+/// boxed per-node handles and the byte count.
 pub struct Allocation<T> {
     pub(crate) obj: PoolBox<T>,
-    pub(crate) nodes: Option<Box<Nodes>>,
-    pub(crate) bytes: u64,
+    pub(crate) tail: Tail,
 }
 
 /// The per-node handles of a malloc-style allocation.
@@ -51,19 +52,102 @@ pub(crate) enum Nodes {
     Raw(Vec<(usize, u32)>),
 }
 
+/// What a malloc-style allocation boxes beside its object.
+struct Detail {
+    nodes: Nodes,
+    bytes: u64,
+}
+
+/// An [`Allocation`]'s second word: `bytes << 1 | 1` for a pooled
+/// allocation, or the address of a boxed [`Detail`] (aligned, so its low
+/// bit is 0).
+pub(crate) struct Tail(usize);
+
+impl Tail {
+    /// A byte count, tagged. Counts past 63 bits are boxed instead.
+    #[inline(always)]
+    fn pooled(bytes: u64) -> Self {
+        if bytes >> (usize::BITS - 1) != 0 {
+            return Self::boxed(Nodes::Blocks(Vec::new()), bytes);
+        }
+        Tail((bytes as usize) << 1 | 1)
+    }
+
+    fn boxed(nodes: Nodes, bytes: u64) -> Self {
+        Tail(Box::into_raw(Box::new(Detail { nodes, bytes })) as usize)
+    }
+
+    /// The byte count, when nothing is boxed: the pool backends' free path.
+    #[inline(always)]
+    pub(crate) fn pooled_bytes(&self) -> Option<u64> {
+        (self.0 & 1 == 1).then_some((self.0 >> 1) as u64)
+    }
+
+    /// The byte count of a pooled tail, consumed without a drop call; the
+    /// tail itself back otherwise.
+    #[inline(always)]
+    pub(crate) fn into_pooled_bytes(self) -> Result<u64, Tail> {
+        match self.pooled_bytes() {
+            Some(bytes) => {
+                std::mem::forget(self);
+                Ok(bytes)
+            }
+            None => Err(self),
+        }
+    }
+
+    pub(crate) fn bytes(&self) -> u64 {
+        match self.pooled_bytes() {
+            Some(bytes) => bytes,
+            // SAFETY: an untagged word is a live `Box<Detail>` this tail owns.
+            None => unsafe { &*(self.0 as *const Detail) }.bytes,
+        }
+    }
+
+    /// The per-node handles, taking them out of the box (none for a pooled
+    /// allocation).
+    pub(crate) fn into_nodes(self) -> Option<Nodes> {
+        if self.0 & 1 == 1 {
+            return None;
+        }
+        let this = std::mem::ManuallyDrop::new(self);
+        // SAFETY: an untagged word is a live `Box<Detail>`, owned here.
+        Some(unsafe { Box::from_raw(this.0 as *mut Detail) }.nodes)
+    }
+}
+
+impl Drop for Tail {
+    #[inline]
+    fn drop(&mut self) {
+        if self.0 & 1 == 0 {
+            // SAFETY: an untagged word is a live `Box<Detail>`, owned here.
+            drop(unsafe { Box::from_raw(self.0 as *mut Detail) });
+        }
+    }
+}
+
 impl<T> Allocation<T> {
     /// Assemble an allocation (for backend implementations). Accepts a
-    /// plain `Box<T>` or a pool-served [`PoolBox<T>`] (which may live in a
-    /// slab rather than its own heap block).
+    /// plain `Box<T>` (moved into a standalone slot) or a pool-served
+    /// [`PoolBox<T>`].
     #[inline(always)]
     pub fn new(obj: impl Into<PoolBox<T>>, blocks: Vec<BlockRef>, bytes: u64) -> Self {
-        let nodes = (!blocks.is_empty()).then(|| Box::new(Nodes::Blocks(blocks)));
-        Allocation { obj: obj.into(), nodes, bytes }
+        let tail = if blocks.is_empty() {
+            Tail::pooled(bytes)
+        } else {
+            Tail::boxed(Nodes::Blocks(blocks), bytes)
+        };
+        Allocation { obj: obj.into(), tail }
+    }
+
+    /// An allocation carrying the size-class front-end's raw blocks.
+    pub(crate) fn with_nodes(obj: PoolBox<T>, nodes: Nodes, bytes: u64) -> Self {
+        Allocation { obj, tail: Tail::boxed(nodes, bytes) }
     }
 
     /// Payload bytes this structure accounts for.
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.tail.bytes()
     }
 
     /// Take the object out, discarding the backend bookkeeping. Only for
@@ -272,6 +356,20 @@ mod tests {
     #[test]
     fn footprint_sums_node_sizes() {
         assert_eq!(Blob::footprint(&64), 64);
+    }
+
+    #[test]
+    fn allocation_is_two_words_and_keeps_its_byte_count() {
+        assert_eq!(std::mem::size_of::<PoolBox<Blob>>(), 8);
+        assert_eq!(std::mem::size_of::<Allocation<Blob>>(), 16);
+        let pooled = Allocation::new(PoolBox::new(Blob::fresh(&4)), Vec::new(), 1 << 40);
+        assert_eq!((pooled.bytes(), pooled.tail.pooled_bytes()), (1 << 40, Some(1 << 40)));
+        let huge = Allocation::new(PoolBox::new(Blob::fresh(&4)), Vec::new(), u64::MAX);
+        assert_eq!((huge.bytes(), huge.tail.pooled_bytes()), (u64::MAX, None));
+        let raw =
+            Allocation::with_nodes(PoolBox::new(Blob::fresh(&4)), Nodes::Raw(vec![(8, 4)]), 4);
+        assert_eq!(raw.bytes(), 4);
+        assert!(matches!(raw.tail.into_nodes(), Some(Nodes::Raw(v)) if v == [(8, 4)]));
     }
 
     #[test]

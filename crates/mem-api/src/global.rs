@@ -15,6 +15,7 @@
 //! rides the front-end's remote-free queues.
 
 use crate::backend::{Allocation, BackendStats, MemBackend, Nodes, Structured};
+use pools::PoolBox;
 use std::alloc::Layout;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,7 +68,11 @@ impl<T: Structured> MemBackend<T> for GlobalBackend {
             // differential replay test asserts. Degrades to a plain heap
             // object with no front-end traffic.
             self.fallback_allocs.fetch_add(1, Ordering::Relaxed);
-            return Allocation::new(Box::new(T::fresh(params)), Vec::new(), T::footprint(params));
+            return Allocation::new(
+                PoolBox::new(T::fresh(params)),
+                Vec::new(),
+                T::footprint(params),
+            );
         }
         let nodes = T::node_count(params);
         let raw = (0..nodes)
@@ -80,18 +85,17 @@ impl<T: Structured> MemBackend<T> for GlobalBackend {
             .collect::<Vec<_>>();
         let bytes = T::footprint(params);
         self.live_bytes.fetch_add(bytes, Ordering::Relaxed);
-        let obj = Box::new(T::fresh(params)).into();
-        Allocation { obj, nodes: Some(Box::new(Nodes::Raw(raw))), bytes }
+        Allocation::with_nodes(PoolBox::new(T::fresh(params)), Nodes::Raw(raw), bytes)
     }
 
-    fn free(&self, mut allocation: Allocation<T>) {
-        let raw = match allocation.nodes.take().map(|n| *n) {
+    fn free(&self, allocation: Allocation<T>) {
+        let bytes = allocation.bytes();
+        let Allocation { mut obj, tail } = allocation;
+        let raw = match tail.into_nodes() {
             Some(Nodes::Raw(raw)) => raw,
             _ => Vec::new(),
         };
         let had_nodes = !raw.is_empty();
-        let bytes = allocation.bytes();
-        let mut obj = allocation.into_object();
         obj.recycle();
         drop(obj);
         for (addr, size) in raw.into_iter().rev() {

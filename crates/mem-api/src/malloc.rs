@@ -9,6 +9,7 @@
 
 use crate::backend::{Allocation, BackendStats, MemBackend, Nodes, Structured};
 use allocators::ParallelAllocator;
+use pools::PoolBox;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -60,20 +61,24 @@ impl<T: Structured> MemBackend<T> for MallocBackend {
             // same structure (same checksum), just without the modeled
             // arena traffic.
             self.fallback_allocs.fetch_add(1, Ordering::Relaxed);
-            return Allocation::new(Box::new(T::fresh(params)), Vec::new(), T::footprint(params));
+            return Allocation::new(
+                PoolBox::new(T::fresh(params)),
+                Vec::new(),
+                T::footprint(params),
+            );
         }
         let nodes = T::node_count(params);
         let blocks =
             (0..nodes).map(|i| self.inner.alloc(T::node_size(params, i))).collect::<Vec<_>>();
-        Allocation::new(Box::new(T::fresh(params)), blocks, T::footprint(params))
+        Allocation::new(PoolBox::new(T::fresh(params)), blocks, T::footprint(params))
     }
 
-    fn free(&self, mut allocation: Allocation<T>) {
-        let blocks = match allocation.nodes.take().map(|n| *n) {
+    fn free(&self, allocation: Allocation<T>) {
+        let Allocation { mut obj, tail } = allocation;
+        let blocks = match tail.into_nodes() {
             Some(Nodes::Blocks(blocks)) => blocks,
             _ => Vec::new(),
         };
-        let mut obj = allocation.into_object();
         obj.recycle();
         drop(obj);
         // Nodes are freed newest-first, as destructors run.

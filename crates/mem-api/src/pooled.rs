@@ -9,7 +9,7 @@
 //!   magazines (the layout Amplify's threaded builds use; the hit path
 //!   `envelope_check`'s `hit-pair` envelope measures).
 
-use crate::backend::{Allocation, BackendStats, MemBackend, Nodes, Structured};
+use crate::backend::{Allocation, BackendStats, MemBackend, Structured, Tail};
 use pools::{PoolBox, PoolConfig, StructurePool};
 
 /// A [`MemBackend`] over a [`StructurePool`]. Holds no counters of its own:
@@ -48,8 +48,9 @@ impl<T: Structured> PooledBackend<T> {
 
     #[cold]
     #[inline(never)]
-    fn free_with_nodes(&self, obj: PoolBox<T>, nodes: Box<Nodes>, bytes: u64) {
-        drop(nodes);
+    fn free_with_nodes(&self, obj: PoolBox<T>, tail: Tail) {
+        let bytes = tail.bytes();
+        drop(tail);
         self.pool.free_sized(obj, bytes);
     }
 
@@ -75,13 +76,13 @@ where
     }
 
     fn free(&self, allocation: Allocation<T>) {
-        let Allocation { obj, nodes, bytes } = allocation;
-        if let Some(nodes) = nodes {
+        let Allocation { obj, tail } = allocation;
+        match tail.into_pooled_bytes() {
+            Ok(bytes) => self.pool.free_sized(obj, bytes),
             // Not a pooled allocation's shape: drop its handles out of
             // line, so the hit path keeps no registers across a call.
-            return self.free_with_nodes(obj, nodes, bytes);
+            Err(tail) => self.free_with_nodes(obj, tail),
         }
-        self.pool.free_sized(obj, bytes);
     }
 
     fn stats(&self) -> BackendStats {

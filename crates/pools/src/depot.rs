@@ -2,11 +2,12 @@
 //! magazines*, exchanged in one CAS (Bonwick's depot layer from the
 //! Solaris slab allocator).
 //!
-//! A [`DepotNode`] is a parked magazine: a `Vec` of objects plus the trim
-//! epoch it was parked under. Nodes live on per-shard [`MagStack`]s; an
-//! empty thread magazine pops a node and `mem::swap`s vectors with it —
-//! O(1) regardless of magazine capacity — instead of locking a shard and
-//! draining boxes one at a time.
+//! A [`DepotNode`] is a parked magazine: the `(head, len)` of an intrusive
+//! slot list ([`crate::pool_box::SlotList`]) plus the trim epoch it was
+//! parked under. Nodes live on per-shard [`MagStack`]s; a full thread
+//! magazine moves its two list words into a node shell and pushes it, an
+//! empty one pops a node and takes the two words back — O(1) regardless
+//! of magazine capacity, and no object is touched either way.
 //!
 //! Two classic lock-free hazards, and how this module sidesteps them:
 //!
@@ -23,21 +24,22 @@
 //!   node another thread already took, but the read hits live memory and
 //!   the stale value is rejected by the tag CAS.
 
-use crate::pool_box::PoolBox;
-use std::marker::PhantomData;
-use std::ptr::NonNull;
+use crate::pool_box::SlotHeader;
+use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 const TAG_SHIFT: u32 = 48;
 const PTR_MASK: u64 = (1 << TAG_SHIFT) - 1;
 const TAG_ONE: u64 = 1 << TAG_SHIFT;
 
-/// One parked magazine (or a recycled, empty shell awaiting reuse).
+/// One parked magazine (or a recycled, empty shell awaiting reuse). Not
+/// generic: the depot that owns the node knows the slots' type.
 #[derive(Debug)]
-pub(crate) struct DepotNode<T> {
-    /// The parked objects. Empty iff the node sits on the free-node stack
-    /// or rides along as a thread's spare shell.
-    pub(crate) items: Vec<PoolBox<T>>,
+pub(crate) struct DepotNode {
+    /// The parked list's head and length. Null/0 iff the node sits on the
+    /// free-node stack or rides along as a thread's spare shell.
+    pub(crate) head: *mut SlotHeader,
+    pub(crate) len: usize,
     /// [`Depot::trim_epoch`](crate::magazine::Depot) value at park time; a
     /// mismatch on pop means a trim intervened and the contents must drop.
     pub(crate) epoch: u64,
@@ -45,32 +47,26 @@ pub(crate) struct DepotNode<T> {
     next: AtomicUsize,
 }
 
-impl<T> DepotNode<T> {
+impl DepotNode {
     pub(crate) fn new() -> Self {
-        DepotNode { items: Vec::new(), epoch: 0, next: AtomicUsize::new(0) }
+        DepotNode { head: ptr::null_mut(), len: 0, epoch: 0, next: AtomicUsize::new(0) }
     }
 }
 
 /// A Treiber stack of [`DepotNode`]s with a version-tagged head.
-#[derive(Debug)]
-pub(crate) struct MagStack<T> {
+#[derive(Debug, Default)]
+pub(crate) struct MagStack {
     /// Bits 0..48: node address (0 = empty). Bits 48..64: version tag.
     head: AtomicU64,
-    _marker: PhantomData<*mut DepotNode<T>>,
 }
 
-// Only raw node addresses cross threads here; node *ownership* transfers
-// through successful CASes, and object thread-safety is PoolBox's concern.
-unsafe impl<T> Send for MagStack<T> {}
-unsafe impl<T> Sync for MagStack<T> {}
-
-impl<T> MagStack<T> {
+impl MagStack {
     pub(crate) fn new() -> Self {
-        MagStack { head: AtomicU64::new(0), _marker: PhantomData }
+        MagStack::default()
     }
 
     /// Push a node the caller owns. Lock-free; never fails.
-    pub(crate) fn push(&self, node: NonNull<DepotNode<T>>) {
+    pub(crate) fn push(&self, node: NonNull<DepotNode>) {
         let ptr_bits = node.as_ptr() as u64;
         debug_assert_eq!(ptr_bits & !PTR_MASK, 0, "node address exceeds 48 bits");
         let mut head = self.head.load(Ordering::Relaxed);
@@ -91,10 +87,10 @@ impl<T> MagStack<T> {
     }
 
     /// Pop the top node, taking ownership of it. `None` when empty.
-    pub(crate) fn pop(&self) -> Option<NonNull<DepotNode<T>>> {
+    pub(crate) fn pop(&self) -> Option<NonNull<DepotNode>> {
         let mut head = self.head.load(Ordering::Acquire);
         loop {
-            let node = NonNull::new((head & PTR_MASK) as *mut DepotNode<T>)?;
+            let node = NonNull::new((head & PTR_MASK) as *mut DepotNode)?;
             // Nodes are type-stable, so this read cannot fault even if a
             // rival pop already won the node; the tag CAS below rejects us.
             let next = unsafe { node.as_ref() }.next.load(Ordering::Relaxed) as u64;
@@ -119,41 +115,36 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn leak_node(v: u64) -> NonNull<DepotNode<u64>> {
+    /// A node shell whose `len` word carries a test value.
+    fn leak_node(v: usize) -> NonNull<DepotNode> {
         let mut node = DepotNode::new();
-        node.items.push(PoolBox::new(v));
+        node.len = v;
         NonNull::from(Box::leak(Box::new(node)))
     }
 
-    unsafe fn free_node(n: NonNull<DepotNode<u64>>) {
-        drop(unsafe { Box::from_raw(n.as_ptr()) });
+    unsafe fn free_node(n: NonNull<DepotNode>) -> usize {
+        unsafe { Box::from_raw(n.as_ptr()) }.len
     }
 
     #[test]
     fn lifo_order_and_empty() {
-        let s: MagStack<u64> = MagStack::new();
+        let s = MagStack::new();
         assert!(s.pop().is_none());
         assert!(s.is_empty_hint());
-        let (a, b) = (leak_node(1), leak_node(2));
-        s.push(a);
-        s.push(b);
+        s.push(leak_node(1));
+        s.push(leak_node(2));
         assert!(!s.is_empty_hint());
         let first = s.pop().unwrap();
-        assert_eq!(*unsafe { first.as_ref() }.items[0], 2, "LIFO");
         let second = s.pop().unwrap();
-        assert_eq!(*unsafe { second.as_ref() }.items[0], 1);
         assert!(s.pop().is_none());
-        unsafe {
-            free_node(first);
-            free_node(second);
-        }
+        assert_eq!(unsafe { (free_node(first), free_node(second)) }, (2, 1), "LIFO");
     }
 
     #[test]
     fn concurrent_push_pop_conserves_nodes() {
-        let s: Arc<MagStack<u64>> = Arc::new(MagStack::new());
+        let s = Arc::new(MagStack::new());
         let threads = 4;
-        let per = 200u64;
+        let per = 200;
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let s = Arc::clone(&s);
@@ -172,19 +163,17 @@ mod tests {
         let mut values = Vec::new();
         for h in handles {
             for addr in h.join().unwrap() {
-                let n = NonNull::new(addr as *mut DepotNode<u64>).unwrap();
-                values.push(*unsafe { n.as_ref() }.items[0]);
-                unsafe { free_node(n) };
+                let n = NonNull::new(addr as *mut DepotNode).unwrap();
+                values.push(unsafe { free_node(n) });
             }
         }
         while let Some(n) = s.pop() {
-            values.push(*unsafe { n.as_ref() }.items[0]);
-            unsafe { free_node(n) };
+            values.push(unsafe { free_node(n) });
         }
         values.sort_unstable();
         let initial = values.len();
         values.dedup();
         assert_eq!(initial, values.len(), "a node was popped twice");
-        assert_eq!(initial as u64, threads * per, "a node was lost");
+        assert_eq!(initial, threads * per, "a node was lost");
     }
 }

@@ -108,7 +108,7 @@ use crate::size_class::{class_bytes, class_for, NUM_CLASSES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{
-    fence, AtomicBool, AtomicU16, AtomicU32, AtomicU64, AtomicUsize, Ordering,
+    fence, AtomicBool, AtomicPtr, AtomicU16, AtomicU32, AtomicU64, AtomicUsize, Ordering,
 };
 
 /// Slab size and alignment: ownership-by-address-mask needs them equal.
@@ -436,14 +436,16 @@ static RECLAIMED_SLABS: [AtomicU64; NUM_CLASSES] = [const { AtomicU64::new(0) };
 static ADVISED_SLABS: AtomicU64 = AtomicU64::new(0);
 static RECARVED_SLABS: AtomicU64 = AtomicU64::new(0);
 
-/// Quarantine pool of retired slabs: an intrusive LIFO threaded through
-/// the slabs' own first words (the pages were just advised away; writing
-/// the link touches one page back in, which also pre-faults the header
-/// page a future recarve writes anyway). Guarded by [`RETIRED`]; the
-/// critical sections are pointer swaps only — **never** allocate under
-/// this lock, `carve_slab` takes it.
+/// Quarantine pool of retired slabs: a LIFO of slab base addresses kept
+/// in a side table, off slab memory (the slabs' pages were just advised
+/// away, and a link written into one would fault a page back in until the
+/// slab is recarved). Guarded by [`RETIRED`]; the critical sections are a
+/// few loads and stores, plus a table growth from [`System`] — **never**
+/// allocate through the global allocator under this lock, `carve_slab`
+/// takes it. The table lives as long as the process.
 static RETIRED: Spin = Spin::new();
-static RETIRED_HEAD: AtomicUsize = AtomicUsize::new(0);
+static RETIRED_TABLE: AtomicPtr<usize> = AtomicPtr::new(std::ptr::null_mut());
+static RETIRED_CAP: AtomicUsize = AtomicUsize::new(0);
 static RETIRED_LEN: AtomicUsize = AtomicUsize::new(0);
 
 /// `madvise` advice values (Linux UAPI).
@@ -499,30 +501,55 @@ fn slab_runs(sorted: &[*mut u8]) -> impl Iterator<Item = (*mut u8, usize)> + '_ 
 /// to a completed pass (pushes happen after `PASS_DONE` is published), so
 /// no eligibility check is needed beyond the pop itself.
 fn retired_pop() -> Option<*mut u8> {
-    if RETIRED_HEAD.load(Ordering::Relaxed) == 0 {
+    if RETIRED_LEN.load(Ordering::Relaxed) == 0 {
         return None;
     }
     let _g = RETIRED.lock();
-    let head = RETIRED_HEAD.load(Ordering::Relaxed);
-    if head == 0 {
+    let len = RETIRED_LEN.load(Ordering::Relaxed);
+    if len == 0 {
         return None;
     }
-    // SAFETY: the link was written by `retired_push` and the slab is
-    // exclusively the pool's until popped.
-    let next = unsafe { *(head as *const usize) };
-    RETIRED_HEAD.store(next, Ordering::Relaxed);
-    RETIRED_LEN.fetch_sub(1, Ordering::Relaxed);
+    // SAFETY: the first `len` entries of the table hold pushed bases.
+    let base = unsafe { *RETIRED_TABLE.load(Ordering::Relaxed).add(len - 1) };
+    RETIRED_LEN.store(len - 1, Ordering::Relaxed);
     RECARVED_SLABS.fetch_add(1, Ordering::Relaxed);
-    Some(head as *mut u8)
+    Some(base as *mut u8)
 }
 
-fn retired_push(base: *mut u8) {
+/// Quarantine `bases` (fully retired slabs, exclusively ours), in order:
+/// the last one pops first.
+fn retired_push_all(bases: &[*mut u8]) {
+    if bases.is_empty() {
+        return;
+    }
     let _g = RETIRED.lock();
-    // SAFETY: the slab is exclusively ours (fully retired, not yet in the
-    // pool); its first word becomes the intrusive link.
-    unsafe { *(base as *mut usize) = RETIRED_HEAD.load(Ordering::Relaxed) };
-    RETIRED_HEAD.store(base as usize, Ordering::Relaxed);
-    RETIRED_LEN.fetch_add(1, Ordering::Relaxed);
+    let len = RETIRED_LEN.load(Ordering::Relaxed);
+    let cap = RETIRED_CAP.load(Ordering::Relaxed);
+    let mut table = RETIRED_TABLE.load(Ordering::Relaxed);
+    if len + bases.len() > cap {
+        let grown_cap = (len + bases.len()).max(2 * cap).max(64);
+        let layout = Layout::array::<usize>(grown_cap).expect("quarantine table layout");
+        // SAFETY: a non-zero layout; the old table (if any) holds `len`
+        // entries and was allocated from `System` with capacity `cap`.
+        unsafe {
+            let grown = System.alloc(layout).cast::<usize>();
+            if grown.is_null() {
+                std::alloc::handle_alloc_error(layout);
+            }
+            if !table.is_null() {
+                std::ptr::copy_nonoverlapping(table, grown, len);
+                System.dealloc(table.cast(), Layout::array::<usize>(cap).expect("fit before"));
+            }
+            table = grown;
+        }
+        RETIRED_TABLE.store(table, Ordering::Relaxed);
+        RETIRED_CAP.store(grown_cap, Ordering::Relaxed);
+    }
+    for (i, &base) in bases.iter().enumerate() {
+        // SAFETY: in bounds of the (grown) table.
+        unsafe { table.add(len + i).write(base as usize) };
+    }
+    RETIRED_LEN.store(len + bases.len(), Ordering::Relaxed);
 }
 
 /// Slabs currently parked in the retirement quarantine pool.
@@ -610,9 +637,7 @@ pub fn sweep_and_retire(target_mapped_bytes: u64) -> SweepOutcome {
     // Publish completion, then expose this pass's slabs for recarving:
     // every header scrub and madvise above happened-before the push.
     PASS_DONE.store(pass_id, Ordering::Release);
-    for base in quarantine {
-        retired_push(base);
-    }
+    retired_push_all(&quarantine);
     out
 }
 

@@ -6,9 +6,9 @@
 //! * every class allocates from its own **object pool** (free list of dead
 //!   objects) instead of the heap — [`object_pool`];
 //! * whole **object structures** are parked and revived with their internal
-//!   links intact, exploiting temporal locality — [`structure_pool`] and the
-//!   per-field [`shadow::Shadow`] slot that models the paper's *shadow
-//!   pointers*;
+//!   links intact, exploiting temporal locality — [`structure_pool`]; every
+//!   free list is intrusive, threaded through a link word in front of the
+//!   object ([`pool_box`]), so parking never writes into the structure;
 //! * raw data arrays (`new char[n]`) are recycled through a shadowed
 //!   `realloc` with a half-size reuse rule and size caps (§5.2, the BGw
 //!   extension) — [`shadow_buf::ShadowBuf`];
@@ -17,7 +17,8 @@
 //!   per-thread [`magazine`]s so steady-state acquire/release takes no
 //!   lock at all; cold magazines exchange wholesale with a Bonwick-style
 //!   [`depot`] of full magazines (one CAS per refill/flush), and fresh
-//!   objects are carved from contiguous slabs ([`pool_box::PoolBox`]);
+//!   objects are carved from contiguous slabs ([`pool_box::PoolBox`], one
+//!   pointer per handle);
 //! * in single-threaded programs all locks are elided
 //!   ([`object_pool::LocalPool`]), which is why the paper's Figure 4 shows a
 //!   1-thread Amplify advantage;
@@ -44,7 +45,6 @@
 //! assert_eq!(pool.stats().pool_hits(), 1);
 //! ```
 
-pub mod bit_shadow;
 mod depot;
 pub mod fault;
 pub mod global;
@@ -57,21 +57,18 @@ mod obs;
 pub mod pool_box;
 pub mod reclaim;
 pub mod registry;
-pub mod shadow;
 pub mod shadow_buf;
 pub mod sharded;
 pub mod size_class;
 pub mod stats;
 pub mod structure_pool;
 
-pub use bit_shadow::BitShadow;
 pub use global::GlobalPool;
 pub use limits::PoolConfig;
 pub use magazine::DEFAULT_MAGAZINE_CAP;
 pub use object_pool::{LocalPool, ObjectPool};
 pub use pool_box::PoolBox;
 pub use registry::{PoolRegistry, Trimmable};
-pub use shadow::Shadow;
 pub use shadow_buf::ShadowBuf;
 pub use sharded::ShardedPool;
 pub use stats::PoolStats;

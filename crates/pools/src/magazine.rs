@@ -3,15 +3,19 @@
 //! backed by a Bonwick-style **magazine depot**.
 //!
 //! Each thread keeps a small bounded cache — a *magazine* — of parked
-//! objects per pool. Steady-state acquire/release is a thread-local vector
-//! pop/push: no mutex, no hash lookup. When a magazine runs empty or full
-//! the thread first tries the *depot*: per-shard Treiber stacks of whole
-//! full magazines ([`crate::depot`]), exchanged in one CAS — an O(1)
-//! refill/flush no matter the magazine capacity. Shard locks are only taken
-//! when the depot has nothing to offer (refill) or the pool is capped
-//! (flush must consult the population limit), and fresh allocation carves
-//! objects out of contiguous slabs ([`crate::pool_box::SlabReserve`]) so
-//! one heap call serves a whole magazine's worth of misses.
+//! objects per pool: an intrusive list threaded through the objects' slot
+//! headers ([`SlotList`]), so the whole magazine is `(head, len)`.
+//! Steady-state acquire/release is a pop or push on that list: no mutex, no
+//! hash lookup, no write into the object. When a magazine runs empty or
+//! full the thread first tries the *depot*: per-shard Treiber stacks of
+//! whole parked lists ([`crate::depot`]), exchanged in one CAS each way — a
+//! full magazine moves its two list words into a node shell and pushes it,
+//! an empty one pops a node and keeps the shell as its spare. Shard locks
+//! are only taken when the depot has nothing to offer (refill) or the pool
+//! is capped (flush must consult the population limit), and fresh
+//! allocation carves objects out of contiguous slabs
+//! ([`crate::pool_box::SlabReserve`]) so one heap call serves a whole
+//! magazine's worth of misses.
 //!
 //! A thread finds its magazines in a slot table named by two const-init
 //! cells (pointer and length, the size-class engine's `CACHE` idiom). A
@@ -29,8 +33,13 @@
 //!   magazines, and [`Depot::shard_parked`] the shard free-list population
 //!   (exact in magazine mode, where shards gain/lose objects only through
 //!   the counted batch and DEAD paths) — so `ShardedPool::len()` is
-//!   accurate without reaching into other threads' caches;
-//! * a magazine's buffer has room for more than `cap` objects;
+//!   accurate at quiescent points without reaching into other threads'
+//!   caches;
+//! * every count the magazine paths move — hits, releases, net bytes,
+//!   depot swaps and parks, and the depot population — is written by the
+//!   owning thread into its magazine's [`MagCells`] with plain stores, and
+//!   folded into the shared counters when the magazine retires: the hit
+//!   path and the depot exchange take no locked read-modify-write;
 //! * a thread's magazines flush back to the shards when the thread exits
 //!   (TLS destructor), so no object leaks and `trim` can still reclaim it;
 //! * `trim` drains the *calling* thread's magazine, empties the depot, and
@@ -46,10 +55,11 @@ use crate::guard;
 use crate::limits::PoolConfig;
 use crate::object_pool::ObjectPool;
 use crate::obs::{pool_event, pool_hist};
-use crate::pool_box::{PoolBox, SlabReserve, SlabSlot};
+use crate::pool_box::{slot_size, PoolBox, SlabReserve, SlabSlot, SlotList};
 use crate::stats::{PoolStats, StatsSnapshot};
 use parking_lot::Mutex;
 use std::cell::Cell;
+use std::mem;
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -206,17 +216,19 @@ pub(crate) struct Depot<T> {
     /// creation and removed (under this lock) before the magazine is freed.
     /// Readers lock the list and sum.
     mag_counts: Mutex<Vec<usize>>,
-    /// Objects parked inside full magazines on the depot stacks.
-    depot_parked: AtomicUsize,
+    /// Objects parked inside depot magazines, less what the live
+    /// magazines' `depot_net` cells hold: retired magazines fold their net
+    /// in, and `trim` takes the drained objects out.
+    depot_parked: AtomicI64,
     /// Shard free-list population, maintained by the counted batch paths
     /// (exact in magazine mode; direct mode bypasses it and uses
     /// [`ObjectPool::len`] instead).
     shard_parked: AtomicUsize,
     /// Full-magazine Treiber stacks, one per shard (locality: a magazine
     /// parks on and swaps from its home shard's stack first).
-    full: Box<[MagStack<T>]>,
+    full: Box<[MagStack]>,
     /// Recycled empty node shells, ready for the next park.
-    free_nodes: MagStack<T>,
+    free_nodes: MagStack,
     /// Every node ever allocated for this depot, by address. Nodes are
     /// type-stable while the depot lives (the lock-free pop relies on it)
     /// and are freed here, in `Drop`, when the depot is the sole owner.
@@ -233,8 +245,8 @@ pub(crate) struct Depot<T> {
     /// Objects moved per batched shard refill (historically
     /// `magazine_cap / 2`, at least 1).
     pub(crate) refill_target: usize,
-    /// Hits/fresh/releases recorded by the magazine fast path (shard-level
-    /// stats only see batch lock traffic).
+    /// Fresh allocations, carves, shard refills and the folded counts of
+    /// retired magazines (shard-level stats only see batch lock traffic).
     pub(crate) stats: PoolStats,
     /// Park/unpark/reclaim books, reconciled at drop (zero-sized no-op in
     /// default release builds — see [`crate::guard`]).
@@ -244,17 +256,14 @@ pub(crate) struct Depot<T> {
 impl<T> Depot<T> {
     pub(crate) fn new(shards: usize, config: PoolConfig, magazine_cap: usize) -> Self {
         assert!(shards >= 1, "a sharded pool needs at least one shard");
-        let per_slab_cap = if std::mem::size_of::<T>() == 0 {
-            0
-        } else {
-            MAX_SLAB_BYTES / std::mem::size_of::<T>()
-        };
+        let per_slab_cap =
+            if mem::size_of::<T>() == 0 { 0 } else { MAX_SLAB_BYTES / slot_size::<T>() };
         let carve_want = match config.carve_batch {
             Some(n) => n.max(2),
             None => magazine_cap * 2,
         };
         let slab_objects = if magazine_cap == 0 || per_slab_cap < 2 {
-            0 // slabs can't amortize anything here; plain boxing instead
+            0 // slabs can't amortize anything here; standalone slots instead
         } else {
             carve_want.min(per_slab_cap)
         };
@@ -265,7 +274,7 @@ impl<T> Depot<T> {
             next_shard: AtomicUsize::new(0),
             trim_epoch: AtomicU64::new(0),
             mag_counts: Mutex::new(Vec::new()),
-            depot_parked: AtomicUsize::new(0),
+            depot_parked: AtomicI64::new(0),
             shard_parked: AtomicUsize::new(0),
             full: (0..shards).map(|_| MagStack::new()).collect(),
             free_nodes: MagStack::new(),
@@ -299,24 +308,32 @@ impl<T> Depot<T> {
     /// drops its cell in one critical section) is counted exactly once.
     /// Every source is read in the three phases [`StatsSnapshot`] documents
     /// — frees, net bytes, allocations — and the owners write their cells
-    /// in the matching order (see [`pop`] and [`push`]).
+    /// in the matching order (see [`pop`], [`push`] and [`refill`]).
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let addrs = self.mag_counts.lock();
         let sources = || std::iter::once(&self.stats).chain(self.shards.iter().map(|s| s.stats()));
+        let sum = |cell: fn(&MagCells) -> &AtomicU64| -> u64 {
+            Self::cells(&addrs).map(|c| cell(c).load(Ordering::Relaxed)).sum()
+        };
         let mut s = StatsSnapshot::default();
         sources().for_each(|p| s.add_frees_of(p));
-        let releases = Self::cells(&addrs).map(|c| c.releases.load(Ordering::Relaxed)).sum();
+        let releases = sum(|c| &c.releases);
         sources().for_each(|p| s.add_bytes_of(p));
         let bytes = Self::cells(&addrs).map(|c| c.bytes.load(Ordering::Relaxed)).sum();
         sources().for_each(|p| s.add_allocs_of(p));
-        let hits = Self::cells(&addrs).map(|c| c.hits.load(Ordering::Relaxed)).sum();
-        s.add_magazine_counts(hits, releases, bytes);
+        let hits = sum(|c| &c.hits);
+        let (swaps, parks) = (sum(|c| &c.swaps), sum(|c| &c.parks));
+        s.add_magazine_counts(hits, releases, bytes, swaps, parks);
         s
     }
 
-    /// Objects parked in full magazines on the depot stacks.
+    /// Objects parked in full magazines on the depot stacks: the shared
+    /// count plus the live magazines' `depot_net` cells (exact at quiescent
+    /// points; a concurrent read can transiently undercount).
     pub(crate) fn depot_parked(&self) -> usize {
-        self.depot_parked.load(Ordering::Relaxed)
+        let addrs = self.mag_counts.lock();
+        let live: i64 = Self::cells(&addrs).map(|c| c.depot_net.load(Ordering::Relaxed)).sum();
+        (self.depot_parked.load(Ordering::Relaxed) + live).max(0) as usize
     }
 
     /// Shard free-list population as tracked by the batch paths.
@@ -340,7 +357,7 @@ impl<T> Depot<T> {
 
     /// An empty node shell to park a magazine in: recycled if possible,
     /// freshly allocated (and registered for eventual free) otherwise.
-    fn alloc_node(&self) -> NonNull<DepotNode<T>> {
+    fn alloc_node(&self) -> NonNull<DepotNode> {
         if let Some(node) = self.free_nodes.pop() {
             return node;
         }
@@ -349,16 +366,11 @@ impl<T> Depot<T> {
         node
     }
 
-    /// Pop a full magazine, probing each shard's stack once from `start`.
-    fn pop_full(&self, start: usize) -> Option<NonNull<DepotNode<T>>> {
-        let n = self.full.len();
-        for off in 0..n {
-            let idx = (start + off) % n;
-            if let Some(node) = self.full[idx].pop() {
-                return Some(node);
-            }
-        }
-        None
+    /// Pop a full magazine, probing each shard's stack once from `start`
+    /// (in rotation, without a division on the swap path).
+    fn pop_full(&self, start: usize) -> Option<NonNull<DepotNode>> {
+        let (before, from) = self.full.split_at(start);
+        from.iter().chain(before).find_map(MagStack::pop)
     }
 
     /// True when no stack holds a full magazine (racy hint; a stale answer
@@ -367,21 +379,36 @@ impl<T> Depot<T> {
         self.full.iter().all(MagStack::is_empty_hint)
     }
 
+    /// Empty a node the caller owns (popped, or the depot's sole owner) of
+    /// its parked list.
+    ///
+    /// # Safety
+    /// `node` belongs to this depot, whose nodes park `T` slot lists.
+    unsafe fn take_list(node: NonNull<DepotNode>) -> (SlotList<T>, u64) {
+        let node = unsafe { &mut *node.as_ptr() };
+        let list = unsafe {
+            SlotList::from_raw(
+                mem::replace(&mut node.head, ptr::null_mut()),
+                mem::take(&mut node.len),
+            )
+        };
+        (list, node.epoch)
+    }
+
     /// Pop every parked magazine off every stack and drop the contents
     /// (trim support). Returns how many objects were reclaimed.
     pub(crate) fn drain_depot(&self) -> usize {
-        let mut reclaimed: Vec<PoolBox<T>> = Vec::new();
+        let mut reclaimed = SlotList::new();
         for stack in self.full.iter() {
-            while let Some(node_ptr) = stack.pop() {
-                // We own the node after a successful pop; the depot is
-                // alive (we are a method on it), so the deref is safe.
-                let node = unsafe { &mut *node_ptr.as_ptr() };
-                reclaimed.append(&mut node.items);
-                self.free_nodes.push(node_ptr);
+            while let Some(node) = stack.pop() {
+                // Owned after a successful pop; the depot keeps it allocated.
+                let (list, _) = unsafe { Self::take_list(node) };
+                self.free_nodes.push(node);
+                reclaimed.append(list);
             }
         }
         let n = reclaimed.len();
-        self.depot_parked.fetch_sub(n, Ordering::Relaxed);
+        self.depot_parked.fetch_sub(n as i64, Ordering::Relaxed);
         self.guard.record_reclaim(n);
         drop(reclaimed); // user destructors run here, outside any stack op
         n
@@ -402,50 +429,47 @@ impl<T> Depot<T> {
     /// Park `items` into shards starting at `start`, spilling to the next
     /// shard on lock contention (ptmalloc's arena rule), blocking on the
     /// home shard if every shard is contended.
-    pub(crate) fn park_batch(&self, start: usize, items: &mut Vec<PoolBox<T>>) {
+    pub(crate) fn park_batch(&self, start: usize, mut items: SlotList<T>) {
         let n = self.shards.len();
         for off in 0..n {
-            let idx = (start + off) % n;
-            if let Ok(parked) = self.shards[idx].try_put_batch(items) {
-                self.shard_parked.fetch_add(parked, Ordering::Relaxed);
-                return;
+            match self.shards[(start + off) % n].try_put_batch(items) {
+                Ok(parked) => {
+                    self.shard_parked.fetch_add(parked, Ordering::Relaxed);
+                    return;
+                }
+                Err(back) => items = back,
             }
         }
         let parked = self.shards[start].put_batch(items);
         self.shard_parked.fetch_add(parked, Ordering::Relaxed);
     }
 
-    /// Move up to `max` objects into `out` from the first shard that has
-    /// any, probing each shard once starting at `start` (empty and
-    /// contended shards are skipped). Returns the shard that supplied the
-    /// batch. When every shard was visited and nothing was found, `out`
-    /// stays empty and the caller allocates fresh; if *all* shards were
-    /// contended the refill blocks on the home shard instead (ptmalloc
-    /// ultimately waits too).
-    pub(crate) fn refill_batch(
-        &self,
-        start: usize,
-        max: usize,
-        out: &mut Vec<PoolBox<T>>,
-    ) -> usize {
+    /// Take up to `max` objects from the first shard that has any, probing
+    /// each shard once starting at `start` (empty and contended shards are
+    /// skipped), with the shard that supplied them. When every shard was
+    /// visited and nothing was found the batch is empty and the caller
+    /// allocates fresh; if *all* shards were contended the refill blocks on
+    /// the home shard instead (ptmalloc ultimately waits too).
+    pub(crate) fn refill_batch(&self, start: usize, max: usize) -> (SlotList<T>, usize) {
         let n = self.shards.len();
         let mut all_contended = true;
         for off in 0..n {
             let idx = (start + off) % n;
-            match self.shards[idx].try_take_batch(max, out) {
-                Ok(k) if k > 0 => {
-                    self.shard_parked.fetch_sub(k, Ordering::Relaxed);
-                    return idx;
+            match self.shards[idx].try_take_batch(max) {
+                Ok(batch) if !batch.is_empty() => {
+                    self.shard_parked.fetch_sub(batch.len(), Ordering::Relaxed);
+                    return (batch, idx);
                 }
                 Ok(_) => all_contended = false, // unlocked but empty
                 Err(()) => {}
             }
         }
-        if all_contended {
-            let k = self.shards[start].take_batch(max, out);
-            self.shard_parked.fetch_sub(k, Ordering::Relaxed);
+        if !all_contended {
+            return (SlotList::new(), start);
         }
-        start
+        let batch = self.shards[start].take_batch(max);
+        self.shard_parked.fetch_sub(batch.len(), Ordering::Relaxed);
+        (batch, start)
     }
 }
 
@@ -453,7 +477,7 @@ impl<T> Drop for Depot<T> {
     fn drop(&mut self) {
         // Exact live-object accounting (guarded builds only): when no
         // foreign magazine is still live, every parked object is visible
-        // from here — the shard free lists plus the items inside parked
+        // from here — the shard free lists plus the lists inside parked
         // depot nodes — and the guard ledger must balance against that
         // population and the cap-drop counters.
         #[cfg(any(debug_assertions, feature = "fault-inject"))]
@@ -461,31 +485,34 @@ impl<T> Drop for Depot<T> {
             let mut physically_parked: usize = self.shards.iter().map(ObjectPool::len).sum();
             for &addr in self.nodes.get_mut().iter() {
                 // Sole owner: the node is ours to read.
-                physically_parked += unsafe { &*(addr as *const DepotNode<T>) }.items.len();
+                physically_parked += unsafe { &*(addr as *const DepotNode) }.len;
             }
             let cap_dropped =
                 self.stats.dropped() + self.shards.iter().map(|s| s.stats().dropped()).sum::<u64>();
             self.guard.reconcile(physically_parked, cap_dropped);
         }
         // Sole owner now: no thread can race a stack operation. Free every
-        // node ever allocated; full ones drop their objects with their Vec.
+        // node ever allocated; full ones drop their objects with their list.
         for &addr in self.nodes.get_mut().iter() {
-            drop(unsafe { Box::from_raw(addr as *mut DepotNode<T>) });
+            let node = unsafe { NonNull::new_unchecked(addr as *mut DepotNode) };
+            drop(unsafe { Self::take_list(node) });
+            drop(unsafe { Box::from_raw(node.as_ptr()) });
         }
     }
 }
 
 /// One magazine's counters, the only copy. The owning thread updates them
-/// with relaxed loads and *stores* (no locked RMW on the fast paths): an
-/// acquire writes `hits` before `bytes`, a release `bytes` before
-/// `releases`, matching [`Depot::snapshot`]'s read order. Readers see
-/// values exact at quiescent points (a join or barrier orders the stores
-/// before the reads). Folded into [`Depot::stats`] when the magazine drops.
+/// with relaxed loads and *stores* (no locked RMW on the fast paths or the
+/// depot exchange): an acquire writes `hits` before `bytes`, a release
+/// `bytes` before `releases`, matching [`Depot::snapshot`]'s read order.
+/// Readers see values exact at quiescent points (a join or barrier orders
+/// the stores before the reads). Folded into [`Depot::stats`] and
+/// [`Depot::depot_parked`] when the magazine drops.
 #[derive(Debug, Default)]
 struct MagCells {
-    /// Mirrors `Magazine::items.len()`.
+    /// Mirrors the magazine's list length.
     parked: AtomicUsize,
-    /// Magazine acquire hits.
+    /// Acquires served by the magazine or a depot swap.
     hits: AtomicU64,
     /// Magazine releases.
     releases: AtomicU64,
@@ -494,6 +521,13 @@ struct MagCells {
     /// (its allocs took cold paths, which book their bytes in the shared
     /// ledger).
     bytes: AtomicI64,
+    /// Depot magazines swapped in.
+    swaps: AtomicU64,
+    /// Full magazines parked on the depot.
+    parks: AtomicU64,
+    /// Objects this magazine parked on the depot less those it swapped
+    /// out (negative when it swaps in what other threads parked).
+    depot_net: AtomicI64,
 }
 
 impl MagCells {
@@ -503,16 +537,17 @@ impl MagCells {
         cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 
+    /// Owner-only `cell += delta`.
     #[inline(always)]
-    fn add_bytes(&self, delta: i64) {
-        self.bytes.store(self.bytes.load(Ordering::Relaxed).wrapping_add(delta), Ordering::Relaxed);
+    fn add(cell: &AtomicI64, delta: i64) {
+        cell.store(cell.load(Ordering::Relaxed).wrapping_add(delta), Ordering::Relaxed);
     }
 }
 
 /// One thread's cache of parked objects for one pool.
 pub(crate) struct Magazine<T> {
-    items: Vec<PoolBox<T>>,
-    /// Copy of [`Depot::magazine_cap`]; `items` always has room for more.
+    list: SlotList<T>,
+    /// Copy of [`Depot::magazine_cap`].
     cap: usize,
     /// Copy of [`Depot::trim_epoch`] from the last (in)validation.
     epoch: u64,
@@ -521,12 +556,9 @@ pub(crate) struct Magazine<T> {
     /// Home shard for refills and flushes.
     shard: usize,
     depot: Weak<Depot<T>>,
-    /// Empty node shell kept back from the last depot exchange, so the
-    /// steady empty↔full cycle never touches the free-node stack.
-    spare: Option<NonNull<DepotNode<T>>>,
-    /// Recycled overflow-flush buffer (capped pools), so the flush slow
-    /// path does not allocate a fresh `Vec` per overflow.
-    flush_buf: Vec<PoolBox<T>>,
+    /// Empty node shell kept back from the last depot swap, so the steady
+    /// empty↔full cycle never touches the free-node stack.
+    spare: Option<NonNull<DepotNode>>,
     /// Private cursor over the unused tail of the last carved slab.
     reserve: Option<SlabReserve<T>>,
 }
@@ -536,14 +568,13 @@ impl<T> Magazine<T> {
     /// cells registered.
     fn new(depot: &Arc<Depot<T>>) -> Box<Self> {
         let mag = Box::new(Magazine {
-            items: Vec::with_capacity(depot.magazine_cap + 1),
+            list: SlotList::new(),
             cap: depot.magazine_cap,
             epoch: depot.trim_epoch.load(Ordering::Relaxed),
             cells: MagCells::default(),
             shard: depot.next_shard.fetch_add(1, Ordering::Relaxed) % depot.shards.len(),
             depot: Arc::downgrade(depot),
             spare: None,
-            flush_buf: Vec::new(),
             reserve: None,
         });
         depot.mag_counts.lock().push(&mag.cells as *const MagCells as usize);
@@ -555,8 +586,8 @@ impl<T> Drop for Magazine<T> {
     fn drop(&mut self) {
         // Thread exit (TLS teardown): hand cached objects back to the
         // shards, reachable by `trim`, and the spare shell to the depot. If
-        // the pool is gone the objects simply drop (and the depot freed
-        // every node, spare included — don't touch it).
+        // the pool is gone the objects simply drop with the list (and the
+        // depot freed every node, spare included — don't touch it).
         if let Some(depot) = self.depot.upgrade() {
             // Fold-on-drop must be panic-safe: parking the cached objects
             // can run arbitrary user destructors (a capped shard drops the
@@ -574,11 +605,16 @@ impl<T> Drop for Magazine<T> {
                     // never reads it after it is freed.
                     let mut addrs = self.depot.mag_counts.lock();
                     let c = self.cells;
+                    let get = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
                     self.depot.stats.fold_magazine_counts(
-                        c.hits.load(Ordering::Relaxed),
-                        c.releases.load(Ordering::Relaxed),
+                        get(&c.hits),
+                        get(&c.releases),
                         c.bytes.load(Ordering::Relaxed),
+                        get(&c.swaps),
+                        get(&c.parks),
                     );
+                    let net = c.depot_net.load(Ordering::Relaxed);
+                    self.depot.depot_parked.fetch_add(net, Ordering::Relaxed);
                     addrs.retain(|&a| a != c as *const MagCells as usize);
                 }
             }
@@ -586,9 +622,8 @@ impl<T> Drop for Magazine<T> {
             if let Some(node) = self.spare.take() {
                 depot.free_nodes.push(node);
             }
-            if !self.items.is_empty() {
-                let mut items = std::mem::take(&mut self.items);
-                depot.park_batch(self.shard, &mut items);
+            if !self.list.is_empty() {
+                depot.park_batch(self.shard, mem::take(&mut self.list));
             }
         }
     }
@@ -619,7 +654,7 @@ fn with_mag<T: 'static, R>(
     // SAFETY: checked above in debug builds; the id fixes the type.
     let mag = unsafe { &mut *(mag as *mut dyn std::any::Any).cast::<Magazine<T>>() };
     let r = f(mag);
-    mag.cells.parked.store(mag.items.len(), Ordering::Relaxed);
+    mag.cells.parked.store(mag.list.len(), Ordering::Relaxed);
     Some(r)
 }
 
@@ -627,45 +662,34 @@ fn with_mag<T: 'static, R>(
 /// objects (returned for the caller to drop outside the hold) and the slab
 /// reserve (raw memory — safe to release in place).
 #[inline(always)]
-fn invalidate_if_stale<T>(mag: &mut Magazine<T>, depot: &Depot<T>) -> Vec<PoolBox<T>> {
+fn invalidate_if_stale<T>(mag: &mut Magazine<T>, depot: &Depot<T>) -> SlotList<T> {
     let epoch = depot.trim_epoch.load(Ordering::Relaxed);
     if mag.epoch == epoch {
-        return Vec::new();
+        return SlotList::new();
     }
     invalidate(mag, epoch)
 }
 
 #[cold]
-fn invalidate<T>(mag: &mut Magazine<T>, epoch: u64) -> Vec<PoolBox<T>> {
+fn invalidate<T>(mag: &mut Magazine<T>, epoch: u64) -> SlotList<T> {
     mag.epoch = epoch;
     mag.reserve = None; // uninitialized slots: releasing them runs no user code
-    if mag.items.is_empty() {
-        return Vec::new();
+    let stale = mem::take(&mut mag.list);
+    if !stale.is_empty() {
+        pool_event!(EpochInvalidation, stale.len());
     }
-    let stale: Vec<PoolBox<T>> = mag.items.drain(..).collect();
-    pool_event!(EpochInvalidation, stale.len());
     stale
 }
 
 /// Drop objects a trim made stale, outside the hold (user destructors).
-fn drop_stale<T>(depot: &Depot<T>, stale: Vec<PoolBox<T>>) {
+fn drop_stale<T>(depot: &Depot<T>, stale: SlotList<T>) {
     depot.guard.record_reclaim(stale.len());
     drop(stale);
 }
 
-/// Keep a popped-and-emptied node as the magazine's spare shell, or return
-/// it to the depot's free-node stack if a spare is already parked.
-fn recycle_node<T>(mag: &mut Magazine<T>, depot: &Depot<T>, node: NonNull<DepotNode<T>>) {
-    if mag.spare.is_none() {
-        mag.spare = Some(node);
-    } else {
-        depot.free_nodes.push(node);
-    }
-}
-
 /// Pop one cached object — the lock-free acquire hit path, booking `bytes`
 /// in the magazine's cells. `None` is a miss: no magazine (or no table), a
-/// stale epoch, or an empty magazine; the caller goes to [`refresh`].
+/// stale epoch, or an empty magazine; the caller goes to [`refill`].
 #[inline(always)]
 pub(crate) fn pop<T: 'static>(depot: &Depot<T>, bytes: u64) -> Option<PoolBox<T>> {
     // SAFETY: this pool's id, this pool's type; no pool code runs below.
@@ -673,82 +697,109 @@ pub(crate) fn pop<T: 'static>(depot: &Depot<T>, bytes: u64) -> Option<PoolBox<T>
     if mag.epoch != depot.trim_epoch.load(Ordering::Relaxed) {
         return None;
     }
-    let obj = mag.items.pop()?;
-    mag.cells.parked.store(mag.items.len(), Ordering::Relaxed);
+    let obj = mag.list.pop()?;
+    mag.cells.parked.store(mag.list.len(), Ordering::Relaxed);
     MagCells::bump(&mag.cells.hits);
-    mag.cells.add_bytes(bytes as i64);
+    MagCells::add(&mag.cells.bytes, bytes as i64);
     depot.guard.record_unpark();
     Some(obj)
 }
 
-/// The magazine side of an acquire miss: create the thread's magazine on
-/// first touch, or surrender a cache a trim made stale. `false` when the
-/// table is DEAD: the caller goes straight to the shards.
-pub(crate) fn refresh<T: 'static>(depot: &Arc<Depot<T>>) -> bool {
-    let Some(stale) = with_mag(depot, true, |mag| invalidate_if_stale(mag, depot)) else {
-        return false;
-    };
-    drop_stale(depot, stale);
-    true
+/// What the magazine side of an acquire miss found.
+pub(crate) enum Refill<T> {
+    /// The table is torn down: the caller goes straight to the shards.
+    Dead,
+    /// A parked magazine was swapped in; its top object, hit and bytes
+    /// booked in the cells.
+    Hit(PoolBox<T>),
+    /// The depot had nothing valid; the magazine's home shard, where the
+    /// caller's shard refill starts.
+    Miss(usize),
 }
 
-/// Swap the (empty) magazine for a full one parked on the depot: one CAS
-/// pop plus a `Vec` swap, no locks, no per-object moves. Returns the first
-/// object out of the swapped-in magazine, or `None` when the depot had
-/// nothing valid. Nodes parked before the last trim are recognized by
-/// their stale epoch and their contents dropped (epoch invalidation
-/// extends to parked magazines).
-pub(crate) fn depot_swap<T: 'static>(depot: &Arc<Depot<T>>) -> Option<PoolBox<T>> {
-    if depot.depot_empty_hint() {
-        return None;
-    }
-    let (obj, stale) = with_mag(depot, true, |mag| {
+/// The magazine side of an acquire miss, under one hold of the table:
+/// create the thread's magazine on first touch, surrender a cache a trim
+/// made stale, and swap the empty magazine for a full one parked on the
+/// depot — one CAS pop, two list words moved, no locks, no per-object
+/// moves. Nodes parked before the last trim are recognized by their stale
+/// epoch and their contents dropped (epoch invalidation extends to parked
+/// magazines).
+pub(crate) fn refill<T: 'static>(depot: &Arc<Depot<T>>, bytes: u64) -> Refill<T> {
+    let Some((got, stale)) = with_mag(depot, true, |mag| {
         let mut stale = invalidate_if_stale(mag, depot);
-        let mut got = None;
-        let mut forced_retry = fault::retry_depot();
-        while let Some(node_ptr) = depot.pop_full(mag.shard) {
-            if forced_retry {
-                // Injected CAS race: hand the node straight back and pop
-                // again, exercising the version-tag (ABA) protection the
-                // way a concurrent winner would.
-                forced_retry = false;
-                depot.full[mag.shard].push(node_ptr);
-                continue;
+        let got = match mag.list.pop() {
+            // Only an empty or stale magazine misses; a swap replaces the list.
+            Some(obj) => Some(obj),
+            None if depot.depot_empty_hint() => None,
+            None => swap_in(mag, depot, &mut stale),
+        };
+        match got {
+            Some(obj) => {
+                MagCells::bump(&mag.cells.hits);
+                MagCells::add(&mag.cells.bytes, bytes as i64);
+                (Ok(obj), stale)
             }
-            if fault::bump_epoch() {
-                // Injected trim racing the swap: the epoch moves in the
-                // window between pop and validate. The popped node stays
-                // valid — its ownership transferred at the pop CAS, exactly
-                // as if the swap had completed before the trim began.
-                depot.bump_trim_epoch();
-            }
-            // Owned after a successful pop; the depot keeps it allocated.
-            let node = unsafe { &mut *node_ptr.as_ptr() };
-            let n = node.items.len();
-            depot.depot_parked.fetch_sub(n, Ordering::Relaxed);
-            if node.epoch != mag.epoch {
-                stale.append(&mut node.items);
-                pool_event!(EpochInvalidation, n);
-                recycle_node(mag, depot, node_ptr);
-                continue;
-            }
-            debug_assert!(mag.items.is_empty(), "depot_swap is only called on a miss");
-            std::mem::swap(&mut mag.items, &mut node.items);
-            debug_assert!(mag.items.capacity() > mag.cap, "parked buffers were magazine buffers");
-            recycle_node(mag, depot, node_ptr);
-            got = mag.items.pop();
-            depot.stats.record_depot_swap();
-            pool_event!(DepotSwap, n);
-            pool_hist!("pools.depot_swap_objects", n);
-            break;
+            None => (Err(mag.shard), stale),
         }
-        (got, stale)
-    })?;
-    if obj.is_some() {
-        depot.guard.record_unpark();
-    }
+    }) else {
+        return Refill::Dead;
+    };
     drop_stale(depot, stale);
-    obj
+    match got {
+        Ok(obj) => {
+            depot.guard.record_unpark();
+            Refill::Hit(obj)
+        }
+        Err(home) => Refill::Miss(home),
+    }
+}
+
+/// Pop parked magazines until one is valid, make it the magazine's list and
+/// return its top object. Stale ones join `stale`.
+fn swap_in<T>(
+    mag: &mut Magazine<T>,
+    depot: &Depot<T>,
+    stale: &mut SlotList<T>,
+) -> Option<PoolBox<T>> {
+    let mut forced_retry = fault::retry_depot();
+    while let Some(node) = depot.pop_full(mag.shard) {
+        if forced_retry {
+            // Injected CAS race: hand the node straight back and pop
+            // again, exercising the version-tag (ABA) protection the way a
+            // concurrent winner would.
+            forced_retry = false;
+            depot.full[mag.shard].push(node);
+            continue;
+        }
+        if fault::bump_epoch() {
+            // Injected trim racing the swap: the epoch moves in the window
+            // between pop and validate. The popped node stays valid — its
+            // ownership transferred at the pop CAS, exactly as if the swap
+            // had completed before the trim began.
+            depot.bump_trim_epoch();
+        }
+        // Owned after a successful pop; the depot keeps it allocated.
+        let (list, epoch) = unsafe { Depot::take_list(node) };
+        let n = list.len();
+        MagCells::add(&mag.cells.depot_net, -(n as i64));
+        // Keep the shell as the spare the next park fills, unless one is
+        // already kept.
+        match mag.spare {
+            None => mag.spare = Some(node),
+            Some(_) => depot.free_nodes.push(node),
+        }
+        if epoch != mag.epoch {
+            pool_event!(EpochInvalidation, n);
+            stale.append(list);
+            continue;
+        }
+        mag.list = list;
+        MagCells::bump(&mag.cells.swaps);
+        pool_event!(DepotSwap, n);
+        pool_hist!("pools.depot_swap_objects", n);
+        return mag.list.pop();
+    }
+    None
 }
 
 /// Cache one released object — the lock-free release path, booking
@@ -765,18 +816,13 @@ pub(crate) fn push<T: 'static>(
     let Some(mag) = (unsafe { hot_magazine::<T>(depot.id).as_mut() }) else {
         return Some(obj);
     };
-    let len = mag.items.len();
+    let len = mag.list.len();
     if mag.epoch != depot.trim_epoch.load(Ordering::Relaxed) || len >= mag.cap {
         return Some(obj);
     }
-    debug_assert!(mag.items.capacity() > mag.cap, "magazine buffers hold more than `cap` slots");
-    // SAFETY: `len < cap < capacity`.
-    unsafe {
-        mag.items.as_mut_ptr().add(len).write(obj);
-        mag.items.set_len(len + 1);
-    }
+    mag.list.push(obj);
     mag.cells.parked.store(len + 1, Ordering::Relaxed);
-    mag.cells.add_bytes(-(bytes as i64));
+    MagCells::add(&mag.cells.bytes, -(bytes as i64));
     MagCells::bump(&mag.cells.releases);
     depot.guard.record_park();
     None
@@ -799,41 +845,36 @@ pub(crate) fn push_cold<T: 'static>(
         let stale = invalidate_if_stale(mag, depot);
         let cap = mag.cap;
         let mut flush = None;
-        if mag.items.len() < cap || fault::delay_flush() {
+        if mag.list.len() < cap || fault::delay_flush() {
             // Room after all (a stale cache emptied), or an injected flush
             // delay: the magazine runs past capacity, and a later release
             // handles the larger overflow below (any length ≥ cap works).
         } else if depot.depot_enabled {
-            // Park the whole magazine: swap its Vec into an empty node
-            // shell and CAS the node onto the home shard's stack. The
-            // magazine continues with the node's (empty) Vec, so the two
-            // buffers ping-pong and no allocation happens in steady state.
-            let n = mag.items.len();
-            let node_ptr = mag.spare.take().unwrap_or_else(|| depot.alloc_node());
-            let node = unsafe { &mut *node_ptr.as_ptr() };
-            debug_assert!(node.items.is_empty(), "spare/free nodes are empty shells");
-            std::mem::swap(&mut node.items, &mut mag.items);
-            if mag.items.capacity() <= cap {
-                mag.items.reserve_exact(cap + 1); // a fresh shell's buffer
+            // Park the whole magazine: its two list words go into the spare
+            // (or a recycled) node shell, and one CAS publishes the node on
+            // the home shard's stack. The magazine starts over empty.
+            let (head, n) = mem::take(&mut mag.list).into_raw();
+            let node = mag.spare.take().unwrap_or_else(|| depot.alloc_node());
+            // SAFETY: spare and free-list shells are empty and ours.
+            unsafe {
+                let shell = &mut *node.as_ptr();
+                debug_assert!(shell.head.is_null(), "spare/free nodes are empty shells");
+                (shell.head, shell.len, shell.epoch) = (head, n, mag.epoch);
             }
-            node.epoch = mag.epoch;
-            depot.depot_parked.fetch_add(n, Ordering::Relaxed);
-            depot.full[mag.shard].push(node_ptr);
-            depot.stats.record_depot_park();
+            MagCells::add(&mag.cells.depot_net, n as i64);
+            MagCells::bump(&mag.cells.parks);
+            depot.full[mag.shard].push(node);
             pool_event!(DepotPark, n);
             pool_hist!("pools.depot_park_objects", n);
         } else {
-            // Keep the newest (cache-warm) half; the rest leaves in the
-            // recycled flush buffer. `cap` is at least 1 here, so at least
-            // one slot frees up.
+            // Keep the newest (cache-warm) half; the older rest leaves for
+            // the home shard. `cap` is at least 1 here, so at least one
+            // slot frees up.
             let keep = (cap - cap / 2).min(cap - 1);
-            let split = mag.items.len() - keep;
-            let mut buf = std::mem::take(&mut mag.flush_buf);
-            buf.extend(mag.items.drain(..split));
-            flush = Some((buf, mag.shard));
+            flush = Some((mag.list.split_off(keep), mag.shard));
         }
-        mag.items.push(obj.take().expect("taken once"));
-        mag.cells.add_bytes(-(bytes as i64));
+        mag.list.push(obj.take().expect("taken once"));
+        MagCells::add(&mag.cells.bytes, -(bytes as i64));
         MagCells::bump(&mag.cells.releases);
         (stale, flush)
     }) else {
@@ -841,12 +882,14 @@ pub(crate) fn push_cold<T: 'static>(
     };
     depot.guard.record_park();
     drop_stale(depot, stale);
-    if let Some((mut buf, shard)) = flush {
+    if let Some((older, shard)) = flush {
         // Outside the hold: the cap may drop objects, running user code.
-        pool_event!(MagazineFlush, buf.len());
-        pool_hist!("pools.magazine_occupancy", (depot.magazine_cap + 1).saturating_sub(buf.len()));
-        depot.park_batch(shard, &mut buf);
-        with_mag(depot, false, |mag| mag.flush_buf = buf);
+        pool_event!(MagazineFlush, older.len());
+        pool_hist!(
+            "pools.magazine_occupancy",
+            (depot.magazine_cap + 1).saturating_sub(older.len())
+        );
+        depot.park_batch(shard, older);
     }
     None
 }
@@ -877,14 +920,14 @@ pub(crate) fn stash_reserve<T: 'static>(depot: &Arc<Depot<T>>, reserve: SlabRese
 
 /// Store objects refilled from shard `shard` in the magazine, and make that
 /// shard the new home (the spill-updates-preference arena rule).
-pub(crate) fn stash<T: 'static>(depot: &Arc<Depot<T>>, shard: usize, items: Vec<PoolBox<T>>) {
+pub(crate) fn stash<T: 'static>(depot: &Arc<Depot<T>>, shard: usize, items: SlotList<T>) {
     let stale = with_mag(depot, true, |mag| {
         let stale = invalidate_if_stale(mag, depot);
         mag.shard = shard;
-        mag.items.extend(items);
+        mag.list.append(items);
         stale
     });
-    // Only a refill reaches here, after `refresh` found the table live.
+    // Only a refill reaches here, after `refill` found the table live.
     drop_stale(depot, stale.expect("the table is live within a refill"));
 }
 
@@ -903,11 +946,10 @@ pub(crate) fn set_home_shard<T: 'static>(depot: &Arc<Depot<T>>, shard: usize) {
 /// Remove and return everything the calling thread has cached for this pool
 /// (trim/flush support), dropping its slab reserve too. Does not create a
 /// magazine on threads that never touched the pool.
-pub(crate) fn drain_local<T: 'static>(depot: &Arc<Depot<T>>) -> Vec<PoolBox<T>> {
+pub(crate) fn drain_local<T: 'static>(depot: &Arc<Depot<T>>) -> SlotList<T> {
     with_mag(depot, false, |mag| {
         mag.reserve = None;
-        let items: Vec<PoolBox<T>> = mag.items.drain(..).collect();
-        items
+        mem::take(&mut mag.list)
     })
     .unwrap_or_default()
 }
@@ -917,7 +959,7 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    fn depot(shards: usize, cap: usize) -> Arc<Depot<u32>> {
+    fn depot<T>(shards: usize, cap: usize) -> Arc<Depot<T>> {
         Arc::new(Depot::new(shards, PoolConfig::default(), cap))
     }
 
@@ -938,20 +980,26 @@ mod tests {
         }
     }
 
-    /// A magazine-mode acquire from the magazine alone: the hit path, or
-    /// a refresh (creating the magazine, dropping a stale cache) and a
-    /// second look.
+    /// A magazine-mode acquire from the magazine side alone: the hit path,
+    /// then a refill (creating the magazine, dropping a stale cache,
+    /// swapping in a parked magazine). `Err(home)` on a miss.
+    fn acquire<T: 'static>(d: &Arc<Depot<T>>) -> Result<PoolBox<T>, usize> {
+        match pop(d, 0) {
+            Some(obj) => Ok(obj),
+            None => match refill(d, 0) {
+                Refill::Hit(obj) => Ok(obj),
+                Refill::Miss(home) => Err(home),
+                Refill::Dead => panic!("the table is live"),
+            },
+        }
+    }
+
     fn take(d: &Arc<Depot<u32>>) -> Option<u32> {
-        pop(d, 0)
-            .or_else(|| {
-                assert!(refresh(d));
-                pop(d, 0)
-            })
-            .map(|b| *b)
+        acquire(d).ok().map(|b| *b)
     }
 
     /// The calling thread's magazine, read under a hold.
-    fn peek<R>(d: &Arc<Depot<u32>>, f: impl FnOnce(&mut Magazine<u32>) -> R) -> Option<R> {
+    fn peek<T: 'static, R>(d: &Arc<Depot<T>>, f: impl FnOnce(&mut Magazine<T>) -> R) -> Option<R> {
         with_mag(d, false, f)
     }
 
@@ -974,7 +1022,7 @@ mod tests {
         assert!(!put(&d, PoolBox::new(99)), "a full magazine misses the hit path");
         assert_eq!(d.depot_parked(), 4, "the full magazine moved wholesale");
         assert_eq!(d.magazine_parked(), 1, "the incoming object starts the next one");
-        assert_eq!(d.stats.depot_parks(), 1);
+        assert_eq!(d.snapshot().depot_parks(), 1);
     }
 
     #[test]
@@ -983,21 +1031,37 @@ mod tests {
         for i in 0..5 {
             put(&d, PoolBox::new(i)); // fifth push parks [0,1,2,3]
         }
-        // Empty the live magazine first (holds only `4`).
-        assert_eq!(take(&d), Some(4));
-        assert!(take(&d).is_none());
-        let got = depot_swap(&d).expect("a full magazine is parked");
-        assert_eq!(*got, 3, "LIFO within the swapped magazine");
+        assert_eq!(take(&d), Some(4), "the live magazine's own object first");
+        assert_eq!(take(&d), Some(3), "then the swapped-in magazine, LIFO");
         assert_eq!(d.depot_parked(), 0);
         assert_eq!(d.magazine_parked(), 3);
-        assert_eq!(d.stats.depot_swaps(), 1);
+        let s = d.snapshot();
+        assert_eq!((s.depot_swaps(), s.pool_hits()), (1, 2));
         for want in [2, 1, 0] {
             assert_eq!(take(&d), Some(want));
         }
+        assert!(take(&d).is_none());
     }
 
     #[test]
-    fn capped_pool_flushes_older_half_with_recycled_buffer() {
+    fn swap_keeps_the_shell_for_the_next_park() {
+        let d = depot(1, 2);
+        for i in 0..3 {
+            put(&d, PoolBox::new(i)); // parks [0,1] in a fresh node
+        }
+        assert_eq!(d.nodes.lock().len(), 1);
+        assert_eq!(take(&d), Some(2));
+        assert_eq!(take(&d), Some(1), "swapped in");
+        assert!(peek(&d, |m| m.spare.is_some()).unwrap(), "the popped shell is the spare");
+        for i in 10..13 {
+            put(&d, PoolBox::new(i)); // the third release parks again
+        }
+        assert_eq!(d.nodes.lock().len(), 1, "the park reused the spare shell");
+        assert_eq!(d.depot_parked(), 2);
+    }
+
+    #[test]
+    fn capped_pool_flushes_the_older_half_to_a_shard() {
         let d = capped_depot(1, 4, 64);
         for i in 0..4 {
             put(&d, PoolBox::new(i));
@@ -1005,18 +1069,14 @@ mod tests {
         assert!(!put(&d, PoolBox::new(99)), "a full magazine misses the hit path");
         // Keep = 2 newest + the incoming object; the 2 oldest flushed.
         assert_eq!(d.magazine_parked(), 3);
-        let mut flushed = Vec::new();
-        d.refill_batch(0, 64, &mut flushed);
-        assert_eq!(flushed.iter().map(|b| **b).collect::<Vec<_>>(), vec![0, 1]);
-        d.park_batch(0, &mut flushed);
-        let buf = peek(&d, |m| (m.flush_buf.as_ptr(), m.flush_buf.capacity())).unwrap();
-        assert!(buf.1 >= 2, "the drained flush buffer came back to the magazine");
-        // Next overflow reuses the same buffer: no fresh allocation.
+        assert_eq!(d.depot_parked(), 0, "capped pools bypass the depot");
+        let (mut flushed, shard) = d.refill_batch(0, 64);
+        assert_eq!(shard, 0);
+        let order: Vec<u32> = std::iter::from_fn(|| flushed.pop().map(|b| *b)).collect();
+        assert_eq!(order, vec![1, 0], "the older half, its order kept");
         put(&d, PoolBox::new(100)); // magazine back at cap
         assert!(!put(&d, PoolBox::new(101)));
-        assert_eq!(d.shard_parked(), 4, "the second overflow flushed two more");
-        let again = peek(&d, |m| (m.flush_buf.as_ptr(), m.flush_buf.capacity())).unwrap();
-        assert_eq!(again, buf, "flush buffer must be recycled");
+        assert_eq!(d.shard_parked(), 2, "the second overflow flushed two more");
     }
 
     #[test]
@@ -1049,9 +1109,8 @@ mod tests {
         assert_eq!(d.depot_parked(), 2);
         d.bump_trim_epoch();
         // The live magazine invalidates; the parked node's epoch is stale
-        // too, so the swap must refuse to serve it.
-        assert!(take(&d).is_none());
-        assert!(depot_swap(&d).is_none(), "pre-trim depot magazines must drop");
+        // too, so the refill must refuse to serve it.
+        assert!(take(&d).is_none(), "pre-trim depot magazines must drop");
         assert_eq!(d.depot_parked(), 0);
         assert_eq!(d.magazine_parked(), 0);
     }
@@ -1059,7 +1118,7 @@ mod tests {
     #[test]
     fn round_robin_home_shards() {
         // Four threads touching a 4-shard depot get four distinct homes.
-        let d = depot(4, 8);
+        let d = depot::<u32>(4, 8);
         let mut homes: Vec<usize> = (0..4)
             .map(|_| {
                 let d = Arc::clone(&d);
@@ -1114,9 +1173,12 @@ mod tests {
         let d: Arc<Depot<Bomb>> = Arc::new(Depot::new(1, config, 4));
         let mut mag = Magazine::new(&d);
         d.guard.record_park(); // the magazine below caches one object
-        mag.items.push(PoolBox::new(Bomb));
+        mag.list.push(PoolBox::new(Bomb));
         mag.cells.hits.store(5, Ordering::Relaxed);
         mag.cells.releases.store(7, Ordering::Relaxed);
+        mag.cells.swaps.store(2, Ordering::Relaxed);
+        mag.cells.parks.store(3, Ordering::Relaxed);
+        mag.cells.depot_net.store(-4, Ordering::Relaxed);
         assert_eq!(d.mag_counts.lock().len(), 1, "the cell is registered by address");
         assert!(catch_unwind(AssertUnwindSafe(|| drop(mag))).is_err());
         // The panic unwound out of `park_batch`, but the counts must have
@@ -1124,7 +1186,10 @@ mod tests {
         // cell must be retired.
         assert_eq!(d.stats.pool_hits(), 5);
         assert_eq!(d.stats.releases(), 7);
+        assert_eq!((d.stats.depot_swaps(), d.stats.depot_parks()), (2, 3));
+        assert_eq!(d.depot_parked.load(Ordering::Relaxed), -4);
         assert!(d.mag_counts.lock().is_empty(), "cell must retire despite the panic");
+        d.depot_parked.store(0, Ordering::Relaxed);
     }
 
     #[test]
@@ -1143,7 +1208,7 @@ mod tests {
 
     #[test]
     fn nested_cold_access_panics_and_the_hold_is_restored() {
-        let (d, other) = (depot(1, 4), depot(1, 4));
+        let (d, other) = (depot(1, 4), depot::<u32>(1, 4));
         put(&d, PoolBox::new(1));
         let nested = catch_unwind(AssertUnwindSafe(|| {
             with_mag(&d, true, |_| {
@@ -1162,18 +1227,28 @@ mod tests {
         assert_eq!(pop(&d, 0).map(|b| *b), Some(1), "the hit path serves again");
     }
 
-    /// True when the calling thread's magazine (if any) has room for more
-    /// than `cap` objects — the invariant behind the unchecked hit push.
-    fn room_ok(d: &Arc<Depot<u32>>) -> bool {
-        peek(d, |m| m.items.capacity() > m.cap).unwrap_or(true)
-    }
-
+    /// Every object the test creates and has not destroyed is held by the
+    /// test or parked in exactly one tier, after every step of a mix that
+    /// drives every cold path.
     #[test]
-    fn buffers_keep_room_past_cap_across_every_cold_path() {
+    fn objects_are_conserved_across_every_cold_path() {
+        static LIVE: AtomicUsize = AtomicUsize::new(0);
+        struct Counted;
+        impl Counted {
+            fn boxed() -> PoolBox<Counted> {
+                LIVE.fetch_add(1, Ordering::Relaxed);
+                PoolBox::new(Counted)
+            }
+        }
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                LIVE.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
         for (cap, max) in [(1, None), (2, None), (32, None), (2, Some(8)), (32, Some(40))] {
             let config = PoolConfig { max_objects: max, ..Default::default() };
-            let d: Arc<Depot<u32>> = Arc::new(Depot::new(2, config, cap));
-            let mut held: Vec<PoolBox<u32>> = Vec::new();
+            let d: Arc<Depot<Counted>> = Arc::new(Depot::new(2, config, cap));
+            let mut held: Vec<PoolBox<Counted>> = Vec::new();
             let (mut refills, mut delays) = (0, 0);
             let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ cap as u64;
             for step in 0..8_000u32 {
@@ -1190,36 +1265,30 @@ mod tests {
                 match op {
                     // Releases: hit pushes, parks and flushes.
                     0 => {
-                        put(&d, held.pop().unwrap_or_else(|| PoolBox::new(step)));
+                        put(&d, held.pop().unwrap_or_else(Counted::boxed));
                     }
                     // Acquires: hit pops, depot swaps, shard refills with a
                     // stash, and fresh objects.
                     1 => {
-                        let obj = pop(&d, 0)
-                            .or_else(|| {
-                                refresh(&d);
-                                depot_swap(&d)
-                            })
-                            .or_else(|| {
-                                let mut batch = Vec::new();
-                                let home = home_shard(&d);
-                                let used = d.refill_batch(home, cap.div_ceil(2), &mut batch);
-                                let obj = batch.pop();
-                                if obj.is_some() {
-                                    d.guard.record_unpark();
-                                    refills += 1;
-                                }
-                                stash(&d, used, batch);
-                                obj
-                            });
-                        held.push(obj.unwrap_or_else(|| PoolBox::new(step)));
+                        let obj = acquire(&d).ok().or_else(|| {
+                            let home = home_shard(&d);
+                            let (mut batch, used) = d.refill_batch(home, cap.div_ceil(2));
+                            let obj = batch.pop();
+                            if obj.is_some() {
+                                d.guard.record_unpark();
+                                refills += 1;
+                            }
+                            stash(&d, used, batch);
+                            obj
+                        });
+                        held.push(obj.unwrap_or_else(Counted::boxed));
                     }
                     // What an injected flush delay does: a full magazine
                     // takes one object past capacity.
                     27 => {
-                        let mut obj = Some(held.pop().unwrap_or_else(|| PoolBox::new(step)));
-                        if peek(&d, |m| m.items.len() >= cap).unwrap_or(false) {
-                            peek(&d, |m| m.items.push(obj.take().expect("pushed once")));
+                        let mut obj = Some(held.pop().unwrap_or_else(Counted::boxed));
+                        if peek(&d, |m| m.list.len() >= cap).unwrap_or(false) {
+                            peek(&d, |m| m.list.push(obj.take().expect("pushed once")));
                             d.guard.record_park();
                             delays += 1;
                         }
@@ -1237,23 +1306,37 @@ mod tests {
                     // A trim from elsewhere: only the epoch moves.
                     29 => d.bump_trim_epoch(),
                     // The magazine's contents to the shards, for refills.
-                    30 => d.park_batch(home_shard(&d), &mut drain_local(&d)),
+                    30 => d.park_batch(home_shard(&d), drain_local(&d)),
                     _ => drop(held.pop()),
                 }
-                assert!(room_ok(&d), "cap {cap}, max {max:?}: no room past cap at step {step}");
+                let in_shards: usize = d.shards.iter().map(ObjectPool::len).sum();
+                let parked = d.magazine_parked() + d.depot_parked() + in_shards;
+                assert_eq!(
+                    LIVE.load(Ordering::Relaxed),
+                    held.len() + parked,
+                    "cap {cap}, max {max:?}: an object is lost or doubled at step {step}"
+                );
+                assert_eq!(peek(&d, |m| m.list.len()).unwrap_or(0), d.magazine_parked());
             }
             // Every cold path ran: depot parks and swaps (uncapped) or
             // flushes (capped), shard refills with a stash, and delays.
             if max.is_none() {
-                assert!(d.stats.depot_parks() > 0 && d.stats.depot_swaps() > 0, "cap {cap}");
+                let s = d.snapshot();
+                assert!(s.depot_parks() > 0 && s.depot_swaps() > 0, "cap {cap}");
             }
             assert!(refills > 0 && delays > 0, "cap {cap}, max {max:?}: {refills} {delays}");
             held.into_iter().for_each(|obj| {
                 put(&d, obj);
             });
-            assert!(room_ok(&d));
             let local = drain_local(&d);
             d.guard.record_reclaim(local.len());
+            drop(local);
+            drop(d);
+            assert_eq!(
+                LIVE.load(Ordering::Relaxed),
+                0,
+                "cap {cap}: the depot's drop frees the rest"
+            );
         }
     }
 }

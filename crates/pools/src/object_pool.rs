@@ -1,10 +1,12 @@
 //! Per-class object pools: the free list behind Amplify's generated
-//! `operator new` / `operator delete`.
+//! `operator new` / `operator delete`. The list is intrusive, threaded
+//! through the parked objects' slot headers ([`SlotList`]), so a parked
+//! object keeps its own contents — links to children included — intact.
 
 use crate::fault;
 use crate::limits::PoolConfig;
 use crate::obs::pool_hist;
-use crate::pool_box::PoolBox;
+use crate::pool_box::{PoolBox, SlotList};
 use crate::stats::PoolStats;
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -19,7 +21,7 @@ use std::sync::Arc;
 /// [`PoolConfig`] population cap.
 #[derive(Debug)]
 pub struct ObjectPool<T> {
-    free: Mutex<Vec<PoolBox<T>>>,
+    free: Mutex<SlotList<T>>,
     config: PoolConfig,
     stats: Arc<PoolStats>,
 }
@@ -39,7 +41,7 @@ impl<T> ObjectPool<T> {
 
     /// An empty pool with explicit limits.
     pub fn with_config(config: PoolConfig) -> Self {
-        ObjectPool { free: Mutex::new(Vec::new()), config, stats: Arc::new(PoolStats::new()) }
+        ObjectPool { free: Mutex::new(SlotList::new()), config, stats: Arc::new(PoolStats::new()) }
     }
 
     /// Take an object from the pool, or build one with `fresh`.
@@ -181,36 +183,24 @@ impl<T> ObjectPool<T> {
         }
     }
 
-    /// Move up to `max` parked objects into `out` under one lock, taking
-    /// from the top of the free list (the most recently released, cache-warm
-    /// end). Batch transfers count one lock acquisition and no per-object
-    /// hits — the magazine layer does its own hit accounting.
-    pub(crate) fn take_batch(&self, max: usize, out: &mut Vec<PoolBox<T>>) -> usize {
+    /// Take up to `max` parked objects under one lock, from the top of the
+    /// free list (the most recently released, cache-warm end). Batch
+    /// transfers count one lock acquisition and no per-object hits — the
+    /// magazine layer does its own hit accounting.
+    pub(crate) fn take_batch(&self, max: usize) -> SlotList<T> {
         let mut free = self.free.lock();
         self.stats.record_lock();
-        let n = max.min(free.len());
-        let at = free.len() - n;
-        out.extend(free.drain(at..));
-        pool_hist!("pools.free_list_len", free.len());
-        n
+        Self::split_top(&mut free, max)
     }
 
     /// Non-blocking [`ObjectPool::take_batch`]. `Err(())` means the shard
     /// lock is held (recorded as a failed lock attempt).
     #[allow(clippy::result_unit_err)]
-    pub(crate) fn try_take_batch(
-        &self,
-        max: usize,
-        out: &mut Vec<PoolBox<T>>,
-    ) -> Result<usize, ()> {
+    pub(crate) fn try_take_batch(&self, max: usize) -> Result<SlotList<T>, ()> {
         match self.free.try_lock() {
             Some(mut free) => {
                 self.stats.record_lock();
-                let n = max.min(free.len());
-                let at = free.len() - n;
-                out.extend(free.drain(at..));
-                pool_hist!("pools.free_list_len", free.len());
-                Ok(n)
+                Ok(Self::split_top(&mut free, max))
             }
             None => {
                 self.stats.record_failed_lock();
@@ -219,67 +209,59 @@ impl<T> ObjectPool<T> {
         }
     }
 
+    /// The top `max` objects of `free`.
+    fn split_top(free: &mut SlotList<T>, max: usize) -> SlotList<T> {
+        let rest = free.split_off(max);
+        let batch = std::mem::replace(free, rest);
+        pool_hist!("pools.free_list_len", free.len());
+        batch
+    }
+
     /// Park a whole batch under one lock. Objects over the population cap
     /// are dropped (outside the lock — their destructors may be arbitrary
     /// user code). Returns how many were parked.
-    pub(crate) fn put_batch(&self, items: &mut Vec<PoolBox<T>>) -> usize {
-        let total = items.len();
-        let rejected = {
-            let mut free = self.free.lock();
-            self.stats.record_lock();
-            let rejected = Self::push_until_cap(&self.config, &mut free, items);
-            pool_hist!("pools.free_list_len", free.len());
-            rejected
+    pub(crate) fn put_batch(&self, items: SlotList<T>) -> usize {
+        let free = self.free.lock();
+        self.stats.record_lock();
+        self.admit(free, items)
+    }
+
+    /// Non-blocking [`ObjectPool::put_batch`]. On contention the items come
+    /// back and the caller can spill to another shard.
+    pub(crate) fn try_put_batch(&self, items: SlotList<T>) -> Result<usize, SlotList<T>> {
+        match self.free.try_lock() {
+            Some(free) => {
+                self.stats.record_lock();
+                Ok(self.admit(free, items))
+            }
+            None => {
+                self.stats.record_failed_lock();
+                Err(items)
+            }
+        }
+    }
+
+    /// Put the top of `items` on the free list as far as the cap admits;
+    /// the rest drops after the lock is released.
+    fn admit(
+        &self,
+        mut free: parking_lot::MutexGuard<'_, SlotList<T>>,
+        mut items: SlotList<T>,
+    ) -> usize {
+        let room = match self.config.max_objects {
+            Some(max) => max.saturating_sub(free.len()),
+            None => usize::MAX,
         };
-        let parked = total - rejected.len();
+        let rejected = items.split_off(room);
+        let parked = items.len();
+        free.append(items);
+        pool_hist!("pools.free_list_len", free.len());
+        drop(free);
         if !rejected.is_empty() {
             self.stats.record_dropped_many(rejected.len() as u64);
         }
         drop(rejected);
         parked
-    }
-
-    /// Non-blocking [`ObjectPool::put_batch`]. On contention the items stay
-    /// in `items` and the caller can spill to another shard.
-    #[allow(clippy::result_unit_err)]
-    pub(crate) fn try_put_batch(&self, items: &mut Vec<PoolBox<T>>) -> Result<usize, ()> {
-        let total = items.len();
-        let rejected = match self.free.try_lock() {
-            Some(mut free) => {
-                self.stats.record_lock();
-                let rejected = Self::push_until_cap(&self.config, &mut free, items);
-                pool_hist!("pools.free_list_len", free.len());
-                rejected
-            }
-            None => {
-                self.stats.record_failed_lock();
-                return Err(());
-            }
-        };
-        let parked = total - rejected.len();
-        if !rejected.is_empty() {
-            self.stats.record_dropped_many(rejected.len() as u64);
-        }
-        drop(rejected);
-        Ok(parked)
-    }
-
-    /// Push items while the cap admits them; the remainder comes back for
-    /// the caller to drop after releasing the lock.
-    fn push_until_cap(
-        config: &PoolConfig,
-        free: &mut Vec<PoolBox<T>>,
-        items: &mut Vec<PoolBox<T>>,
-    ) -> Vec<PoolBox<T>> {
-        let mut rejected = Vec::new();
-        for obj in items.drain(..) {
-            if config.accepts_object(free.len()) {
-                free.push(obj);
-            } else {
-                rejected.push(obj);
-            }
-        }
-        rejected
     }
 
     /// Number of dead objects currently parked.
@@ -296,11 +278,9 @@ impl<T> ObjectPool<T> {
     /// the paper's "returning memory from the pools to the operating system
     /// on demand".
     pub fn trim(&self) -> usize {
-        let mut free = self.free.lock();
-        let n = free.len();
-        free.clear();
-        free.shrink_to_fit();
-        n
+        // Destructors run after the lock is released.
+        let parked = std::mem::take(&mut *self.free.lock());
+        parked.len()
     }
 
     /// Shared statistics handle.

@@ -19,7 +19,7 @@
 
 use crate::fault;
 use crate::limits::PoolConfig;
-use crate::magazine::{self, Depot, DEFAULT_MAGAZINE_CAP};
+use crate::magazine::{self, Depot, Refill, DEFAULT_MAGAZINE_CAP};
 use crate::object_pool::ObjectPool;
 use crate::obs::{pool_event, pool_hist};
 use crate::pool_box::{PoolBox, SlabReserve};
@@ -133,7 +133,7 @@ impl ParkedBreakdown {
         self.magazine_objects + self.depot_objects + self.shard_objects
     }
 
-    /// Payload bytes held by parked objects (excludes `Vec`/node overhead:
+    /// Payload bytes held by parked objects (excludes slot-header overhead:
     /// this is the reuse-value of the cache, not its exact footprint).
     pub fn parked_bytes(&self) -> usize {
         self.total_objects() * self.object_bytes
@@ -184,9 +184,10 @@ impl<T: 'static> ShardedPool<T> {
         self.acquire_cold(fresh, reinit, bytes)
     }
 
-    /// Every acquire miss, outlined: direct mode and threads past TLS
-    /// teardown go to the shards, the rest down the three-level miss path;
-    /// the bytes are booked after the hit or fresh count.
+    /// Every acquire miss, outlined: a depot swap, or the shards and fresh
+    /// allocation after it; direct mode and threads past TLS teardown go
+    /// straight to the shards. A swap books its bytes in the magazine's
+    /// cells, the other paths after their hit or fresh count.
     #[cold]
     #[inline(never)]
     fn acquire_cold(
@@ -195,31 +196,35 @@ impl<T: 'static> ShardedPool<T> {
         reinit: impl FnOnce(&mut T),
         bytes: u64,
     ) -> PoolBox<T> {
-        let obj = if self.depot.magazine_cap == 0 || !magazine::refresh(&self.depot) {
-            self.acquire_direct(fresh, reinit)
-        } else {
-            self.acquire_levels(fresh, reinit)
+        let obj = match self.depot.magazine_cap {
+            0 => self.acquire_direct(fresh, reinit),
+            _ => match magazine::refill(&self.depot, bytes) {
+                // Level 2: the empty magazine swapped for a full one from
+                // the depot — one CAS, no locks, no per-object moves.
+                Refill::Hit(mut obj) => {
+                    pool_event!(AcquireHit);
+                    reinit(&mut obj);
+                    return obj;
+                }
+                Refill::Miss(home) => self.acquire_levels(home, fresh, reinit),
+                Refill::Dead => self.acquire_direct(fresh, reinit),
+            },
         };
         self.depot.stats.add_live_bytes(bytes as i64);
         obj
     }
 
-    fn acquire_levels(&self, fresh: impl FnOnce() -> T, reinit: impl FnOnce(&mut T)) -> PoolBox<T> {
-        // Level 2: swap the empty magazine for a full one from the depot —
-        // one CAS, no locks, no per-object moves.
-        if let Some(mut obj) = magazine::depot_swap(&self.depot) {
-            self.depot.stats.record_hit();
-            reinit(&mut obj);
-            return obj;
-        }
+    fn acquire_levels(
+        &self,
+        home: usize,
+        fresh: impl FnOnce() -> T,
+        reinit: impl FnOnce(&mut T),
+    ) -> PoolBox<T> {
         // Level 3: pull a batch from the shards under one lock (skipped
         // entirely when the tracked shard population is below the depot
         // gate — one relaxed load instead of a round of try-locks).
         if self.depot.shard_parked() >= self.depot.depot_gate {
-            let target = self.depot.refill_target;
-            let start = magazine::home_shard(&self.depot);
-            let mut batch = Vec::with_capacity(target);
-            let used = self.depot.refill_batch(start, target, &mut batch);
+            let (mut batch, used) = self.depot.refill_batch(home, self.depot.refill_target);
             if let Some(mut obj) = batch.pop() {
                 self.depot.guard.record_unpark();
                 self.depot.stats.record_hit();
@@ -229,7 +234,7 @@ impl<T: 'static> ShardedPool<T> {
                 reinit(&mut obj);
                 return obj;
             }
-            if used != start {
+            if used != home {
                 magazine::set_home_shard(&self.depot, used);
             }
         }
@@ -319,11 +324,11 @@ impl<T: 'static> ShardedPool<T> {
     /// (without dropping them). Returns how many objects moved. Useful
     /// before handing a pool's contents to another thread, and in tests.
     pub fn flush_local_magazine(&self) -> usize {
-        let mut items = magazine::drain_local(&self.depot);
+        let items = magazine::drain_local(&self.depot);
         let n = items.len();
         if n > 0 {
             let shard = magazine::home_shard(&self.depot);
-            self.depot.park_batch(shard, &mut items);
+            self.depot.park_batch(shard, items);
         }
         n
     }

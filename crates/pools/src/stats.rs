@@ -55,13 +55,23 @@ impl PoolStats {
         pool_event!(AcquireHit);
     }
 
-    /// Fold a retiring magazine's locally-counted hits, releases and net
-    /// bytes into the shared counters (see `magazine::MagCells`). No
-    /// events: the owning thread already emitted one per operation.
-    pub(crate) fn fold_magazine_counts(&self, hits: u64, releases: u64, bytes: i64) {
+    /// Fold a retiring magazine's locally-counted hits, releases, net
+    /// bytes and depot exchanges into the shared counters (see
+    /// `magazine::MagCells`). No events: the owning thread already emitted
+    /// one per operation.
+    pub(crate) fn fold_magazine_counts(
+        &self,
+        hits: u64,
+        releases: u64,
+        bytes: i64,
+        swaps: u64,
+        parks: u64,
+    ) {
         self.pool_hits.fetch_add(hits, Ordering::Relaxed);
         self.net_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.releases.fetch_add(releases, Ordering::Relaxed);
+        self.depot_swaps.fetch_add(swaps, Ordering::Relaxed);
+        self.depot_parks.fetch_add(parks, Ordering::Relaxed);
     }
 
     /// Move the net byte ledger by `delta` (the cold paths' one relaxed
@@ -113,18 +123,6 @@ impl PoolStats {
     #[inline]
     pub(crate) fn record_lock(&self) {
         self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn record_depot_swap(&self) {
-        self.depot_swaps.fetch_add(1, Ordering::Relaxed);
-        // The matching DepotSwap event carries the magazine size as its
-        // payload, so it is recorded at the swap site, not here.
-    }
-
-    #[inline]
-    pub(crate) fn record_depot_park(&self) {
-        self.depot_parks.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
@@ -278,10 +276,19 @@ impl StatsSnapshot {
     /// Add the counts still held in live magazines' cells (published via
     /// `magazine::MagCells`, not yet folded into the shared
     /// [`PoolStats`]); the caller loads them in the three-phase order.
-    pub(crate) fn add_magazine_counts(&mut self, hits: u64, releases: u64, bytes: i64) {
+    pub(crate) fn add_magazine_counts(
+        &mut self,
+        hits: u64,
+        releases: u64,
+        bytes: i64,
+        swaps: u64,
+        parks: u64,
+    ) {
         self.pool_hits += hits;
         self.releases += releases;
         self.net_bytes += bytes;
+        self.depot_swaps += swaps;
+        self.depot_parks += parks;
     }
 
     /// Allocations served by reuse (method form, mirroring [`PoolStats`]).

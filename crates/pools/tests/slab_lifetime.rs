@@ -1,0 +1,96 @@
+//! A `PoolBox` that outlives its pool, and the thread that carved its
+//! slab, still frees that slab exactly once: the last slot destroyed gives
+//! the slab back. A logging global allocator records every block at least
+//! a slab's payload in size; the test finds the slab as the live logged
+//! block holding the survivor. It installs its own global allocator, so it is
+//! left out of builds that install the pool runtime as the global
+//! allocator.
+#![cfg(not(feature = "global-alloc"))]
+
+use pools::{PoolConfig, ShardedPool};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+type Payload = [u8; 1000];
+
+/// Slots per slab: twice the magazine capacity.
+const CAP: usize = 8;
+
+/// Room for every large-block event the test's process sees.
+const LOG: usize = 512;
+
+struct Logging;
+
+/// Allocations and frees of blocks at least a slab's payload in size, in
+/// order: `(address, size)`, with size 0 for a free.
+static EVENTS: [(AtomicUsize, AtomicUsize); LOG] =
+    [const { (AtomicUsize::new(0), AtomicUsize::new(0)) }; LOG];
+static NEXT: AtomicUsize = AtomicUsize::new(0);
+
+fn log(layout: Layout, addr: *mut u8, size: usize) {
+    if layout.size() >= 2 * CAP * std::mem::size_of::<Payload>() {
+        let (a, s) = &EVENTS[NEXT.fetch_add(1, Ordering::Relaxed) % LOG];
+        a.store(addr as usize, Ordering::Relaxed);
+        s.store(size, Ordering::Relaxed);
+    }
+}
+
+unsafe impl GlobalAlloc for Logging {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = unsafe { System.alloc(layout) };
+        log(layout, p, layout.size());
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        log(layout, ptr, 0);
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Logging = Logging;
+
+/// The events so far.
+fn events() -> Vec<(usize, usize)> {
+    let n = NEXT.load(Ordering::Relaxed);
+    assert!(n <= LOG, "the log kept every event");
+    EVENTS[..n]
+        .iter()
+        .map(|(a, s)| (a.load(Ordering::Relaxed), s.load(Ordering::Relaxed)))
+        .collect()
+}
+
+/// The last allocation holding `addr` (the live block there): its base
+/// and how many times it was freed since.
+fn holder(addr: usize) -> (usize, usize) {
+    let events = events();
+    let at = events
+        .iter()
+        .rposition(|&(b, s)| (b..b + s).contains(&addr))
+        .expect("a logged block holds the address");
+    let base = events[at].0;
+    (base, events[at + 1..].iter().filter(|&&e| e == (base, 0)).count())
+}
+
+#[test]
+fn a_handle_outliving_its_pool_frees_its_slab_exactly_once() {
+    let survivor = std::thread::spawn(|| {
+        let pool: ShardedPool<Payload> = ShardedPool::with_magazines(1, PoolConfig::default(), CAP);
+        let kept = pool.acquire(|| [1; 1000]);
+        let parked = pool.acquire(|| [2; 1000]);
+        pool.release(parked);
+        assert_eq!(pool.stats().slab_carves(), 1, "both came from one carved slab");
+        kept
+        // The pool drops here, and the thread's magazine (holding the
+        // slab's reserve and a parked slot) at thread exit.
+    })
+    .join()
+    .unwrap();
+    let addr = &*survivor as *const Payload as usize;
+    let (slab, frees) = holder(addr);
+    assert_eq!(frees, 0, "the survivor keeps its slab alive");
+    assert_eq!(survivor[0], 1);
+    drop(survivor);
+    assert_eq!(holder(addr), (slab, 1), "the last slot freed the slab, once");
+}
