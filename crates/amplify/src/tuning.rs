@@ -3,10 +3,10 @@
 //! `pool-tune-v1`) and lower the winning genome to [`PoolTuning`]
 //! parameters the generated C++ runtime header can express.
 //!
-//! The genome describes the Rust runtime's four-level cache (per-thread
-//! magazines over sharded depots over slab carving); the generated header
-//! implements one free list per class. The lowering keeps the two knobs
-//! with a direct analog:
+//! The genome describes the Rust runtime's three-tier cache (per-thread
+//! magazines over per-shard depot stacks over slab carving); the
+//! generated header implements one free list per class. The lowering
+//! keeps the two knobs with a direct analog:
 //!
 //! * `carve_batch` → `PoolParams<T>::kCarveBatch` — on a pool miss, build
 //!   a whole batch and park the surplus, amortizing the miss exactly like
@@ -15,8 +15,8 @@
 //!   cached capacity the tuned Rust layout would hold, applied as the
 //!   per-class parked-object cap.
 //!
-//! `depot_gate` has no counterpart in a single free list and is dropped,
-//! as is the `ship_batch` gene older reports still carry.
+//! Genes older reports still carry (`depot_gate`, `ship_batch`) parse and
+//! are dropped.
 
 use crate::config::PoolTuning;
 use serde::Value;

@@ -299,7 +299,7 @@ fn tuned_hit_pair(pairs: u64) -> f64 {
     typed_hit_pair(
         ShardedPool::with_magazines(
             4,
-            PoolConfig::default().with_tuning(1, 0, 4 * DEFAULT_MAGAZINE_CAP),
+            PoolConfig::default().with_tuning(4 * DEFAULT_MAGAZINE_CAP),
             2 * DEFAULT_MAGAZINE_CAP,
         ),
         pairs,
@@ -328,7 +328,7 @@ fn mem_api_pair(pairs: u64) -> f64 {
 
 /// The acquire-miss path: acquire-and-drop on a sharded+magazine pool
 /// that is never released into, so every acquire walks the cold path
-/// (magazine miss, depot miss, shard skip, slab slot).
+/// (magazine miss, depot miss, slab slot).
 fn miss_pair(pairs: u64) -> f64 {
     let pool: ShardedPool<[u8; 64]> =
         ShardedPool::with_magazines(4, PoolConfig::default(), DEFAULT_MAGAZINE_CAP);

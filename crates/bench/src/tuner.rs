@@ -3,7 +3,7 @@
 //! workload traces and scoring the resulting telemetry counters.
 //!
 //! The genome is the typed pool's knob vector — magazine capacity, shard
-//! count, depot gate and slab carve batch. Fitness is a pure counter blend —
+//! count and slab carve batch. Fitness is a pure counter blend —
 //! [`PoolSnapshot::tuning_fitness`] (fresh allocations, lock traffic,
 //! parked waste) plus the depot churn the snapshot can't see (magazine
 //! parks and swaps: the flush/refill rate, see [`replay_fitness`]) —
@@ -56,7 +56,6 @@ impl SplitMix64 {
 /// differential proptest covers).
 pub const MAGAZINE_CAP_RANGE: (u32, u32) = (1, 512);
 pub const SHARDS_RANGE: (u32, u32) = (1, 16);
-pub const DEPOT_GATE_RANGE: (u32, u32) = (1, 8);
 pub const CARVE_BATCH_RANGE: (u32, u32) = (2, 1024);
 
 /// One candidate pool configuration.
@@ -64,18 +63,16 @@ pub const CARVE_BATCH_RANGE: (u32, u32) = (2, 1024);
 pub struct Genome {
     pub magazine_cap: u32,
     pub shards: u32,
-    pub depot_gate: u32,
     pub carve_batch: u32,
 }
 
 impl Genome {
     /// The hand-tuned defaults the runtime ships with: the `amplify`
     /// backend's layout (4 shards, [`pools::DEFAULT_MAGAZINE_CAP`]
-    /// magazines), the historical depot gate and carve batch
-    /// (`2 × magazine_cap`).
+    /// magazines) and the historical carve batch (`2 × magazine_cap`).
     pub fn baseline() -> Genome {
         let cap = pools::DEFAULT_MAGAZINE_CAP as u32;
-        Genome { magazine_cap: cap, shards: 4, depot_gate: 1, carve_batch: cap * 2 }
+        Genome { magazine_cap: cap, shards: 4, carve_batch: cap * 2 }
     }
 
     /// Clamp every field into its legal range.
@@ -83,7 +80,6 @@ impl Genome {
         Genome {
             magazine_cap: self.magazine_cap.clamp(MAGAZINE_CAP_RANGE.0, MAGAZINE_CAP_RANGE.1),
             shards: self.shards.clamp(SHARDS_RANGE.0, SHARDS_RANGE.1),
-            depot_gate: self.depot_gate.clamp(DEPOT_GATE_RANGE.0, DEPOT_GATE_RANGE.1),
             carve_batch: self.carve_batch.clamp(CARVE_BATCH_RANGE.0, CARVE_BATCH_RANGE.1),
         }
     }
@@ -96,7 +92,6 @@ impl Genome {
         Genome {
             magazine_cap: draw(rng, MAGAZINE_CAP_RANGE),
             shards: draw(rng, SHARDS_RANGE),
-            depot_gate: draw(rng, DEPOT_GATE_RANGE),
             carve_batch: draw(rng, CARVE_BATCH_RANGE),
         }
     }
@@ -107,7 +102,6 @@ impl Genome {
         Genome {
             magazine_cap: pick(rng, a.magazine_cap, b.magazine_cap),
             shards: pick(rng, a.shards, b.shards),
-            depot_gate: pick(rng, a.depot_gate, b.depot_gate),
             carve_batch: pick(rng, a.carve_batch, b.carve_batch),
         }
     }
@@ -123,7 +117,6 @@ impl Genome {
         };
         step(&mut self.magazine_cap);
         step(&mut self.shards);
-        step(&mut self.depot_gate);
         step(&mut self.carve_batch);
         self.clamped()
     }
@@ -137,17 +130,12 @@ impl Genome {
         let d = |x: u32, y: u32| x.abs_diff(y) as u64;
         d(self.magazine_cap, b.magazine_cap)
             + d(self.shards, b.shards)
-            + d(self.depot_gate, b.depot_gate)
             + d(self.carve_batch, b.carve_batch)
     }
 
     /// The pool this genome describes, over trace [`Chunk`]s.
     pub fn build_pool(&self) -> pools::StructurePool<Chunk> {
-        let config = pools::PoolConfig::default().with_tuning(
-            self.depot_gate as usize,
-            0, // refill batch: derived from the magazine cap, as shipped
-            self.carve_batch as usize,
-        );
+        let config = pools::PoolConfig::default().with_tuning(self.carve_batch as usize);
         pools::StructurePool::new_sharded_with_magazines(
             self.shards as usize,
             config,
@@ -160,7 +148,6 @@ impl Genome {
         TunedGenome {
             magazine_cap: self.magazine_cap,
             shards: self.shards,
-            depot_gate: self.depot_gate,
             carve_batch: self.carve_batch,
         }
     }
@@ -408,7 +395,6 @@ mod tests {
             let g = Genome::random(&mut rng).mutated(&mut rng);
             assert!((MAGAZINE_CAP_RANGE.0..=MAGAZINE_CAP_RANGE.1).contains(&g.magazine_cap));
             assert!((SHARDS_RANGE.0..=SHARDS_RANGE.1).contains(&g.shards));
-            assert!((DEPOT_GATE_RANGE.0..=DEPOT_GATE_RANGE.1).contains(&g.depot_gate));
             assert!((CARVE_BATCH_RANGE.0..=CARVE_BATCH_RANGE.1).contains(&g.carve_batch));
         }
     }

@@ -13,15 +13,18 @@
 //!   `realloc` with a half-size reuse rule and size caps (§5.2, the BGw
 //!   extension) — [`shadow_buf::ShadowBuf`];
 //! * pools are **sharded** across threads ptmalloc-style to avoid lock
-//!   contention — [`sharded::ShardedPool`] — and fronted by lock-free
-//!   per-thread [`magazine`]s so steady-state acquire/release takes no
-//!   lock at all; cold magazines exchange wholesale with a Bonwick-style
-//!   [`depot`] of full magazines (one CAS per refill/flush), and fresh
+//!   contention — [`sharded::ShardedPool`], whose direct mode is the
+//!   paper's try-lock-and-spill over one locked free list per shard — and
+//!   fronted by lock-free per-thread [`magazine`]s so steady-state
+//!   acquire/release takes no lock at all; behind the magazines the only
+//!   shared tier is a Bonwick-style [`depot`] of whole parked lists, one
+//!   lock-free stack per shard (one CAS per swap or park), and fresh
 //!   objects are carved from contiguous slabs ([`pool_box::PoolBox`], one
 //!   pointer per handle);
-//! * in single-threaded programs all locks are elided
-//!   ([`object_pool::LocalPool`]), which is why the paper's Figure 4 shows a
-//!   1-thread Amplify advantage;
+//! * in single-threaded programs all locks are elided (§5.1), which is why
+//!   the paper's Figure 4 shows a 1-thread Amplify advantage: the
+//!   generated C++ runtime header drops its mutex in unthreaded builds,
+//!   and the magazine fast path here takes none either;
 //! * the same magazine/depot/slab machinery, re-keyed by **size class**
 //!   instead of type, serves untyped allocations as a malloc front-end —
 //!   [`global::GlobalPool`] — installable process-wide as
@@ -66,7 +69,7 @@ pub mod structure_pool;
 pub use global::GlobalPool;
 pub use limits::PoolConfig;
 pub use magazine::DEFAULT_MAGAZINE_CAP;
-pub use object_pool::{LocalPool, ObjectPool};
+pub use object_pool::ObjectPool;
 pub use pool_box::PoolBox;
 pub use registry::{PoolRegistry, Trimmable};
 pub use shadow_buf::ShadowBuf;

@@ -14,8 +14,11 @@
 /// Configuration shared by the pool types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
-    /// Maximum dead objects kept per pool (per shard for sharded pools).
-    /// `None` means unbounded, the paper's default for the synthetic tests.
+    /// Maximum dead objects kept per free list. A sharded pool keeps
+    /// `max_objects × shards` in its shared tier: the depot behind its
+    /// magazines (each thread's magazine caches up to its capacity on top),
+    /// or `max_objects` per shard free list in direct mode. `None` means
+    /// unbounded, the paper's default for the synthetic tests.
     pub max_objects: Option<usize>,
     /// Maximum byte size of a shadowed array block; larger blocks are freed
     /// on release rather than parked.
@@ -24,13 +27,6 @@ pub struct PoolConfig {
     /// (and `requested <= parked_capacity`). Disabling reuses any
     /// sufficiently large block.
     pub half_size_rule: bool,
-    /// Minimum shard free-list population before a cold acquire attempts a
-    /// batched shard refill instead of falling through to slab carving.
-    /// The historical behaviour (`shard_parked() > 0`) is gate 1.
-    pub depot_gate: usize,
-    /// Objects moved per batched shard refill. `None` derives the
-    /// historical `(magazine_cap / 2).max(1)`.
-    pub refill_batch: Option<usize>,
     /// Objects carved per fresh slab. `None` derives the historical
     /// `magazine_cap * 2`; either way the value is clamped to what a
     /// 64 KiB slab can hold.
@@ -43,8 +39,6 @@ impl Default for PoolConfig {
             max_objects: None,
             max_shadow_bytes: None,
             half_size_rule: true,
-            depot_gate: 1,
-            refill_batch: None,
             carve_batch: None,
         }
     }
@@ -66,27 +60,12 @@ impl PoolConfig {
         }
     }
 
-    /// Set the tuning knobs the offline tuner searches over. `refill_batch`
-    /// and `carve_batch` of 0 mean "derive from the magazine cap" (the
-    /// defaults); `depot_gate` is clamped to at least 1.
-    pub fn with_tuning(
-        mut self,
-        depot_gate: usize,
-        refill_batch: usize,
-        carve_batch: usize,
-    ) -> Self {
-        self.depot_gate = depot_gate.max(1);
-        self.refill_batch = if refill_batch == 0 { None } else { Some(refill_batch) };
+    /// Set the tuning knob the offline tuner searches over besides the
+    /// layout: a `carve_batch` of 0 means "derive from the magazine cap"
+    /// (the default).
+    pub fn with_tuning(mut self, carve_batch: usize) -> Self {
         self.carve_batch = if carve_batch == 0 { None } else { Some(carve_batch) };
         self
-    }
-
-    /// Objects moved per batched shard refill for a given magazine cap.
-    pub fn refill_target(&self, magazine_cap: usize) -> usize {
-        match self.refill_batch {
-            Some(n) => n.max(1),
-            None => (magazine_cap / 2).max(1),
-        }
     }
 
     /// True if a pool holding `len` dead objects may accept another.
@@ -173,30 +152,23 @@ mod tests {
         assert_eq!(c.max_objects, Some(64));
         assert_eq!(c.max_shadow_bytes, Some(4096));
         assert!(c.half_size_rule);
-        assert_eq!(c.depot_gate, 1);
-        assert_eq!(c.refill_batch, None);
         assert_eq!(c.carve_batch, None);
     }
 
     #[test]
     fn default_tuning_matches_historical_constants() {
-        let c = PoolConfig::default();
-        assert_eq!(c.depot_gate, 1);
-        // Historical refill target was (magazine_cap / 2).max(1).
-        assert_eq!(c.refill_target(32), 16);
-        assert_eq!(c.refill_target(1), 1);
-        assert_eq!(c.refill_target(0), 1);
+        // The historical carve batch is twice the magazine cap.
+        let d = crate::magazine::Depot::<u64>::new(4, PoolConfig::default(), 32);
+        assert_eq!(d.slab_objects, 64);
+        let d = crate::magazine::Depot::<u64>::new(4, PoolConfig::default().with_tuning(0), 32);
+        assert_eq!(d.slab_objects, 64, "0 derives the default");
     }
 
     #[test]
     fn with_tuning_clamps_and_maps_zero_to_default() {
-        let c = PoolConfig::default().with_tuning(0, 0, 0);
-        assert_eq!(c.depot_gate, 1);
-        assert_eq!(c.refill_batch, None);
+        let c = PoolConfig::default().with_tuning(0);
         assert_eq!(c.carve_batch, None);
-        let c = PoolConfig::default().with_tuning(4, 8, 128);
-        assert_eq!(c.depot_gate, 4);
-        assert_eq!(c.refill_target(32), 8);
+        let c = PoolConfig::default().with_tuning(128);
         assert_eq!(c.carve_batch, Some(128));
     }
 }

@@ -6,42 +6,46 @@
 //! objects per pool: an intrusive list threaded through the objects' slot
 //! headers ([`SlotList`]), so the whole magazine is `(head, len)`.
 //! Steady-state acquire/release is a pop or push on that list: no mutex, no
-//! hash lookup, no write into the object. When a magazine runs empty or
-//! full the thread first tries the *depot*: per-shard Treiber stacks of
-//! whole parked lists ([`crate::depot`]), exchanged in one CAS each way — a
-//! full magazine moves its two list words into a node shell and pushes it,
-//! an empty one pops a node and keeps the shell as its spare. Shard locks
-//! are only taken when the depot has nothing to offer (refill) or the pool
-//! is capped (flush must consult the population limit), and fresh
-//! allocation carves objects out of contiguous slabs
+//! hash lookup, no write into the object. Behind the magazines the *depot*
+//! is the only shared tier: per-shard Treiber stacks of whole parked lists
+//! ([`crate::depot`]), exchanged in one CAS each way — a full magazine
+//! moves its two list words into a node shell and pushes it, an empty one
+//! pops a node and keeps the shell as its spare. When the depot has nothing
+//! to offer, fresh objects are carved out of contiguous slabs
 //! ([`crate::pool_box::SlabReserve`]) so one heap call serves a whole
-//! magazine's worth of misses.
+//! magazine's worth of misses. A magazine-mode pool takes no lock on any
+//! path; the locked shard free lists belong to direct mode
+//! (`magazine_cap == 0`) alone.
 //!
 //! A thread finds its magazines in a slot table named by two const-init
 //! cells (pointer and length, the size-class engine's `CACHE` idiom). A
 //! length of 0 sends every operation to the cold path: before first use,
 //! while a cold path holds the table (re-entry panics), and after TLS
-//! teardown (DEAD, when operations go straight to the shards).
+//! teardown (DEAD: a release parks a one-object depot node, an acquire
+//! takes one object from a node and parks the rest again). A cold access
+//! also frees the table's magazines whose pool was dropped since it last
+//! looked, so a dead pool's cache does not wait for the thread to exit.
 //!
 //! Invariants the rest of the crate (and the stress tests) rely on:
 //!
 //! * every object is in exactly one place at any time — held by a caller,
-//!   cached in one magazine, parked in one depot node, or parked in one
-//!   shard free list;
+//!   cached in one magazine, or parked in one depot node;
 //! * [`Depot::magazine_parked`] equals the summed size of all live
-//!   magazines, [`Depot::depot_parked`] the objects inside parked depot
-//!   magazines, and [`Depot::shard_parked`] the shard free-list population
-//!   (exact in magazine mode, where shards gain/lose objects only through
-//!   the counted batch and DEAD paths) — so `ShardedPool::len()` is
-//!   accurate at quiescent points without reaching into other threads'
-//!   caches;
+//!   magazines and [`Depot::depot_parked`] the objects inside depot nodes,
+//!   so `ShardedPool::len()` is accurate at quiescent points without
+//!   reaching into other threads' caches;
+//! * caps are admitted at park time: a capped pool keeps its exact depot
+//!   population in one atomic, reserves room in it before each push, and
+//!   drops the older end of a list beyond that room (outside the table
+//!   hold: destructors are user code);
 //! * every count the magazine paths move — hits, releases, net bytes,
-//!   depot swaps and parks, and the depot population — is written by the
-//!   owning thread into its magazine's [`MagCells`] with plain stores, and
-//!   folded into the shared counters when the magazine retires: the hit
-//!   path and the depot exchange take no locked read-modify-write;
-//! * a thread's magazines flush back to the shards when the thread exits
-//!   (TLS destructor), so no object leaks and `trim` can still reclaim it;
+//!   depot swaps and parks, and the uncapped depot population — is written
+//!   by the owning thread into its magazine's [`MagCells`] with plain
+//!   stores, and folded into the shared counters when the magazine
+//!   retires: the hit path and an uncapped pool's depot exchange take no
+//!   locked read-modify-write besides the stack CAS;
+//! * a thread's magazines park on the depot when the thread exits (TLS
+//!   destructor), so no object leaks and `trim` can still reclaim it;
 //! * `trim` drains the *calling* thread's magazine, empties the depot, and
 //!   bumps [`Depot::trim_epoch`]; other threads observe the stale epoch on
 //!   their next operation and drop their cached objects lazily (a trim
@@ -58,6 +62,7 @@ use crate::obs::{pool_event, pool_hist};
 use crate::pool_box::{slot_size, PoolBox, SlabReserve, SlabSlot, SlotList};
 use crate::stats::{PoolStats, StatsSnapshot};
 use parking_lot::Mutex;
+use std::any::TypeId;
 use std::cell::Cell;
 use std::mem;
 use std::ptr::{self, NonNull};
@@ -74,15 +79,37 @@ const MAX_SLAB_BYTES: usize = 64 * 1024;
 /// Pool ids double as thread-local slot indices, so they are never reused.
 static NEXT_POOL_ID: AtomicUsize = AtomicUsize::new(0);
 
+/// Pools dropped so far, process-wide. A cold table access that sees a new
+/// value frees the thread's magazines whose pool is gone.
+static DROPPED_POOLS: AtomicUsize = AtomicUsize::new(0);
+
 /// [`Table::ptr`]'s tag bit while a cold path holds the table, and its
 /// post-teardown sentinel (never dereferenced).
 const HELD: usize = 1;
 const DEAD: *mut MagSlot = usize::MAX as *mut MagSlot;
 
+/// A table slot's view of its magazine, whatever the pool's type.
+trait Slot {
+    /// True once the magazine's pool has been dropped.
+    fn orphaned(&self) -> bool;
+    /// The magazine's concrete type (the debug check of the id rule).
+    fn magazine_type(&self) -> TypeId;
+}
+
+impl<T: 'static> Slot for Magazine<T> {
+    fn orphaned(&self) -> bool {
+        self.depot.strong_count() == 0
+    }
+
+    fn magazine_type(&self) -> TypeId {
+        TypeId::of::<Self>()
+    }
+}
+
 /// One thread's magazine for one pool, type-erased (`None` until first
 /// use). Pool ids are never reused and a slot is only filled by the pool
 /// owning its index, so the id fixes the type: the paths cast.
-type MagSlot = Option<NonNull<dyn std::any::Any>>;
+type MagSlot = Option<NonNull<dyn Slot>>;
 
 /// This thread's magazines, indexed by pool id: a leaked boxed slice of
 /// [`MagSlot`]s. Const-init and no destructor, so reading it is a plain
@@ -91,11 +118,14 @@ struct Table {
     ptr: Cell<*mut MagSlot>,
     /// 0 whenever the hit paths must miss: no table yet, held, or DEAD.
     len: Cell<usize>,
+    /// [`DROPPED_POOLS`] as of the last orphan sweep (cold paths only).
+    seen: Cell<usize>,
 }
 
 thread_local! {
-    static TABLE: Table =
-        const { Table { ptr: Cell::new(ptr::null_mut()), len: Cell::new(0) } };
+    static TABLE: Table = const {
+        Table { ptr: Cell::new(ptr::null_mut()), len: Cell::new(0), seen: Cell::new(0) }
+    };
     // Registered on the table's first use; its destructor frees the
     // magazines at thread exit and leaves the table DEAD.
     static TABLE_GUARD: TableGuard = const { TableGuard };
@@ -158,6 +188,9 @@ impl Hold {
                 t.ptr.set(DEAD);
                 return None;
             }
+            // Acquire: a pool whose drop is counted here reads as orphaned.
+            let dropped = DROPPED_POOLS.load(Ordering::Acquire);
+            let ptr = if dropped == t.seen.get() { ptr } else { free_orphans(t, dropped) };
             t.ptr.set((ptr as usize | HELD) as *mut MagSlot);
             Some(Hold { ptr, len: t.len.replace(0) })
         })
@@ -198,12 +231,36 @@ impl Drop for Hold {
     }
 }
 
-/// The shared half of a magazine-fronted pool: the shard array, the
-/// full-magazine depot stacks, and the counters magazines coordinate
-/// through.
+/// Free the table's magazines whose pool is gone (as of `dropped` pool
+/// drops), before a cold path takes the table. Their objects' destructors
+/// are user code, so they run with the table in place (a nested cold
+/// access works); returns the table pointer as they leave it.
+#[cold]
+#[inline(never)]
+fn free_orphans(t: &Table, dropped: usize) -> *mut MagSlot {
+    t.seen.set(dropped);
+    let (ptr, len) = (t.ptr.get(), t.len.get());
+    let mut orphans = Vec::new();
+    for id in 0..len {
+        // SAFETY: in bounds of the live table, which no other code touches
+        // during the walk; a filled slot holds a live leaked magazine.
+        let slot = unsafe { &mut *ptr.add(id) };
+        if slot.is_some_and(|m| unsafe { m.as_ref() }.orphaned()) {
+            orphans.extend(slot.take());
+        }
+    }
+    // SAFETY: taken out of their slots, so these boxes are ours alone.
+    orphans.into_iter().for_each(|m| drop(unsafe { Box::from_raw(m.as_ptr()) }));
+    t.ptr.get()
+}
+
+/// The shared half of a magazine-fronted pool: the depot stacks, direct
+/// mode's shard array, and the counters magazines coordinate through.
 #[derive(Debug)]
 pub(crate) struct Depot<T> {
     id: usize,
+    /// Direct mode's locked free lists, one per shard; empty in magazine
+    /// mode, whose only shared tier is the depot.
     pub(crate) shards: Box<[ObjectPool<T>]>,
     /// Objects a magazine may hold; 0 disables magazines (direct mode).
     pub(crate) magazine_cap: usize,
@@ -216,15 +273,19 @@ pub(crate) struct Depot<T> {
     /// creation and removed (under this lock) before the magazine is freed.
     /// Readers lock the list and sum.
     mag_counts: Mutex<Vec<usize>>,
-    /// Objects parked inside depot magazines, less what the live
-    /// magazines' `depot_net` cells hold: retired magazines fold their net
-    /// in, and `trim` takes the drained objects out.
+    /// Objects parked inside depot nodes, less what the live magazines'
+    /// `depot_net` cells hold: retired magazines fold their net in, the
+    /// paths without a magazine (retire, flush, DEAD) book here directly,
+    /// and `trim` takes the drained objects out.
     depot_parked: AtomicI64,
-    /// Shard free-list population, maintained by the counted batch paths
-    /// (exact in magazine mode; direct mode bypasses it and uses
-    /// [`ObjectPool::len`] instead).
-    shard_parked: AtomicUsize,
-    /// Full-magazine Treiber stacks, one per shard (locality: a magazine
+    /// Capped pools only: the most objects the depot may hold, the
+    /// population cap times the shard count.
+    bound: Option<usize>,
+    /// Capped pools only: the exact depot population. A park reserves its
+    /// room here before the push, and a pop releases it after; uncapped
+    /// pools never touch it.
+    capped_parked: AtomicUsize,
+    /// Treiber stacks of parked lists, one per shard (locality: a magazine
     /// parks on and swaps from its home shard's stack first).
     full: Box<[MagStack]>,
     /// Recycled empty node shells, ready for the next park.
@@ -233,20 +294,10 @@ pub(crate) struct Depot<T> {
     /// type-stable while the depot lives (the lock-free pop relies on it)
     /// and are freed here, in `Drop`, when the depot is the sole owner.
     nodes: Mutex<Vec<usize>>,
-    /// Whole-magazine depot exchange enabled: magazines on and the pool
-    /// uncapped. Capped pools keep the half-flush through the shard locks,
-    /// where the population limit is enforced.
-    depot_enabled: bool,
     /// Slots per carved slab (0 disables slab carving).
     pub(crate) slab_objects: usize,
-    /// Minimum shard free-list population before a cold acquire tries a
-    /// batched shard refill (historically 1, i.e. `shard_parked() > 0`).
-    pub(crate) depot_gate: usize,
-    /// Objects moved per batched shard refill (historically
-    /// `magazine_cap / 2`, at least 1).
-    pub(crate) refill_target: usize,
-    /// Fresh allocations, carves, shard refills and the folded counts of
-    /// retired magazines (shard-level stats only see batch lock traffic).
+    /// Fresh allocations, carves, cap drops, the DEAD path's counts and the
+    /// folded counts of retired magazines.
     pub(crate) stats: PoolStats,
     /// Park/unpark/reclaim books, reconciled at drop (zero-sized no-op in
     /// default release builds — see [`crate::guard`]).
@@ -267,25 +318,30 @@ impl<T> Depot<T> {
         } else {
             carve_want.min(per_slab_cap)
         };
+        let direct_shards = if magazine_cap == 0 { shards } else { 0 };
         Depot {
             id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
-            shards: (0..shards).map(|_| ObjectPool::with_config(config)).collect(),
+            shards: (0..direct_shards).map(|_| ObjectPool::with_config(config)).collect(),
             magazine_cap,
             next_shard: AtomicUsize::new(0),
             trim_epoch: AtomicU64::new(0),
             mag_counts: Mutex::new(Vec::new()),
             depot_parked: AtomicI64::new(0),
-            shard_parked: AtomicUsize::new(0),
+            bound: config.max_objects.map(|max| max.saturating_mul(shards)),
+            capped_parked: AtomicUsize::new(0),
             full: (0..shards).map(|_| MagStack::new()).collect(),
             free_nodes: MagStack::new(),
             nodes: Mutex::new(Vec::new()),
-            depot_enabled: magazine_cap > 0 && config.max_objects.is_none(),
             slab_objects,
-            depot_gate: config.depot_gate.max(1),
-            refill_target: config.refill_target(magazine_cap),
             stats: PoolStats::new(),
             guard: guard::Ledger::default(),
         }
+    }
+
+    /// Number of shards (depot stacks in magazine mode, free lists in
+    /// direct mode).
+    pub(crate) fn shard_count(&self) -> usize {
+        self.full.len()
     }
 
     /// The registered counter cells.
@@ -327,26 +383,17 @@ impl<T> Depot<T> {
         s
     }
 
-    /// Objects parked in full magazines on the depot stacks: the shared
-    /// count plus the live magazines' `depot_net` cells (exact at quiescent
-    /// points; a concurrent read can transiently undercount).
+    /// Objects parked in depot nodes. Exact at every instant in a capped
+    /// pool; otherwise the shared count plus the live magazines'
+    /// `depot_net` cells, exact at quiescent points (a concurrent read can
+    /// transiently miscount).
     pub(crate) fn depot_parked(&self) -> usize {
+        if self.bound.is_some() {
+            return self.capped_parked.load(Ordering::Relaxed);
+        }
         let addrs = self.mag_counts.lock();
         let live: i64 = Self::cells(&addrs).map(|c| c.depot_net.load(Ordering::Relaxed)).sum();
         (self.depot_parked.load(Ordering::Relaxed) + live).max(0) as usize
-    }
-
-    /// Shard free-list population as tracked by the batch paths.
-    pub(crate) fn shard_parked(&self) -> usize {
-        self.shard_parked.load(Ordering::Relaxed)
-    }
-
-    /// Book a direct-path park (+1) or take (−1, a wrapping add): magazine
-    /// mode keeps [`Depot::shard_parked`], and goes direct only when DEAD.
-    pub(crate) fn count_direct(&self, delta: isize) {
-        if self.magazine_cap > 0 {
-            self.shard_parked.fetch_add(delta as usize, Ordering::Relaxed);
-        }
     }
 
     /// Invalidate every thread's magazine for this pool. Remote threads
@@ -355,7 +402,7 @@ impl<T> Depot<T> {
         self.trim_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// An empty node shell to park a magazine in: recycled if possible,
+    /// An empty node shell to park a list in: recycled if possible,
     /// freshly allocated (and registered for eventual free) otherwise.
     fn alloc_node(&self) -> NonNull<DepotNode> {
         if let Some(node) = self.free_nodes.pop() {
@@ -366,14 +413,14 @@ impl<T> Depot<T> {
         node
     }
 
-    /// Pop a full magazine, probing each shard's stack once from `start`
+    /// Pop a parked list, probing each shard's stack once from `start`
     /// (in rotation, without a division on the swap path).
     fn pop_full(&self, start: usize) -> Option<NonNull<DepotNode>> {
         let (before, from) = self.full.split_at(start);
         from.iter().chain(before).find_map(MagStack::pop)
     }
 
-    /// True when no stack holds a full magazine (racy hint; a stale answer
+    /// True when no stack holds a parked list (racy hint; a stale answer
     /// only costs the caller the probe a miss would have done anyway).
     fn depot_empty_hint(&self) -> bool {
         self.full.iter().all(MagStack::is_empty_hint)
@@ -395,8 +442,66 @@ impl<T> Depot<T> {
         (list, node.epoch)
     }
 
-    /// Pop every parked magazine off every stack and drop the contents
-    /// (trim support). Returns how many objects were reclaimed.
+    /// Park `list`, stamped with trim epoch `epoch`, as one node on stack
+    /// `shard`: one CAS, in the `shell` if there is one (taken), else a
+    /// recycled or fresh shell. A capped pool first reserves room for the
+    /// list's top; returns how many objects parked and the older rest,
+    /// which the caller drops (and counts) outside any hold.
+    fn park(
+        &self,
+        shard: usize,
+        mut list: SlotList<T>,
+        epoch: u64,
+        shell: &mut Option<NonNull<DepotNode>>,
+    ) -> (usize, SlotList<T>) {
+        let over = match self.bound {
+            Some(bound) if !list.is_empty() => list.split_off(self.reserve_room(bound, list.len())),
+            _ => SlotList::new(),
+        };
+        let n = list.len();
+        if n > 0 {
+            let node = shell.take().unwrap_or_else(|| self.alloc_node());
+            let (head, len) = list.into_raw();
+            // SAFETY: spare and free-list shells are empty and ours.
+            unsafe {
+                let shell = &mut *node.as_ptr();
+                debug_assert!(shell.head.is_null(), "spare/free nodes are empty shells");
+                (shell.head, shell.len, shell.epoch) = (head, len, epoch);
+            }
+            self.full[shard].push(node);
+        }
+        (n, over)
+    }
+
+    /// Reserve room for up to `want` objects in a capped depot holding at
+    /// most `bound`; returns how many fit.
+    #[cold]
+    fn reserve_room(&self, bound: usize, want: usize) -> usize {
+        let fit = |parked: usize| want.min(bound.saturating_sub(parked));
+        let update = |parked| Some(parked + fit(parked));
+        match self.capped_parked.fetch_update(Ordering::Relaxed, Ordering::Relaxed, update) {
+            Ok(parked) | Err(parked) => fit(parked),
+        }
+    }
+
+    /// Give back a capped depot's room for `n` objects just popped.
+    #[inline]
+    fn release_room(&self, n: usize) {
+        if self.bound.is_some() {
+            self.capped_parked.fetch_sub(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Drop objects a capped park turned away, counting them.
+    fn drop_over(&self, over: SlotList<T>) {
+        if !over.is_empty() {
+            self.stats.record_dropped_many(over.len() as u64);
+        }
+        drop(over);
+    }
+
+    /// Pop every parked list off every stack and drop the contents (trim
+    /// support). Returns how many objects were reclaimed.
     pub(crate) fn drain_depot(&self) -> usize {
         let mut reclaimed = SlotList::new();
         for stack in self.full.iter() {
@@ -408,78 +513,79 @@ impl<T> Depot<T> {
             }
         }
         let n = reclaimed.len();
+        self.release_room(n);
         self.depot_parked.fetch_sub(n as i64, Ordering::Relaxed);
         self.guard.record_reclaim(n);
         drop(reclaimed); // user destructors run here, outside any stack op
         n
     }
 
-    /// Trim every shard's free list, keeping `shard_parked` in step.
-    pub(crate) fn trim_shards(&self) -> usize {
-        let mut total = 0;
-        for shard in self.shards.iter() {
-            let n = shard.trim();
-            self.shard_parked.fetch_sub(n, Ordering::Relaxed);
-            total += n;
+    /// A release from a thread past TLS teardown: the object parks as a
+    /// one-object node (a capped pool may refuse it), counted as a release
+    /// in the shared stats.
+    pub(crate) fn release_dead(&self, obj: PoolBox<T>, bytes: u64) {
+        // Booked before the release counts (see `PoolStats::add_live_bytes`).
+        self.stats.add_live_bytes(-(bytes as i64));
+        self.guard.record_park();
+        let mut list = SlotList::new();
+        list.push(obj);
+        let epoch = self.trim_epoch.load(Ordering::Relaxed);
+        let (parked, refused) = self.park(0, list, epoch, &mut None);
+        if parked == 0 {
+            self.stats.record_refused();
+            drop(refused);
+            return;
         }
-        self.guard.record_reclaim(total);
-        total
+        self.depot_parked.fetch_add(1, Ordering::Relaxed);
+        self.stats.record_release();
     }
 
-    /// Park `items` into shards starting at `start`, spilling to the next
-    /// shard on lock contention (ptmalloc's arena rule), blocking on the
-    /// home shard if every shard is contended.
-    pub(crate) fn park_batch(&self, start: usize, mut items: SlotList<T>) {
-        let n = self.shards.len();
-        for off in 0..n {
-            match self.shards[(start + off) % n].try_put_batch(items) {
-                Ok(parked) => {
-                    self.shard_parked.fetch_add(parked, Ordering::Relaxed);
-                    return;
-                }
-                Err(back) => items = back,
+    /// An acquire from a thread past TLS teardown: pop a node, take its top
+    /// object (a hit in the shared stats) and park the rest again. Stale
+    /// nodes drop on the way.
+    pub(crate) fn acquire_dead(&self) -> Option<PoolBox<T>> {
+        let epoch = self.trim_epoch.load(Ordering::Relaxed);
+        while let Some(node) = self.pop_full(0) {
+            // SAFETY: owned after a successful pop; the depot keeps it
+            // allocated, and its nodes park `T` lists.
+            let (mut list, parked_under) = unsafe { Self::take_list(node) };
+            if parked_under != epoch {
+                self.free_nodes.push(node);
+                self.release_room(list.len());
+                self.depot_parked.fetch_sub(list.len() as i64, Ordering::Relaxed);
+                self.guard.record_reclaim(list.len());
+                continue; // the stale list drops here
             }
-        }
-        let parked = self.shards[start].put_batch(items);
-        self.shard_parked.fetch_add(parked, Ordering::Relaxed);
-    }
-
-    /// Take up to `max` objects from the first shard that has any, probing
-    /// each shard once starting at `start` (empty and contended shards are
-    /// skipped), with the shard that supplied them. When every shard was
-    /// visited and nothing was found the batch is empty and the caller
-    /// allocates fresh; if *all* shards were contended the refill blocks on
-    /// the home shard instead (ptmalloc ultimately waits too).
-    pub(crate) fn refill_batch(&self, start: usize, max: usize) -> (SlotList<T>, usize) {
-        let n = self.shards.len();
-        let mut all_contended = true;
-        for off in 0..n {
-            let idx = (start + off) % n;
-            match self.shards[idx].try_take_batch(max) {
-                Ok(batch) if !batch.is_empty() => {
-                    self.shard_parked.fetch_sub(batch.len(), Ordering::Relaxed);
-                    return (batch, idx);
-                }
-                Ok(_) => all_contended = false, // unlocked but empty
-                Err(()) => {}
+            let obj = list.pop();
+            self.release_room(1);
+            self.depot_parked.fetch_sub(1, Ordering::Relaxed);
+            if list.is_empty() {
+                self.free_nodes.push(node);
+            } else {
+                // The rest keeps the room it holds: no second admission.
+                let (head, len) = list.into_raw();
+                // SAFETY: emptied above and still ours.
+                unsafe { ((*node.as_ptr()).head, (*node.as_ptr()).len) = (head, len) };
+                self.full[0].push(node);
             }
+            self.guard.record_unpark();
+            self.stats.record_hit();
+            return obj;
         }
-        if !all_contended {
-            return (SlotList::new(), start);
-        }
-        let batch = self.shards[start].take_batch(max);
-        self.shard_parked.fetch_sub(batch.len(), Ordering::Relaxed);
-        (batch, start)
+        None
     }
 }
 
 impl<T> Drop for Depot<T> {
     fn drop(&mut self) {
+        // Release: a cold table access that reads the new count finds this
+        // pool's magazines orphaned (their drop touches no depot state).
+        DROPPED_POOLS.fetch_add(1, Ordering::Release);
         // Exact live-object accounting (guarded builds only): when no
         // foreign magazine is still live, every parked object is visible
-        // from here — the shard free lists plus the lists inside parked
-        // depot nodes — and the guard ledger must balance against that
-        // population and the cap-drop counters.
+        // from here — direct mode's shard free lists plus the lists inside
+        // parked depot nodes — and the guard ledger must balance against
+        // that population and the cap-drop counters.
         #[cfg(any(debug_assertions, feature = "fault-inject"))]
         if self.mag_counts.get_mut().is_empty() {
             let mut physically_parked: usize = self.shards.iter().map(ObjectPool::len).sum();
@@ -553,7 +659,8 @@ pub(crate) struct Magazine<T> {
     epoch: u64,
     /// This magazine's counters, registered in [`Depot::mag_counts`].
     cells: MagCells,
-    /// Home shard for refills and flushes.
+    /// Home shard: the depot stack parks go to and swaps probe first, and
+    /// direct mode's first free list.
     shard: usize,
     depot: Weak<Depot<T>>,
     /// Empty node shell kept back from the last depot swap, so the steady
@@ -572,7 +679,7 @@ impl<T> Magazine<T> {
             cap: depot.magazine_cap,
             epoch: depot.trim_epoch.load(Ordering::Relaxed),
             cells: MagCells::default(),
-            shard: depot.next_shard.fetch_add(1, Ordering::Relaxed) % depot.shards.len(),
+            shard: depot.next_shard.fetch_add(1, Ordering::Relaxed) % depot.shard_count(),
             depot: Arc::downgrade(depot),
             spare: None,
             reserve: None,
@@ -584,16 +691,17 @@ impl<T> Magazine<T> {
 
 impl<T> Drop for Magazine<T> {
     fn drop(&mut self) {
-        // Thread exit (TLS teardown): hand cached objects back to the
-        // shards, reachable by `trim`, and the spare shell to the depot. If
-        // the pool is gone the objects simply drop with the list (and the
-        // depot freed every node, spare included — don't touch it).
+        // Thread exit (TLS teardown): park the cached objects on the depot
+        // as one node, in the spare shell, where a later thread's swap and
+        // `trim` can reach them. If the pool is gone the objects simply
+        // drop with the list (and the depot freed every node, spare
+        // included — don't touch it).
         if let Some(depot) = self.depot.upgrade() {
-            // Fold-on-drop must be panic-safe: parking the cached objects
-            // can run arbitrary user destructors (a capped shard drops the
-            // overflow), and if one of them panics the counts must still
+            // Fold-on-drop must be panic-safe: dropping what a trim made
+            // stale or what a cap turned away runs arbitrary user
+            // destructors, and if one of them panics the counts must still
             // reach the shared stats. The fold lives in this guard's own
-            // `Drop`, which runs even while `park_batch` unwinds.
+            // `Drop`, which runs even while those drops unwind.
             struct FoldOnDrop<'a, T> {
                 depot: &'a Depot<T>,
                 cells: &'a MagCells,
@@ -618,13 +726,18 @@ impl<T> Drop for Magazine<T> {
                     addrs.retain(|&a| a != c as *const MagCells as usize);
                 }
             }
-            let _fold = FoldOnDrop { depot: &depot, cells: &self.cells };
+            // A stale cache parks nothing (and a full one is not stale), so
+            // at most one of the two drops below runs user code.
+            let stale = invalidate_if_stale(self, &depot);
+            let (parked, over) =
+                depot.park(self.shard, mem::take(&mut self.list), self.epoch, &mut self.spare);
+            depot.depot_parked.fetch_add(parked as i64, Ordering::Relaxed);
             if let Some(node) = self.spare.take() {
                 depot.free_nodes.push(node);
             }
-            if !self.list.is_empty() {
-                depot.park_batch(self.shard, mem::take(&mut self.list));
-            }
+            let _fold = FoldOnDrop { depot: &depot, cells: &self.cells };
+            drop_stale(&depot, stale);
+            depot.drop_over(over);
         }
     }
 }
@@ -644,15 +757,18 @@ fn with_mag<T: 'static, R>(
     let mut hold = Hold::take()?;
     let slot = hold.slot(depot.id);
     if slot.is_none() && create {
-        let mag: Box<dyn std::any::Any> = Magazine::new(depot);
+        let mag: Box<dyn Slot> = Magazine::new(depot);
         *slot = NonNull::new(Box::into_raw(mag));
     }
     // SAFETY: the slot at this pool's id holds this pool's magazine, and
     // the hold makes this the only reference.
     let mag = unsafe { &mut *(*slot)?.as_ptr() };
-    debug_assert!(mag.is::<Magazine<T>>(), "pool ids are never reused, so the slot type matches");
+    debug_assert!(
+        mag.magazine_type() == TypeId::of::<Magazine<T>>(),
+        "pool ids are never reused, so the slot type matches"
+    );
     // SAFETY: checked above in debug builds; the id fixes the type.
-    let mag = unsafe { &mut *(mag as *mut dyn std::any::Any).cast::<Magazine<T>>() };
+    let mag = unsafe { &mut *(mag as *mut dyn Slot).cast::<Magazine<T>>() };
     let r = f(mag);
     mag.cells.parked.store(mag.list.len(), Ordering::Relaxed);
     Some(r)
@@ -707,23 +823,22 @@ pub(crate) fn pop<T: 'static>(depot: &Depot<T>, bytes: u64) -> Option<PoolBox<T>
 
 /// What the magazine side of an acquire miss found.
 pub(crate) enum Refill<T> {
-    /// The table is torn down: the caller goes straight to the shards.
+    /// The table is torn down: the caller takes from the depot directly.
     Dead,
-    /// A parked magazine was swapped in; its top object, hit and bytes
-    /// booked in the cells.
+    /// A parked list was swapped in; its top object, hit and bytes booked
+    /// in the cells.
     Hit(PoolBox<T>),
-    /// The depot had nothing valid; the magazine's home shard, where the
-    /// caller's shard refill starts.
-    Miss(usize),
+    /// The depot had nothing valid: the caller allocates fresh.
+    Miss,
 }
 
 /// The magazine side of an acquire miss, under one hold of the table:
 /// create the thread's magazine on first touch, surrender a cache a trim
-/// made stale, and swap the empty magazine for a full one parked on the
+/// made stale, and swap the empty magazine for a list parked on the
 /// depot — one CAS pop, two list words moved, no locks, no per-object
 /// moves. Nodes parked before the last trim are recognized by their stale
 /// epoch and their contents dropped (epoch invalidation extends to parked
-/// magazines).
+/// lists).
 pub(crate) fn refill<T: 'static>(depot: &Arc<Depot<T>>, bytes: u64) -> Refill<T> {
     let Some((got, stale)) = with_mag(depot, true, |mag| {
         let mut stale = invalidate_if_stale(mag, depot);
@@ -733,28 +848,25 @@ pub(crate) fn refill<T: 'static>(depot: &Arc<Depot<T>>, bytes: u64) -> Refill<T>
             None if depot.depot_empty_hint() => None,
             None => swap_in(mag, depot, &mut stale),
         };
-        match got {
-            Some(obj) => {
-                MagCells::bump(&mag.cells.hits);
-                MagCells::add(&mag.cells.bytes, bytes as i64);
-                (Ok(obj), stale)
-            }
-            None => (Err(mag.shard), stale),
+        if got.is_some() {
+            MagCells::bump(&mag.cells.hits);
+            MagCells::add(&mag.cells.bytes, bytes as i64);
         }
+        (got, stale)
     }) else {
         return Refill::Dead;
     };
     drop_stale(depot, stale);
     match got {
-        Ok(obj) => {
+        Some(obj) => {
             depot.guard.record_unpark();
             Refill::Hit(obj)
         }
-        Err(home) => Refill::Miss(home),
+        None => Refill::Miss,
     }
 }
 
-/// Pop parked magazines until one is valid, make it the magazine's list and
+/// Pop parked lists until one is valid, make it the magazine's list and
 /// return its top object. Stale ones join `stale`.
 fn swap_in<T>(
     mag: &mut Magazine<T>,
@@ -781,6 +893,7 @@ fn swap_in<T>(
         // Owned after a successful pop; the depot keeps it allocated.
         let (list, epoch) = unsafe { Depot::take_list(node) };
         let n = list.len();
+        depot.release_room(n);
         MagCells::add(&mag.cells.depot_net, -(n as i64));
         // Keep the shell as the spare the next park fills, unless one is
         // already kept.
@@ -828,10 +941,10 @@ pub(crate) fn push<T: 'static>(
     None
 }
 
-/// The release miss path in magazine mode: a full magazine in an uncapped
-/// pool parks *whole* on the depot (one CAS); in a capped pool its older
-/// half flushes through the shard locks, where the population cap is
-/// enforced. Hands the object back when the table is DEAD.
+/// The release miss path in magazine mode: a full magazine parks *whole*
+/// on the depot (one CAS; a capped pool admits what fits under its bound
+/// and drops the older rest after the hold), and the object starts the
+/// next one. Hands the object back when the table is DEAD.
 #[cold]
 #[inline(never)]
 pub(crate) fn push_cold<T: 'static>(
@@ -840,57 +953,38 @@ pub(crate) fn push_cold<T: 'static>(
     bytes: u64,
 ) -> Option<PoolBox<T>> {
     let mut obj = Some(obj);
-    let Some((stale, flush)) = with_mag(depot, true, |mag| {
+    let Some((stale, over)) = with_mag(depot, true, |mag| {
         pool_event!(Release);
         let stale = invalidate_if_stale(mag, depot);
-        let cap = mag.cap;
-        let mut flush = None;
-        if mag.list.len() < cap || fault::delay_flush() {
+        let mut over = SlotList::new();
+        if mag.list.len() < mag.cap || fault::delay_flush() {
             // Room after all (a stale cache emptied), or an injected flush
             // delay: the magazine runs past capacity, and a later release
-            // handles the larger overflow below (any length ≥ cap works).
-        } else if depot.depot_enabled {
+            // parks the larger list below (any length ≥ cap works).
+        } else {
             // Park the whole magazine: its two list words go into the spare
             // (or a recycled) node shell, and one CAS publishes the node on
             // the home shard's stack. The magazine starts over empty.
-            let (head, n) = mem::take(&mut mag.list).into_raw();
-            let node = mag.spare.take().unwrap_or_else(|| depot.alloc_node());
-            // SAFETY: spare and free-list shells are empty and ours.
-            unsafe {
-                let shell = &mut *node.as_ptr();
-                debug_assert!(shell.head.is_null(), "spare/free nodes are empty shells");
-                (shell.head, shell.len, shell.epoch) = (head, n, mag.epoch);
+            let list = mem::take(&mut mag.list);
+            let (n, rest) = depot.park(mag.shard, list, mag.epoch, &mut mag.spare);
+            over = rest;
+            if n > 0 {
+                MagCells::add(&mag.cells.depot_net, n as i64);
+                MagCells::bump(&mag.cells.parks);
+                pool_event!(DepotPark, n);
+                pool_hist!("pools.depot_park_objects", n);
             }
-            MagCells::add(&mag.cells.depot_net, n as i64);
-            MagCells::bump(&mag.cells.parks);
-            depot.full[mag.shard].push(node);
-            pool_event!(DepotPark, n);
-            pool_hist!("pools.depot_park_objects", n);
-        } else {
-            // Keep the newest (cache-warm) half; the older rest leaves for
-            // the home shard. `cap` is at least 1 here, so at least one
-            // slot frees up.
-            let keep = (cap - cap / 2).min(cap - 1);
-            flush = Some((mag.list.split_off(keep), mag.shard));
         }
         mag.list.push(obj.take().expect("taken once"));
         MagCells::add(&mag.cells.bytes, -(bytes as i64));
         MagCells::bump(&mag.cells.releases);
-        (stale, flush)
+        (stale, over)
     }) else {
-        return obj; // DEAD: untouched, for the caller's direct path
+        return obj; // DEAD: untouched, for the caller's depot path
     };
     depot.guard.record_park();
     drop_stale(depot, stale);
-    if let Some((older, shard)) = flush {
-        // Outside the hold: the cap may drop objects, running user code.
-        pool_event!(MagazineFlush, older.len());
-        pool_hist!(
-            "pools.magazine_occupancy",
-            (depot.magazine_cap + 1).saturating_sub(older.len())
-        );
-        depot.park_batch(shard, older);
-    }
+    depot.drop_over(over);
     None
 }
 
@@ -918,19 +1012,6 @@ pub(crate) fn stash_reserve<T: 'static>(depot: &Arc<Depot<T>>, reserve: SlabRese
     drop_stale(depot, stale.unwrap_or_default());
 }
 
-/// Store objects refilled from shard `shard` in the magazine, and make that
-/// shard the new home (the spill-updates-preference arena rule).
-pub(crate) fn stash<T: 'static>(depot: &Arc<Depot<T>>, shard: usize, items: SlotList<T>) {
-    let stale = with_mag(depot, true, |mag| {
-        let stale = invalidate_if_stale(mag, depot);
-        mag.shard = shard;
-        mag.list.append(items);
-        stale
-    });
-    // Only a refill reaches here, after `refill` found the table live.
-    drop_stale(depot, stale.expect("the table is live within a refill"));
-}
-
 /// The calling thread's home shard for this pool, assigned round-robin on
 /// first touch — no hashing, no per-operation map lookup. Shard 0 once
 /// the table is DEAD.
@@ -944,7 +1025,7 @@ pub(crate) fn set_home_shard<T: 'static>(depot: &Arc<Depot<T>>, shard: usize) {
 }
 
 /// Remove and return everything the calling thread has cached for this pool
-/// (trim/flush support), dropping its slab reserve too. Does not create a
+/// (trim support), dropping its slab reserve too. Does not create a
 /// magazine on threads that never touched the pool.
 pub(crate) fn drain_local<T: 'static>(depot: &Arc<Depot<T>>) -> SlotList<T> {
     with_mag(depot, false, |mag| {
@@ -952,6 +1033,24 @@ pub(crate) fn drain_local<T: 'static>(depot: &Arc<Depot<T>>) -> SlotList<T> {
         mem::take(&mut mag.list)
     })
     .unwrap_or_default()
+}
+
+/// Park the calling thread's cached objects on the depot as one node,
+/// under the magazine's epoch (a capped pool drops what does not fit).
+/// Returns how many objects left the magazine. Does not create a magazine.
+pub(crate) fn flush_local<T: 'static>(depot: &Arc<Depot<T>>) -> usize {
+    let Some((n, over)) = with_mag(depot, false, |mag| {
+        let list = mem::take(&mut mag.list);
+        let n = list.len();
+        let (parked, over) = depot.park(mag.shard, list, mag.epoch, &mut mag.spare);
+        MagCells::add(&mag.cells.depot_net, parked as i64);
+        (n, over)
+    }) else {
+        return 0;
+    };
+    pool_event!(MagazineFlush, n);
+    depot.drop_over(over);
+    n
 }
 
 #[cfg(test)]
@@ -982,20 +1081,17 @@ mod tests {
 
     /// A magazine-mode acquire from the magazine side alone: the hit path,
     /// then a refill (creating the magazine, dropping a stale cache,
-    /// swapping in a parked magazine). `Err(home)` on a miss.
-    fn acquire<T: 'static>(d: &Arc<Depot<T>>) -> Result<PoolBox<T>, usize> {
-        match pop(d, 0) {
-            Some(obj) => Ok(obj),
-            None => match refill(d, 0) {
-                Refill::Hit(obj) => Ok(obj),
-                Refill::Miss(home) => Err(home),
-                Refill::Dead => panic!("the table is live"),
-            },
-        }
+    /// swapping in a parked list). `None` on a miss.
+    fn acquire<T: 'static>(d: &Arc<Depot<T>>) -> Option<PoolBox<T>> {
+        pop(d, 0).or_else(|| match refill(d, 0) {
+            Refill::Hit(obj) => Some(obj),
+            Refill::Miss => None,
+            Refill::Dead => panic!("the table is live"),
+        })
     }
 
     fn take(d: &Arc<Depot<u32>>) -> Option<u32> {
-        acquire(d).ok().map(|b| *b)
+        acquire(d).map(|b| *b)
     }
 
     /// The calling thread's magazine, read under a hold.
@@ -1061,22 +1157,27 @@ mod tests {
     }
 
     #[test]
-    fn capped_pool_flushes_the_older_half_to_a_shard() {
-        let d = capped_depot(1, 4, 64);
+    fn capped_pool_parks_what_fits_and_drops_the_older_rest() {
+        // One shard capped at 6: the depot holds at most 6 objects.
+        let d = capped_depot(1, 4, 6);
         for i in 0..4 {
             put(&d, PoolBox::new(i));
         }
         assert!(!put(&d, PoolBox::new(99)), "a full magazine misses the hit path");
-        // Keep = 2 newest + the incoming object; the 2 oldest flushed.
-        assert_eq!(d.magazine_parked(), 3);
-        assert_eq!(d.depot_parked(), 0, "capped pools bypass the depot");
-        let (mut flushed, shard) = d.refill_batch(0, 64);
-        assert_eq!(shard, 0);
-        let order: Vec<u32> = std::iter::from_fn(|| flushed.pop().map(|b| *b)).collect();
-        assert_eq!(order, vec![1, 0], "the older half, its order kept");
-        put(&d, PoolBox::new(100)); // magazine back at cap
-        assert!(!put(&d, PoolBox::new(101)));
-        assert_eq!(d.shard_parked(), 2, "the second overflow flushed two more");
+        assert_eq!(d.depot_parked(), 4, "the whole magazine fits");
+        assert_eq!(d.magazine_parked(), 1, "the incoming object starts the next one");
+        for i in 100..103 {
+            put(&d, PoolBox::new(i)); // magazine back at cap: [102, 101, 100, 99]
+        }
+        assert!(!put(&d, PoolBox::new(103)));
+        // Room for two: the newest two park, the older two drop.
+        assert_eq!(d.depot_parked(), 6, "the bound is exact");
+        let s = d.snapshot();
+        assert_eq!((s.dropped(), s.depot_parks()), (2, 2));
+        assert_eq!(s.lock_acquisitions(), 0, "no tier takes a lock");
+        let order: Vec<u32> = std::iter::from_fn(|| take(&d)).collect();
+        assert_eq!(order, vec![103, 102, 101, 3, 2, 1, 0], "newest first, each order kept");
+        assert_eq!(d.depot_parked(), 0, "swaps give the room back");
     }
 
     #[test]
@@ -1130,7 +1231,7 @@ mod tests {
     }
 
     #[test]
-    fn thread_exit_flushes_to_shards() {
+    fn thread_exit_parks_the_magazine_on_the_depot() {
         let d = depot(2, 8);
         let d2 = Arc::clone(&d);
         std::thread::spawn(move || {
@@ -1140,10 +1241,14 @@ mod tests {
         })
         .join()
         .unwrap();
-        assert_eq!(d.magazine_parked(), 0, "exited thread's cache must flush");
-        let shard_total: usize = d.shards.iter().map(ObjectPool::len).sum();
-        assert_eq!(shard_total, 5, "flushed objects land in the shards");
-        assert_eq!(d.shard_parked(), 5, "the batch path counts the flush");
+        assert_eq!(d.magazine_parked(), 0, "exited thread's cache must park");
+        assert_eq!(d.depot_parked(), 5, "parked objects are counted in the depot");
+        let order: Vec<u32> = std::iter::from_fn(|| take(&d)).collect();
+        assert_eq!(order, vec![4, 3, 2, 1, 0], "a later thread gets them all back");
+        let s = d.snapshot();
+        assert_eq!((s.depot_swaps(), s.pool_hits()), (1, 5), "through one swap");
+        assert_eq!(s.lock_acquisitions(), 0, "no tier takes a lock");
+        assert_eq!(d.depot_parked(), 0);
     }
 
     #[test]
@@ -1167,8 +1272,8 @@ mod tests {
             }
         }
 
-        // Zero-capacity pool: parking rejects everything, and dropping the
-        // rejected Bomb panics in the middle of `park_batch`.
+        // Zero-capacity pool: the depot admits nothing, and dropping the
+        // turned-away Bomb panics while the magazine retires.
         let config = PoolConfig { max_objects: Some(0), ..Default::default() };
         let d: Arc<Depot<Bomb>> = Arc::new(Depot::new(1, config, 4));
         let mut mag = Magazine::new(&d);
@@ -1181,7 +1286,7 @@ mod tests {
         mag.cells.depot_net.store(-4, Ordering::Relaxed);
         assert_eq!(d.mag_counts.lock().len(), 1, "the cell is registered by address");
         assert!(catch_unwind(AssertUnwindSafe(|| drop(mag))).is_err());
-        // The panic unwound out of `park_batch`, but the counts must have
+        // The panic unwound out of the retirement, but the counts must have
         // folded into the shared stats anyway, and the magazine's counter
         // cell must be retired.
         assert_eq!(d.stats.pool_hits(), 5);
@@ -1189,6 +1294,7 @@ mod tests {
         assert_eq!((d.stats.depot_swaps(), d.stats.depot_parks()), (2, 3));
         assert_eq!(d.depot_parked.load(Ordering::Relaxed), -4);
         assert!(d.mag_counts.lock().is_empty(), "cell must retire despite the panic");
+        assert_eq!(d.stats.dropped(), 1, "the turned-away object is counted");
         d.depot_parked.store(0, Ordering::Relaxed);
     }
 
@@ -1249,7 +1355,7 @@ mod tests {
             let config = PoolConfig { max_objects: max, ..Default::default() };
             let d: Arc<Depot<Counted>> = Arc::new(Depot::new(2, config, cap));
             let mut held: Vec<PoolBox<Counted>> = Vec::new();
-            let (mut refills, mut delays) = (0, 0);
+            let mut delays = 0;
             let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ cap as u64;
             for step in 0..8_000u32 {
                 rng ^= rng << 13;
@@ -1267,22 +1373,8 @@ mod tests {
                     0 => {
                         put(&d, held.pop().unwrap_or_else(Counted::boxed));
                     }
-                    // Acquires: hit pops, depot swaps, shard refills with a
-                    // stash, and fresh objects.
-                    1 => {
-                        let obj = acquire(&d).ok().or_else(|| {
-                            let home = home_shard(&d);
-                            let (mut batch, used) = d.refill_batch(home, cap.div_ceil(2));
-                            let obj = batch.pop();
-                            if obj.is_some() {
-                                d.guard.record_unpark();
-                                refills += 1;
-                            }
-                            stash(&d, used, batch);
-                            obj
-                        });
-                        held.push(obj.unwrap_or_else(Counted::boxed));
-                    }
+                    // Acquires: hit pops, depot swaps, and fresh objects.
+                    1 => held.push(acquire(&d).unwrap_or_else(Counted::boxed)),
                     // What an injected flush delay does: a full magazine
                     // takes one object past capacity.
                     27 => {
@@ -1301,16 +1393,16 @@ mod tests {
                         drop(local);
                         d.drain_depot();
                         d.bump_trim_epoch();
-                        d.trim_shards();
                     }
                     // A trim from elsewhere: only the epoch moves.
                     29 => d.bump_trim_epoch(),
-                    // The magazine's contents to the shards, for refills.
-                    30 => d.park_batch(home_shard(&d), drain_local(&d)),
+                    // The magazine's contents to the depot, for swaps.
+                    30 => {
+                        flush_local(&d);
+                    }
                     _ => drop(held.pop()),
                 }
-                let in_shards: usize = d.shards.iter().map(ObjectPool::len).sum();
-                let parked = d.magazine_parked() + d.depot_parked() + in_shards;
+                let parked = d.magazine_parked() + d.depot_parked();
                 assert_eq!(
                     LIVE.load(Ordering::Relaxed),
                     held.len() + parked,
@@ -1318,13 +1410,12 @@ mod tests {
                 );
                 assert_eq!(peek(&d, |m| m.list.len()).unwrap_or(0), d.magazine_parked());
             }
-            // Every cold path ran: depot parks and swaps (uncapped) or
-            // flushes (capped), shard refills with a stash, and delays.
-            if max.is_none() {
-                let s = d.snapshot();
-                assert!(s.depot_parks() > 0 && s.depot_swaps() > 0, "cap {cap}");
-            }
-            assert!(refills > 0 && delays > 0, "cap {cap}, max {max:?}: {refills} {delays}");
+            // Every cold path ran: depot parks and swaps (capped pools
+            // within their bound), and delays.
+            let s = d.snapshot();
+            assert!(s.depot_parks() > 0 && s.depot_swaps() > 0, "cap {cap}, max {max:?}");
+            assert!(delays > 0, "cap {cap}, max {max:?}");
+            assert_eq!(s.lock_acquisitions(), 0, "no tier takes a lock");
             held.into_iter().for_each(|obj| {
                 put(&d, obj);
             });

@@ -5,11 +5,9 @@
 
 use crate::fault;
 use crate::limits::PoolConfig;
-use crate::obs::pool_hist;
 use crate::pool_box::{PoolBox, SlotList};
 use crate::stats::PoolStats;
 use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// A thread-safe object pool for values of type `T`.
@@ -134,134 +132,41 @@ impl<T> ObjectPool<T> {
     /// Return an object to the free list. If the pool is at its population
     /// cap the object is dropped (freed) instead.
     pub fn release(&self, obj: impl Into<PoolBox<T>>) {
-        self.release_parked(obj.into());
-    }
-
-    /// [`ObjectPool::release`], reporting whether the object was parked
-    /// (`false`: the cap dropped it).
-    pub(crate) fn release_parked(&self, obj: PoolBox<T>) -> bool {
+        let obj = obj.into();
         let mut free = self.free.lock();
         self.stats.record_lock();
         if self.config.accepts_object(free.len()) {
             free.push(obj);
             self.stats.record_release();
-            true
         } else {
             drop(free);
             self.stats.record_refused();
             // obj drops here, returning memory to the system allocator —
             // the paper's "returning memory from the pools ... when the
             // pools exceed a certain limit".
-            false
         }
     }
 
     /// Try to return an object without blocking. On lock failure the object
     /// is handed back to the caller.
     pub fn try_release(&self, obj: PoolBox<T>) -> Result<(), PoolBox<T>> {
-        self.try_release_parked(obj).map(|_| ())
-    }
-
-    /// [`ObjectPool::try_release`], reporting whether the object was parked.
-    pub(crate) fn try_release_parked(&self, obj: PoolBox<T>) -> Result<bool, PoolBox<T>> {
         match self.free.try_lock() {
             Some(mut free) => {
                 self.stats.record_lock();
-                let parked = self.config.accepts_object(free.len());
-                if parked {
+                if self.config.accepts_object(free.len()) {
                     free.push(obj);
                     self.stats.record_release();
                 } else {
+                    drop(free);
                     self.stats.record_refused();
                 }
-                Ok(parked)
+                Ok(())
             }
             None => {
                 self.stats.record_failed_lock();
                 Err(obj)
             }
         }
-    }
-
-    /// Take up to `max` parked objects under one lock, from the top of the
-    /// free list (the most recently released, cache-warm end). Batch
-    /// transfers count one lock acquisition and no per-object hits — the
-    /// magazine layer does its own hit accounting.
-    pub(crate) fn take_batch(&self, max: usize) -> SlotList<T> {
-        let mut free = self.free.lock();
-        self.stats.record_lock();
-        Self::split_top(&mut free, max)
-    }
-
-    /// Non-blocking [`ObjectPool::take_batch`]. `Err(())` means the shard
-    /// lock is held (recorded as a failed lock attempt).
-    #[allow(clippy::result_unit_err)]
-    pub(crate) fn try_take_batch(&self, max: usize) -> Result<SlotList<T>, ()> {
-        match self.free.try_lock() {
-            Some(mut free) => {
-                self.stats.record_lock();
-                Ok(Self::split_top(&mut free, max))
-            }
-            None => {
-                self.stats.record_failed_lock();
-                Err(())
-            }
-        }
-    }
-
-    /// The top `max` objects of `free`.
-    fn split_top(free: &mut SlotList<T>, max: usize) -> SlotList<T> {
-        let rest = free.split_off(max);
-        let batch = std::mem::replace(free, rest);
-        pool_hist!("pools.free_list_len", free.len());
-        batch
-    }
-
-    /// Park a whole batch under one lock. Objects over the population cap
-    /// are dropped (outside the lock — their destructors may be arbitrary
-    /// user code). Returns how many were parked.
-    pub(crate) fn put_batch(&self, items: SlotList<T>) -> usize {
-        let free = self.free.lock();
-        self.stats.record_lock();
-        self.admit(free, items)
-    }
-
-    /// Non-blocking [`ObjectPool::put_batch`]. On contention the items come
-    /// back and the caller can spill to another shard.
-    pub(crate) fn try_put_batch(&self, items: SlotList<T>) -> Result<usize, SlotList<T>> {
-        match self.free.try_lock() {
-            Some(free) => {
-                self.stats.record_lock();
-                Ok(self.admit(free, items))
-            }
-            None => {
-                self.stats.record_failed_lock();
-                Err(items)
-            }
-        }
-    }
-
-    /// Put the top of `items` on the free list as far as the cap admits;
-    /// the rest drops after the lock is released.
-    fn admit(
-        &self,
-        mut free: parking_lot::MutexGuard<'_, SlotList<T>>,
-        mut items: SlotList<T>,
-    ) -> usize {
-        let room = match self.config.max_objects {
-            Some(max) => max.saturating_sub(free.len()),
-            None => usize::MAX,
-        };
-        let rejected = items.split_off(room);
-        let parked = items.len();
-        free.append(items);
-        pool_hist!("pools.free_list_len", free.len());
-        drop(free);
-        if !rejected.is_empty() {
-            self.stats.record_dropped_many(rejected.len() as u64);
-        }
-        drop(rejected);
-        parked
     }
 
     /// Number of dead objects currently parked.
@@ -291,84 +196,6 @@ impl<T> ObjectPool<T> {
     /// The pool's configuration.
     pub fn config(&self) -> &PoolConfig {
         &self.config
-    }
-}
-
-/// A single-threaded pool with no locking at all.
-///
-/// The pre-processor "automatically removes all unnecessary locks" when the
-/// program is not threaded (§5.1) — this type is that code path, and the
-/// reason Amplify beats every allocator even at one thread in Figures 4–6.
-#[derive(Debug)]
-pub struct LocalPool<T> {
-    free: RefCell<Vec<Box<T>>>,
-    config: PoolConfig,
-    hits: std::cell::Cell<u64>,
-    fresh: std::cell::Cell<u64>,
-}
-
-impl<T> Default for LocalPool<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> LocalPool<T> {
-    /// An empty, unbounded, lock-free (single-thread) pool.
-    pub fn new() -> Self {
-        Self::with_config(PoolConfig::default())
-    }
-
-    /// An empty pool with explicit limits.
-    pub fn with_config(config: PoolConfig) -> Self {
-        LocalPool {
-            free: RefCell::new(Vec::new()),
-            config,
-            hits: std::cell::Cell::new(0),
-            fresh: std::cell::Cell::new(0),
-        }
-    }
-
-    /// Take an object from the pool, or build one with `fresh`.
-    pub fn acquire(&self, fresh: impl FnOnce() -> T) -> Box<T> {
-        match self.free.borrow_mut().pop() {
-            Some(b) => {
-                self.hits.set(self.hits.get() + 1);
-                b
-            }
-            None => {
-                self.fresh.set(self.fresh.get() + 1);
-                Box::new(fresh())
-            }
-        }
-    }
-
-    /// Return an object to the free list (or drop it at the cap).
-    pub fn release(&self, obj: Box<T>) {
-        let mut free = self.free.borrow_mut();
-        if self.config.accepts_object(free.len()) {
-            free.push(obj);
-        }
-    }
-
-    /// Number of parked objects.
-    pub fn len(&self) -> usize {
-        self.free.borrow().len()
-    }
-
-    /// True if no objects are parked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Allocations served by reuse.
-    pub fn pool_hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Allocations that built a fresh object.
-    pub fn fresh_allocs(&self) -> u64 {
-        self.fresh.get()
     }
 }
 
@@ -468,25 +295,5 @@ mod tests {
         assert_eq!(pool.stats().total_allocs(), 2000);
         // Everything released: pool holds every distinct box created.
         assert_eq!(pool.len() as u64, pool.stats().fresh_allocs());
-    }
-
-    #[test]
-    fn local_pool_reuses_without_locks() {
-        let pool: LocalPool<String> = LocalPool::new();
-        let s = pool.acquire(|| "hello".to_string());
-        pool.release(s);
-        let s2 = pool.acquire(String::new);
-        assert_eq!(&*s2, "hello");
-        assert_eq!(pool.pool_hits(), 1);
-        assert_eq!(pool.fresh_allocs(), 1);
-    }
-
-    #[test]
-    fn local_pool_respects_cap() {
-        let pool: LocalPool<u8> =
-            LocalPool::with_config(PoolConfig { max_objects: Some(1), ..Default::default() });
-        pool.release(Box::new(1));
-        pool.release(Box::new(2));
-        assert_eq!(pool.len(), 1);
     }
 }

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! * `link` is the free-list link while the slot is parked. Every free
-//!   list in the typed pools — a thread magazine, a parked depot
-//!   magazine, a shard free list — is an intrusive [`SlotList`] threaded
+//!   list in the typed pools — a thread magazine, a parked depot list,
+//!   direct mode's shard free list — is an intrusive [`SlotList`] threaded
 //!   through it, so parking a structure never writes into the structure
 //!   and its internal links survive reuse (the paper's §1 free list).
 //! * `slab` is the owning slab, or null for a standalone slot

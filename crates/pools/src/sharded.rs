@@ -6,15 +6,18 @@
 //! Each thread gets a home shard assigned round-robin on first touch (a
 //! one-time cached handle — no per-operation thread-id hashing or map
 //! probe) and a small magazine of parked objects. Steady-state
-//! acquire/release never locks: it pops/pushes the magazine. A shard lock
-//! is taken only to refill an empty magazine or flush a full one, in
-//! batches of about half the magazine, and contention on that lock still
-//! *spins* the thread to the next shard exactly like ptmalloc's
-//! arena-selection rule.
+//! acquire/release never locks: it pops/pushes the magazine. Behind the
+//! magazines, each shard is a lock-free depot stack of whole parked lists:
+//! a full magazine parks on its home shard's stack in one CAS, an empty one
+//! swaps a list back in with one CAS (probing the other shards' stacks
+//! after its own), and a miss there carves a fresh slab. No path takes a
+//! lock.
 //!
 //! Constructing the pool with a magazine capacity of 0 (see
 //! [`ShardedPool::with_magazines`]) disables the cache and yields the bare
-//! try-lock-and-spill sharding — the baseline the native matrix's
+//! §3.2 layout: one locked free list per shard, try-lock-and-spill —
+//! contention *spins* the thread to the next shard exactly like ptmalloc's
+//! arena-selection rule. That is the baseline the native matrix's
 //! `amplify-sharded` row compares the fast path against.
 
 use crate::fault;
@@ -26,35 +29,37 @@ use crate::pool_box::{PoolBox, SlabReserve};
 use crate::stats::StatsSnapshot;
 use std::sync::Arc;
 
-/// A pool split into `n` independently locked shards behind thread-local
-/// magazines.
+/// A pool split into `n` shards behind thread-local magazines: lock-free
+/// depot stacks, or locked free lists in direct mode.
 #[derive(Debug)]
 pub struct ShardedPool<T> {
     depot: Arc<Depot<T>>,
 }
 
 impl<T> ShardedPool<T> {
-    /// Create a pool with `shards` independent free lists (must be ≥ 1) and
-    /// the default magazine capacity.
+    /// Create a pool with `shards` shards (must be ≥ 1) and the default
+    /// magazine capacity.
     pub fn new(shards: usize) -> Self {
         Self::with_config(shards, PoolConfig::default())
     }
 
-    /// Create a sharded pool with per-shard limits.
+    /// Create a sharded pool with a population cap (see
+    /// [`PoolConfig::max_objects`]).
     pub fn with_config(shards: usize, config: PoolConfig) -> Self {
         Self::with_magazines(shards, config, DEFAULT_MAGAZINE_CAP)
     }
 
     /// Create a sharded pool with an explicit per-thread magazine capacity.
     /// `magazine_cap == 0` disables magazines: every operation goes straight
-    /// to the shards (the pre-magazine behaviour, kept for comparison).
+    /// to locked shard free lists (the pre-magazine behaviour, kept for
+    /// comparison).
     pub fn with_magazines(shards: usize, config: PoolConfig, magazine_cap: usize) -> Self {
         ShardedPool { depot: Arc::new(Depot::new(shards, config, magazine_cap)) }
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.depot.shards.len()
+        self.depot.shard_count()
     }
 
     /// Objects a thread's magazine may cache (0 = magazines disabled).
@@ -62,8 +67,8 @@ impl<T> ShardedPool<T> {
         self.depot.magazine_cap
     }
 
-    /// Total parked objects: shard free lists, the depot's parked
-    /// magazines, and all thread magazines.
+    /// Total parked objects: the depot's parked lists, all thread
+    /// magazines, and direct mode's shard free lists.
     pub fn len(&self) -> usize {
         self.depot.shards.iter().map(ObjectPool::len).sum::<usize>()
             + self.depot.depot_parked()
@@ -75,13 +80,13 @@ impl<T> ShardedPool<T> {
         self.depot.magazine_parked()
     }
 
-    /// Objects parked in full magazines on the depot (conservation
-    /// diagnostics).
+    /// Objects parked in lists on the depot (conservation diagnostics;
+    /// exact at every instant in a capped pool).
     pub fn depot_parked(&self) -> usize {
         self.depot.depot_parked()
     }
 
-    /// True if no shard or magazine holds a parked object.
+    /// True if no tier holds a parked object.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -92,8 +97,8 @@ impl<T> ShardedPool<T> {
         self.depot.snapshot()
     }
 
-    /// Per-shard parked-object counts (for balance diagnostics; magazine
-    /// contents are not attributed to a shard).
+    /// Direct mode's per-shard free-list lengths (for balance
+    /// diagnostics); empty in magazine mode, which has no shard free lists.
     pub fn shard_lengths(&self) -> Vec<usize> {
         self.depot.shards.iter().map(ObjectPool::len).collect()
     }
@@ -101,7 +106,8 @@ impl<T> ShardedPool<T> {
     /// Where this pool's parked memory sits right now, tier by tier —
     /// the typed-pool analogue of the global front-end's parked gauges,
     /// so a heap profile can attribute "allocated but idle" bytes to
-    /// thread magazines vs depot stacks vs shard free lists.
+    /// thread magazines vs depot stacks (vs direct mode's shard free
+    /// lists).
     pub fn parked_breakdown(&self) -> ParkedBreakdown {
         ParkedBreakdown {
             object_bytes: std::mem::size_of::<T>(),
@@ -121,9 +127,9 @@ pub struct ParkedBreakdown {
     pub object_bytes: usize,
     /// Objects cached in live thread magazines.
     pub magazine_objects: usize,
-    /// Objects inside full magazines parked on the depot stacks.
+    /// Objects inside lists parked on the depot stacks.
     pub depot_objects: usize,
-    /// Objects on shard free lists.
+    /// Objects on direct mode's shard free lists.
     pub shard_objects: usize,
 }
 
@@ -141,9 +147,9 @@ impl ParkedBreakdown {
 }
 
 impl<T: 'static> ShardedPool<T> {
-    /// Acquire an object: magazine pop on the fast path, a one-CAS full
-    /// magazine swap from the depot on a miss, batch refill from the
-    /// shards after that, and slab-carved fresh allocation last.
+    /// Acquire an object: magazine pop on the fast path, a one-CAS swap of
+    /// a parked list from the depot on a miss, and slab-carved fresh
+    /// allocation last.
     pub fn acquire(&self, fresh: impl FnOnce() -> T) -> PoolBox<T> {
         self.acquire_with(fresh, |_| {})
     }
@@ -184,10 +190,11 @@ impl<T: 'static> ShardedPool<T> {
         self.acquire_cold(fresh, reinit, bytes)
     }
 
-    /// Every acquire miss, outlined: a depot swap, or the shards and fresh
-    /// allocation after it; direct mode and threads past TLS teardown go
-    /// straight to the shards. A swap books its bytes in the magazine's
-    /// cells, the other paths after their hit or fresh count.
+    /// Every acquire miss, outlined: a depot swap, or fresh allocation
+    /// after it; direct mode goes to the shards, and a thread past TLS
+    /// teardown takes one object from the depot. A swap books its bytes in
+    /// the magazine's cells, the other paths after their hit or fresh
+    /// count.
     #[cold]
     #[inline(never)]
     fn acquire_cold(
@@ -199,48 +206,34 @@ impl<T: 'static> ShardedPool<T> {
         let obj = match self.depot.magazine_cap {
             0 => self.acquire_direct(fresh, reinit),
             _ => match magazine::refill(&self.depot, bytes) {
-                // Level 2: the empty magazine swapped for a full one from
-                // the depot — one CAS, no locks, no per-object moves.
+                // The empty magazine swapped for a parked list from the
+                // depot — one CAS, no locks, no per-object moves.
                 Refill::Hit(mut obj) => {
                     pool_event!(AcquireHit);
                     reinit(&mut obj);
                     return obj;
                 }
-                Refill::Miss(home) => self.acquire_levels(home, fresh, reinit),
-                Refill::Dead => self.acquire_direct(fresh, reinit),
+                Refill::Miss => self.acquire_fresh(fresh),
+                Refill::Dead => match self.depot.acquire_dead() {
+                    Some(mut obj) => {
+                        reinit(&mut obj);
+                        obj
+                    }
+                    None => {
+                        self.depot.stats.record_fresh();
+                        PoolBox::new(fresh())
+                    }
+                },
             },
         };
         self.depot.stats.add_live_bytes(bytes as i64);
         obj
     }
 
-    fn acquire_levels(
-        &self,
-        home: usize,
-        fresh: impl FnOnce() -> T,
-        reinit: impl FnOnce(&mut T),
-    ) -> PoolBox<T> {
-        // Level 3: pull a batch from the shards under one lock (skipped
-        // entirely when the tracked shard population is below the depot
-        // gate — one relaxed load instead of a round of try-locks).
-        if self.depot.shard_parked() >= self.depot.depot_gate {
-            let (mut batch, used) = self.depot.refill_batch(home, self.depot.refill_target);
-            if let Some(mut obj) = batch.pop() {
-                self.depot.guard.record_unpark();
-                self.depot.stats.record_hit();
-                pool_event!(MagazineRefill, batch.len() + 1);
-                pool_hist!("pools.magazine_occupancy", batch.len());
-                magazine::stash(&self.depot, used, batch);
-                reinit(&mut obj);
-                return obj;
-            }
-            if used != home {
-                magazine::set_home_shard(&self.depot, used);
-            }
-        }
-        // Level 4: fresh allocation, carved from a contiguous slab so one
-        // heap call covers a whole magazine's worth of future misses. The
-        // constructor runs outside the magazine table hold (it is user code).
+    /// Fresh allocation, carved from a contiguous slab so one heap call
+    /// covers a whole magazine's worth of future misses. The constructor
+    /// runs outside the magazine table hold (it is user code).
+    fn acquire_fresh(&self, fresh: impl FnOnce() -> T) -> PoolBox<T> {
         self.depot.stats.record_fresh();
         if let Some(slot) = magazine::take_reserve_slot(&self.depot) {
             return slot.fill(fresh());
@@ -272,8 +265,8 @@ impl<T: 'static> ShardedPool<T> {
     }
 
     /// Release an object into the thread's magazine; a full magazine parks
-    /// wholesale on the depot (uncapped pools, one CAS) or flushes its
-    /// older half to a shard (capped pools, spilling on contention).
+    /// wholesale on the depot (one CAS; a capped pool drops what its bound
+    /// does not admit).
     pub fn release(&self, obj: impl Into<PoolBox<T>>) {
         self.release_sized(obj, 0);
     }
@@ -291,7 +284,8 @@ impl<T: 'static> ShardedPool<T> {
         }
     }
 
-    /// Every release miss: magazine overflow, or the shards (direct, DEAD).
+    /// Every release miss: magazine overflow, the shards (direct mode), or
+    /// a one-object depot node (a thread past TLS teardown).
     #[cold]
     #[inline(never)]
     fn release_cold(&self, obj: PoolBox<T>, bytes: u64) {
@@ -299,14 +293,15 @@ impl<T: 'static> ShardedPool<T> {
             return self.release_direct(obj, bytes);
         }
         if let Some(obj) = magazine::push_cold(&self.depot, obj, bytes) {
-            self.release_direct(obj, bytes);
+            self.depot.release_dead(obj, bytes);
         }
     }
 
-    /// Drop all parked objects: the calling thread's magazine, then every
-    /// shard. Objects cached by *other* threads are invalidated and drop
-    /// lazily on those threads' next pool operation (they are still counted
-    /// by [`ShardedPool::len`] until then, because they are still resident).
+    /// Drop all parked objects: the calling thread's magazine, the depot,
+    /// and direct mode's shards. Objects cached by *other* threads are
+    /// invalidated and drop lazily on those threads' next pool operation
+    /// (they are still counted by [`ShardedPool::len`] until then, because
+    /// they are still resident).
     pub fn trim(&self) -> usize {
         let local = magazine::drain_local(&self.depot);
         let n_local = local.len();
@@ -317,25 +312,22 @@ impl<T: 'static> ShardedPool<T> {
         // so the next swap recognizes it as stale and drops it then.
         let n_depot = self.depot.drain_depot();
         self.depot.bump_trim_epoch();
-        n_local + n_depot + self.depot.trim_shards()
+        let n_shards: usize = self.depot.shards.iter().map(ObjectPool::trim).sum();
+        self.depot.guard.record_reclaim(n_shards);
+        n_local + n_depot + n_shards
     }
 
-    /// Park the calling thread's magazine contents back into the shards
-    /// (without dropping them). Returns how many objects moved. Useful
-    /// before handing a pool's contents to another thread, and in tests.
+    /// Park the calling thread's magazine contents on the depot as one
+    /// parked list (without dropping them, unless a cap turns some away).
+    /// Returns how many objects left the magazine. Useful before handing a
+    /// pool's contents to another thread, and in tests.
     pub fn flush_local_magazine(&self) -> usize {
-        let items = magazine::drain_local(&self.depot);
-        let n = items.len();
-        if n > 0 {
-            let shard = magazine::home_shard(&self.depot);
-            self.depot.park_batch(shard, items);
-        }
-        n
+        magazine::flush_local(&self.depot)
     }
 
-    /// The pre-magazine path: try-lock the home shard, spin on contention,
-    /// block on the home shard when all are contended. Also the path of a
-    /// thread past TLS teardown (no magazine left: home shard 0).
+    /// Direct mode: try-lock the home shard, spin on contention, block on
+    /// the home shard when all are contended (home shard 0 for a thread
+    /// past TLS teardown).
     fn acquire_direct(&self, fresh: impl FnOnce() -> T, reinit: impl FnOnce(&mut T)) -> PoolBox<T> {
         let n = self.depot.shards.len();
         let start = magazine::home_shard(&self.depot);
@@ -347,7 +339,6 @@ impl<T: 'static> ShardedPool<T> {
                         magazine::set_home_shard(&self.depot, idx);
                     }
                     self.depot.guard.record_unpark();
-                    self.depot.count_direct(-1);
                     reinit(&mut obj);
                     return obj;
                 }
@@ -367,7 +358,6 @@ impl<T: 'static> ShardedPool<T> {
         let (obj, hit) = self.depot.shards[start].acquire_with_inner(fresh, reinit);
         if hit {
             self.depot.guard.record_unpark();
-            self.depot.count_direct(-1);
         }
         obj
     }
@@ -381,19 +371,17 @@ impl<T: 'static> ShardedPool<T> {
         let start = magazine::home_shard(&self.depot);
         for off in 0..n {
             let idx = (start + off) % n;
-            match self.depot.shards[idx].try_release_parked(obj) {
-                Ok(parked) => {
+            match self.depot.shards[idx].try_release(obj) {
+                Ok(()) => {
                     if off != 0 {
                         magazine::set_home_shard(&self.depot, idx);
                     }
-                    self.depot.count_direct(parked as isize);
                     return;
                 }
                 Err(back) => obj = back,
             }
         }
-        let parked = self.depot.shards[start].release_parked(obj);
-        self.depot.count_direct(parked as isize);
+        self.depot.shards[start].release(obj);
     }
 }
 
@@ -509,17 +497,17 @@ mod tests {
     }
 
     #[test]
-    fn capped_magazine_overflow_flushes_to_shards() {
+    fn capped_magazine_overflow_parks_on_the_depot() {
         let config = PoolConfig { max_objects: Some(64), ..Default::default() };
         let pool: ShardedPool<u32> = ShardedPool::with_magazines(2, config, 4);
         for i in 0..10 {
             pool.release(Box::new(i));
         }
-        assert_eq!(pool.len(), 10, "nothing lost across overflow flushes");
-        assert_eq!(pool.depot_parked(), 0, "capped pools bypass the depot");
-        let in_shards: usize = pool.shard_lengths().iter().sum();
-        assert!(in_shards > 0, "overflow must land in a shard free list");
-        assert!(pool.len() - in_shards <= pool.magazine_capacity());
+        assert_eq!(pool.len(), 10, "nothing lost across overflow parks");
+        assert!(pool.depot_parked() > 0, "overflow must park on the depot");
+        assert!(pool.shard_lengths().is_empty(), "magazine mode has no shard free lists");
+        assert!(pool.len() - pool.depot_parked() <= pool.magazine_capacity());
+        assert_eq!(pool.stats().lock_acquisitions(), 0);
     }
 
     #[test]
@@ -528,10 +516,11 @@ mod tests {
         for i in 0..5 {
             pool.release(Box::new(i));
         }
-        assert_eq!(pool.shard_lengths().iter().sum::<usize>(), 0);
+        assert_eq!(pool.depot_parked(), 0);
         assert_eq!(pool.flush_local_magazine(), 5);
-        assert_eq!(pool.shard_lengths().iter().sum::<usize>(), 5);
+        assert_eq!((pool.depot_parked(), pool.magazine_parked()), (5, 0));
         assert_eq!(pool.len(), 5);
+        assert_eq!(pool.stats().dropped(), 0);
     }
 
     #[test]
@@ -592,10 +581,11 @@ mod tests {
         assert_eq!(pool.len(), 0, "stale magazine drops its objects on next use");
     }
 
-    /// Past TLS teardown a thread's releases and acquires go straight to
-    /// the shards, and the tracked shard population stays exact.
+    /// Past TLS teardown a thread's releases park one-object depot nodes
+    /// and its acquires take one object from a node, and `len()` stays
+    /// exact through them.
     #[test]
-    fn traffic_after_teardown_keeps_shard_parked_exact() {
+    fn traffic_after_teardown_keeps_len_exact() {
         struct Late(Arc<ShardedPool<u32>>);
         impl Drop for Late {
             fn drop(&mut self) {
@@ -603,8 +593,8 @@ mod tests {
                 for i in 0..3 {
                     self.0.release(Box::new(100 + i));
                 }
-                let back = self.0.acquire(|| unreachable!("the shards hold three objects"));
-                assert!(*back >= 100);
+                let back = self.0.acquire(|| unreachable!("the depot holds eight objects"));
+                assert_eq!(*back, 102, "the newest node's object");
             }
         }
         thread_local! {
@@ -620,9 +610,14 @@ mod tests {
         })
         .join()
         .unwrap();
-        let in_shards: usize = pool.shard_lengths().iter().sum();
-        assert_eq!(in_shards, 5 + 3 - 1, "the magazine's five flushed, then direct traffic");
-        assert_eq!(pool.depot.shard_parked(), in_shards, "direct traffic is counted");
-        assert_eq!(pool.len(), in_shards);
+        let parked = pool.depot_parked();
+        assert_eq!(parked, 5 + 3 - 1, "the magazine's five parked, then DEAD traffic");
+        assert_eq!(pool.len(), parked);
+        let s = pool.stats();
+        assert_eq!((s.releases(), s.pool_hits(), s.fresh_allocs()), (8, 1, 0));
+        assert_eq!(s.lock_acquisitions(), 0);
+        let mut got: Vec<u32> = (0..parked).map(|_| *pool.acquire(|| 999)).collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1, 2, 3, 4, 100, 101], "every parked object, once");
     }
 }

@@ -9,6 +9,11 @@
 //! to every class (§3.1): `recycle` (the `destroy()` replacement for the
 //! destructor) and `reinit` (the `init()` replacement for the constructor).
 //!
+//! Two layouts sit behind it: one locked free list ([`ObjectPool`]), or a
+//! [`ShardedPool`] — thread magazines whose only shared tier is a depot of
+//! whole parked lists, one lock-free stack per shard (locked shard free
+//! lists only when magazines are off).
+//!
 //! Both layouts route `alloc` through their inner pool's acquire entry, so
 //! under the `fault-inject` feature an injected allocation failure degrades
 //! to a plain heap structure there (see [`crate::fault`]) — `alloc` never
@@ -45,9 +50,9 @@ pub trait Reusable {
 enum Backend<T: Reusable> {
     /// One shared LIFO free list (the single-threaded/default layout).
     Plain(ObjectPool<T>),
-    /// Sharded free lists behind thread-local magazines — the layout
-    /// Amplify's threaded builds use (§3.2 plus the thread-cache fast
-    /// path).
+    /// Thread-local magazines over per-shard depot stacks (or, with no
+    /// magazines, locked shard free lists) — the layouts Amplify's
+    /// threaded builds use (§3.2, plus the thread-cache fast path).
     Sharded(ShardedPool<T>),
 }
 
@@ -74,7 +79,7 @@ impl<T: Reusable> StructurePool<T> {
         StructurePool { inner: Backend::Plain(ObjectPool::with_config(config)) }
     }
 
-    /// An empty structure pool sharded over `shards` free lists with
+    /// An empty structure pool sharded over `shards` depot stacks with
     /// thread-local magazines in front — the configuration for structures
     /// allocated and freed concurrently from many threads.
     pub fn new_sharded(shards: usize) -> Self
@@ -84,7 +89,8 @@ impl<T: Reusable> StructurePool<T> {
         StructurePool { inner: Backend::Sharded(ShardedPool::new(shards)) }
     }
 
-    /// A sharded structure pool with per-shard limits.
+    /// A sharded structure pool with a population cap (see
+    /// [`PoolConfig::max_objects`]).
     pub fn with_sharded_config(shards: usize, config: PoolConfig) -> Self
     where
         T: 'static,
@@ -94,8 +100,8 @@ impl<T: Reusable> StructurePool<T> {
 
     /// A sharded structure pool with an explicit per-thread magazine
     /// capacity; `magazine_cap == 0` disables the thread caches and yields
-    /// bare try-lock-and-spill sharding (the pre-magazine Amplify layout,
-    /// kept as a comparison backend).
+    /// bare try-lock-and-spill sharding over locked free lists (the
+    /// pre-magazine Amplify layout, kept as a comparison backend).
     pub fn new_sharded_with_magazines(
         shards: usize,
         config: PoolConfig,

@@ -2,7 +2,7 @@
 //! magazines through empty → depot-swap → slab-carve transitions, with
 //! barrier-phased quiescent points where the conservation invariant
 //!
-//! `magazine_parked + depot_parked + shard_total == fresh_allocs`
+//! `magazine_parked + depot_parked == fresh_allocs`
 //!
 //! must hold exactly (uncapped pool: nothing is ever dropped), and an end
 //! drain that proves no object was ever handed out twice.
@@ -52,16 +52,14 @@ fn conservation_holds_at_every_quiescent_point() {
         barrier.wait(); // phase 1
         barrier.wait(); // phase 2: every worker parked everything it held
         let stats = pool.stats();
-        let shard_total: usize = pool.shard_lengths().iter().sum();
-        let parked = pool.magazine_parked() + pool.depot_parked() + shard_total;
+        let parked = pool.magazine_parked() + pool.depot_parked();
         assert_eq!(
             parked as u64,
             stats.fresh_allocs(),
             "each fresh object must sit in exactly one cache level while quiescent \
-             (magazines {}, depot {}, shards {})",
+             (magazines {}, depot {})",
             pool.magazine_parked(),
             pool.depot_parked(),
-            shard_total,
         );
         assert_eq!(pool.len() as u64, stats.fresh_allocs());
         barrier.wait(); // phase 3

@@ -1,7 +1,7 @@
 //! Multi-thread stress tests for the magazine fast path: no object is ever
-//! lost or duplicated across magazine refills, overflow flushes,
-//! thread-exit flushes and concurrent trims, and the hit/fresh accounting
-//! stays exact.
+//! lost or duplicated across depot swaps, overflow parks, thread-exit
+//! parks, capped admission and concurrent trims, and the hit/fresh
+//! accounting stays exact.
 
 use pools::{PoolConfig, ShardedPool};
 use std::collections::HashSet;
@@ -122,18 +122,45 @@ fn concurrent_trims_keep_accounting_exact() {
     assert_eq!(pool.len(), 0);
 }
 
+/// A capped pool under 4-thread churn: a sampler checks the depot's exact
+/// population against its bound (`max_objects × shards`) throughout, every
+/// free is counted once, and every object built is parked or dropped by
+/// the cap — never served twice.
 #[test]
-fn capped_shards_drop_overflow_but_never_duplicate() {
+fn capped_depot_drops_overflow_but_never_duplicates() {
+    const SHARDS: usize = 2;
+    const MAX: usize = 8;
     let pool: Arc<ShardedPool<u64>> = Arc::new(ShardedPool::with_magazines(
-        2,
-        PoolConfig { max_objects: Some(8), ..Default::default() },
+        SHARDS,
+        PoolConfig { max_objects: Some(MAX), ..Default::default() },
         4,
     ));
-    churn(&pool, 4, 1_000);
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let sampler = {
+        let (p, stop) = (Arc::clone(&pool), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut samples = 0u64;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                let parked = p.depot_parked();
+                assert!(parked <= SHARDS * MAX, "depot over its bound: {parked}");
+                samples += 1;
+                std::thread::yield_now();
+            }
+            samples
+        })
+    };
+    let acquires = churn(&pool, 4, 1_000);
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    assert!(sampler.join().expect("the bound held") > 0);
     let stats = pool.stats();
-    // Shards cap at 8 each; magazines are gone (threads exited).
-    assert!(pool.len() <= 2 * 8, "cap must bound residency, len={}", pool.len());
+    assert_eq!(stats.frees(), acquires, "each free is counted once");
+    assert_eq!(stats.pool_hits() + stats.fresh_allocs(), acquires);
+    // Magazines are gone (threads exited): everything left is in the depot.
+    assert_eq!(pool.magazine_parked(), 0);
+    assert!(pool.len() <= SHARDS * MAX, "cap must bound residency, len={}", pool.len());
     assert!(stats.dropped() > 0, "the cap must have dropped overflow");
+    assert_eq!(pool.len() as u64 + stats.dropped(), stats.fresh_allocs(), "parked or dropped");
+    assert_eq!(stats.lock_acquisitions(), 0, "no tier takes a lock");
     let mut seen = HashSet::new();
     let n = pool.len();
     for _ in 0..n {

@@ -1,6 +1,6 @@
 //! Property-based tests for the pool runtime invariants.
 
-use pools::{LocalPool, ObjectPool, PoolConfig, ShadowBuf, ShardedPool};
+use pools::{ObjectPool, PoolConfig, ShadowBuf, ShardedPool};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -93,34 +93,5 @@ proptest! {
         values.sort();
         back.sort();
         prop_assert_eq!(values, back, "objects lost or duplicated across shards");
-    }
-
-    /// LocalPool (lock-elided) matches ObjectPool behaviour for the same
-    /// sequence.
-    #[test]
-    fn local_pool_matches_object_pool(ops in ops()) {
-        let a: ObjectPool<u32> = ObjectPool::new();
-        let b: LocalPool<u32> = LocalPool::new();
-        let mut held_a = Vec::new();
-        let mut held_b = Vec::new();
-        for op in ops {
-            match op {
-                Op::Acquire => {
-                    held_a.push(a.acquire(|| 7));
-                    held_b.push(b.acquire(|| 7));
-                }
-                Op::Release => {
-                    if let Some(x) = held_a.pop() {
-                        a.release(x);
-                    }
-                    if let Some(x) = held_b.pop() {
-                        b.release(x);
-                    }
-                }
-            }
-            prop_assert_eq!(a.len(), b.len());
-        }
-        prop_assert_eq!(a.stats().pool_hits(), b.pool_hits());
-        prop_assert_eq!(a.stats().fresh_allocs(), b.fresh_allocs());
     }
 }

@@ -1,15 +1,17 @@
-//! A `PoolBox` that outlives its pool, and the thread that carved its
-//! slab, still frees that slab exactly once: the last slot destroyed gives
-//! the slab back. A logging global allocator records every block at least
-//! a slab's payload in size; the test finds the slab as the live logged
-//! block holding the survivor. It installs its own global allocator, so it is
-//! left out of builds that install the pool runtime as the global
-//! allocator.
+//! A carved slab is freed exactly once, by the last slot destroyed: when a
+//! `PoolBox` outlives its pool and the thread that carved the slab, and
+//! when a pool is dropped while the thread whose magazine holds the slab's
+//! reserve keeps running (the next cold table access frees that magazine).
+//! A logging global allocator records every block at least a slab's
+//! payload in size; the tests find the slab as the live logged block
+//! holding an object. It installs its own global allocator, so it is left
+//! out of builds that install the pool runtime as the global allocator.
 #![cfg(not(feature = "global-alloc"))]
 
 use pools::{PoolConfig, ShardedPool};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 type Payload = [u8; 1000];
 
@@ -51,6 +53,10 @@ unsafe impl GlobalAlloc for Logging {
 #[global_allocator]
 static ALLOC: Logging = Logging;
 
+/// One test at a time: a block freed by one test must not be reused by a
+/// concurrent one before the freeing test reads the log.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// The events so far.
 fn events() -> Vec<(usize, usize)> {
     let n = NEXT.load(Ordering::Relaxed);
@@ -75,6 +81,7 @@ fn holder(addr: usize) -> (usize, usize) {
 
 #[test]
 fn a_handle_outliving_its_pool_frees_its_slab_exactly_once() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let survivor = std::thread::spawn(|| {
         let pool: ShardedPool<Payload> = ShardedPool::with_magazines(1, PoolConfig::default(), CAP);
         let kept = pool.acquire(|| [1; 1000]);
@@ -93,4 +100,24 @@ fn a_handle_outliving_its_pool_frees_its_slab_exactly_once() {
     assert_eq!(survivor[0], 1);
     drop(survivor);
     assert_eq!(holder(addr), (slab, 1), "the last slot freed the slab, once");
+}
+
+#[test]
+fn a_dropped_pools_magazine_frees_its_slab_before_the_thread_exits() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Carved on this (still running) thread: its magazine keeps the slab's
+    // reserve and one parked slot.
+    let pool: ShardedPool<Payload> = ShardedPool::with_magazines(1, PoolConfig::default(), CAP);
+    let parked = pool.acquire(|| [3; 1000]);
+    let addr = &*parked as *const Payload as usize;
+    pool.release(parked);
+    assert_eq!(pool.stats().slab_carves(), 1);
+    let (slab, frees) = holder(addr);
+    assert_eq!(frees, 0, "the magazine keeps the slab alive");
+    drop(pool);
+    assert_eq!(holder(addr), (slab, 0), "nothing frees the magazine with the pool");
+    // One cold access on another pool sweeps the orphaned magazine.
+    let other: ShardedPool<u8> = ShardedPool::new(1);
+    assert_eq!(*other.acquire(|| 5), 5);
+    assert_eq!(holder(addr), (slab, 1), "the dead pool's magazine freed the slab, once");
 }

@@ -4,10 +4,10 @@
 //! A thread-local registered before the thread's first pool operation is
 //! destroyed after the table's teardown guard (destructors run in reverse
 //! registration order). Its frees and allocs must then go straight to the
-//! shard free lists. A failure here is a process abort ("thread local
-//! panicked on drop"), not a test failure, so the test runs in a child
-//! process of its own ([`in_own_process`]) and the parent reports the
-//! child's exit status.
+//! depot, as one-object nodes. A failure here is a process abort ("thread
+//! local panicked on drop"), not a test failure, so the test runs in a
+//! child process of its own ([`in_own_process`]) and the parent reports
+//! the child's exit status.
 
 use pools::structure_pool::Reusable;
 use pools::{PoolBox, StructurePool};

@@ -55,12 +55,13 @@ fn child_links_survive_magazine_depot_and_another_threads_swap() {
     let pool =
         Arc::new(StructurePool::<Tree>::new_sharded_with_magazines(1, PoolConfig::default(), CAP));
     // Thread A builds CAP + 1 trees and frees them: the first CAP fill its
-    // magazine, the last release parks that magazine whole on the depot.
+    // magazine, the last release parks that magazine whole on the depot,
+    // and A's exit parks the last tree as a node of its own.
     let parked: HashMap<usize, [usize; 3]> = {
         let p = Arc::clone(&pool);
         std::thread::spawn(move || {
             let trees: Vec<_> = (0..=CAP as u64).map(|s| p.alloc(&s)).collect();
-            let links = trees.iter().take(CAP).map(|t| (t.links()[0], t.links())).collect();
+            let links = trees.iter().map(|t| (t.links()[0], t.links())).collect();
             trees.into_iter().for_each(|t| p.free(t));
             links
         })
@@ -68,10 +69,11 @@ fn child_links_survive_magazine_depot_and_another_threads_swap() {
         .unwrap()
     };
     assert_eq!(pool.stats().depot_parks(), 1, "A's full magazine parked on the depot");
-    // Thread B misses its (new) magazine and swaps A's parked one in.
+    // Thread B misses its (new) magazine and swaps in A's exit node, then
+    // A's parked magazine.
     let p = Arc::clone(&pool);
     let revived = std::thread::spawn(move || {
-        let trees: Vec<_> = (100..100 + CAP as u64).map(|s| p.alloc(&s)).collect();
+        let trees: Vec<_> = (100..=100 + CAP as u64).map(|s| p.alloc(&s)).collect();
         let links: Vec<_> = trees.iter().map(|t| t.links()).collect();
         for (t, s) in trees.iter().zip(100u64..) {
             assert_eq!(t.root.data, s, "reinit ran");
@@ -86,7 +88,8 @@ fn child_links_survive_magazine_depot_and_another_threads_swap() {
         assert_eq!(parked.get(&links[0]), Some(links), "a revived tree kept all its links");
     }
     let s = pool.stats();
-    assert_eq!((s.depot_swaps(), s.fresh_allocs()), (1, CAP as u64 + 1), "one swap, no rebuild");
+    assert_eq!(revived.len(), CAP + 1);
+    assert_eq!((s.depot_swaps(), s.fresh_allocs()), (2, CAP as u64 + 1), "two swaps, no rebuild");
 }
 
 /// A value that records its own destruction.
@@ -105,8 +108,8 @@ fn trim_drops_each_parked_object_exactly_once() {
     let pool = Arc::new(ShardedPool::<Counted>::with_magazines(2, PoolConfig::default(), 4));
     let next = AtomicUsize::new(0);
     let fresh = || Counted(next.fetch_add(1, Ordering::Relaxed));
-    // Every tier holds some: a shard free list, parked depot magazines, this
-    // thread's magazine, and a live remote magazine.
+    // Every tier holds some: a flushed depot list, parked depot magazines,
+    // this thread's magazine, and a live remote magazine.
     let held: Vec<_> = (0..6).map(|_| pool.acquire(fresh)).collect();
     held.into_iter().for_each(|b| pool.release(b));
     assert_eq!(pool.flush_local_magazine(), 2, "two of six left in the magazine");

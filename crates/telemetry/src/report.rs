@@ -270,8 +270,6 @@ pub struct TunedGenome {
     pub magazine_cap: u32,
     /// Depot shard count.
     pub shards: u32,
-    /// Minimum parked objects before a shard batch refill fires.
-    pub depot_gate: u32,
     /// Objects carved from a slab per miss.
     pub carve_batch: u32,
 }
@@ -724,17 +722,14 @@ impl Report {
                 pt.improved_families(),
                 pt.families.len()
             );
-            let _ = writeln!(
-                out,
-                "  {:<12}{:>8}{:>8}{:>6}{:>7}",
-                "family", "mag_cap", "shards", "gate", "carve"
-            );
+            let _ =
+                writeln!(out, "  {:<12}{:>8}{:>8}{:>7}", "family", "mag_cap", "shards", "carve");
             for f in &pt.families {
                 let w = &f.winner;
                 let _ = writeln!(
                     out,
-                    "  {:<12}{:>8}{:>8}{:>6}{:>7}",
-                    f.family, w.magazine_cap, w.shards, w.depot_gate, w.carve_batch
+                    "  {:<12}{:>8}{:>8}{:>7}",
+                    f.family, w.magazine_cap, w.shards, w.carve_batch
                 );
             }
             for f in &pt.families {
@@ -1304,7 +1299,7 @@ mod tests {
     }
 
     fn sample_pool_tune() -> PoolTuneSection {
-        let default = TunedGenome { magazine_cap: 32, shards: 8, depot_gate: 1, carve_batch: 64 };
+        let default = TunedGenome { magazine_cap: 32, shards: 8, carve_batch: 64 };
         let winner = TunedGenome { magazine_cap: 64, shards: 4, ..default };
         PoolTuneSection {
             schema: POOL_TUNE_SCHEMA.into(),
@@ -1351,13 +1346,14 @@ mod tests {
         assert_eq!(back, r);
         assert_eq!(back.pool_tune.unwrap().improved_families(), 1);
 
-        // Older pool-tune-v1 reports carry a fifth gene, `ship_batch`,
-        // that the tuner no longer searches: it must parse and be dropped.
+        // Older pool-tune-v1 reports carry genes the tuner no longer
+        // searches, `depot_gate` and `ship_batch`: they must parse and be
+        // dropped.
         let old = r.to_json().replace(
             "\"carve_batch\": 64\n",
-            "\"carve_batch\": 64,\n          \"ship_batch\": 32\n",
+            "\"carve_batch\": 64,\n          \"depot_gate\": 4,\n          \"ship_batch\": 32\n",
         );
-        assert!(old.contains("\"ship_batch\": 32"), "{old}");
+        assert!(old.contains("\"depot_gate\": 4") && old.contains("\"ship_batch\": 32"), "{old}");
         assert_eq!(Report::from_json(&old).unwrap(), r);
     }
 

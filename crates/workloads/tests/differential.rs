@@ -53,13 +53,12 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
 /// Legal tuning genomes — the offline tuner's full search space (magazine
 /// caps 1..=512, shards 1..=16, depot gates 1..=8, carve batches
 /// 2..=1024), decoded from a flat word stream like [`trace_strategy`].
-fn genome_strategy() -> impl Strategy<Value = (usize, usize, usize, usize)> {
-    proptest::collection::vec(0u32..65536, 4..5).prop_map(|w| {
+fn genome_strategy() -> impl Strategy<Value = (usize, usize, usize)> {
+    proptest::collection::vec(0u32..65536, 3..4).prop_map(|w| {
         let cap = w[0] as usize % 512 + 1;
         let shards = w[1] as usize % 16 + 1;
-        let gate = w[2] as usize % 8 + 1;
-        let carve = w[3] as usize % 1023 + 2;
-        (cap, shards, gate, carve)
+        let carve = w[2] as usize % 1023 + 2;
+        (cap, shards, carve)
     })
 }
 
@@ -112,12 +111,12 @@ proptest! {
         genome in genome_strategy(),
     ) {
         let _g = fault_lock();
-        let (cap, shards, gate, carve) = genome;
+        let (cap, shards, carve) = genome;
         let workload = TraceWorkload::new(&traces);
         let registry: BackendRegistry<Chunk> = BackendRegistry::standard();
         let reference = run_workload(&*registry.build("solaris-default").unwrap(), &workload);
 
-        let config = PoolConfig::default().with_tuning(gate, 0, carve);
+        let config = PoolConfig::default().with_tuning(carve);
         let pool: StructurePool<Chunk> =
             StructurePool::new_sharded_with_magazines(shards, config, cap);
         let backend = PooledBackend::from_pool("tuned-genome", pool);
@@ -133,9 +132,9 @@ proptest! {
 }
 
 /// The defaults-equivalence half of the tuning contract: a pool tuned
-/// with the *explicit* default knobs (gate 1, derived refill and carve
-/// batches) must reproduce the plainly-constructed pool's statistics
-/// bit for bit on the same deterministic trace — the runtime
+/// with the *explicit* default knob (the derived carve batch) must
+/// reproduce the plainly-constructed pool's statistics bit for bit on the
+/// same deterministic trace — the runtime
 /// parameterization changed where the constants live, not what they do.
 #[test]
 fn explicitly_tuned_defaults_match_the_standard_constructor_bit_for_bit() {
@@ -163,10 +162,9 @@ fn explicitly_tuned_defaults_match_the_standard_constructor_bit_for_bit() {
     };
 
     let (plain_stats, plain_sums) = run(PoolConfig::default());
-    // `with_tuning(1, 0, 0)` spells out the defaults: gate 1, batch sizes
-    // derived from the magazine cap exactly as the untuned pool derives
-    // them.
-    let (tuned_stats, tuned_sums) = run(PoolConfig::default().with_tuning(1, 0, 0));
+    // `with_tuning(0)` spells out the default: a carve batch derived from
+    // the magazine cap exactly as the untuned pool derives it.
+    let (tuned_stats, tuned_sums) = run(PoolConfig::default().with_tuning(0));
 
     assert_eq!(plain_stats, tuned_stats, "explicit defaults changed pool behaviour");
     assert_eq!(plain_sums, tuned_sums);
