@@ -1,16 +1,17 @@
-//! The Amplify backend: a [`StructurePool`] in any of its three layouts
-//! behind the uniform [`MemBackend`] interface.
+//! The Amplify backend: a [`StructurePool`] behind the uniform
+//! [`MemBackend`] interface. Its three layouts are `(shards, magazine_cap)`
+//! settings of the one typed pool, `pools::ShardedPool`:
 //!
-//! * **local** — one shared LIFO free list (the single-threaded layout;
-//!   the paper's Figure 4 configuration);
-//! * **sharded** — ptmalloc-style try-lock-and-spill shards, no thread
-//!   caches (§3.2 as published);
-//! * **sharded+magazines** — shards fronted by lock-free thread-local
-//!   magazines (the layout Amplify's threaded builds use; the hit path
-//!   `envelope_check`'s `hit-pair` envelope measures).
+//! * **local** `(1, 0)` — one shared locked free list (the single-threaded
+//!   layout; the paper's Figure 4 configuration);
+//! * **sharded** `(N, 0)` — ptmalloc-style try-lock-and-spill shards, no
+//!   thread caches (§3.2 as published);
+//! * **sharded+magazines** `(N, 32)` — shards fronted by lock-free
+//!   thread-local magazines (the layout Amplify's threaded builds use; the
+//!   hit path `envelope_check`'s `hit-pair` envelope measures).
 
 use crate::backend::{Allocation, BackendStats, MemBackend, Structured, Tail};
-use pools::{PoolBox, PoolConfig, StructurePool};
+use pools::{PoolBox, PoolConfig, StructurePool, DEFAULT_MAGAZINE_CAP};
 
 /// A [`MemBackend`] over a [`StructurePool`]. Holds no counters of its own:
 /// frees and live bytes come from the pool's ledger, which the magazine hit
@@ -23,22 +24,26 @@ pub struct PooledBackend<T: Structured> {
 impl<T: Structured> PooledBackend<T> {
     /// The local layout: one shared free list, no sharding.
     pub fn local() -> Self {
-        Self::from_pool("amplify-local", StructurePool::new())
+        Self::layout("amplify-local", 1, 0)
     }
 
     /// The bare sharded layout: `shards` try-lock free lists, magazines
     /// disabled (capacity 0).
     pub fn sharded(shards: usize) -> Self {
-        Self::from_pool(
-            "amplify-sharded",
-            StructurePool::new_sharded_with_magazines(shards, PoolConfig::default(), 0),
-        )
+        Self::layout("amplify-sharded", shards, 0)
     }
 
     /// The full layout: shards fronted by thread-local magazines — what
     /// the registry registers as plain "amplify".
     pub fn with_magazines(shards: usize) -> Self {
-        Self::from_pool("amplify", StructurePool::new_sharded(shards))
+        Self::layout("amplify", shards, DEFAULT_MAGAZINE_CAP)
+    }
+
+    /// An unbounded pool in the `(shards, magazine_cap)` layout.
+    fn layout(name: &'static str, shards: usize, magazine_cap: usize) -> Self {
+        let pool =
+            StructurePool::new_sharded_with_magazines(shards, PoolConfig::default(), magazine_cap);
+        Self::from_pool(name, pool)
     }
 
     /// Wrap an explicitly configured pool under a display name.

@@ -4,7 +4,9 @@
 //! The ICPP 2001 paper's pre-processor rewrites C++ so that:
 //!
 //! * every class allocates from its own **object pool** (free list of dead
-//!   objects) instead of the heap — [`object_pool`];
+//!   objects) instead of the heap — [`sharded::ShardedPool`], the one typed
+//!   pool, whose `(shards, magazine_cap)` settings give every Amplify
+//!   layout;
 //! * whole **object structures** are parked and revived with their internal
 //!   links intact, exploiting temporal locality — [`structure_pool`]; every
 //!   free list is intrusive, threaded through a link word in front of the
@@ -31,17 +33,18 @@
 //!   `#[global_allocator]` via the `global-alloc` feature, with MPSC
 //!   remote-free queues so cross-thread `dealloc` is one CAS.
 //!
-//! All pools expose [`stats::PoolStats`] counters (hits, misses, failed lock
-//! attempts) — the observability the paper used to conclude that Amplify's
+//! All pools report [`stats::StatsSnapshot`] counters (hits, misses, failed
+//! lock attempts) — the observability the paper used to conclude that Amplify's
 //! critical sections are short enough that "threads will seldom or never be
 //! blocked".
 //!
 //! # Quickstart
 //!
 //! ```
-//! use pools::object_pool::ObjectPool;
+//! use pools::{PoolConfig, ShardedPool};
 //!
-//! let pool: ObjectPool<Vec<u8>> = ObjectPool::new();
+//! // One shard, no magazines: a single locked free list.
+//! let pool: ShardedPool<Vec<u8>> = ShardedPool::with_magazines(1, PoolConfig::default(), 0);
 //! let a = pool.acquire(|| vec![0u8; 64]);
 //! pool.release(a);
 //! let _b = pool.acquire(|| vec![0u8; 64]); // reuses a's allocation
@@ -55,7 +58,6 @@ mod guard;
 pub mod heap_profile;
 pub mod limits;
 pub mod magazine;
-pub mod object_pool;
 mod obs;
 pub mod pool_box;
 pub mod reclaim;
@@ -69,7 +71,6 @@ pub mod structure_pool;
 pub use global::GlobalPool;
 pub use limits::PoolConfig;
 pub use magazine::DEFAULT_MAGAZINE_CAP;
-pub use object_pool::ObjectPool;
 pub use pool_box::PoolBox;
 pub use registry::{PoolRegistry, Trimmable};
 pub use shadow_buf::ShadowBuf;

@@ -15,7 +15,7 @@
 //! ([`crate::pool_box::SlabReserve`]) so one heap call serves a whole
 //! magazine's worth of misses. A magazine-mode pool takes no lock on any
 //! path; the locked shard free lists belong to direct mode
-//! (`magazine_cap == 0`) alone.
+//! (`magazine_cap == 0`) alone, which never creates a magazine.
 //!
 //! A thread finds its magazines in a slot table named by two const-init
 //! cells (pointer and length, the size-class engine's `CACHE` idiom). A
@@ -57,9 +57,9 @@ use crate::depot::{DepotNode, MagStack};
 use crate::fault;
 use crate::guard;
 use crate::limits::PoolConfig;
-use crate::object_pool::ObjectPool;
 use crate::obs::{pool_event, pool_hist};
 use crate::pool_box::{slot_size, PoolBox, SlabReserve, SlabSlot, SlotList};
+use crate::sharded::Shard;
 use crate::stats::{PoolStats, StatsSnapshot};
 use parking_lot::Mutex;
 use std::any::TypeId;
@@ -261,7 +261,7 @@ pub(crate) struct Depot<T> {
     id: usize,
     /// Direct mode's locked free lists, one per shard; empty in magazine
     /// mode, whose only shared tier is the depot.
-    pub(crate) shards: Box<[ObjectPool<T>]>,
+    pub(crate) shards: Box<[Shard<T>]>,
     /// Objects a magazine may hold; 0 disables magazines (direct mode).
     pub(crate) magazine_cap: usize,
     /// Round-robin cursor assigning home shards to new magazines — the
@@ -321,7 +321,7 @@ impl<T> Depot<T> {
         let direct_shards = if magazine_cap == 0 { shards } else { 0 };
         Depot {
             id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
-            shards: (0..direct_shards).map(|_| ObjectPool::with_config(config)).collect(),
+            shards: (0..direct_shards).map(|_| Shard::new(config)).collect(),
             magazine_cap,
             next_shard: AtomicUsize::new(0),
             trim_epoch: AtomicU64::new(0),
@@ -351,6 +351,12 @@ impl<T> Depot<T> {
         addrs.iter().map(|&a| unsafe { &*(a as *const MagCells) })
     }
 
+    /// Live magazines, counted by their registered cells.
+    #[cfg(test)]
+    pub(crate) fn magazine_cells(&self) -> usize {
+        self.mag_counts.lock().len()
+    }
+
     /// Objects cached in magazines across all threads (sum of the live
     /// magazines' count cells).
     pub(crate) fn magazine_parked(&self) -> usize {
@@ -367,7 +373,7 @@ impl<T> Depot<T> {
     /// in the matching order (see [`pop`], [`push`] and [`refill`]).
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let addrs = self.mag_counts.lock();
-        let sources = || std::iter::once(&self.stats).chain(self.shards.iter().map(|s| s.stats()));
+        let sources = || std::iter::once(&self.stats).chain(self.shards.iter().map(|s| &s.stats));
         let sum = |cell: fn(&MagCells) -> &AtomicU64| -> u64 {
             Self::cells(&addrs).map(|c| cell(c).load(Ordering::Relaxed)).sum()
         };
@@ -588,13 +594,13 @@ impl<T> Drop for Depot<T> {
         // that population and the cap-drop counters.
         #[cfg(any(debug_assertions, feature = "fault-inject"))]
         if self.mag_counts.get_mut().is_empty() {
-            let mut physically_parked: usize = self.shards.iter().map(ObjectPool::len).sum();
+            let mut physically_parked: usize = self.shards.iter().map(Shard::len).sum();
             for &addr in self.nodes.get_mut().iter() {
                 // Sole owner: the node is ours to read.
                 physically_parked += unsafe { &*(addr as *const DepotNode) }.len;
             }
             let cap_dropped =
-                self.stats.dropped() + self.shards.iter().map(|s| s.stats().dropped()).sum::<u64>();
+                self.stats.dropped() + self.shards.iter().map(|s| s.stats.dropped()).sum::<u64>();
             self.guard.reconcile(physically_parked, cap_dropped);
         }
         // Sole owner now: no thread can race a stack operation. Free every
@@ -659,8 +665,7 @@ pub(crate) struct Magazine<T> {
     epoch: u64,
     /// This magazine's counters, registered in [`Depot::mag_counts`].
     cells: MagCells,
-    /// Home shard: the depot stack parks go to and swaps probe first, and
-    /// direct mode's first free list.
+    /// Home shard: the depot stack parks go to and swaps probe first.
     shard: usize,
     depot: Weak<Depot<T>>,
     /// Empty node shell kept back from the last depot swap, so the steady
@@ -1012,18 +1017,6 @@ pub(crate) fn stash_reserve<T: 'static>(depot: &Arc<Depot<T>>, reserve: SlabRese
     drop_stale(depot, stale.unwrap_or_default());
 }
 
-/// The calling thread's home shard for this pool, assigned round-robin on
-/// first touch — no hashing, no per-operation map lookup. Shard 0 once
-/// the table is DEAD.
-pub(crate) fn home_shard<T: 'static>(depot: &Arc<Depot<T>>) -> usize {
-    with_mag(depot, true, |mag| mag.shard).unwrap_or(0)
-}
-
-/// Move the thread's home shard (after a contention spill).
-pub(crate) fn set_home_shard<T: 'static>(depot: &Arc<Depot<T>>, shard: usize) {
-    with_mag(depot, true, |mag| mag.shard = shard);
-}
-
 /// Remove and return everything the calling thread has cached for this pool
 /// (trim support), dropping its slab reserve too. Does not create a
 /// magazine on threads that never touched the pool.
@@ -1223,7 +1216,12 @@ mod tests {
         let mut homes: Vec<usize> = (0..4)
             .map(|_| {
                 let d = Arc::clone(&d);
-                std::thread::spawn(move || home_shard(&d)).join().unwrap()
+                std::thread::spawn(move || {
+                    put(&d, PoolBox::new(0));
+                    peek(&d, |m| m.shard).expect("the release created the magazine")
+                })
+                .join()
+                .unwrap()
             })
             .collect();
         homes.sort_unstable();

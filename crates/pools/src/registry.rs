@@ -20,18 +20,6 @@ pub trait Trimmable: Send + Sync {
     fn snapshot(&self) -> StatsSnapshot;
 }
 
-impl<T: Send> Trimmable for crate::object_pool::ObjectPool<T> {
-    fn trim(&self) -> usize {
-        self.trim()
-    }
-    fn parked(&self) -> usize {
-        self.len()
-    }
-    fn snapshot(&self) -> StatsSnapshot {
-        self.stats().snapshot()
-    }
-}
-
 impl<T: crate::structure_pool::Reusable + Send + 'static> Trimmable
     for crate::structure_pool::StructurePool<T>
 where
@@ -177,13 +165,19 @@ impl PoolRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object_pool::ObjectPool;
+    use crate::limits::PoolConfig;
+    use crate::sharded::ShardedPool;
+
+    /// A one-list pool: one shard, no magazines.
+    fn local<T>() -> Arc<ShardedPool<T>> {
+        Arc::new(ShardedPool::with_magazines(1, PoolConfig::default(), 0))
+    }
 
     #[test]
     fn registered_pools_are_trimmed_together() {
         let reg = PoolRegistry::new();
-        let a: Arc<ObjectPool<u32>> = Arc::new(ObjectPool::new());
-        let b: Arc<ObjectPool<String>> = Arc::new(ObjectPool::new());
+        let a: Arc<ShardedPool<u32>> = local();
+        let b: Arc<ShardedPool<String>> = local();
         reg.register("ints", &a);
         reg.register("strings", &b);
         for i in 0..5 {
@@ -198,7 +192,7 @@ mod tests {
     #[test]
     fn dropped_pools_expire() {
         let reg = PoolRegistry::new();
-        let a: Arc<ObjectPool<u32>> = Arc::new(ObjectPool::new());
+        let a: Arc<ShardedPool<u32>> = local();
         reg.register("a", &a);
         assert_eq!(reg.len(), 1);
         drop(a);
@@ -209,7 +203,7 @@ mod tests {
     #[test]
     fn aggregate_stats_merge() {
         let reg = PoolRegistry::new();
-        let a: Arc<ObjectPool<u32>> = Arc::new(ObjectPool::new());
+        let a: Arc<ShardedPool<u32>> = local();
         reg.register("a", &a);
         let x = a.acquire(|| 1);
         a.release(x);
@@ -222,7 +216,7 @@ mod tests {
     #[test]
     fn report_names_pools() {
         let reg = PoolRegistry::new();
-        let a: Arc<ObjectPool<u8>> = Arc::new(ObjectPool::new());
+        let a: Arc<ShardedPool<u8>> = local();
         reg.register("bytes", &a);
         a.release(Box::new(0));
         let lines = reg.report();
@@ -233,7 +227,7 @@ mod tests {
     #[test]
     fn pool_snapshots_feed_telemetry_reports() {
         let reg = PoolRegistry::new();
-        let a: Arc<ObjectPool<u32>> = Arc::new(ObjectPool::new());
+        let a: Arc<ShardedPool<u32>> = local();
         reg.register("nodes", &a);
         let x = a.acquire(|| 1);
         a.release(x);
@@ -276,7 +270,6 @@ mod tests {
 
     #[test]
     fn sharded_magazines_are_reclaimable_after_thread_exit() {
-        use crate::sharded::ShardedPool;
         let reg = PoolRegistry::new();
         let pool: Arc<ShardedPool<u64>> = Arc::new(ShardedPool::new(2));
         reg.register("sharded", &pool);

@@ -9,18 +9,17 @@
 //! to every class (§3.1): `recycle` (the `destroy()` replacement for the
 //! destructor) and `reinit` (the `init()` replacement for the constructor).
 //!
-//! Two layouts sit behind it: one locked free list ([`ObjectPool`]), or a
-//! [`ShardedPool`] — thread magazines whose only shared tier is a depot of
-//! whole parked lists, one lock-free stack per shard (locked shard free
-//! lists only when magazines are off).
+//! The pool behind it is one [`ShardedPool`], in any of its layouts:
+//! [`StructurePool::new`] and [`StructurePool::with_config`] build the
+//! single locked free list (one shard, no magazines); the sharded
+//! constructors pick the shard count and magazine capacity.
 //!
-//! Both layouts route `alloc` through their inner pool's acquire entry, so
-//! under the `fault-inject` feature an injected allocation failure degrades
-//! to a plain heap structure there (see [`crate::fault`]) — `alloc` never
+//! `alloc` goes through the pool's acquire entry, so under the
+//! `fault-inject` feature an injected allocation failure degrades to a
+//! plain heap structure there (see [`crate::fault`]) — `alloc` never
 //! fails and never panics, whatever the fault schedule.
 
 use crate::limits::PoolConfig;
-use crate::object_pool::ObjectPool;
 use crate::pool_box::PoolBox;
 use crate::sharded::ShardedPool;
 use crate::stats::StatsSnapshot;
@@ -45,21 +44,10 @@ pub trait Reusable {
     fn recycle(&mut self) {}
 }
 
-/// The free-list strategy behind a [`StructurePool`].
-#[derive(Debug)]
-enum Backend<T: Reusable> {
-    /// One shared LIFO free list (the single-threaded/default layout).
-    Plain(ObjectPool<T>),
-    /// Thread-local magazines over per-shard depot stacks (or, with no
-    /// magazines, locked shard free lists) — the layouts Amplify's
-    /// threaded builds use (§3.2, plus the thread-cache fast path).
-    Sharded(ShardedPool<T>),
-}
-
 /// A thread-safe pool of whole structures.
 #[derive(Debug)]
 pub struct StructurePool<T: Reusable> {
-    inner: Backend<T>,
+    pool: ShardedPool<T>,
 }
 
 impl<T: Reusable> Default for StructurePool<T> {
@@ -69,33 +57,21 @@ impl<T: Reusable> Default for StructurePool<T> {
 }
 
 impl<T: Reusable> StructurePool<T> {
-    /// An empty, unbounded structure pool.
+    /// An empty, unbounded structure pool: one locked free list.
     pub fn new() -> Self {
-        StructurePool { inner: Backend::Plain(ObjectPool::new()) }
+        Self::with_config(PoolConfig::default())
     }
 
-    /// An empty structure pool with limits.
+    /// An empty single-list structure pool with limits.
     pub fn with_config(config: PoolConfig) -> Self {
-        StructurePool { inner: Backend::Plain(ObjectPool::with_config(config)) }
+        Self::new_sharded_with_magazines(1, config, 0)
     }
 
     /// An empty structure pool sharded over `shards` depot stacks with
     /// thread-local magazines in front — the configuration for structures
     /// allocated and freed concurrently from many threads.
-    pub fn new_sharded(shards: usize) -> Self
-    where
-        T: 'static,
-    {
-        StructurePool { inner: Backend::Sharded(ShardedPool::new(shards)) }
-    }
-
-    /// A sharded structure pool with a population cap (see
-    /// [`PoolConfig::max_objects`]).
-    pub fn with_sharded_config(shards: usize, config: PoolConfig) -> Self
-    where
-        T: 'static,
-    {
-        StructurePool { inner: Backend::Sharded(ShardedPool::with_config(shards, config)) }
+    pub fn new_sharded(shards: usize) -> Self {
+        StructurePool { pool: ShardedPool::new(shards) }
     }
 
     /// A sharded structure pool with an explicit per-thread magazine
@@ -106,13 +82,8 @@ impl<T: Reusable> StructurePool<T> {
         shards: usize,
         config: PoolConfig,
         magazine_cap: usize,
-    ) -> Self
-    where
-        T: 'static,
-    {
-        StructurePool {
-            inner: Backend::Sharded(ShardedPool::with_magazines(shards, config, magazine_cap)),
-        }
+    ) -> Self {
+        StructurePool { pool: ShardedPool::with_magazines(shards, config, magazine_cap) }
     }
 }
 
@@ -129,21 +100,7 @@ impl<T: Reusable + 'static> StructurePool<T> {
     /// [`StructurePool::free_sized`] and the same count.
     #[inline(always)]
     pub fn alloc_sized(&self, params: &T::Params, bytes: u64) -> PoolBox<T> {
-        match &self.inner {
-            Backend::Sharded(s) => {
-                s.acquire_sized(|| T::fresh(params), |t| t.reinit(params), bytes)
-            }
-            Backend::Plain(p) => Self::alloc_plain(p, params, bytes),
-        }
-    }
-
-    /// The single-list layout's alloc, out of line so the sharded hit path
-    /// inlines into callers without it.
-    #[inline(never)]
-    fn alloc_plain(p: &ObjectPool<T>, params: &T::Params, bytes: u64) -> PoolBox<T> {
-        let obj = p.acquire_with(|| T::fresh(params), |t| t.reinit(params));
-        p.stats().add_live_bytes(bytes as i64);
-        obj
+        self.pool.acquire_sized(|| T::fresh(params), |t| t.reinit(params), bytes)
     }
 
     /// Free a structure: run `recycle` (the destructor chain) and park the
@@ -158,25 +115,12 @@ impl<T: Reusable + 'static> StructurePool<T> {
     pub fn free_sized(&self, structure: impl Into<PoolBox<T>>, bytes: u64) {
         let mut structure = structure.into();
         structure.recycle();
-        match &self.inner {
-            Backend::Sharded(s) => s.release_sized(structure, bytes),
-            Backend::Plain(p) => Self::free_plain(p, structure, bytes),
-        }
+        self.pool.release_sized(structure, bytes);
     }
 
-    #[inline(never)]
-    fn free_plain(p: &ObjectPool<T>, structure: PoolBox<T>, bytes: u64) {
-        p.stats().add_live_bytes(-(bytes as i64));
-        p.release(structure);
-    }
-
-    /// Number of parked structures (including magazine contents when
-    /// sharded).
+    /// Number of parked structures, in every tier.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Backend::Plain(p) => p.len(),
-            Backend::Sharded(s) => s.len(),
-        }
+        self.pool.len()
     }
 
     /// True if no structures are parked.
@@ -186,19 +130,12 @@ impl<T: Reusable + 'static> StructurePool<T> {
 
     /// Drop all parked structures.
     pub fn trim(&self) -> usize {
-        match &self.inner {
-            Backend::Plain(p) => p.trim(),
-            Backend::Sharded(s) => s.trim(),
-        }
+        self.pool.trim()
     }
 
-    /// Pool statistics (aggregated across shards and magazines when
-    /// sharded).
+    /// Pool statistics, aggregated across shards and magazines.
     pub fn stats(&self) -> StatsSnapshot {
-        match &self.inner {
-            Backend::Plain(p) => p.stats().snapshot(),
-            Backend::Sharded(s) => s.stats(),
-        }
+        self.pool.stats()
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the pool runtime invariants.
 
-use pools::{ObjectPool, PoolConfig, ShadowBuf, ShardedPool};
+use pools::{PoolConfig, ShadowBuf, ShardedPool};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -13,41 +13,57 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(prop_oneof![Just(Op::Acquire), Just(Op::Release)], 1..200)
 }
 
+/// The three Amplify layouts as `(shards, magazine_cap)` settings:
+/// `amplify-local`, `amplify-sharded` and `amplify`.
+const LAYOUTS: [(usize, usize); 3] = [(1, 0), (4, 0), (4, pools::DEFAULT_MAGAZINE_CAP)];
+
 proptest! {
-    /// Pool population never exceeds the cap, and alloc/free accounting
-    /// balances, for any acquire/release sequence.
+    /// Pool population never exceeds the layout's bound — the cap per
+    /// shard, plus a magazine's capacity in magazine mode — and alloc/free
+    /// accounting balances, for any acquire/release sequence.
     #[test]
-    fn object_pool_respects_cap(ops in ops(), cap in 1usize..8) {
-        let pool: ObjectPool<u64> =
-            ObjectPool::with_config(PoolConfig { max_objects: Some(cap), ..Default::default() });
-        let mut held: Vec<pools::PoolBox<u64>> = Vec::new();
-        for op in ops {
-            match op {
-                Op::Acquire => held.push(pool.acquire(|| 0)),
-                Op::Release => {
-                    if let Some(b) = held.pop() {
-                        pool.release(b);
+    fn every_layout_respects_its_cap(ops in ops(), cap in 1usize..8) {
+        for (shards, magazine_cap) in LAYOUTS {
+            let config = PoolConfig { max_objects: Some(cap), ..Default::default() };
+            let pool: ShardedPool<u64> = ShardedPool::with_magazines(shards, config, magazine_cap);
+            let bound = cap * shards + magazine_cap;
+            let mut held: Vec<pools::PoolBox<u64>> = Vec::new();
+            for &op in &ops {
+                match op {
+                    Op::Acquire => held.push(pool.acquire(|| 0)),
+                    Op::Release => {
+                        if let Some(b) = held.pop() {
+                            pool.release(b);
+                        }
                     }
                 }
+                prop_assert!(pool.len() <= bound,
+                    "({shards}, {magazine_cap}): {} parked over its bound {bound}", pool.len());
             }
-            prop_assert!(pool.len() <= cap, "pool grew past its cap");
+            let s = pool.stats();
+            prop_assert_eq!(s.total_allocs() as usize, held.len() + s.frees() as usize);
+            prop_assert_eq!(s.fresh_allocs() as usize,
+                            held.len() + pool.len() + s.dropped() as usize,
+                            "({}, {}): a fresh object is neither held, parked nor dropped",
+                            shards, magazine_cap);
         }
-        let s = pool.stats();
-        prop_assert_eq!(s.total_allocs() as usize,
-                        held.len() + s.releases() as usize + s.dropped() as usize);
     }
 
     /// LIFO discipline: the most recently released distinct object comes
-    /// back first.
+    /// back first, in every layout.
     #[test]
-    fn object_pool_is_lifo(n in 1usize..20) {
-        let pool: ObjectPool<usize> = ObjectPool::new();
-        let objs: Vec<pools::PoolBox<usize>> = (0..n).map(|i| pool.acquire(move || i)).collect();
-        for o in objs {
-            pool.release(o);
-        }
-        for expected in (0..n).rev() {
-            prop_assert_eq!(*pool.acquire(|| usize::MAX), expected);
+    fn every_layout_is_lifo(n in 1usize..20) {
+        for (shards, magazine_cap) in LAYOUTS {
+            let pool: ShardedPool<usize> =
+                ShardedPool::with_magazines(shards, PoolConfig::default(), magazine_cap);
+            let objs: Vec<pools::PoolBox<usize>> =
+                (0..n).map(|i| pool.acquire(move || i)).collect();
+            for o in objs {
+                pool.release(o);
+            }
+            for expected in (0..n).rev() {
+                prop_assert_eq!(*pool.acquire(|| usize::MAX), expected);
+            }
         }
     }
 

@@ -11,7 +11,7 @@
 //!   usable even while other TLS destructors run;
 //! * the ring write (packed event + tick) is *sampled* for the hot
 //!   per-allocation kinds — 1 in [`HOT_SAMPLE`] — and unconditional for
-//!   the rare slow-path kinds, so the history shows every refill/flush/
+//!   the rare slow-path kinds, so the history shows every swap/park/
 //!   contention event but only a trace of the bulk traffic. Totals stay
 //!   exact either way.
 //!
@@ -42,8 +42,6 @@ pub enum EventKind {
     Release,
     /// Object refused (population cap) and freed.
     Drop,
-    /// Magazine refilled from a shard; payload = objects moved.
-    MagazineRefill,
     /// Magazine overflow flushed to a shard; payload = objects moved.
     MagazineFlush,
     /// A stale magazine discarded its cache after a trim; payload =
@@ -51,10 +49,6 @@ pub enum EventKind {
     EpochInvalidation,
     /// A shard try-lock found the lock held (the §5.1 signal).
     ShardLockContention,
-    /// A shadow slot parked a logically deleted object.
-    ShadowPark,
-    /// A shadow slot revived a parked object (temporal-locality hit).
-    ShadowReuse,
     /// An empty thread magazine swapped for a full one from the depot in
     /// one CAS; payload = objects gained.
     DepotSwap,
@@ -81,17 +75,14 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in tag order (the order reports list counts in).
-    pub const ALL: [EventKind; 17] = [
+    pub const ALL: [EventKind; 14] = [
         EventKind::AcquireHit,
         EventKind::AcquireMiss,
         EventKind::Release,
         EventKind::Drop,
-        EventKind::MagazineRefill,
         EventKind::MagazineFlush,
         EventKind::EpochInvalidation,
         EventKind::ShardLockContention,
-        EventKind::ShadowPark,
-        EventKind::ShadowReuse,
         EventKind::DepotSwap,
         EventKind::DepotPark,
         EventKind::SlabCarve,
@@ -108,12 +99,9 @@ impl EventKind {
             EventKind::AcquireMiss => "acquire_miss",
             EventKind::Release => "release",
             EventKind::Drop => "drop",
-            EventKind::MagazineRefill => "magazine_refill",
             EventKind::MagazineFlush => "magazine_flush",
             EventKind::EpochInvalidation => "epoch_invalidation",
             EventKind::ShardLockContention => "shard_lock_contention",
-            EventKind::ShadowPark => "shadow_park",
-            EventKind::ShadowReuse => "shadow_reuse",
             EventKind::DepotSwap => "depot_swap",
             EventKind::DepotPark => "depot_park",
             EventKind::SlabCarve => "slab_carve",
@@ -137,8 +125,8 @@ impl EventKind {
     }
 
     /// True for the per-allocation fast-path kinds, whose ring writes are
-    /// sampled 1-in-[`HOT_SAMPLE`]. The slow-path kinds (refills, flushes,
-    /// contention, shadow transitions) always reach the ring.
+    /// sampled 1-in-[`HOT_SAMPLE`]. The slow-path kinds (depot swaps and
+    /// parks, flushes, contention) always reach the ring.
     #[inline]
     pub fn is_hot(self) -> bool {
         matches!(

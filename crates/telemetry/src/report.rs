@@ -22,6 +22,10 @@ pub const HEAP_PROFILE_SCHEMA: &str = "heap-profile-v1";
 /// report, exactly like the heap profile.
 pub const POOL_TUNE_SCHEMA: &str = "pool-tune-v1";
 
+/// Event kinds the runtime no longer records (the Level 3 magazine refill
+/// and the shadow slots), still accepted in reports written while it did.
+const RETIRED_EVENT_KINDS: [&str; 3] = ["magazine_refill", "shadow_park", "shadow_reuse"];
+
 /// Aggregated statistics for one named pool, shards and magazines included.
 /// Field names are the `telemetry-v1` wire names; the generated C++ runtime
 /// emits the same names (`pool_misses` maps to `fresh_allocs`).
@@ -466,7 +470,8 @@ impl Report {
             }
         }
         for ev in &self.events {
-            if crate::event::EventKind::ALL.iter().all(|k| k.name() != ev.kind) {
+            let known = crate::event::EventKind::ALL.iter().any(|k| k.name() == ev.kind);
+            if !known && !RETIRED_EVENT_KINDS.contains(&ev.kind.as_str()) {
                 return Err(format!("unknown event kind `{}`", ev.kind));
             }
         }
@@ -1055,6 +1060,19 @@ mod tests {
         let mut r = sample();
         r.events[0].kind = "not_a_kind".into();
         assert!(r.validate().is_err());
+    }
+
+    #[test]
+    fn retired_event_kinds_still_validate_but_are_no_longer_listed() {
+        // A report written while `magazine_refill` existed lists it at 0.
+        let mut old = sample();
+        old.events.push(EventCount { kind: "magazine_refill".into(), count: 0 });
+        old.validate().unwrap();
+        Report::from_json(&old.to_json()).unwrap().validate().unwrap();
+        // A fresh report lists the 14 kinds the runtime records.
+        let fresh = Report::gather("unit");
+        assert_eq!(fresh.events.len(), 14);
+        assert!(fresh.events.iter().all(|e| !RETIRED_EVENT_KINDS.contains(&e.kind.as_str())));
     }
 
     #[test]

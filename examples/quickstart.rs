@@ -5,13 +5,14 @@
 //! ```
 
 use amplify::{Amplifier, AmplifyOptions};
-use pools::{ObjectPool, ShadowBuf, StructurePool};
+use pools::{PoolConfig, ShadowBuf, ShardedPool, StructurePool};
 use smp_sim::run::{run_tree, ModelKind, TreeExperiment};
 use workloads::tree::{PoolTree, TreeParams};
 
 fn main() {
-    // 1. The pool runtime: object pools and whole-structure reuse.
-    let pool: ObjectPool<Vec<u8>> = ObjectPool::new();
+    // 1. The pool runtime: object pools and whole-structure reuse. One
+    //    shard and no magazines is the single locked free list.
+    let pool: ShardedPool<Vec<u8>> = ShardedPool::with_magazines(1, PoolConfig::default(), 0);
     let buf = pool.acquire(|| vec![0u8; 256]);
     pool.release(buf);
     let _again = pool.acquire(|| vec![0u8; 256]); // reuses the allocation
