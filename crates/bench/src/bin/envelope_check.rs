@@ -7,7 +7,7 @@
 //! regressed**.
 //!
 //! ```text
-//! cargo run --release -p bench [--features telemetry|global-alloc] --bin envelope_check
+//! cargo run --release -p bench [--features global-alloc] --bin envelope_check
 //! ```
 //!
 //! Each of the 11 trials runs every path once, in turn, beside a `System`
@@ -23,11 +23,10 @@ use bench::native::{cpu_model, measure_envelopes, GATE, PAIRS, TRIALS};
 
 fn main() {
     eprintln!(
-        "[envelope_check] host: {}, {} CPUs; telemetry {}, global-alloc {}; \
+        "[envelope_check] host: {}, {} CPUs; global-alloc {}; \
          {TRIALS} trials x {PAIRS} pairs; gate +{:.0}% over the recorded ratio",
         cpu_model(),
         std::thread::available_parallelism().map_or(0, |n| n.get()),
-        cfg!(feature = "telemetry"),
         cfg!(feature = "global-alloc"),
         100.0 * GATE
     );

@@ -38,7 +38,6 @@ mod imp {
     use mem_api::BackendRegistry;
     use pools::fault::{self, FaultConfig};
     use telemetry::report::NativeRun;
-    use telemetry::Report;
     use workloads::exec::run_workload;
     use workloads::tree::{PoolTree, TreeWorkload};
 
@@ -175,7 +174,7 @@ mod imp {
         );
 
         if let Some(path) = bench::metrics::metrics_out_from_args() {
-            let mut report = Report::gather("fault_matrix");
+            let mut report = bench::metrics::gather("fault_matrix");
             report.native_runs = runs;
             debug_assert!(report.validate().is_ok());
             match bench::metrics::write_report(&path, &report) {

@@ -315,7 +315,6 @@ fn main() {
         write_heap_baseline(dir, &workload, hp);
     }
 
-    pools::global::publish_telemetry();
     bench::metrics::emit_with_heap_profile("global_alloc_bench", Vec::new(), heap_profile);
 }
 

@@ -126,6 +126,6 @@ fn main() {
     );
     let _ = fs::remove_dir_all(&dir);
     // The native comparison runs no simulator; the report still records
-    // the process's telemetry (events/histograms from any pool use).
+    // the process-wide event totals.
     bench::metrics::emit_if_requested("native_cpp", Vec::new());
 }

@@ -82,7 +82,7 @@ fn main() {
     let families = standard_families(iterations);
     let section = tune_families(&families, &cfg);
 
-    let mut report = telemetry::Report::gather("pool_tune");
+    let mut report = bench::metrics::gather("pool_tune");
     report.pool_tune = Some(section.clone());
     debug_assert!(report.validate().is_ok());
     print!("{}", report.render());

@@ -2,16 +2,30 @@
 //!
 //! Every bin in `src/bin` accepts `--metrics-out <path>` (or
 //! `--metrics-out=<path>`) and, when given, writes a `telemetry-v1` JSON
-//! report there: the global telemetry state (event totals, histograms,
-//! any registered pools) plus the simulator runs the bin performed,
-//! labelled `kind/t{threads}` (plus a `baseline` entry where a figure
-//! normalizes against one). `pool_report` renders these files back as
+//! report there: the process-wide event totals ([`gather`]) plus the
+//! simulator runs the bin performed, labelled `kind/t{threads}` (plus a
+//! `baseline` entry where a figure normalizes against one). `pool_report` renders these files back as
 //! human-readable text.
 
 use smp_sim::RunMetrics;
 use std::path::{Path, PathBuf};
 use telemetry::report::SimRun;
-use telemetry::Report;
+use telemetry::{EventKind, Report};
+
+/// A report listing the process-wide event totals, read when it is built
+/// from counters that are always on: the size-class engine's
+/// (`pools::global::stats`) and the fault layer's injected failures.
+/// Per-pool counts go in the `pools` and `native_runs` sections.
+pub fn gather(source: &str) -> Report {
+    let engine = pools::global::stats();
+    let injected = pools::fault::injected_counts().total();
+    Report::with_events(source, |kind| match kind {
+        EventKind::FallbackAlloc => engine.fallback_allocs,
+        EventKind::FaultInjected => injected,
+        EventKind::RemoteFree => engine.remote_frees,
+        EventKind::ClassRefill => engine.class_refills,
+    })
+}
 
 /// Parse `--metrics-out <path>` / `--metrics-out=<path>` from `args`.
 pub fn metrics_out_from(args: &[String]) -> Option<PathBuf> {
@@ -41,10 +55,10 @@ pub fn with_runs(mut report: Report, sim_runs: Vec<(String, RunMetrics)>) -> Rep
     report
 }
 
-/// Assemble the standard bin report: gathered global telemetry plus the
+/// Assemble the standard bin report: the gathered event totals plus the
 /// bin's simulator runs.
 pub fn report_for_runs(source: &str, sim_runs: Vec<(String, RunMetrics)>) -> Report {
-    with_runs(Report::gather(source), sim_runs)
+    with_runs(gather(source), sim_runs)
 }
 
 /// Write `report` to `path` as pretty JSON, creating parent directories.
@@ -125,10 +139,41 @@ mod tests {
         let (fig2, runs2) = speedup_figure_with_metrics("det", 1, &kinds[..2], 200, 2);
         assert_eq!(fig1.csv_string(), fig2.csv_string());
         // Compare via `Report::new` (not `gather`): other tests in this
-        // process may be mutating the global event counters concurrently.
+        // process may be moving the process-wide counters concurrently.
         let a = with_runs(Report::new("det"), runs1).to_json();
         let b = with_runs(Report::new("det"), runs2).to_json();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn gather_reads_remote_frees_from_the_size_class_engine() {
+        // One thread allocates through the raw size-class API and another,
+        // homed on a different shard, frees the blocks: each free ships to
+        // the owner's remote queue, which the engine counts in every build.
+        // Explicit joins: the freeing thread's exit flush has run before
+        // the report is gathered.
+        use pools::global::{pin_home_shard, raw_alloc, raw_dealloc, CLASS_SHARDS};
+        let layout = std::alloc::Layout::from_size_align(48, 8).unwrap();
+        let blocks: Vec<usize> = std::thread::spawn(move || {
+            assert!(pin_home_shard(0));
+            (0..256).map(|_| raw_alloc(layout) as usize).collect()
+        })
+        .join()
+        .unwrap();
+        std::thread::spawn(move || {
+            assert!(pin_home_shard(CLASS_SHARDS - 1));
+            for b in blocks {
+                unsafe { raw_dealloc(b as *mut u8, layout) };
+            }
+        })
+        .join()
+        .unwrap();
+        let report = gather("remote-free-test");
+        report.validate().unwrap();
+        let count = |kind: &str| report.events.iter().find(|e| e.kind == kind).unwrap().count;
+        assert!(count("remote_free") > 0, "{:?}", report.events);
+        assert!(count("class_refill") > 0, "{:?}", report.events);
+        assert_eq!(report.events.len(), EventKind::ALL.len());
     }
 
     #[test]

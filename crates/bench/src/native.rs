@@ -202,13 +202,10 @@ pub struct EnvelopePath {
     pub run: fn(u64) -> f64,
 }
 
-/// The recorded ratio for this build: `telemetry` instruments the typed
-/// pools, `global-alloc` routes the harness's own allocations through
-/// the size-class engine.
-const fn by_mode(off: f64, telemetry: f64, global_alloc: f64) -> f64 {
-    if cfg!(feature = "telemetry") {
-        telemetry
-    } else if cfg!(feature = "global-alloc") {
+/// The recorded ratio for this build: `global-alloc` routes the
+/// harness's own allocations through the size-class engine.
+const fn by_mode(off: f64, global_alloc: f64) -> f64 {
+    if cfg!(feature = "global-alloc") {
         global_alloc
     } else {
         off
@@ -217,26 +214,22 @@ const fn by_mode(off: f64, telemetry: f64, global_alloc: f64) -> f64 {
 
 /// Every gated path, in the order a trial runs them.
 pub const ENVELOPE_PATHS: [EnvelopePath; 8] = [
-    EnvelopePath { label: "hit-pair", recorded: by_mode(0.64, 0.81, 0.64), run: hit_pair },
-    EnvelopePath { label: "miss-pair", recorded: by_mode(2.64, 2.73, 2.68), run: miss_pair },
-    EnvelopePath { label: "global-pair", recorded: by_mode(0.63, 0.66, 0.65), run: global_pair },
+    EnvelopePath { label: "hit-pair", recorded: by_mode(0.64, 0.64), run: hit_pair },
+    EnvelopePath { label: "miss-pair", recorded: by_mode(2.64, 2.68), run: miss_pair },
+    EnvelopePath { label: "global-pair", recorded: by_mode(0.63, 0.65), run: global_pair },
     EnvelopePath {
         label: "global-pair-profiled",
-        recorded: by_mode(0.67, 0.69, 0.68),
+        recorded: by_mode(0.67, 0.68),
         run: profiled_global_pair,
     },
     EnvelopePath {
         label: "reclaim-global-pair",
-        recorded: by_mode(0.67, 0.67, 0.69),
+        recorded: by_mode(0.67, 0.69),
         run: reclaim_global_pair,
     },
-    EnvelopePath { label: "sim-engine", recorded: by_mode(10.45, 10.29, 10.71), run: sim_engine },
-    EnvelopePath {
-        label: "tuned-hit-pair",
-        recorded: by_mode(0.64, 0.81, 0.64),
-        run: tuned_hit_pair,
-    },
-    EnvelopePath { label: "mem-api-pair", recorded: by_mode(1.35, 1.50, 1.29), run: mem_api_pair },
+    EnvelopePath { label: "sim-engine", recorded: by_mode(10.45, 10.71), run: sim_engine },
+    EnvelopePath { label: "tuned-hit-pair", recorded: by_mode(0.64, 0.64), run: tuned_hit_pair },
+    EnvelopePath { label: "mem-api-pair", recorded: by_mode(1.35, 1.29), run: mem_api_pair },
 ];
 
 /// ns per call of `op`, over `ops` calls.

@@ -207,14 +207,19 @@ mod tests {
     fn ledger_is_exact_after_a_thread_exits_with_cached_objects() {
         for backend in every_layout() {
             // The worker's last frees stay cached in its magazine until
-            // the thread exits and folds its counts into the pool.
+            // the thread exits and folds its counts into the pool. The
+            // explicit join waits for that exit: the scope's implicit join
+            // returns before the worker's TLS destructors run.
             std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    for _ in 0..3 {
-                        let held: Vec<_> = (0..10).map(|_| backend.alloc(&16)).collect();
-                        held.into_iter().for_each(|a| backend.free(a));
-                    }
-                });
+                scope
+                    .spawn(|| {
+                        for _ in 0..3 {
+                            let held: Vec<_> = (0..10).map(|_| backend.alloc(&16)).collect();
+                            held.into_iter().for_each(|a| backend.free(a));
+                        }
+                    })
+                    .join()
+                    .expect("worker");
             });
             assert_exact(&backend, 30, 30, 0);
             let kept = backend.alloc(&16);

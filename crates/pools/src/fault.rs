@@ -98,7 +98,6 @@ impl FaultCounts {
 #[cfg(feature = "fault-inject")]
 mod imp {
     use super::{FaultConfig, FaultCounts};
-    use crate::obs::pool_event;
     use std::cell::Cell;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -231,7 +230,6 @@ mod imp {
         let h = mix(seed ^ SITE_SALTS[site] ^ mix(ordinal ^ SITE_SALTS[site]) ^ n);
         if h < thr {
             INJECTED[site].fetch_add(1, Ordering::Relaxed);
-            pool_event!(FaultInjected, site);
             true
         } else {
             false

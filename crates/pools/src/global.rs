@@ -69,10 +69,9 @@
 //! global allocator — that recurses. Hence: intrusive lists instead of
 //! collections, all internal storage (thread caches, slab segments)
 //! obtained directly from [`System`], plain-field per-thread counters
-//! folded into global atomics on thread exit (the `MagCells` idiom), and
-//! **no** telemetry ring writes on the hot paths — aggregate counts are
-//! published as `remote_free` / `class_refill` events only when a caller
-//! explicitly asks via [`publish_telemetry`]. Thread-local state is a
+//! folded into global atomics on thread exit (the `MagCells` idiom); a
+//! report reads the aggregates through [`stats`] (its `remote_free`,
+//! `class_refill` and `fallback_alloc` events). Thread-local state is a
 //! const-init `Cell` (no lazy-init allocation, no destructor of its own);
 //! a separate drop guard flushes the cache at thread exit and leaves a
 //! DEAD sentinel so late frees from TLS teardown degrade to remote pushes
@@ -2102,18 +2101,6 @@ pub(crate) fn collect_live_samples(
             cache.sample_total.load(Ordering::Acquire);
         cur = cache.next;
     }
-}
-
-/// Emit the aggregate `remote_free` / `class_refill` counters as telemetry
-/// events. Hot allocator paths never touch the telemetry ring (its lazy
-/// ring registration allocates, which would recurse through the installed
-/// allocator); callers invoke this from safe, non-allocator context — bench
-/// bins after a run, reports before rendering. No-op without `telemetry`.
-pub fn publish_telemetry() {
-    let s = stats();
-    crate::obs::pool_event!(RemoteFree, s.remote_frees);
-    crate::obs::pool_event!(ClassRefill, s.class_refills);
-    crate::obs::pool_event!(FallbackAlloc, s.fallback_allocs);
 }
 
 /// Whether this build installs [`GlobalPool`] as `#[global_allocator]`.

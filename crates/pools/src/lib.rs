@@ -58,7 +58,6 @@ mod guard;
 pub mod heap_profile;
 pub mod limits;
 pub mod magazine;
-mod obs;
 pub mod pool_box;
 pub mod reclaim;
 pub mod registry;

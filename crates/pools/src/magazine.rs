@@ -57,7 +57,6 @@ use crate::depot::{DepotNode, MagStack};
 use crate::fault;
 use crate::guard;
 use crate::limits::PoolConfig;
-use crate::obs::{pool_event, pool_hist};
 use crate::pool_box::{slot_size, PoolBox, SlabReserve, SlabSlot, SlotList};
 use crate::sharded::Shard;
 use crate::stats::{PoolStats, StatsSnapshot};
@@ -795,11 +794,7 @@ fn invalidate_if_stale<T>(mag: &mut Magazine<T>, depot: &Depot<T>) -> SlotList<T
 fn invalidate<T>(mag: &mut Magazine<T>, epoch: u64) -> SlotList<T> {
     mag.epoch = epoch;
     mag.reserve = None; // uninitialized slots: releasing them runs no user code
-    let stale = mem::take(&mut mag.list);
-    if !stale.is_empty() {
-        pool_event!(EpochInvalidation, stale.len());
-    }
-    stale
+    mem::take(&mut mag.list)
 }
 
 /// Drop objects a trim made stale, outside the hold (user destructors).
@@ -907,14 +902,11 @@ fn swap_in<T>(
             Some(_) => depot.free_nodes.push(node),
         }
         if epoch != mag.epoch {
-            pool_event!(EpochInvalidation, n);
             stale.append(list);
             continue;
         }
         mag.list = list;
         MagCells::bump(&mag.cells.swaps);
-        pool_event!(DepotSwap, n);
-        pool_hist!("pools.depot_swap_objects", n);
         return mag.list.pop();
     }
     None
@@ -959,7 +951,6 @@ pub(crate) fn push_cold<T: 'static>(
 ) -> Option<PoolBox<T>> {
     let mut obj = Some(obj);
     let Some((stale, over)) = with_mag(depot, true, |mag| {
-        pool_event!(Release);
         let stale = invalidate_if_stale(mag, depot);
         let mut over = SlotList::new();
         if mag.list.len() < mag.cap || fault::delay_flush() {
@@ -976,8 +967,6 @@ pub(crate) fn push_cold<T: 'static>(
             if n > 0 {
                 MagCells::add(&mag.cells.depot_net, n as i64);
                 MagCells::bump(&mag.cells.parks);
-                pool_event!(DepotPark, n);
-                pool_hist!("pools.depot_park_objects", n);
             }
         }
         mag.list.push(obj.take().expect("taken once"));
@@ -1041,7 +1030,6 @@ pub(crate) fn flush_local<T: 'static>(depot: &Arc<Depot<T>>) -> usize {
     }) else {
         return 0;
     };
-    pool_event!(MagazineFlush, n);
     depot.drop_over(over);
     n
 }

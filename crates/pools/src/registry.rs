@@ -115,8 +115,7 @@ impl PoolRegistry {
     /// Snapshot every live pool as a `telemetry-v1` pool entry, in
     /// registration order (so reports are deterministic for a fixed
     /// registration sequence). This is how a [`telemetry::Report`] gets its
-    /// `pools` section; it works with or without the `telemetry` feature —
-    /// the feature only gates hot-path event recording, not the counters.
+    /// `pools` section, read from the pools' always-on counters.
     pub fn pool_snapshots(&self) -> Vec<telemetry::report::PoolSnapshot> {
         let entries: Vec<(String, Arc<dyn Trimmable>)> = {
             let pools = self.pools.lock();

@@ -30,7 +30,6 @@
 use crate::fault;
 use crate::limits::PoolConfig;
 use crate::magazine::{self, Depot, Refill, DEFAULT_MAGAZINE_CAP};
-use crate::obs::{pool_event, pool_hist};
 use crate::pool_box::{PoolBox, SlabReserve, SlotList};
 use crate::stats::{PoolStats, StatsSnapshot};
 use parking_lot::{Mutex, MutexGuard};
@@ -148,8 +147,7 @@ impl<T: 'static> ShardedPool<T> {
         }
         if let Some(mut obj) = magazine::pop(&self.depot, bytes) {
             // The hit and its bytes were counted inside `pop` (the
-            // magazine's owner-written cells); only the event is here.
-            pool_event!(AcquireHit);
+            // magazine's owner-written cells).
             reinit(&mut obj);
             return obj;
         }
@@ -175,7 +173,6 @@ impl<T: 'static> ShardedPool<T> {
                 // The empty magazine swapped for a parked list from the
                 // depot — one CAS, no locks, no per-object moves.
                 Refill::Hit(mut obj) => {
-                    pool_event!(AcquireHit);
                     reinit(&mut obj);
                     return obj;
                 }
@@ -207,8 +204,6 @@ impl<T: 'static> ShardedPool<T> {
         if self.depot.slab_objects > 0 && !fault::fail_slab_carve() {
             if let Some(mut reserve) = SlabReserve::carve(self.depot.slab_objects) {
                 self.depot.stats.record_slab_carve();
-                pool_event!(SlabCarve, self.depot.slab_objects);
-                pool_hist!("pools.slab_objects", self.depot.slab_objects);
                 let slot = reserve.take().expect("a fresh slab has at least two slots");
                 magazine::stash_reserve(&self.depot, reserve);
                 return slot.fill(fresh());
@@ -241,12 +236,9 @@ impl<T: 'static> ShardedPool<T> {
     /// ledger (the count the object was acquired with).
     #[inline(always)]
     pub fn release_sized(&self, obj: impl Into<PoolBox<T>>, bytes: u64) {
-        // Counted inside `push` (the magazine's cells); event only here.
-        match magazine::push(&self.depot, obj.into(), bytes) {
-            None => {
-                pool_event!(Release);
-            }
-            Some(obj) => self.release_cold(obj, bytes),
+        // Counted inside `push` (the magazine's cells).
+        if let Some(obj) = magazine::push(&self.depot, obj.into(), bytes) {
+            self.release_cold(obj, bytes);
         }
     }
 

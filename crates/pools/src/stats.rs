@@ -1,11 +1,6 @@
-//! Lock-free counters shared by all pool kinds.
-//!
-//! With the `telemetry` feature enabled, every counter bump also records a
-//! typed event ([`telemetry::EventKind`]) into the calling thread's event
-//! ring — the counters and the event totals are bumped at the same sites,
-//! so they agree by construction.
+//! Lock-free counters shared by all pool kinds. They are always on;
+//! reports read them through [`StatsSnapshot`].
 
-use crate::obs::pool_event;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Counters describing a pool's behaviour. All methods use relaxed atomics —
@@ -52,13 +47,11 @@ impl PoolStats {
     #[inline]
     pub(crate) fn record_hit(&self) {
         self.pool_hits.fetch_add(1, Ordering::Relaxed);
-        pool_event!(AcquireHit);
     }
 
     /// Fold a retiring magazine's locally-counted hits, releases, net
     /// bytes and depot exchanges into the shared counters (see
-    /// `magazine::MagCells`). No events: the owning thread already emitted
-    /// one per operation.
+    /// `magazine::MagCells`).
     pub(crate) fn fold_magazine_counts(
         &self,
         hits: u64,
@@ -90,13 +83,11 @@ impl PoolStats {
     #[inline]
     pub(crate) fn record_fresh(&self) {
         self.fresh_allocs.fetch_add(1, Ordering::Relaxed);
-        pool_event!(AcquireMiss);
     }
 
     #[inline]
     pub(crate) fn record_release(&self) {
         self.releases.fetch_add(1, Ordering::Relaxed);
-        pool_event!(Release);
     }
 
     /// A release the population cap turned away: the object is dropped
@@ -105,19 +96,16 @@ impl PoolStats {
     pub(crate) fn record_refused(&self) {
         self.refused.fetch_add(1, Ordering::Relaxed);
         self.dropped.fetch_add(1, Ordering::Relaxed);
-        pool_event!(Drop, 1);
     }
 
     #[inline]
     pub(crate) fn record_dropped_many(&self, n: u64) {
         self.dropped.fetch_add(n, Ordering::Relaxed);
-        pool_event!(Drop, n);
     }
 
     #[inline]
     pub(crate) fn record_failed_lock(&self) {
         self.failed_locks.fetch_add(1, Ordering::Relaxed);
-        pool_event!(ShardLockContention);
     }
 
     #[inline]
@@ -137,7 +125,6 @@ impl PoolStats {
     #[inline]
     pub(crate) fn record_fallback(&self) {
         self.fallback_allocs.fetch_add(1, Ordering::Relaxed);
-        pool_event!(FallbackAlloc, 1);
     }
 
     /// Allocations served by reuse from the free list.

@@ -109,7 +109,7 @@ fn cross_thread_frees_conserve_blocks_and_reconcile_the_remote_ledger() {
         // ...and every single free was a remote push (the consumer's home
         // shard never stamps a slab, so each free files into a foreign
         // bucket and ships to the owner's queue at a batch boundary or
-        // teardown), reconciling the telemetry counter exactly against
+        // teardown), reconciling the `remote_frees` counter exactly against
         // the operation count. Producers only allocate, so they never
         // bucket anything; their flushes all land on central stacks.
         assert_eq!(remote, total, "remote_free ledger must equal consumer frees");

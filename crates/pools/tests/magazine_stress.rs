@@ -5,7 +5,7 @@
 
 use pools::{PoolConfig, ShardedPool};
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// Deterministic per-thread op stream (xorshift) — no external RNG needed.
 struct Lcg(u64);
@@ -22,8 +22,10 @@ impl Lcg {
 }
 
 /// Churn the pool from `threads` threads with a mixed acquire/hold/release
-/// pattern; returns (total acquires, values issued by fresh closures).
-fn churn(pool: &Arc<ShardedPool<u64>>, threads: u64, ops: u32) -> u64 {
+/// pattern; returns the total acquires. With a `midpoint` barrier (of
+/// `threads + 1`), every worker waits on it twice halfway through, so one
+/// more party can look at the pool while all of them are paused.
+fn churn(pool: &Arc<ShardedPool<u64>>, threads: u64, ops: u32, midpoint: Option<&Barrier>) -> u64 {
     let mut total_acquires = 0u64;
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
@@ -34,7 +36,11 @@ fn churn(pool: &Arc<ShardedPool<u64>>, threads: u64, ops: u32) -> u64 {
                     let mut held: Vec<pools::PoolBox<u64>> = Vec::new();
                     let mut counter = 0u64;
                     let mut acquires = 0u64;
-                    for _ in 0..ops {
+                    for op in 0..ops {
+                        if let Some(midpoint) = midpoint.filter(|_| op == ops / 2) {
+                            midpoint.wait();
+                            midpoint.wait();
+                        }
                         // Bias towards acquire so the held set grows and
                         // shrinks, exercising refill and overflow paths.
                         if !rng.next().is_multiple_of(3) || held.is_empty() {
@@ -64,7 +70,7 @@ fn churn(pool: &Arc<ShardedPool<u64>>, threads: u64, ops: u32) -> u64 {
 #[test]
 fn no_object_lost_or_duplicated_under_churn() {
     let pool: Arc<ShardedPool<u64>> = Arc::new(ShardedPool::new(4));
-    let acquires = churn(&pool, 8, 3_000);
+    let acquires = churn(&pool, 8, 3_000, None);
 
     let stats = pool.stats();
     assert_eq!(
@@ -103,7 +109,7 @@ fn concurrent_trims_keep_accounting_exact() {
             trimmed
         })
     };
-    let acquires = churn(&pool, 4, 2_000);
+    let acquires = churn(&pool, 4, 2_000, None);
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let trimmed = trimmer.join().expect("trimmer panicked");
 
@@ -123,7 +129,8 @@ fn concurrent_trims_keep_accounting_exact() {
 }
 
 /// A capped pool under 4-thread churn: a sampler checks the depot's exact
-/// population against its bound (`max_objects × shards`) throughout, every
+/// population against its bound (`max_objects × shards`) once while every
+/// worker is paused mid-churn and then as often as it is scheduled, every
 /// free is counted once, and every object built is parked or dropped by
 /// the cap — never served twice.
 #[test]
@@ -135,11 +142,20 @@ fn capped_depot_drops_overflow_but_never_duplicates() {
         PoolConfig { max_objects: Some(MAX), ..Default::default() },
         4,
     ));
+    const THREADS: u64 = 4;
+    let midpoint = Arc::new(Barrier::new(THREADS as usize + 1));
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let sampler = {
-        let (p, stop) = (Arc::clone(&pool), Arc::clone(&stop));
+        let (p, stop, midpoint) = (Arc::clone(&pool), Arc::clone(&stop), Arc::clone(&midpoint));
         std::thread::spawn(move || {
-            let mut samples = 0u64;
+            // Read while every worker waits between the two midpoint
+            // waits; release them before asserting, so a failure cannot
+            // leave them blocked.
+            midpoint.wait();
+            let paused = p.depot_parked();
+            midpoint.wait();
+            assert!(paused <= SHARDS * MAX, "depot over its bound mid-churn: {paused}");
+            let mut samples = 1u64;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 let parked = p.depot_parked();
                 assert!(parked <= SHARDS * MAX, "depot over its bound: {parked}");
@@ -149,7 +165,7 @@ fn capped_depot_drops_overflow_but_never_duplicates() {
             samples
         })
     };
-    let acquires = churn(&pool, 4, 1_000);
+    let acquires = churn(&pool, THREADS, 1_000, Some(&midpoint));
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     assert!(sampler.join().expect("the bound held") > 0);
     let stats = pool.stats();

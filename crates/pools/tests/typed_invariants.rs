@@ -147,16 +147,32 @@ fn trim_drops_each_parked_object_exactly_once() {
 
 /// Allocate and free from two threads, then check the quiescent ledger.
 fn churn(pool: &Arc<StructurePool<Tree>>) {
+    // Both threads hold their first round at once: 14 live objects, so a
+    // capped pool (2 magazines of 4, a depot bound of 2 × 3) must drop
+    // some whatever the schedule.
+    let first_round_held = Barrier::new(2);
     std::thread::scope(|scope| {
-        for t in 0..2u64 {
-            scope.spawn(move || {
-                for round in 0..20 {
-                    let held: Vec<_> = (0..7)
-                        .map(|i| pool.alloc_sized(&(t * 1000 + round * 10 + i), 72))
-                        .collect();
-                    held.into_iter().for_each(|tree| pool.free_sized(tree, 72));
-                }
-            });
+        let handles: Vec<_> = (0..2u64)
+            .map(|t| {
+                let first_round_held = &first_round_held;
+                scope.spawn(move || {
+                    for round in 0..20 {
+                        let held: Vec<_> = (0..7)
+                            .map(|i| pool.alloc_sized(&(t * 1000 + round * 10 + i), 72))
+                            .collect();
+                        if round == 0 {
+                            first_round_held.wait();
+                        }
+                        held.into_iter().for_each(|tree| pool.free_sized(tree, 72));
+                    }
+                })
+            })
+            .collect();
+        // Explicit joins: the scope's implicit join returns before the
+        // workers' TLS destructors retire their magazines, and a retiring
+        // magazine's list is counted in both it and the depot.
+        for h in handles {
+            h.join().expect("churn worker");
         }
     });
 }

@@ -2,31 +2,21 @@
 //!
 //! The paper's §5.1 argument — that Amplify's critical sections are short
 //! enough to scale — rests on *monitoring* the allocator (failed try-locks,
-//! pool hit rates). This crate is the reproduction's monitoring subsystem:
+//! pool hit rates). `pools` counts both on always-on counters; this crate
+//! holds the report those counters are written into:
 //!
-//! * [`ring`] — a lock-free per-thread event ring buffer recording typed
-//!   pool events ([`event::EventKind`]) with coarse, deterministic tick
-//!   timestamps ([`tick`] — a monotonic counter, not wall clock);
-//! * [`hist`] — log-bucketed (power-of-two, HDR-style) histograms for
-//!   operation latencies, magazine occupancy and free-list lengths;
 //! * [`report`] — the unified [`report::Report`] snapshot with the
 //!   versioned `telemetry-v1` JSON schema that bench binaries emit behind
-//!   `--metrics-out` and the `pool_report` binary renders.
+//!   `--metrics-out` and the `pool_report` binary renders;
+//! * [`event`] — the process-wide event kinds a report lists, each read
+//!   from a counter when the report is built.
 //!
-//! The crate itself is always compiled (the report types must exist so the
-//! harness can build and parse reports in any configuration). What is
-//! feature-gated is the *instrumentation*: `pools` and `workloads` only
-//! call [`event::record`] / [`hist::histogram`] on their hot paths when
-//! their `telemetry` cargo feature is enabled, so the default build
-//! compiles to exactly the uninstrumented code.
+//! The crate records nothing itself and has no cargo features: it builds
+//! and parses reports, including ones written by older binaries and by
+//! the generated C++ runtime.
 
 pub mod event;
-pub mod hist;
 pub mod report;
-pub mod ring;
-pub mod tick;
 
-pub use event::{record, EventKind, PoolEvent};
-pub use hist::Histogram;
+pub use event::EventKind;
 pub use report::{Report, SCHEMA};
-pub use ring::EventRing;

@@ -6,6 +6,7 @@
 //! machine-readable output of the generated C++ runtime header (so C++-side
 //! and Rust-side stats can be diffed by the same tooling).
 
+use crate::event::EventKind;
 use serde::{Deserialize, Serialize, Value};
 use smp_sim::metrics::RunMetrics;
 
@@ -22,9 +23,30 @@ pub const HEAP_PROFILE_SCHEMA: &str = "heap-profile-v1";
 /// report, exactly like the heap profile.
 pub const POOL_TUNE_SCHEMA: &str = "pool-tune-v1";
 
-/// Event kinds the runtime no longer records (the Level 3 magazine refill
-/// and the shadow slots), still accepted in reports written while it did.
-const RETIRED_EVENT_KINDS: [&str; 3] = ["magazine_refill", "shadow_park", "shadow_reuse"];
+/// Event kinds reports no longer list, still accepted in reports written
+/// while they did: the Level 3 magazine refill and the shadow slots, then
+/// the typed pools' per-event totals, which a compile-time feature counted
+/// a second time beside their always-on counters (a report's `pools` and
+/// `native_runs` sections carry those counts).
+const RETIRED_EVENT_KINDS: [&str; 13] = [
+    "magazine_refill",
+    "shadow_park",
+    "shadow_reuse",
+    "acquire_hit",
+    "acquire_miss",
+    "release",
+    "drop",
+    "magazine_flush",
+    "epoch_invalidation",
+    "shard_lock_contention",
+    "depot_swap",
+    "depot_park",
+    "slab_carve",
+];
+
+/// Buckets a histogram may have (see [`HistogramReport`]): 65 cover every
+/// `u64`.
+const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Aggregated statistics for one named pool, shards and magazines included.
 /// Field names are the `telemetry-v1` wire names; the generated C++ runtime
@@ -79,15 +101,16 @@ impl PoolSnapshot {
     }
 }
 
-/// One per-kind event total (see [`crate::event::EventKind::name`]).
+/// One per-kind event total (see [`EventKind::name`]; reports written
+/// before a kind retired may list it too).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventCount {
     pub kind: String,
     pub count: u64,
 }
 
-/// One named histogram: `buckets[i]` counts values with bucket index `i`
-/// (see [`crate::hist::bucket_index`]).
+/// One named histogram: bucket 0 counts the value 0 and bucket `i ≥ 1`
+/// the values of bit length `i`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramReport {
     pub name: String,
@@ -355,6 +378,8 @@ pub struct Report {
     pub source: String,
     pub pools: Vec<PoolSnapshot>,
     pub events: Vec<EventCount>,
+    /// Empty in reports this crate builds; reports written while the
+    /// runtime recorded histograms still carry theirs, and render them.
     pub histograms: Vec<HistogramReport>,
     pub sim_runs: Vec<SimRun>,
     /// Native backend × workload executions (the `native_matrix` bench).
@@ -425,24 +450,20 @@ impl Report {
         }
     }
 
-    /// A report pre-filled with this process's global event totals and
-    /// registered histograms. Pool snapshots and sim runs are supplied by
-    /// the caller (`pools::PoolRegistry::pool_snapshots`, bench drivers).
-    pub fn gather(source: &str) -> Self {
+    /// A report listing every [`EventKind`] with the total `count` reads
+    /// for it. Pool snapshots and sim runs are supplied by the caller
+    /// (`pools::PoolRegistry::pool_snapshots`, bench drivers).
+    pub fn with_events(source: &str, count: impl Fn(EventKind) -> u64) -> Self {
         let mut r = Report::new(source);
-        r.events = crate::event::counts()
-            .into_iter()
-            .map(|(k, count)| EventCount { kind: k.name().to_string(), count })
-            .collect();
-        r.histograms = crate::hist::all_histograms()
-            .into_iter()
-            .map(|(name, buckets)| HistogramReport { name, buckets })
+        r.events = EventKind::ALL
+            .iter()
+            .map(|&k| EventCount { kind: k.name().to_string(), count: count(k) })
             .collect();
         r
     }
 
     /// Serialize as pretty JSON (deterministic: field order is declaration
-    /// order, histogram order is sorted by name).
+    /// order, event order is [`EventKind::ALL`]'s).
     pub fn to_json(&self) -> String {
         let mut s = serde_json::to_string_pretty(self).expect("report serializes");
         s.push('\n');
@@ -460,17 +481,16 @@ impl Report {
             return Err(format!("unsupported schema `{}` (expected `{SCHEMA}`)", self.schema));
         }
         for h in &self.histograms {
-            if h.buckets.len() > crate::hist::BUCKETS {
+            if h.buckets.len() > HISTOGRAM_BUCKETS {
                 return Err(format!(
-                    "histogram `{}` has {} buckets (max {})",
+                    "histogram `{}` has {} buckets (max {HISTOGRAM_BUCKETS})",
                     h.name,
-                    h.buckets.len(),
-                    crate::hist::BUCKETS
+                    h.buckets.len()
                 ));
             }
         }
         for ev in &self.events {
-            let known = crate::event::EventKind::ALL.iter().any(|k| k.name() == ev.kind);
+            let known = EventKind::ALL.iter().any(|k| k.name() == ev.kind);
             if !known && !RETIRED_EVENT_KINDS.contains(&ev.kind.as_str()) {
                 return Err(format!("unknown event kind `{}`", ev.kind));
             }
@@ -819,6 +839,13 @@ impl Report {
                 let _ = writeln!(event_lines, "  {:<24}{}", ne.kind, d(ne.count, old));
             }
         }
+        // A kind only the old report lists (retired since) is announced
+        // when it counted anything.
+        for oe in &self.events {
+            if oe.count > 0 && new.events.iter().all(|e| e.kind != oe.kind) {
+                let _ = writeln!(event_lines, "  {:<24}(gone, was {})", oe.kind, oe.count);
+            }
+        }
         if !event_lines.is_empty() {
             let _ = writeln!(out, "events:");
             out.push_str(&event_lines);
@@ -1060,26 +1087,71 @@ mod tests {
         let mut r = sample();
         r.events[0].kind = "not_a_kind".into();
         assert!(r.validate().is_err());
+        let mut r = sample();
+        r.histograms[0].buckets = vec![1; HISTOGRAM_BUCKETS + 1];
+        assert!(r.validate().unwrap_err().contains("66 buckets"));
+        r.histograms[0].buckets.pop();
+        r.validate().unwrap();
     }
 
     #[test]
     fn retired_event_kinds_still_validate_but_are_no_longer_listed() {
-        // A report written while `magazine_refill` existed lists it at 0.
-        let mut old = sample();
-        old.events.push(EventCount { kind: "magazine_refill".into(), count: 0 });
-        old.validate().unwrap();
-        Report::from_json(&old.to_json()).unwrap().validate().unwrap();
-        // A fresh report lists the 14 kinds the runtime records.
-        let fresh = Report::gather("unit");
-        assert_eq!(fresh.events.len(), 14);
-        assert!(fresh.events.iter().all(|e| !RETIRED_EVENT_KINDS.contains(&e.kind.as_str())));
+        // A report written while the typed pools' events were recorded
+        // lists all 14 kinds plus a histogram; one written while
+        // `magazine_refill` existed lists that too.
+        const OLD_KINDS: [&str; 14] = [
+            "acquire_hit",
+            "acquire_miss",
+            "release",
+            "drop",
+            "magazine_flush",
+            "epoch_invalidation",
+            "shard_lock_contention",
+            "depot_swap",
+            "depot_park",
+            "slab_carve",
+            "fallback_alloc",
+            "fault_injected",
+            "remote_free",
+            "class_refill",
+        ];
+        let mut old = Report::new("old");
+        for (i, kind) in OLD_KINDS.iter().chain(["magazine_refill"].iter()).enumerate() {
+            old.events.push(EventCount { kind: kind.to_string(), count: 10 + i as u64 });
+        }
+        old.histograms.push(HistogramReport {
+            name: "pools.depot_swap_objects".into(),
+            buckets: vec![0, 0, 3],
+        });
+        let back = Report::from_json(&old.to_json()).unwrap();
+        back.validate().unwrap();
+        let text = back.render();
+        for kind in OLD_KINDS {
+            assert!(text.contains(kind), "{kind} missing from:\n{text}");
+        }
+        assert!(text.contains("histogram pools.depot_swap_objects (n=3"), "{text}");
+        // A fresh report lists exactly the live kinds, none retired.
+        let fresh = Report::with_events("unit", |_| 0);
+        let kinds: Vec<&str> = fresh.events.iter().map(|e| e.kind.as_str()).collect();
+        assert_eq!(kinds, ["fallback_alloc", "fault_injected", "remote_free", "class_refill"]);
+        assert!(kinds.iter().all(|k| !RETIRED_EVENT_KINDS.contains(k)));
+        assert!(fresh.histograms.is_empty());
+        fresh.validate().unwrap();
+        // Diffed against the fresh report, a retired kind that counted
+        // something is announced as gone, not silently dropped.
+        let diff = back.diff(&fresh);
+        assert!(diff.contains("acquire_hit") && diff.contains("(gone, was 10)"), "{diff}");
+        assert!(diff.contains("remote_free") && diff.contains("-22"), "{diff}");
     }
 
     #[test]
-    fn gather_includes_every_event_kind() {
-        let r = Report::gather("unit");
+    fn with_events_lists_every_live_kind_with_its_count() {
+        let r = Report::with_events("unit", |k| k as u64 + 1);
         assert_eq!(r.schema, SCHEMA);
-        assert_eq!(r.events.len(), crate::event::EventKind::ALL.len());
+        assert_eq!(r.events.len(), EventKind::ALL.len());
+        for (e, k) in r.events.iter().zip(EventKind::ALL) {
+            assert_eq!((e.kind.as_str(), e.count), (k.name(), k as u64 + 1));
+        }
         r.validate().unwrap();
     }
 

@@ -7,53 +7,14 @@
 //! replacing the three near-identical tree runners this module used to
 //! carry. (Wall-clock *scalability* comparisons live in the simulator —
 //! this host has a single CPU — but per-operation costs and correctness
-//! are measured natively here.)
-//!
-//! Telemetry: per-operation latencies go into the `workloads.alloc_ns` /
-//! `workloads.free_ns` histograms when the `telemetry` feature is on, and
-//! cost nothing when it is off (the `timed!` macro below expands to the
-//! bare expression).
+//! are measured natively here.) The loop times the whole run, never one
+//! call: a clock read per call would cost more than the pool hit it timed.
 
 use crate::trace::{Chunk, Trace, TraceWorkload};
 use allocators::ParallelAllocator;
 use mem_api::{Allocation, BackendStats, MallocBackend, MemBackend, Structured};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Time `$e` into the histogram handle `$hist` when the `telemetry`
-/// feature is on; with the feature off this is exactly `$e` — no `Instant`
-/// calls on the measured paths.
-#[cfg(feature = "telemetry")]
-macro_rules! timed {
-    ($hist:ident, $e:expr) => {{
-        let t0 = Instant::now();
-        let r = $e;
-        $hist.record(t0.elapsed().as_nanos() as u64);
-        r
-    }};
-}
-
-#[cfg(not(feature = "telemetry"))]
-macro_rules! timed {
-    ($hist:ident, $e:expr) => {
-        $e
-    };
-}
-
-/// Resolve the per-operation histograms once per thread (no registry lock
-/// inside the measured loops). Expands to nothing with the feature off.
-#[cfg(feature = "telemetry")]
-macro_rules! op_hists {
-    ($alloc:ident, $free:ident) => {
-        let $alloc = telemetry::hist::histogram("workloads.alloc_ns");
-        let $free = telemetry::hist::histogram("workloads.free_ns");
-    };
-}
-
-#[cfg(not(feature = "telemetry"))]
-macro_rules! op_hists {
-    ($alloc:ident, $free:ident) => {};
-}
 
 /// One step of a workload's per-thread allocation script.
 #[derive(Debug, Clone, Copy)]
@@ -130,12 +91,11 @@ pub fn run_workload<T: Structured>(
                     // schedule then depends only on (seed, t, op sequence),
                     // never on OS thread identity. No-op otherwise.
                     pools::fault::set_thread_ordinal(t as u64);
-                    op_hists!(alloc_h, free_h);
                     let mut live: Vec<Option<Allocation<T>>> = (0..slots).map(|_| None).collect();
                     let mut sum = 0u64;
                     workload.run_thread(t, &mut |op| match op {
                         StructOp::Alloc { slot, params } => {
-                            let a = timed!(alloc_h, backend.alloc(&params));
+                            let a = backend.alloc(&params);
                             sum = sum.wrapping_add(a.checksum());
                             let prev = live[slot as usize].replace(a);
                             assert!(prev.is_none(), "workload allocated into live slot {slot}");
@@ -143,7 +103,7 @@ pub fn run_workload<T: Structured>(
                         StructOp::Free { slot } => {
                             let a =
                                 live[slot as usize].take().expect("workload freed an empty slot");
-                            timed!(free_h, backend.free(a));
+                            backend.free(a);
                         }
                     });
                     for a in live.into_iter().rev().flatten() {
