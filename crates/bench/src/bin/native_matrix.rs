@@ -53,7 +53,7 @@ fn main() {
     let profile = bench::heapprof::heap_profile_from(&args);
     let config = if smoke { MatrixConfig::smoke() } else { MatrixConfig::standard() };
 
-    let profiler = profile.then(bench::heapprof::HeapProfiler::start_default);
+    let profiler = profile.then(bench::heapprof::HeapProfiler::start);
     let runs = {
         // Attribute the matrix's sampled allocations to one site tag
         // (per-cell tags would need plumbing into the workload executor's

@@ -29,68 +29,32 @@ pub fn heap_profile_from(args: &[String]) -> bool {
     args.iter().any(|a| a == "--heap-profile")
 }
 
-/// [`heap_profile_from`] over the process arguments.
-pub fn heap_profile_from_args() -> bool {
-    let args: Vec<String> = std::env::args().collect();
-    heap_profile_from(&args)
-}
-
-/// Parse `--sample-period N` / `--sample-period=N` from `args`, falling
-/// back to [`DEFAULT_SAMPLE_PERIOD`]. The period must be a power of two:
-/// the sampler uses it as a countdown mask, and a zero period would mean
-/// "sampling off" while the caller asked for a profile — both are
-/// caller mistakes worth an error instead of a silently absent profile.
-pub fn sample_period_from(args: &[String]) -> Result<u32, String> {
-    let mut raw: Option<&str> = None;
-    for (i, a) in args.iter().enumerate() {
-        if a == "--sample-period" {
-            raw = Some(args.get(i + 1).map(String::as_str).ok_or("--sample-period takes a value")?);
-        } else if let Some(v) = a.strip_prefix("--sample-period=") {
-            raw = Some(v);
-        }
-    }
-    let Some(raw) = raw else { return Ok(DEFAULT_SAMPLE_PERIOD) };
-    let period: u32 =
-        raw.parse().map_err(|_| format!("--sample-period takes a count, got `{raw}`"))?;
-    if period == 0 || !period.is_power_of_two() {
-        return Err(format!(
-            "--sample-period must be a power of two (1-in-N countdown), got {period}"
-        ));
-    }
-    Ok(period)
-}
-
 /// A running heap profile: site sampling enabled, a background thread
 /// feeding the snapshot ring. [`finish`](Self::finish) stops both and
 /// returns the collected section.
 pub struct HeapProfiler {
-    sample_period: u32,
     stop: Arc<AtomicBool>,
     sampler: Option<std::thread::JoinHandle<()>>,
 }
 
 impl HeapProfiler {
-    /// Enable sampling at `sample_period` and start capturing the
-    /// timeline every `capture_every`. Call *before* the measured
-    /// workload so per-thread sample sets are deterministic (threads
-    /// born after this observe the period from their first allocation).
-    pub fn start(sample_period: u32, capture_every: Duration) -> Self {
-        hp::set_sample_period(sample_period);
+    /// Enable sampling at [`DEFAULT_SAMPLE_PERIOD`] and start capturing
+    /// the timeline every [`DEFAULT_CAPTURE_EVERY`]. Call *before* the
+    /// measured workload so per-thread sample sets are deterministic
+    /// (threads born after this observe the period from their first
+    /// allocation).
+    pub fn start() -> Self {
+        hp::set_sample_period(DEFAULT_SAMPLE_PERIOD);
         hp::capture_snapshot();
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let sampler = std::thread::spawn(move || {
             while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(capture_every);
+                std::thread::sleep(DEFAULT_CAPTURE_EVERY);
                 hp::capture_snapshot();
             }
         });
-        HeapProfiler { sample_period, stop, sampler: Some(sampler) }
-    }
-
-    /// [`start`](Self::start) with the default period and cadence.
-    pub fn start_default() -> Self {
-        Self::start(DEFAULT_SAMPLE_PERIOD, DEFAULT_CAPTURE_EVERY)
+        HeapProfiler { stop, sampler: Some(sampler) }
     }
 
     /// Stop sampling, take a final snapshot, and assemble the section.
@@ -101,7 +65,7 @@ impl HeapProfiler {
         }
         // Sites are scaled by the period at collection time, so collect
         // the section *before* disabling.
-        let section = section(self.sample_period);
+        let section = section();
         hp::set_sample_period(0);
         section
     }
@@ -118,7 +82,7 @@ impl Drop for HeapProfiler {
 
 /// Capture a final snapshot and convert the profiler's current state
 /// (gauges, sampled sites, snapshot ring) into the wire section.
-pub fn section(sample_period: u32) -> HeapProfileSection {
+fn section() -> HeapProfileSection {
     hp::capture_snapshot();
     let g = hp::gauges();
     let classes = g
@@ -155,7 +119,7 @@ pub fn section(sample_period: u32) -> HeapProfileSection {
     let totals = pools::reclaim::totals();
     HeapProfileSection {
         schema: HEAP_PROFILE_SCHEMA.to_string(),
-        sample_period: sample_period as u64,
+        sample_period: DEFAULT_SAMPLE_PERIOD as u64,
         classes,
         sites,
         timeline,
@@ -179,36 +143,8 @@ mod tests {
     }
 
     #[test]
-    fn sample_period_parses_both_spellings_and_defaults() {
-        assert_eq!(sample_period_from(&strs(&["bin"])), Ok(DEFAULT_SAMPLE_PERIOD));
-        assert_eq!(sample_period_from(&strs(&["bin", "--sample-period", "16"])), Ok(16));
-        assert_eq!(sample_period_from(&strs(&["bin", "--sample-period=256"])), Ok(256));
-        // Later spellings win, matching how the other flags parse.
-        assert_eq!(
-            sample_period_from(&strs(&["bin", "--sample-period", "16", "--sample-period=8"])),
-            Ok(8)
-        );
-    }
-
-    #[test]
-    fn sample_period_rejects_zero_and_non_powers_of_two() {
-        for bad in ["0", "3", "48", "1000"] {
-            let err = sample_period_from(&strs(&["bin", "--sample-period", bad]))
-                .expect_err("must reject");
-            assert!(err.contains("power of two"), "{err}");
-            assert!(err.contains(bad), "error must echo the value: {err}");
-        }
-        assert!(sample_period_from(&strs(&["bin", "--sample-period"]))
-            .expect_err("dangling flag")
-            .contains("takes a value"));
-        assert!(sample_period_from(&strs(&["bin", "--sample-period", "lots"]))
-            .expect_err("non-numeric")
-            .contains("`lots`"));
-    }
-
-    #[test]
     fn profiled_run_produces_a_valid_section() {
-        let profiler = HeapProfiler::start(16, Duration::from_millis(1));
+        let profiler = HeapProfiler::start();
         let mut kept = Vec::new();
         for i in 0..4096usize {
             let mut v: Vec<u8> = Vec::with_capacity(64);
@@ -217,12 +153,12 @@ mod tests {
                 kept.push(v);
             }
         }
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(DEFAULT_CAPTURE_EVERY * 2);
         let section = profiler.finish();
         drop(kept);
 
         assert_eq!(section.schema, HEAP_PROFILE_SCHEMA);
-        assert_eq!(section.sample_period, 16);
+        assert_eq!(section.sample_period, DEFAULT_SAMPLE_PERIOD as u64);
         assert!(section.timeline.len() >= 2, "sampler thread must have captured");
         for c in &section.classes {
             assert!(c.live_bytes <= c.mapped_bytes, "class {} violates the bound", c.class);

@@ -75,19 +75,8 @@ pub fn write_report(path: &Path, report: &Report) -> std::io::Result<()> {
 /// passed, gather + write the report (a write failure is reported on
 /// stderr, not fatal — the figure itself already printed).
 pub fn emit_if_requested(source: &str, sim_runs: Vec<(String, RunMetrics)>) {
-    emit_with_heap_profile(source, sim_runs, None);
-}
-
-/// [`emit_if_requested`] with an optional `heap-profile-v1` section
-/// attached (the `--heap-profile` bins pass the collected profile).
-pub fn emit_with_heap_profile(
-    source: &str,
-    sim_runs: Vec<(String, RunMetrics)>,
-    heap_profile: Option<telemetry::report::HeapProfileSection>,
-) {
     let Some(path) = metrics_out_from_args() else { return };
-    let mut report = report_for_runs(source, sim_runs);
-    report.heap_profile = heap_profile;
+    let report = report_for_runs(source, sim_runs);
     debug_assert!(report.validate().is_ok());
     match write_report(&path, &report) {
         Ok(()) => eprintln!("[{source}] telemetry report -> {}", path.display()),

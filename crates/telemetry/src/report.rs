@@ -853,17 +853,17 @@ impl Report {
 
         let mut run_lines = String::new();
         for nr in &new.native_runs {
-            let old = self
-                .native_runs
-                .iter()
-                .find(|r| r.backend == nr.backend && r.workload == nr.workload);
+            let old = self.native_runs.iter().find(|r| {
+                r.backend == nr.backend && r.workload == nr.workload && r.threads == nr.threads
+            });
+            let cell = format!("t{}", nr.threads);
             match old {
                 Some(or) => {
                     let dn = nr.ns_per_structure() - or.ns_per_structure();
                     if dn.abs() > f64::EPSILON {
                         let _ = writeln!(
                             run_lines,
-                            "  {:<18}{:<12}ns/struct {:.1} -> {:.1} ({:+.1})",
+                            "  {:<18}{:<12}{cell:<5}ns/struct {:.1} -> {:.1} ({:+.1})",
                             nr.backend,
                             nr.workload,
                             or.ns_per_structure(),
@@ -875,7 +875,7 @@ impl Report {
                 None => {
                     let _ = writeln!(
                         run_lines,
-                        "  {:<18}{:<12}(new) ns/struct {:.1}",
+                        "  {:<18}{:<12}{cell:<5}(new) ns/struct {:.1}",
                         nr.backend,
                         nr.workload,
                         nr.ns_per_structure()
@@ -1321,6 +1321,36 @@ mod tests {
         assert!(text.contains("class 5"), "{text}");
         assert!(text.contains("live +256"), "{text}");
         assert!(!text.contains("class 2"), "unchanged class must not appear: {text}");
+    }
+
+    #[test]
+    fn diff_matches_native_runs_by_thread_count() {
+        // One backend/workload at 1 and 2 threads: each new cell is diffed
+        // against the old cell of its own thread count, never the other.
+        let cell = |threads: u32, elapsed_ns: u64| NativeRun {
+            backend: "amplify".into(),
+            workload: "tree/d1".into(),
+            threads,
+            elapsed_ns,
+            structures: 100_000,
+            pool_hits: 99_000,
+            fresh_allocs: 1_000,
+            contention_events: 0,
+        };
+        let mut old = Report::new("old");
+        old.native_runs = vec![cell(1, 1_000_000), cell(2, 3_000_000)];
+        let mut new = Report::new("new");
+        new.native_runs = vec![cell(1, 2_000_000), cell(2, 4_000_000)];
+        let text = old.diff(&new);
+        let rows: Vec<&str> = text.lines().filter(|l| l.contains("ns/struct")).collect();
+        assert_eq!(rows.len(), 2, "{text}");
+        assert!(rows[0].contains("t1") && rows[0].contains("10.0 -> 20.0 (+10.0)"), "{text}");
+        assert!(rows[1].contains("t2") && rows[1].contains("30.0 -> 40.0 (+10.0)"), "{text}");
+
+        // A thread count only the new report has is a new cell.
+        new.native_runs.push(cell(4, 5_000_000));
+        let text = old.diff(&new);
+        assert!(text.contains("t4   (new) ns/struct 50.0"), "{text}");
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //! * [`tree`] — the synthetic binary-tree test suite (§4, Table 1), with a
 //!   real reusable tree type ([`tree::PoolTree`]) for structure pools;
 //! * [`bgw`] — a Billing-Gateway-like CDR processing pipeline (§5.2);
-//! * [`churn`] — long-haul burst/quiesce churn (diurnal traffic) for the
-//!   slab-retirement RSS envelope;
 //! * [`locality`] — temporal-locality profiles for the ablation studies;
 //! * [`trace`] — allocation traces (generate, serialize, replay);
 //! * [`exec`] — the generic executor: any [`mem_api::MemBackend`] runs any
@@ -22,9 +20,7 @@
 //! * [`sim_bridge`] — replay recorded traces on the simulated SMP.
 
 pub mod bgw;
-pub mod churn;
 pub mod exec;
-pub mod heap;
 pub mod locality;
 pub mod sim_bridge;
 pub mod trace;
