@@ -39,9 +39,9 @@ pub struct HeapStats {
     /// Bytes currently handed out (payload bytes).
     pub live_bytes: u64,
     /// Current arena size in bytes.
-    pub arena_bytes: u64,
+    pub(crate) arena_bytes: u64,
     /// Times the arena had to grow.
-    pub grows: u64,
+    pub(crate) grows: u64,
 }
 
 /// The heap. See module docs for the block layout.
@@ -73,7 +73,8 @@ impl RawHeap {
     }
 
     /// A heap with an initial arena of at least `bytes`.
-    pub fn with_capacity(bytes: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_capacity(bytes: u32) -> Self {
         let mut h = Self::new();
         if bytes > 0 {
             h.grow(bytes);

@@ -33,13 +33,8 @@ impl HoardAllocator {
         }
     }
 
-    /// Number of per-processor heaps.
-    pub fn heap_count(&self) -> usize {
-        self.heaps.len()
-    }
-
     /// The heap index for the calling thread: thread-id modulation.
-    pub fn heap_for_current_thread(&self) -> usize {
+    pub(crate) fn heap_for_current_thread(&self) -> usize {
         use std::hash::{Hash, Hasher};
         let mut h = std::hash::DefaultHasher::new();
         std::thread::current().id().hash(&mut h);

@@ -15,14 +15,15 @@
 //!
 //! All three are handle-based (safe Rust), fully tested, and double as the
 //! ground truth for the timing models in the `smp-sim` crate.
+#![warn(unreachable_pub)]
 
-pub mod heap;
-pub mod hoard;
-pub mod ptmalloc;
-pub mod serial;
-pub mod traits;
+mod heap;
+mod hoard;
+mod ptmalloc;
+mod serial;
+mod traits;
 
-pub use heap::{HeapStats, RawHeap};
+pub use heap::RawHeap;
 pub use hoard::HoardAllocator;
 pub use ptmalloc::PtmallocAllocator;
 pub use serial::SerialAllocator;

@@ -29,7 +29,6 @@ pub struct PtmallocAllocator {
     id: u64,
     arenas: Vec<Mutex<RawHeap>>,
     contention: AtomicU64,
-    arena_switches: AtomicU64,
 }
 
 impl PtmallocAllocator {
@@ -41,18 +40,7 @@ impl PtmallocAllocator {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             arenas: (0..arenas).map(|_| Mutex::new(RawHeap::new())).collect(),
             contention: AtomicU64::new(0),
-            arena_switches: AtomicU64::new(0),
         }
-    }
-
-    /// Number of arenas.
-    pub fn arena_count(&self) -> usize {
-        self.arenas.len()
-    }
-
-    /// Times a thread moved to a different arena due to contention.
-    pub fn arena_switches(&self) -> u64 {
-        self.arena_switches.load(Ordering::Relaxed)
     }
 
     fn preferred(&self) -> usize {
@@ -70,7 +58,6 @@ impl PtmallocAllocator {
         CURRENT_ARENA.with(|c| {
             c.borrow_mut().insert(self.id, idx);
         });
-        self.arena_switches.fetch_add(1, Ordering::Relaxed);
     }
 }
 

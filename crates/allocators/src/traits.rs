@@ -10,9 +10,9 @@ use crate::heap::HeapStats;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockRef {
     /// Index of the owning arena within the allocator.
-    pub arena: u32,
+    pub(crate) arena: u32,
     /// Payload byte offset within that arena.
-    pub offset: u32,
+    pub(crate) offset: u32,
 }
 
 /// A thread-safe allocator with malloc/free semantics.

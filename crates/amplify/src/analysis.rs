@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 /// What kind of shadow a pointer member needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FieldKind {
+pub(crate) enum FieldKind {
     /// Pointer to a (possibly user-defined) object type: gets a typed
     /// shadow pointer and placement-new revival.
     ObjectPtr,
@@ -27,86 +27,84 @@ pub enum FieldKind {
 
 /// A shadow-candidate member.
 #[derive(Debug, Clone)]
-pub struct ShadowField {
-    pub name: String,
-    pub shadow_name: String,
+pub(crate) struct ShadowField {
+    pub(crate) name: String,
+    pub(crate) shadow_name: String,
     /// The pointee type text (e.g. `Child`, `char`).
-    pub pointee: String,
-    pub kind: FieldKind,
+    pub(crate) pointee: String,
+    pub(crate) kind: FieldKind,
     /// Span of the member declaration (insertion anchor).
-    pub decl_span: Span,
+    pub(crate) decl_span: Span,
 }
 
 /// Analysis result for one class.
 #[derive(Debug, Clone)]
 pub struct ClassModel {
-    pub name: String,
-    pub fields: Vec<ShadowField>,
-    pub has_operator_new: bool,
-    pub has_operator_delete: bool,
-    pub has_destructor: bool,
+    pub(crate) name: String,
+    pub(crate) fields: Vec<ShadowField>,
+    pub(crate) has_operator_new: bool,
     /// Offset of the class body's closing brace (injection anchor).
-    pub rbrace: u32,
+    pub(crate) rbrace: u32,
     /// Whether configuration allows amplifying this class.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// Index of the translation unit that defines the class (class-body
     /// edits — shadows, operators — may only be applied to that unit's
     /// rewriter; spans are unit-relative).
-    pub unit_index: usize,
+    pub(crate) unit_index: usize,
 }
 
 impl ClassModel {
     /// Look up a shadow field by member name.
-    pub fn field(&self, name: &str) -> Option<&ShadowField> {
+    pub(crate) fn field(&self, name: &str) -> Option<&ShadowField> {
         self.fields.iter().find(|f| f.name == name)
     }
 }
 
 /// A rewritable `delete member;` statement.
 #[derive(Debug, Clone)]
-pub struct DeleteSite {
-    pub class: String,
-    pub member: String,
+pub(crate) struct DeleteSite {
+    pub(crate) class: String,
+    pub(crate) member: String,
     /// Full statement span including the `;`.
-    pub span: Span,
+    pub(crate) span: Span,
     /// `delete[]` form.
-    pub is_array: bool,
+    pub(crate) is_array: bool,
     /// The member expression text as written (`left` or `this->left`).
-    pub member_text: String,
+    pub(crate) member_text: String,
 }
 
 /// A rewritable `member = new Type(args);` / `member = new T[len];`
 /// statement.
 #[derive(Debug, Clone)]
-pub struct NewAssignSite {
-    pub class: String,
-    pub member: String,
+pub(crate) struct NewAssignSite {
+    pub(crate) class: String,
+    pub(crate) member: String,
     /// The member expression text as written (`left` or `this->left`).
-    pub member_text: String,
+    pub(crate) member_text: String,
     /// Span of the whole `new ...` expression (replacement target).
-    pub new_span: Span,
+    pub(crate) new_span: Span,
     /// The allocated type name.
-    pub ty: String,
+    pub(crate) ty: String,
     /// Array form with this length expression text.
-    pub array_len: Option<String>,
+    pub(crate) array_len: Option<String>,
     /// Already placement new (idempotence guard — never rewritten).
-    pub has_placement: bool,
+    pub(crate) has_placement: bool,
 }
 
 /// Whole-unit analysis.
 #[derive(Debug, Default)]
 pub struct Analysis {
     pub classes: HashMap<String, ClassModel>,
-    pub deletes: Vec<DeleteSite>,
-    pub news: Vec<NewAssignSite>,
+    pub(crate) deletes: Vec<DeleteSite>,
+    pub(crate) news: Vec<NewAssignSite>,
     /// Composition edges: (owner class, field, pointee class) for pointee
     /// types that are classes defined in the same unit.
     pub composition: Vec<(String, String, String)>,
     /// `new`/`delete` statements seen but not rewritable (diagnostics).
-    pub untouched_sites: usize,
+    pub(crate) untouched_sites: usize,
     /// Which unit this analysis's *sites* belong to (class-body transforms
     /// only touch classes with a matching [`ClassModel::unit_index`]).
-    pub unit_index: usize,
+    pub(crate) unit_index: usize,
 }
 
 /// Analyze a parsed translation unit under the given options.
@@ -183,8 +181,6 @@ fn collect_classes(
                 name: class.name.clone(),
                 fields,
                 has_operator_new: class.has_operator_new(),
-                has_operator_delete: class.has_operator_delete(),
-                has_destructor: class.has_destructor(),
                 rbrace: class.rbrace,
                 enabled: options.class_enabled(&class.name),
                 unit_index,
@@ -336,7 +332,7 @@ private:
 "#;
 
     fn analyzed() -> Analysis {
-        let unit = parse_source("t.cpp", SRC);
+        let unit = parse_source(SRC);
         analyze(&unit, &AmplifyOptions::default())
     }
 
@@ -385,7 +381,7 @@ private:
 
     #[test]
     fn arrays_can_be_disabled() {
-        let unit = parse_source("t.cpp", SRC);
+        let unit = parse_source(SRC);
         let opts = AmplifyOptions { amplify_arrays: false, ..Default::default() };
         let a = analyze(&unit, &opts);
         assert!(a.classes["Root"].field("buffer").is_none());
@@ -397,7 +393,7 @@ private:
 class Box { public: void fill(); private: Item* item; };
 void Box::fill() { delete item; item = new Item(); }
 "#;
-        let unit = parse_source("t.cpp", src);
+        let unit = parse_source(src);
         let a = analyze(&unit, &AmplifyOptions::default());
         assert_eq!(a.deletes.len(), 1);
         assert_eq!(a.news.len(), 1);
@@ -409,7 +405,7 @@ void Box::fill() { delete item; item = new Item(); }
         let src = r#"
 class A { public: void f(B* other) { delete other->child; delete unknown; } private: C* mine; };
 "#;
-        let unit = parse_source("t.cpp", src);
+        let unit = parse_source(src);
         let a = analyze(&unit, &AmplifyOptions::default());
         assert!(a.deletes.is_empty());
         assert_eq!(a.untouched_sites, 2);
@@ -420,7 +416,7 @@ class A { public: void f(B* other) { delete other->child; delete unknown; } priv
         let src = r#"
 class A { public: void f() { p = new(pShadow) T(); } private: T* p; };
 "#;
-        let unit = parse_source("t.cpp", src);
+        let unit = parse_source(src);
         let a = analyze(&unit, &AmplifyOptions::default());
         assert_eq!(a.news.len(), 1);
         assert!(a.news[0].has_placement);
@@ -429,11 +425,10 @@ class A { public: void f() { p = new(pShadow) T(); } private: T* p; };
     #[test]
     fn project_mode_merges_class_tables() {
         let header = parse_source(
-            "b.h",
             "class Item { public: Item(int); };\n\
                                           class Box { public: ~Box(); Item* item; };",
         );
-        let source = parse_source("b.cpp", "Box::~Box() { delete item; item = new Item(1); }");
+        let source = parse_source("Box::~Box() { delete item; item = new Item(1); }");
         let analyses = analyze_project(&[header, source], &AmplifyOptions::default());
         assert_eq!(analyses.len(), 2);
         // Both analyses see both classes.
@@ -456,15 +451,15 @@ class A { public: void f() { p = new(pShadow) T(); } private: T* p; };
     #[test]
     fn project_mode_resolves_forward_composition() {
         // The pointee class is defined in a *later* unit.
-        let a = parse_source("a.h", "class Owner { Part* part; };");
-        let b = parse_source("b.h", "class Part { int x; };");
+        let a = parse_source("class Owner { Part* part; };");
+        let b = parse_source("class Part { int x; };");
         let analyses = analyze_project(&[a, b], &AmplifyOptions::default());
         assert!(analyses[0].composition.iter().any(|(o, _, p)| o == "Owner" && p == "Part"));
     }
 
     #[test]
     fn exclusion_disables_class() {
-        let unit = parse_source("t.cpp", SRC);
+        let unit = parse_source(SRC);
         let opts = AmplifyOptions { exclude_classes: vec!["Root".into()], ..Default::default() };
         let a = analyze(&unit, &opts);
         assert!(!a.classes["Root"].enabled);

@@ -19,7 +19,7 @@ pub struct PoolTuning {
     pub carve_batch: usize,
     /// Classes to emit `PoolParams` specializations for. When empty, the
     /// pipeline fills in every class it amplifies (tuned pools per class);
-    /// [`crate::runtime_hdr::generate`] emits no specializations for an
+    /// `crate::runtime_hdr::generate` emits no specializations for an
     /// empty list.
     pub classes: Vec<String>,
 }
@@ -27,7 +27,7 @@ pub struct PoolTuning {
 impl PoolTuning {
     /// True when this tuning would generate exactly the untuned pools
     /// (nothing worth specializing).
-    pub fn is_default(&self) -> bool {
+    pub(crate) fn is_default(&self) -> bool {
         self.max_objects == 0 && self.carve_batch <= 1
     }
 }
@@ -103,7 +103,7 @@ impl AmplifyOptions {
 
     /// Whether a class of the given name is eligible for amplification
     /// under the include/exclude lists.
-    pub fn class_enabled(&self, name: &str) -> bool {
+    pub(crate) fn class_enabled(&self, name: &str) -> bool {
         if self.exclude_classes.iter().any(|c| c == name) {
             return false;
         }

@@ -8,20 +8,20 @@
 //! of object-oriented programs:
 //!
 //! 1. every class gets `operator new` / `operator delete` overloads routing
-//!    allocation through a per-class pool ([`transform::operators`]),
+//!    allocation through a per-class pool (`transform::operators`),
 //!    unless the class already defines them;
 //! 2. every pointer member gets a hidden *shadow pointer*; `delete field;`
 //!    is rewritten to park the object in the shadow, and
 //!    `field = new T(...)` to revive it with placement new
-//!    ([`transform::shadow_fields`], [`transform::rewrites`]);
+//!    (`transform::shadow_fields`, `transform::rewrites`);
 //! 3. data-type arrays (`new char[n]`) are recycled through a shadowed
 //!    `realloc` with a half-size reuse rule and size caps — the BGw
-//!    extension of §5.2 ([`transform::arrays`]);
+//!    extension of §5.2 (`transform::arrays`);
 //! 4. for single-threaded programs all pool locking is elided
 //!    ([`AmplifyOptions::threaded`]).
 //!
 //! The rewritten translation unit `#include`s a generated, self-contained
-//! runtime header ([`runtime_hdr`]) and compiles with any C++ compiler.
+//! runtime header (`runtime_hdr`) and compiles with any C++ compiler.
 //!
 //! # Example
 //!
@@ -46,16 +46,16 @@
 //! assert!(out.text.contains("operator new"));
 //! assert_eq!(out.report.classes_amplified, 1);
 //! ```
+#![warn(unreachable_pub)]
 
 pub mod analysis;
-pub mod config;
+mod config;
 pub mod model;
-pub mod pipeline;
-pub mod report;
-pub mod runtime_hdr;
-pub mod transform;
+mod pipeline;
+mod report;
+mod runtime_hdr;
+mod transform;
 pub mod tuning;
 
 pub use config::{AmplifyOptions, PoolTuning};
-pub use pipeline::{AmplifiedSource, Amplifier};
-pub use report::Report;
+pub use pipeline::Amplifier;

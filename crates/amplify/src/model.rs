@@ -75,7 +75,7 @@ mod tests {
     use cxx_frontend::parse_source;
 
     fn estimates(src: &str) -> HashMap<String, StructureEstimate> {
-        let unit = parse_source("t.cpp", src);
+        let unit = parse_source(src);
         let a = analyze(&unit, &AmplifyOptions::default());
         estimate_structures(&a).into_iter().map(|e| (e.class.clone(), e)).collect()
     }

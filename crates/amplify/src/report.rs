@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 /// Reasons a class was not amplified.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SkipReason {
+pub(crate) enum SkipReason {
     /// Excluded by configuration.
     Excluded,
     /// The class already defines `operator new` — the pre-processor
@@ -18,11 +18,11 @@ pub enum SkipReason {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Report {
     /// Classes found in the translation units.
-    pub classes_seen: usize,
+    pub(crate) classes_seen: usize,
     /// Classes that received pool operators.
     pub classes_amplified: usize,
     /// Classes skipped, with reasons.
-    pub classes_skipped: Vec<(String, SkipReason)>,
+    pub(crate) classes_skipped: Vec<(String, SkipReason)>,
     /// Shadow pointer fields inserted.
     pub shadow_fields: usize,
     /// Shadow slots inserted for data-type arrays.
@@ -32,23 +32,23 @@ pub struct Report {
     /// `member = new T(...)` statements rewritten to placement revival.
     pub new_rewrites: usize,
     /// `member = new T[n]` / `delete[] member` array rewrites (§5.2).
-    pub array_rewrites: usize,
+    pub(crate) array_rewrites: usize,
     /// `operator new`/`operator delete` pairs injected.
     pub operators_injected: usize,
     /// Allocation sites that could not be rewritten (left on the normal
     /// path; they still benefit from the injected class operators).
-    pub sites_left_untouched: usize,
+    pub(crate) sites_left_untouched: usize,
     /// Bytes of top-level source the parser passed through verbatim
     /// (templates, unknown declarations) — the part of the file outside
     /// the amplifiable subset.
-    pub unparsed_bytes: u64,
+    pub(crate) unparsed_bytes: u64,
     /// Total source bytes processed.
-    pub source_bytes: u64,
+    pub(crate) source_bytes: u64,
 }
 
 impl Report {
     /// Merge counters from another file's report.
-    pub fn merge(&mut self, other: &Report) {
+    pub(crate) fn merge(&mut self, other: &Report) {
         self.classes_seen += other.classes_seen;
         self.classes_amplified += other.classes_amplified;
         self.classes_skipped.extend(other.classes_skipped.iter().cloned());
@@ -61,15 +61,6 @@ impl Report {
         self.sites_left_untouched += other.sites_left_untouched;
         self.unparsed_bytes += other.unparsed_bytes;
         self.source_bytes += other.source_bytes;
-    }
-
-    /// Fraction of processed source the parser did not interpret.
-    pub fn unparsed_fraction(&self) -> f64 {
-        if self.source_bytes == 0 {
-            0.0
-        } else {
-            self.unparsed_bytes as f64 / self.source_bytes as f64
-        }
     }
 
     /// Human-readable summary.

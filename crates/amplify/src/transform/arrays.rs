@@ -31,7 +31,7 @@ fn shadow_expr(member_text: &str, member: &str, shadow: &str) -> String {
 /// applied to members that are also re-allocated in the unit (`new T[...]`
 /// with matching element type) — a park that nothing consumes would leak
 /// the previously parked block on every cycle.
-pub fn apply(analysis: &Analysis, rw: &mut Rewriter, report: &mut Report) {
+pub(crate) fn apply(analysis: &Analysis, rw: &mut Rewriter, report: &mut Report) {
     let mut eligible = std::collections::HashSet::new();
     for site in &analysis.news {
         if site.array_len.is_none() {
@@ -106,9 +106,9 @@ mod tests {
     use cxx_frontend::{parse_source, Rewriter, SourceFile};
 
     fn run(src: &str, opts: &AmplifyOptions) -> (String, Report) {
-        let unit = parse_source("t.cpp", src);
+        let unit = parse_source(src);
         let analysis = analyze(&unit, opts);
-        let mut rw = Rewriter::new(SourceFile::new("t.cpp", src));
+        let mut rw = Rewriter::new(SourceFile::new(src));
         let mut report = Report::default();
         apply(&analysis, &mut rw, &mut report);
         (rw.apply().unwrap(), report)

@@ -6,7 +6,7 @@ use cxx_frontend::Rewriter;
 /// Insert `#include "<header>"` after the last existing include (so any
 //  headers the original code needs come first), or at the top of the file
 /// if there are none.
-pub fn apply(unit: &TranslationUnit, rw: &mut Rewriter, header: &str) {
+pub(crate) fn apply(unit: &TranslationUnit, rw: &mut Rewriter, header: &str) {
     let line = format!("#include \"{header}\"\n");
     match unit.includes().last() {
         Some(inc) => rw.insert_after(inc.span, format!("\n{line}")),
@@ -20,8 +20,8 @@ mod tests {
     use cxx_frontend::{parse_source, Rewriter, SourceFile};
 
     fn run(src: &str) -> String {
-        let unit = parse_source("t.cpp", src);
-        let mut rw = Rewriter::new(SourceFile::new("t.cpp", src));
+        let unit = parse_source(src);
+        let mut rw = Rewriter::new(SourceFile::new(src));
         apply(&unit, &mut rw, "amplify_runtime.hpp");
         rw.apply().unwrap()
     }

@@ -8,9 +8,9 @@
 //! * [`arrays`] — the §5.2 data-type array extension;
 //! * [`include`] — splice in the runtime header include.
 
-pub mod arrays;
-pub mod include;
-pub mod operators;
-pub mod rewrites;
-pub mod shadow_fields;
-pub mod stats_hook;
+pub(crate) mod arrays;
+pub(crate) mod include;
+pub(crate) mod operators;
+pub(crate) mod rewrites;
+pub(crate) mod shadow_fields;
+pub(crate) mod stats_hook;

@@ -13,7 +13,7 @@ use cxx_frontend::Rewriter;
 
 /// Inject pool operators into every enabled class, immediately before the
 /// class body's closing brace.
-pub fn apply(analysis: &Analysis, rw: &mut Rewriter, report: &mut Report) {
+pub(crate) fn apply(analysis: &Analysis, rw: &mut Rewriter, report: &mut Report) {
     // Deterministic order for stable output.
     let mut classes: Vec<_> = analysis.classes.values().collect();
     classes.sort_by_key(|a| a.rbrace);
@@ -69,9 +69,9 @@ mod tests {
     use cxx_frontend::{parse_source, Rewriter, SourceFile};
 
     fn run(src: &str, opts: &AmplifyOptions) -> (String, Report) {
-        let unit = parse_source("t.cpp", src);
+        let unit = parse_source(src);
         let analysis = analyze(&unit, opts);
-        let mut rw = Rewriter::new(SourceFile::new("t.cpp", src));
+        let mut rw = Rewriter::new(SourceFile::new(src));
         let mut report = Report::default();
         apply(&analysis, &mut rw, &mut report);
         (rw.apply().unwrap(), report)

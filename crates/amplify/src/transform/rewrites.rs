@@ -76,7 +76,7 @@ fn eligible_members(analysis: &Analysis) -> std::collections::HashSet<(String, S
 }
 
 /// Apply both rewrites.
-pub fn apply(analysis: &Analysis, rw: &mut Rewriter, report: &mut Report) {
+pub(crate) fn apply(analysis: &Analysis, rw: &mut Rewriter, report: &mut Report) {
     let eligible = eligible_members(analysis);
 
     // `delete member;` — park instead of free.
@@ -142,9 +142,9 @@ mod tests {
     use cxx_frontend::{parse_source, Rewriter, SourceFile};
 
     fn run(src: &str) -> (String, Report) {
-        let unit = parse_source("t.cpp", src);
+        let unit = parse_source(src);
         let analysis = analyze(&unit, &AmplifyOptions::default());
-        let mut rw = Rewriter::new(SourceFile::new("t.cpp", src));
+        let mut rw = Rewriter::new(SourceFile::new(src));
         let mut report = Report::default();
         apply(&analysis, &mut rw, &mut report);
         (rw.apply().unwrap(), report)

@@ -19,7 +19,7 @@ use cxx_frontend::Rewriter;
 /// Insert shadow declarations after each candidate member declaration.
 /// Multi-declarator groups (`T *a, *b;`) share one statement span; their
 /// shadows are all anchored after the shared span, in declaration order.
-pub fn apply(analysis: &Analysis, rw: &mut Rewriter, report: &mut Report) {
+pub(crate) fn apply(analysis: &Analysis, rw: &mut Rewriter, report: &mut Report) {
     for class in analysis.classes.values() {
         // Class-body spans are relative to the defining unit's text.
         if !class.enabled || class.unit_index != analysis.unit_index {
@@ -49,9 +49,9 @@ mod tests {
     use cxx_frontend::{parse_source, Rewriter, SourceFile};
 
     fn run(src: &str, opts: &AmplifyOptions) -> (String, Report) {
-        let unit = parse_source("t.cpp", src);
+        let unit = parse_source(src);
         let analysis = analyze(&unit, opts);
-        let mut rw = Rewriter::new(SourceFile::new("t.cpp", src));
+        let mut rw = Rewriter::new(SourceFile::new(src));
         let mut report = Report::default();
         apply(&analysis, &mut rw, &mut report);
         (rw.apply().unwrap(), report)

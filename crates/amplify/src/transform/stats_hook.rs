@@ -57,7 +57,7 @@ fn hook_nested(stmt: &Stmt, rw: &mut Rewriter) {
 /// Insert the stats call before every `return` in `main` (recursively)
 /// and before the closing brace when `main` can fall through. Returns
 /// true if a `main` definition was found.
-pub fn apply(unit: &TranslationUnit, rw: &mut Rewriter) -> bool {
+pub(crate) fn apply(unit: &TranslationUnit, rw: &mut Rewriter) -> bool {
     for item in &unit.items {
         let Item::Function(f) = item else { continue };
         if f.name != "main" || f.qualifier.is_some() {
@@ -81,8 +81,8 @@ mod tests {
     use cxx_frontend::{parse_source, Rewriter, SourceFile};
 
     fn run(src: &str) -> (String, bool) {
-        let unit = parse_source("t.cpp", src);
-        let mut rw = Rewriter::new(SourceFile::new("t.cpp", src));
+        let unit = parse_source(src);
+        let mut rw = Rewriter::new(SourceFile::new(src));
         let found = apply(&unit, &mut rw);
         (rw.apply().unwrap(), found)
     }

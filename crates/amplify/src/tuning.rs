@@ -24,18 +24,18 @@ use serde::Value;
 /// One parsed `pool-tune-v1` family: the fitness pair plus the winner's
 /// genome fields the lowering uses.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TunedFamily {
-    pub family: String,
-    pub default_fitness: u64,
-    pub tuned_fitness: u64,
-    pub magazine_cap: u64,
-    pub shards: u64,
-    pub carve_batch: u64,
+pub(crate) struct TunedFamily {
+    pub(crate) family: String,
+    pub(crate) default_fitness: u64,
+    pub(crate) tuned_fitness: u64,
+    pub(crate) magazine_cap: u64,
+    pub(crate) shards: u64,
+    pub(crate) carve_batch: u64,
 }
 
 impl TunedFamily {
     /// Did evolution strictly beat the hand-tuned default on this family?
-    pub fn improved(&self) -> bool {
+    pub(crate) fn improved(&self) -> bool {
         self.tuned_fitness < self.default_fitness
     }
 
@@ -50,7 +50,7 @@ impl TunedFamily {
 
     /// Lower this family's winner to header pool parameters (classes left
     /// empty: the pipeline fills in the classes it amplifies).
-    pub fn to_pool_tuning(&self) -> PoolTuning {
+    pub(crate) fn to_pool_tuning(&self) -> PoolTuning {
         PoolTuning {
             max_objects: (self.magazine_cap * self.shards) as usize,
             carve_batch: self.carve_batch.max(1) as usize,
@@ -77,7 +77,7 @@ fn text(v: &Value, what: &str) -> Result<String, String> {
 /// Parse a `pool-tune-v1` document. Accepts either the bare section
 /// (`BENCH_tuning.json`) or a full `telemetry-v1` report carrying it
 /// under `pool_tune` (a `pool_tune --metrics-out` file).
-pub fn parse_families(json: &str) -> Result<Vec<TunedFamily>, String> {
+pub(crate) fn parse_families(json: &str) -> Result<Vec<TunedFamily>, String> {
     let root: Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
     // A telemetry report wraps the section; a bare section is the root.
     let section = match root.field("pool_tune") {

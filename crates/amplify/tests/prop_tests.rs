@@ -94,7 +94,7 @@ proptest! {
         let out = amp.amplify_source("gen.cpp", &src);
 
         // Re-parses into the same classes.
-        let unit = parse_source("gen.cpp", &out.text);
+        let unit = parse_source(&out.text);
         prop_assert!(unit.class("Root").is_some());
         prop_assert!(unit.class("Part").is_some());
 

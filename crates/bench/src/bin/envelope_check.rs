@@ -1,5 +1,5 @@
 //! The recorded-envelope gate: times every micro path in
-//! [`bench::native::ENVELOPE_PATHS`] — the typed pools' hit, miss and
+//! `bench::native::ENVELOPE_PATHS` — the typed pools' hit, miss and
 //! tuned hit pairs, one alloc → free pair through `&dyn MemBackend`, the
 //! size-class engine's raw pair (plain, with the heap profiler sampling,
 //! and with the reclaimer sweeping beside it), and the simulation

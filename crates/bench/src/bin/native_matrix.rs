@@ -54,14 +54,7 @@ fn main() {
     let config = if smoke { MatrixConfig::smoke() } else { MatrixConfig::standard() };
 
     let profiler = profile.then(bench::heapprof::HeapProfiler::start);
-    let runs = {
-        // Attribute the matrix's sampled allocations to one site tag
-        // (per-cell tags would need plumbing into the workload executor's
-        // worker threads; the matrix is one workload family anyway).
-        let _tag =
-            pools::heap_profile::TagGuard::new(pools::heap_profile::register_tag("native-matrix"));
-        run_matrix(&config)
-    };
+    let runs = run_matrix(&config);
     let heap_profile = profiler.map(bench::heapprof::HeapProfiler::finish);
     print!("{}", ascii_tables(&runs, &config));
 

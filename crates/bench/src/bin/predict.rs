@@ -64,7 +64,7 @@ fn main() {
             .collect()
     };
 
-    let units: Vec<_> = files.iter().map(|(name, text)| parse_source(name, text)).collect();
+    let units: Vec<_> = files.iter().map(|(_, text)| parse_source(text)).collect();
     let analyses = analyze_project(&units, &AmplifyOptions::default());
     let estimates = estimate_structures(&analyses[0]);
 

@@ -29,19 +29,18 @@ pub const BGW_CDRS: u32 = 5_000;
 
 /// One line on a figure.
 #[derive(Debug, Clone)]
-pub struct Series {
-    pub name: String,
-    pub points: Vec<(usize, f64)>,
+pub(crate) struct Series {
+    pub(crate) name: String,
+    pub(crate) points: Vec<(usize, f64)>,
 }
 
 /// A complete figure: title + series.
 #[derive(Debug, Clone)]
 pub struct FigureData {
-    pub id: String,
-    pub title: String,
-    pub xlabel: String,
-    pub ylabel: String,
-    pub series: Vec<Series>,
+    pub(crate) id: String,
+    pub(crate) title: String,
+    pub(crate) xlabel: String,
+    pub(crate) series: Vec<Series>,
 }
 
 impl FigureData {
@@ -179,7 +178,6 @@ pub fn speedup_figure_with_metrics(
         id: id.to_string(),
         title: format!("Speedup, test case with tree depth {depth} (8 CPUs)"),
         xlabel: "threads".into(),
-        ylabel: "speedup".into(),
         series,
     };
     (fig, runs)
@@ -192,7 +190,6 @@ pub fn scaleup_figure(id: &str, speedup_fig: &FigureData, depth: u32) -> FigureD
         id: id.to_string(),
         title: format!("Scaleup, test case with tree depth {depth} (8 CPUs)"),
         xlabel: speedup_fig.xlabel.clone(),
-        ylabel: "scaleup".into(),
         series: speedup_fig
             .series
             .iter()
@@ -249,7 +246,6 @@ pub fn bgw_figure_with_metrics(
         id: "fig11".into(),
         title: format!("Speedup graph for BGw ({total_cdrs} CDRs, 8 CPUs)"),
         xlabel: "threads".into(),
-        ylabel: "speedup".into(),
         series,
     };
     (fig, runs)
@@ -289,7 +285,6 @@ mod tests {
             id: "figX".into(),
             title: "test".into(),
             xlabel: "threads".into(),
-            ylabel: "speedup".into(),
             series: vec![Series { name: "a".into(), points: vec![(1, 1.0), (2, 2.5)] }],
         };
         let ascii = fig.ascii();

@@ -19,10 +19,10 @@ use telemetry::report::{
 /// Default 1-in-N allocation-site sample period for `--heap-profile`
 /// runs: frequent enough that a smoke run lands samples in every hot
 /// class, rare enough to stay inside the +10% profiled-mode envelope.
-pub const DEFAULT_SAMPLE_PERIOD: u32 = 64;
+pub(crate) const DEFAULT_SAMPLE_PERIOD: u32 = 64;
 
 /// How often the sampler thread snapshots the gauges into the timeline.
-pub const DEFAULT_CAPTURE_EVERY: Duration = Duration::from_millis(10);
+pub(crate) const DEFAULT_CAPTURE_EVERY: Duration = Duration::from_millis(10);
 
 /// Parse `--heap-profile` from `args`.
 pub fn heap_profile_from(args: &[String]) -> bool {
@@ -38,8 +38,8 @@ pub struct HeapProfiler {
 }
 
 impl HeapProfiler {
-    /// Enable sampling at [`DEFAULT_SAMPLE_PERIOD`] and start capturing
-    /// the timeline every [`DEFAULT_CAPTURE_EVERY`]. Call *before* the
+    /// Enable sampling at `DEFAULT_SAMPLE_PERIOD` and start capturing
+    /// the timeline every `DEFAULT_CAPTURE_EVERY`. Call *before* the
     /// measured workload so per-thread sample sets are deterministic
     /// (threads born after this observe the period from their first
     /// allocation).
@@ -103,7 +103,9 @@ fn section() -> HeapProfileSection {
         .map(|s| HeapSiteSample {
             class: s.class as u32,
             block_bytes: s.block_bytes as u64,
-            tag: s.tag_name.to_string(),
+            // The sampler keys by class and thread; the wire keeps the
+            // field so reports with caller tags still parse and diff.
+            tag: "untagged".to_string(),
             samples: s.samples,
             est_bytes: s.est_bytes,
         })

@@ -4,6 +4,7 @@
 //! The `repro` binary runs the whole evaluation — Table 1 and Figures
 //! 4–11, each printed as an ASCII table and written as CSV into
 //! `results/` — and checks the paper's headline claims.
+#![warn(unreachable_pub)]
 
 pub mod figures;
 pub mod heapprof;
@@ -11,8 +12,6 @@ pub mod metrics;
 pub mod native;
 pub mod parallel;
 pub mod tuner;
-
-pub use figures::{FigureData, Series};
 
 /// The note a feature-gated bench bin prints when built without its
 /// feature: names the missing flag and gives the exact rebuild command,

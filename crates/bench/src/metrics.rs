@@ -28,7 +28,7 @@ pub fn gather(source: &str) -> Report {
 }
 
 /// Parse `--metrics-out <path>` / `--metrics-out=<path>` from `args`.
-pub fn metrics_out_from(args: &[String]) -> Option<PathBuf> {
+pub(crate) fn metrics_out_from(args: &[String]) -> Option<PathBuf> {
     for (i, a) in args.iter().enumerate() {
         if a == "--metrics-out" {
             if let Some(p) = args.get(i + 1) {
@@ -41,7 +41,7 @@ pub fn metrics_out_from(args: &[String]) -> Option<PathBuf> {
     None
 }
 
-/// [`metrics_out_from`] over the process arguments. Shared by every bin,
+/// `metrics_out_from` over the process arguments. Shared by every bin,
 /// mirroring [`crate::parallel::jobs_from_args`].
 pub fn metrics_out_from_args() -> Option<PathBuf> {
     let args: Vec<String> = std::env::args().collect();
@@ -49,7 +49,7 @@ pub fn metrics_out_from_args() -> Option<PathBuf> {
 }
 
 /// Attach labelled simulator runs to a report.
-pub fn with_runs(mut report: Report, sim_runs: Vec<(String, RunMetrics)>) -> Report {
+pub(crate) fn with_runs(mut report: Report, sim_runs: Vec<(String, RunMetrics)>) -> Report {
     report.sim_runs =
         sim_runs.into_iter().map(|(label, metrics)| SimRun { label, metrics }).collect();
     report
@@ -57,7 +57,7 @@ pub fn with_runs(mut report: Report, sim_runs: Vec<(String, RunMetrics)>) -> Rep
 
 /// Assemble the standard bin report: the gathered event totals plus the
 /// bin's simulator runs.
-pub fn report_for_runs(source: &str, sim_runs: Vec<(String, RunMetrics)>) -> Report {
+pub(crate) fn report_for_runs(source: &str, sim_runs: Vec<(String, RunMetrics)>) -> Report {
     with_runs(gather(source), sim_runs)
 }
 

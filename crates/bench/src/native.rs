@@ -11,7 +11,7 @@
 //! [`mem_api::sim_name`]), so native and simulated rows join cleanly.
 //!
 //! The module also holds the recorded-envelope gate `envelope_check`
-//! runs: the micro paths in [`ENVELOPE_PATHS`], timed as ratios to an
+//! runs: the micro paths in `ENVELOPE_PATHS`, timed as ratios to an
 //! in-run reference pair by [`measure_envelopes`].
 
 use mem_api::BackendRegistry;
@@ -29,11 +29,11 @@ use workloads::tree::{PoolTree, TreeParams, TreeWorkload};
 #[derive(Debug, Clone)]
 pub struct MatrixConfig {
     /// Tree depths (the paper's test cases use 1, 3 and 5).
-    pub depths: Vec<u32>,
+    pub(crate) depths: Vec<u32>,
     /// Worker thread counts per cell.
-    pub threads: Vec<u32>,
+    pub(crate) threads: Vec<u32>,
     /// Trees allocated and freed per thread.
-    pub iterations: u32,
+    pub(crate) iterations: u32,
 }
 
 impl MatrixConfig {
@@ -119,7 +119,7 @@ pub fn ascii_tables(runs: &[NativeRun], config: &MatrixConfig) -> String {
 }
 
 /// The CSV behind the tables: one line per matrix cell.
-pub fn csv_string(runs: &[NativeRun]) -> String {
+pub(crate) fn csv_string(runs: &[NativeRun]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from(
         "backend,workload,threads,elapsed_ns,structures,ns_per_structure,\
@@ -156,12 +156,14 @@ pub fn write_csv(runs: &[NativeRun], dir: &Path) -> std::io::Result<std::path::P
 // ------------------------------------------------------------ envelopes
 
 // The benchmark's own median/quartile summary, shared so the gate and the
-// end-to-end record compute their statistics one way.
-#[allow(dead_code)]
+// end-to-end record compute their statistics one way. The file belongs to
+// the benchmark package, whose `pub` items are its bin's API, not this
+// crate's.
+#[allow(dead_code, unreachable_pub)]
 #[path = "bin/benchmark/record.rs"]
 mod record;
 
-pub use record::Summary;
+pub(crate) use record::Summary;
 
 /// The CPU model `/proc/cpuinfo` names ("unknown" elsewhere), for the
 /// host line every timing bin prints.
@@ -192,14 +194,14 @@ pub const GATE: f64 = 1.0;
 
 /// One gated micro-timing path.
 #[derive(Debug, Clone, Copy)]
-pub struct EnvelopePath {
-    pub label: &'static str,
+pub(crate) struct EnvelopePath {
+    pub(crate) label: &'static str,
     /// Median ratio of this path's ns per operation to the reference
     /// pair's, recorded for this build's feature mode (EXPERIMENTS.md,
     /// "Envelope gate").
-    pub recorded: f64,
+    pub(crate) recorded: f64,
     /// Times `pairs` operations and returns ns per operation.
-    pub run: fn(u64) -> f64,
+    pub(crate) run: fn(u64) -> f64,
 }
 
 /// The recorded ratio for this build: `global-alloc` routes the
@@ -213,7 +215,7 @@ const fn by_mode(off: f64, global_alloc: f64) -> f64 {
 }
 
 /// Every gated path, in the order a trial runs them.
-pub const ENVELOPE_PATHS: [EnvelopePath; 8] = [
+pub(crate) const ENVELOPE_PATHS: [EnvelopePath; 8] = [
     EnvelopePath { label: "hit-pair", recorded: by_mode(0.64, 0.64), run: hit_pair },
     EnvelopePath { label: "miss-pair", recorded: by_mode(2.64, 2.68), run: miss_pair },
     EnvelopePath { label: "global-pair", recorded: by_mode(0.63, 0.65), run: global_pair },
@@ -413,12 +415,12 @@ pub(crate) struct Sample {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnvelopeCheck {
     pub label: &'static str,
-    pub recorded: f64,
+    pub(crate) recorded: f64,
     /// Per-trial ratios of path to reference.
-    pub ratio: Summary,
+    pub(crate) ratio: Summary,
     /// Median ns per operation of the path and of the reference.
-    pub path_ns: f64,
-    pub reference_ns: f64,
+    pub(crate) path_ns: f64,
+    pub(crate) reference_ns: f64,
 }
 
 impl EnvelopeCheck {
@@ -438,7 +440,7 @@ impl EnvelopeCheck {
     }
 
     /// The largest median ratio that still passes.
-    pub fn limit(&self) -> f64 {
+    pub(crate) fn limit(&self) -> f64 {
         self.recorded * (1.0 + GATE)
     }
 
@@ -467,7 +469,7 @@ impl EnvelopeCheck {
     }
 }
 
-/// Run `trials` trials of every path in [`ENVELOPE_PATHS`], each trial
+/// Run `trials` trials of every path in `ENVELOPE_PATHS`, each trial
 /// timing one reference pair loop beside them, and judge each path.
 pub fn measure_envelopes(trials: usize, pairs: u64) -> Vec<EnvelopeCheck> {
     let mut samples = vec![Vec::with_capacity(trials); ENVELOPE_PATHS.len()];

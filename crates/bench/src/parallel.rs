@@ -11,12 +11,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The default worker count: one per available core.
-pub fn default_jobs() -> usize {
+pub(crate) fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Parse `--jobs N` from the process arguments, defaulting to
-/// [`default_jobs`]. Shared by `repro` and the figure/ablation binaries.
+/// `default_jobs`. Shared by `repro` and the figure/ablation binaries.
 pub fn jobs_from_args() -> usize {
     let args: Vec<String> = std::env::args().collect();
     for (i, a) in args.iter().enumerate() {

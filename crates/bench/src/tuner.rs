@@ -6,7 +6,7 @@
 //! count and slab carve batch. Fitness is a pure counter blend —
 //! [`PoolSnapshot::tuning_fitness`] (fresh allocations, lock traffic,
 //! parked waste) plus the depot churn the snapshot can't see (magazine
-//! parks and swaps: the flush/refill rate, see [`replay_fitness`]) —
+//! parks and swaps: the flush/refill rate, see `replay_fitness`) —
 //! never wall-clock, so a given `(seed, traces)` pair produces the same
 //! verdict on every host. That is what lets CI *assert* that evolved
 //! configs beat the hand-tuned defaults instead of merely hoping the
@@ -29,11 +29,11 @@ use workloads::trace::{Chunk, Trace, TraceOp};
 pub struct SplitMix64(u64);
 
 impl SplitMix64 {
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64(seed)
     }
 
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -42,41 +42,41 @@ impl SplitMix64 {
     }
 
     /// Uniform draw in `0..n` (`n > 0`).
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n
     }
 
     /// True with probability `num/den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
+    pub(crate) fn chance(&mut self, num: u64, den: u64) -> bool {
         self.below(den) < num
     }
 }
 
 /// Legal knob ranges the search stays inside (the same ranges the
 /// differential proptest covers).
-pub const MAGAZINE_CAP_RANGE: (u32, u32) = (1, 512);
-pub const SHARDS_RANGE: (u32, u32) = (1, 16);
-pub const CARVE_BATCH_RANGE: (u32, u32) = (2, 1024);
+pub(crate) const MAGAZINE_CAP_RANGE: (u32, u32) = (1, 512);
+pub(crate) const SHARDS_RANGE: (u32, u32) = (1, 16);
+pub(crate) const CARVE_BATCH_RANGE: (u32, u32) = (2, 1024);
 
 /// One candidate pool configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Genome {
-    pub magazine_cap: u32,
-    pub shards: u32,
-    pub carve_batch: u32,
+pub(crate) struct Genome {
+    pub(crate) magazine_cap: u32,
+    pub(crate) shards: u32,
+    pub(crate) carve_batch: u32,
 }
 
 impl Genome {
     /// The hand-tuned defaults the runtime ships with: the `amplify`
     /// backend's layout (4 shards, [`pools::DEFAULT_MAGAZINE_CAP`]
     /// magazines) and the historical carve batch (`2 × magazine_cap`).
-    pub fn baseline() -> Genome {
+    pub(crate) fn baseline() -> Genome {
         let cap = pools::DEFAULT_MAGAZINE_CAP as u32;
         Genome { magazine_cap: cap, shards: 4, carve_batch: cap * 2 }
     }
 
     /// Clamp every field into its legal range.
-    pub fn clamped(self) -> Genome {
+    pub(crate) fn clamped(self) -> Genome {
         Genome {
             magazine_cap: self.magazine_cap.clamp(MAGAZINE_CAP_RANGE.0, MAGAZINE_CAP_RANGE.1),
             shards: self.shards.clamp(SHARDS_RANGE.0, SHARDS_RANGE.1),
@@ -85,7 +85,7 @@ impl Genome {
     }
 
     /// A uniformly random legal genome.
-    pub fn random(rng: &mut SplitMix64) -> Genome {
+    pub(crate) fn random(rng: &mut SplitMix64) -> Genome {
         let draw = |rng: &mut SplitMix64, (lo, hi): (u32, u32)| {
             lo + rng.below((hi - lo + 1) as u64) as u32
         };
@@ -97,7 +97,7 @@ impl Genome {
     }
 
     /// Uniform crossover: each field from one parent or the other.
-    pub fn crossover(a: &Genome, b: &Genome, rng: &mut SplitMix64) -> Genome {
+    pub(crate) fn crossover(a: &Genome, b: &Genome, rng: &mut SplitMix64) -> Genome {
         let pick = |rng: &mut SplitMix64, x, y| if rng.chance(1, 2) { x } else { y };
         Genome {
             magazine_cap: pick(rng, a.magazine_cap, b.magazine_cap),
@@ -109,7 +109,7 @@ impl Genome {
     /// Multiplicative mutation: each field independently doubles or
     /// halves with probability 1/3 (the knobs are all power-of-two-ish
     /// scales, so ×2 steps cover the range in a few generations).
-    pub fn mutated(mut self, rng: &mut SplitMix64) -> Genome {
+    pub(crate) fn mutated(mut self, rng: &mut SplitMix64) -> Genome {
         let mut step = |v: &mut u32| {
             if rng.chance(1, 3) {
                 *v = if rng.chance(1, 2) { v.saturating_mul(2) } else { (*v / 2).max(1) };
@@ -125,7 +125,7 @@ impl Genome {
     /// deltas). Used as a deterministic tie-break: among equally fit
     /// genomes, prefer the least surprising one, so knobs the trace
     /// replay is flat in stay at their defaults instead of drifting.
-    pub fn distance_from_baseline(&self) -> u64 {
+    pub(crate) fn distance_from_baseline(&self) -> u64 {
         let b = Genome::baseline();
         let d = |x: u32, y: u32| x.abs_diff(y) as u64;
         d(self.magazine_cap, b.magazine_cap)
@@ -134,7 +134,7 @@ impl Genome {
     }
 
     /// The pool this genome describes, over trace [`Chunk`]s.
-    pub fn build_pool(&self) -> pools::StructurePool<Chunk> {
+    pub(crate) fn build_pool(&self) -> pools::StructurePool<Chunk> {
         let config = pools::PoolConfig::default().with_tuning(self.carve_batch as usize);
         pools::StructurePool::new_sharded_with_magazines(
             self.shards as usize,
@@ -144,7 +144,7 @@ impl Genome {
     }
 
     /// The wire form for `pool-tune-v1` reports.
-    pub fn to_wire(&self) -> TunedGenome {
+    pub(crate) fn to_wire(self) -> TunedGenome {
         TunedGenome {
             magazine_cap: self.magazine_cap,
             shards: self.shards,
@@ -159,7 +159,7 @@ impl Genome {
 ///
 /// # Panics
 /// Panics if a trace is malformed (frees a dead handle).
-pub fn evaluate(genome: &Genome, traces: &[Trace]) -> u64 {
+pub(crate) fn evaluate(genome: &Genome, traces: &[Trace]) -> u64 {
     let pool = genome.build_pool();
     let mut live: Vec<Vec<Option<PoolBox<Chunk>>>> = traces
         .iter()
@@ -214,16 +214,16 @@ pub fn evaluate(genome: &Genome, traces: &[Trace]) -> u64 {
 /// cache hierarchy. This is the flush/refill-rate term of the fitness —
 /// an undersized magazine shows up here long before it shows up in
 /// `fresh_allocs`.
-pub const DEPOT_CHURN_WEIGHT: u64 = 20;
+pub(crate) const DEPOT_CHURN_WEIGHT: u64 = 20;
 
 /// Weight of one slab carve: a real heap call, amortized over a
 /// magazine's worth of objects by a well-sized carve batch.
-pub const SLAB_CARVE_WEIGHT: u64 = 50;
+pub(crate) const SLAB_CARVE_WEIGHT: u64 = 50;
 
 /// The replay's full fitness (lower is better): the snapshot's counter
 /// blend plus the depot-level churn counters a [`PoolSnapshot`] does not
 /// carry.
-pub fn replay_fitness(
+pub(crate) fn replay_fitness(
     snapshot: &PoolSnapshot,
     depot_swaps: u64,
     depot_parks: u64,
@@ -235,10 +235,10 @@ pub fn replay_fitness(
         .saturating_add(slab_carves.saturating_mul(SLAB_CARVE_WEIGHT))
 }
 
-/// Search-budget knobs for one [`evolve_family`] run.
+/// Search-budget knobs for one `evolve_family` run.
 #[derive(Debug, Clone, Copy)]
 pub struct TunerConfig {
-    pub seed: u64,
+    pub(crate) seed: u64,
     pub population: usize,
     pub generations: u32,
 }
@@ -270,7 +270,7 @@ fn family_stream(seed: u64, family: &str) -> u64 {
 /// the fitter half, uniform crossover and multiplicative mutation. The
 /// baseline genome is seeded into generation zero, so the winner can
 /// never be *worse* than the shipped defaults — only equal or better.
-pub fn evolve_family(family: &str, traces: &[Trace], cfg: &TunerConfig) -> FamilyTuning {
+pub(crate) fn evolve_family(family: &str, traces: &[Trace], cfg: &TunerConfig) -> FamilyTuning {
     const ELITES: usize = 2;
     let population = cfg.population.max(ELITES + 1);
     let mut rng = SplitMix64::new(family_stream(cfg.seed, family));

@@ -267,7 +267,8 @@ pub struct TypeRef {
 
 impl TypeRef {
     /// A simple named type with no qualifiers.
-    pub fn named(name: &str, span: Span) -> Self {
+    #[cfg(test)]
+    pub(crate) fn named(name: &str, span: Span) -> Self {
         TypeRef {
             name: name.to_string(),
             is_const: false,
@@ -350,11 +351,11 @@ pub struct MethodDef {
 }
 
 /// Alias: top-level function definitions reuse the method representation.
-pub type FunctionDef = MethodDef;
+pub(crate) type FunctionDef = MethodDef;
 
 impl MethodDef {
     /// True if this defines (rather than merely declares) the function.
-    pub fn is_definition(&self) -> bool {
+    pub(crate) fn is_definition(&self) -> bool {
         self.body.is_some()
     }
 }
@@ -395,22 +396,6 @@ pub enum Stmt {
     Block(Block),
     /// Anything else, preserved verbatim.
     Raw(Span),
-}
-
-impl Stmt {
-    /// The source span of the statement.
-    pub fn span(&self) -> Span {
-        match self {
-            Stmt::Delete(d) => d.span,
-            Stmt::Expr(_, s) => *s,
-            Stmt::Decl(d) => d.span,
-            Stmt::Return(_, s) => *s,
-            Stmt::If(i) => i.span,
-            Stmt::While(l) | Stmt::For(l) | Stmt::DoWhile(l) | Stmt::Switch(l) => l.span,
-            Stmt::Block(b) => b.span,
-            Stmt::Raw(s) => *s,
-        }
-    }
 }
 
 /// `delete x;` / `delete[] x;`.

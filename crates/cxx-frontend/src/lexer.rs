@@ -1,16 +1,16 @@
 //! A complete lexer for C++ token syntax.
 //!
 //! The lexer never fails: bytes it cannot interpret become
-//! [`TokenKind::Unknown`] tokens. Comments and whitespace are skipped (the
+//! `TokenKind::Unknown` tokens. Comments and whitespace are skipped (the
 //! span-based rewriter preserves them in the output automatically);
-//! preprocessor directives are folded into single [`TokenKind::Directive`]
+//! preprocessor directives are folded into single `TokenKind::Directive`
 //! tokens spanning the full logical line, including `\`-continuations.
 
 use crate::source::SourceFile;
 use crate::span::Span;
 use crate::token::{Kw, Punct, Token, TokenKind};
 
-/// Lex an entire source file. The final token is always [`TokenKind::Eof`].
+/// Lex an entire source file. The final token is always `TokenKind::Eof`.
 pub fn lex(file: &SourceFile) -> Vec<Token> {
     Lexer::new(file.text()).run()
 }
@@ -324,12 +324,12 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<TokenKind> {
-        let f = SourceFile::new("t.cpp", src);
+        let f = SourceFile::new(src);
         lex(&f).into_iter().map(|t| t.kind).collect()
     }
 
     fn texts(src: &str) -> Vec<String> {
-        let f = SourceFile::new("t.cpp", src);
+        let f = SourceFile::new(src);
         lex(&f)
             .into_iter()
             .filter(|t| t.kind != TokenKind::Eof)
@@ -369,7 +369,7 @@ mod tests {
     #[test]
     fn directives_fold_whole_line() {
         let src = "#include <vector>\nint x;";
-        let f = SourceFile::new("t.cpp", src);
+        let f = SourceFile::new(src);
         let toks = lex(&f);
         assert_eq!(toks[0].kind, TokenKind::Directive);
         assert_eq!(toks[0].text(src), "#include <vector>");
@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn directive_with_continuation() {
         let src = "#define FOO \\\n   bar\nint x;";
-        let f = SourceFile::new("t.cpp", src);
+        let f = SourceFile::new(src);
         let toks = lex(&f);
         assert_eq!(toks[0].kind, TokenKind::Directive);
         assert!(toks[0].text(src).contains("bar"));
@@ -389,7 +389,7 @@ mod tests {
     #[test]
     fn hash_mid_line_is_not_directive() {
         let src = "int x; # not directive";
-        let f = SourceFile::new("t.cpp", src);
+        let f = SourceFile::new(src);
         let toks = lex(&f);
         assert!(toks.iter().all(|t| t.kind != TokenKind::Directive));
         assert!(toks.iter().any(|t| t.kind == TokenKind::Unknown));
@@ -407,7 +407,7 @@ mod tests {
 
     #[test]
     fn numbers() {
-        let f = SourceFile::new("t.cpp", "42 0xFFul 3.14 1e-9 2.5f .5 077");
+        let f = SourceFile::new("42 0xFFul 3.14 1e-9 2.5f .5 077");
         let toks = lex(&f);
         let kinds: Vec<_> = toks.iter().map(|t| t.kind).collect();
         assert_eq!(
@@ -442,7 +442,7 @@ mod tests {
         // `R` followed by a quote but no `(`: lex `R` as an identifier and
         // the rest as a normal string.
         let src = "R\"x\"";
-        let f = SourceFile::new("t.cpp", src);
+        let f = SourceFile::new(src);
         let toks = lex(&f);
         assert_eq!(toks[0].kind, TokenKind::Ident);
         assert_eq!(toks[0].text(src), "R");
@@ -451,7 +451,7 @@ mod tests {
 
     #[test]
     fn unterminated_raw_string_is_tolerated() {
-        let f = SourceFile::new("t.cpp", "a R\"(never ends");
+        let f = SourceFile::new("a R\"(never ends");
         let toks = lex(&f);
         assert_eq!(*toks.last().unwrap(), Token::new(TokenKind::Eof, Span::at(15)));
     }
@@ -467,7 +467,7 @@ mod tests {
     #[test]
     fn spans_are_exact() {
         let src = "ab + cd";
-        let f = SourceFile::new("t.cpp", src);
+        let f = SourceFile::new(src);
         let toks = lex(&f);
         assert_eq!(toks[0].span, Span::new(0, 2));
         assert_eq!(toks[1].span, Span::new(3, 4));

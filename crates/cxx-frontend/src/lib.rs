@@ -8,7 +8,7 @@
 //! compiler front end. Instead it provides:
 //!
 //! * a complete lexer for C++ tokens ([`lexer`]),
-//! * a tolerant recursive-descent parser ([`parser`]) that recognizes the
+//! * a tolerant recursive-descent parser (`parser`) that recognizes the
 //!   constructs the transformations need — class/struct definitions, data
 //!   members, method bodies, `new` / `delete` expressions — and degrades
 //!   gracefully to *raw spans* for anything else,
@@ -32,7 +32,7 @@
 //!     int doors;
 //! };
 //! "#;
-//! let unit = parse_source("car.h", src);
+//! let unit = parse_source(src);
 //! let class = unit
 //!     .items
 //!     .iter()
@@ -44,27 +44,26 @@
 //! assert_eq!(class.name, "Car");
 //! assert_eq!(class.pointer_fields().count(), 2);
 //! ```
+#![warn(unreachable_pub)]
 
 pub mod ast;
 pub mod lexer;
-pub mod parser;
-pub mod printer;
+mod parser;
 pub mod rewrite;
 pub mod source;
 pub mod span;
-pub mod token;
+mod token;
 pub mod visit;
 
-pub use ast::TranslationUnit;
+use ast::TranslationUnit;
 pub use rewrite::Rewriter;
 pub use source::SourceFile;
-pub use span::Span;
 
 /// Lex and parse a source string into a [`TranslationUnit`].
 ///
 /// This never fails: unrecognized regions are kept as raw spans.
-pub fn parse_source(name: &str, text: &str) -> TranslationUnit {
-    let file = SourceFile::new(name, text);
+pub fn parse_source(text: &str) -> TranslationUnit {
+    let file = SourceFile::new(text);
     let tokens = lexer::lex(&file);
     parser::Parser::new(file, tokens).parse_unit()
 }

@@ -19,7 +19,7 @@ use crate::token::{Kw, Punct, Token, TokenKind};
 
 /// The parser. Construct with [`Parser::new`] and call
 /// [`Parser::parse_unit`].
-pub struct Parser {
+pub(crate) struct Parser {
     file: SourceFile,
     toks: Vec<Token>,
     pos: usize,
@@ -29,13 +29,13 @@ pub struct Parser {
 }
 
 impl Parser {
-    pub fn new(file: SourceFile, toks: Vec<Token>) -> Self {
+    pub(crate) fn new(file: SourceFile, toks: Vec<Token>) -> Self {
         debug_assert!(matches!(toks.last(), Some(t) if t.kind == TokenKind::Eof));
         Parser { file, toks, pos: 0, pending_fields: Vec::new() }
     }
 
     /// Parse the whole token stream into a [`TranslationUnit`].
-    pub fn parse_unit(mut self) -> TranslationUnit {
+    pub(crate) fn parse_unit(mut self) -> TranslationUnit {
         let mut items = Vec::new();
         while !self.at_eof() {
             let before = self.pos;

@@ -12,9 +12,9 @@ use crate::span::Span;
 
 /// A single pending edit.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Edit {
-    pub span: Span,
-    pub replacement: String,
+pub(crate) struct Edit {
+    pub(crate) span: Span,
+    pub(crate) replacement: String,
     /// Tie-break for multiple insertions at the same offset: lower seq
     /// first. Assigned in recording order.
     seq: u32,
@@ -53,16 +53,6 @@ impl Rewriter {
         Rewriter { file, edits: Vec::new() }
     }
 
-    /// The file being rewritten.
-    pub fn file(&self) -> &SourceFile {
-        &self.file
-    }
-
-    /// Number of edits recorded so far.
-    pub fn edit_count(&self) -> usize {
-        self.edits.len()
-    }
-
     /// Replace the text at `span` with `replacement`.
     pub fn replace(&mut self, span: Span, replacement: impl Into<String>) {
         let seq = self.edits.len() as u32;
@@ -82,11 +72,6 @@ impl Rewriter {
     /// Delete the text at `span`.
     pub fn delete(&mut self, span: Span) {
         self.replace(span, "");
-    }
-
-    /// True if any recorded non-insertion edit overlaps `span`.
-    pub fn touches(&self, span: Span) -> bool {
-        self.edits.iter().any(|e| !e.span.is_empty() && e.span.overlaps(span))
     }
 
     /// Apply all edits and return the rewritten text.
@@ -144,7 +129,7 @@ mod tests {
     use super::*;
 
     fn rw(text: &str) -> Rewriter {
-        Rewriter::new(SourceFile::new("t.cpp", text))
+        Rewriter::new(SourceFile::new(text))
     }
 
     #[test]
@@ -216,17 +201,5 @@ mod tests {
         let mut r = rw("ab");
         r.replace(Span::new(0, 99), "X");
         assert!(matches!(r.apply(), Err(RewriteError::OutOfBounds(_))));
-    }
-
-    #[test]
-    fn touches_reports_overlap() {
-        let mut r = rw("abcdef");
-        r.replace(Span::new(1, 3), "X");
-        assert!(r.touches(Span::new(2, 5)));
-        assert!(!r.touches(Span::new(3, 5)));
-        // Pure insertions never count as touching.
-        let mut r2 = rw("abcdef");
-        r2.insert_before(2, "X");
-        assert!(!r2.touches(Span::new(0, 6)));
     }
 }

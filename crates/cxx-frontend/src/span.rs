@@ -24,13 +24,13 @@ impl Span {
 
     /// The empty span at a given offset (used for pure insertions).
     #[inline]
-    pub fn at(offset: u32) -> Self {
+    pub(crate) fn at(offset: u32) -> Self {
         Span { start: offset, end: offset }
     }
 
     /// Length in bytes.
     #[inline]
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.end - self.start
     }
 
@@ -40,27 +40,15 @@ impl Span {
         self.start == self.end
     }
 
-    /// Smallest span covering both `self` and `other`.
-    #[inline]
-    pub fn to(&self, other: Span) -> Span {
-        Span::new(self.start.min(other.start), self.end.max(other.end))
-    }
-
-    /// True if `self` fully contains `other`.
-    #[inline]
-    pub fn contains(&self, other: Span) -> bool {
-        self.start <= other.start && other.end <= self.end
-    }
-
     /// True if the two spans share at least one byte.
     #[inline]
-    pub fn overlaps(&self, other: Span) -> bool {
+    pub(crate) fn overlaps(&self, other: Span) -> bool {
         self.start < other.end && other.start < self.end
     }
 
     /// Index into a source string.
     #[inline]
-    pub fn slice<'a>(&self, text: &'a str) -> &'a str {
+    pub(crate) fn slice<'a>(&self, text: &'a str) -> &'a str {
         &text[self.start as usize..self.end as usize]
     }
 }
@@ -84,19 +72,9 @@ mod tests {
     }
 
     #[test]
-    fn union_covers_both() {
-        let a = Span::new(2, 5);
-        let b = Span::new(10, 12);
-        assert_eq!(a.to(b), Span::new(2, 12));
-        assert_eq!(b.to(a), Span::new(2, 12));
-    }
-
-    #[test]
     fn containment_and_overlap() {
         let outer = Span::new(0, 10);
         let inner = Span::new(3, 7);
-        assert!(outer.contains(inner));
-        assert!(!inner.contains(outer));
         assert!(outer.overlaps(inner));
         // Touching spans do not overlap (half-open ranges).
         assert!(!Span::new(0, 5).overlaps(Span::new(5, 9)));

@@ -5,17 +5,18 @@ use crate::span::Span;
 /// A lexed token: a kind plus the span of its original text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
-    pub kind: TokenKind,
+    pub(crate) kind: TokenKind,
     pub span: Span,
 }
 
 impl Token {
-    pub fn new(kind: TokenKind, span: Span) -> Self {
+    pub(crate) fn new(kind: TokenKind, span: Span) -> Self {
         Token { kind, span }
     }
 
     /// Slice this token's text out of the source.
-    pub fn text<'a>(&self, src: &'a str) -> &'a str {
+    #[cfg(test)]
+    pub(crate) fn text<'a>(&self, src: &'a str) -> &'a str {
         self.span.slice(src)
     }
 }
@@ -25,7 +26,7 @@ impl Token {
 /// a single [`TokenKind::Directive`] token covering the whole logical line so
 /// the parser can record `#include`s and skip the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     Ident,
     Keyword(Kw),
     IntLit,
@@ -45,7 +46,7 @@ pub enum TokenKind {
 /// tolerant parser treats them as raw text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
-pub enum Kw {
+pub(crate) enum Kw {
     Class,
     Struct,
     Union,
@@ -100,7 +101,7 @@ impl Kw {
     /// Map an identifier to a keyword, if it is one. (Not `FromStr`: this
     /// is infallible-by-`Option`, not error-carrying.)
     #[allow(clippy::should_implement_trait)]
-    pub fn from_str(s: &str) -> Option<Kw> {
+    pub(crate) fn from_str(s: &str) -> Option<Kw> {
         Some(match s {
             "class" => Kw::Class,
             "struct" => Kw::Struct,
@@ -156,7 +157,7 @@ impl Kw {
 
     /// True for keywords that can start or continue a builtin type name
     /// (`unsigned long long`, `const char`, ...).
-    pub fn is_builtin_type(self) -> bool {
+    pub(crate) fn is_builtin_type(self) -> bool {
         matches!(
             self,
             Kw::Void
@@ -176,7 +177,7 @@ impl Kw {
 /// Punctuation and operators. Multi-character operators are lexed greedily.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
-pub enum Punct {
+pub(crate) enum Punct {
     LParen,
     RParen,
     LBrace,
@@ -230,7 +231,7 @@ pub enum Punct {
 
 impl Punct {
     /// The literal text of this punctuator.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         use Punct::*;
         match self {
             LParen => "(",

@@ -1,4 +1,4 @@
-//! Recursive statement/expression walkers used by the Amplify analysis.
+//! Recursive statement walkers used by the Amplify analysis.
 
 use crate::ast::*;
 
@@ -29,29 +29,6 @@ fn walk_stmt<'a, F: FnMut(&'a Stmt)>(stmt: &'a Stmt, f: &mut F) {
     }
 }
 
-/// Visit every structured expression reachable from a block's statements.
-pub fn walk_exprs<'a, F: FnMut(&'a Expr)>(block: &'a Block, f: &mut F) {
-    walk_stmts(block, &mut |stmt| match stmt {
-        Stmt::Expr(e, _) => walk_expr(e, f),
-        Stmt::Delete(d) => walk_expr(&d.target, f),
-        Stmt::Decl(d) => {
-            if let Some(init) = &d.init {
-                walk_expr(init, f);
-            }
-        }
-        Stmt::Return(Some(e), _) => walk_expr(e, f),
-        _ => {}
-    });
-}
-
-fn walk_expr<'a, F: FnMut(&'a Expr)>(expr: &'a Expr, f: &mut F) {
-    f(expr);
-    if let Expr::Assign(a) = expr {
-        walk_expr(&a.lhs, f);
-        walk_expr(&a.rhs, f);
-    }
-}
-
 /// Count statements matching a predicate (convenience for tests and
 /// reports).
 pub fn count_stmts(block: &Block, mut pred: impl FnMut(&Stmt) -> bool) -> usize {
@@ -70,7 +47,7 @@ mod tests {
     use crate::parse_source;
 
     fn first_body(src: &str) -> Block {
-        let unit = parse_source("t.cpp", src);
+        let unit = parse_source(src);
         let body = unit.functions().next().unwrap().body.clone().unwrap();
         body
     }
@@ -81,29 +58,5 @@ mod tests {
             first_body("void f() { if (x) { delete a; } else { while (y) delete b; } delete c; }");
         let n = count_stmts(&body, |s| matches!(s, Stmt::Delete(_)));
         assert_eq!(n, 3);
-    }
-
-    #[test]
-    fn walks_exprs_in_assignments() {
-        let body = first_body("void f() { a = new T(); if (q) b = new U(); }");
-        let mut news = 0;
-        walk_exprs(&body, &mut |e| {
-            if matches!(e, Expr::New(_)) {
-                news += 1;
-            }
-        });
-        assert_eq!(news, 2);
-    }
-
-    #[test]
-    fn walks_decl_inits() {
-        let body = first_body("void f() { T* t = new T(1); }");
-        let mut news = 0;
-        walk_exprs(&body, &mut |e| {
-            if matches!(e, Expr::New(_)) {
-                news += 1;
-            }
-        });
-        assert_eq!(news, 1);
     }
 }

@@ -6,7 +6,7 @@ use cxx_frontend::ast::*;
 use cxx_frontend::parse_source;
 
 fn only_class(src: &str) -> ClassDef {
-    let unit = parse_source("t.cpp", src);
+    let unit = parse_source(src);
     let mut classes: Vec<_> = unit.classes().cloned().collect();
     assert_eq!(classes.len(), 1, "expected exactly one class in {src:?}");
     classes.pop().unwrap()
@@ -147,7 +147,6 @@ private:
 #[test]
 fn delete_statement_shapes() {
     let unit = parse_source(
-        "t.cpp",
         r#"
 void f() {
     delete p;
@@ -179,7 +178,7 @@ void f() {
 
 #[test]
 fn assignment_from_new() {
-    let unit = parse_source("t.cpp", "void f() { left = new Child(1, 2); }");
+    let unit = parse_source("void f() { left = new Child(1, 2); }");
     let body = unit.functions().next().unwrap().body.as_ref().unwrap();
     match &body.stmts[0] {
         Stmt::Expr(Expr::Assign(a), _) => {
@@ -199,7 +198,7 @@ fn assignment_from_new() {
 
 #[test]
 fn placement_new_is_recognized() {
-    let unit = parse_source("t.cpp", "void f() { left = new(leftShadow) Child(); }");
+    let unit = parse_source("void f() { left = new(leftShadow) Child(); }");
     let body = unit.functions().next().unwrap().body.as_ref().unwrap();
     match &body.stmts[0] {
         Stmt::Expr(Expr::Assign(a), _) => match &*a.rhs {
@@ -215,7 +214,7 @@ fn placement_new_is_recognized() {
 
 #[test]
 fn array_new_with_length() {
-    let unit = parse_source("t.cpp", "void f() { buffer = new char[length * 2]; }");
+    let unit = parse_source("void f() { buffer = new char[length * 2]; }");
     let body = unit.functions().next().unwrap().body.as_ref().unwrap();
     match &body.stmts[0] {
         Stmt::Expr(Expr::Assign(a), _) => match &*a.rhs {
@@ -233,7 +232,7 @@ fn array_new_with_length() {
 
 #[test]
 fn local_decl_with_new() {
-    let unit = parse_source("t.cpp", "void f() { Child* c = new Child(); }");
+    let unit = parse_source("void f() { Child* c = new Child(); }");
     let body = unit.functions().next().unwrap().body.as_ref().unwrap();
     match &body.stmts[0] {
         Stmt::Decl(d) => {
@@ -248,7 +247,6 @@ fn local_decl_with_new() {
 #[test]
 fn out_of_line_method_definitions() {
     let unit = parse_source(
-        "t.cpp",
         r#"
 Car::Car(int n) : wheels(0) { count = n; }
 Car::~Car() { delete wheels; }
@@ -270,7 +268,6 @@ Wheel* Car::wheel(int i) { return 0; }
 #[test]
 fn ctor_initializer_lists_are_structured() {
     let unit = parse_source(
-        "t.cpp",
         r#"
 class Root {
 public:
@@ -304,7 +301,7 @@ Root::Root() : left(new Child(1)), count(7) { }
 
 #[test]
 fn free_function() {
-    let unit = parse_source("t.cpp", "int main() { return 0; }");
+    let unit = parse_source("int main() { return 0; }");
     let f = unit.functions().next().unwrap();
     assert_eq!(f.name, "main");
     assert!(f.qualifier.is_none());
@@ -312,8 +309,7 @@ fn free_function() {
 
 #[test]
 fn includes_are_recorded() {
-    let unit =
-        parse_source("t.cpp", "#include <vector>\n#include \"car.h\"\n#define N 5\nint x;\n");
+    let unit = parse_source("#include <vector>\n#include \"car.h\"\n#define N 5\nint x;\n");
     let incs: Vec<_> = unit.includes().collect();
     assert_eq!(incs.len(), 2);
     assert_eq!(incs[0].path, "vector");
@@ -324,10 +320,8 @@ fn includes_are_recorded() {
 
 #[test]
 fn namespaces_are_entered() {
-    let unit = parse_source(
-        "t.cpp",
-        "namespace billing { class Cdr { char* buf; }; void f() { delete g; } }",
-    );
+    let unit =
+        parse_source("namespace billing { class Cdr { char* buf; }; void f() { delete g; } }");
     assert_eq!(unit.classes().count(), 1);
     assert_eq!(unit.class("Cdr").unwrap().pointer_fields().count(), 1);
     assert_eq!(unit.functions().count(), 1);
@@ -335,10 +329,7 @@ fn namespaces_are_entered() {
 
 #[test]
 fn templates_are_raw() {
-    let unit = parse_source(
-        "t.cpp",
-        "template <class T> class Vec { T* data; };\nclass Normal { int x; };",
-    );
+    let unit = parse_source("template <class T> class Vec { T* data; };\nclass Normal { int x; };");
     // The template class must NOT appear as a ClassDef; Normal must.
     assert_eq!(unit.classes().count(), 1);
     assert_eq!(unit.classes().next().unwrap().name, "Normal");
@@ -346,7 +337,7 @@ fn templates_are_raw() {
 
 #[test]
 fn forward_declarations_are_raw() {
-    let unit = parse_source("t.cpp", "class Fwd;\nclass Real { int x; };");
+    let unit = parse_source("class Fwd;\nclass Real { int x; };");
     assert_eq!(unit.classes().count(), 1);
     assert_eq!(unit.classes().next().unwrap().name, "Real");
 }
@@ -354,7 +345,6 @@ fn forward_declarations_are_raw() {
 #[test]
 fn garbage_between_classes_does_not_derail() {
     let unit = parse_source(
-        "t.cpp",
         r#"
 class A { int x; };
 @@ %% utterly unparsable $$ tokens here ;
@@ -385,7 +375,6 @@ class Outer {
 #[test]
 fn control_flow_bodies_are_structured() {
     let unit = parse_source(
-        "t.cpp",
         r#"
 void f() {
     if (a) { delete x; } else delete y;
@@ -403,7 +392,6 @@ void f() {
 #[test]
 fn switch_bodies_are_structured() {
     let unit = parse_source(
-        "t.cpp",
         r#"
 void f(int mode) {
     switch (mode) {
@@ -458,7 +446,6 @@ fn static_fields_excluded_from_pointer_fields() {
 #[test]
 fn method_bodies_with_raw_statements_survive() {
     let unit = parse_source(
-        "t.cpp",
         r#"
 void f() {
     int x = a + b * c;
@@ -477,7 +464,7 @@ void f() {
 #[test]
 fn class_spans_cover_definition() {
     let src = "class A { int x; };";
-    let unit = parse_source("t.cpp", src);
+    let unit = parse_source(src);
     let c = unit.classes().next().unwrap();
     assert_eq!(unit.file.slice(c.span), src);
     assert_eq!(&src[c.lbrace as usize..=c.lbrace as usize], "{");
@@ -486,24 +473,22 @@ fn class_spans_cover_definition() {
 
 #[test]
 fn unparsed_bytes_measures_raw_items() {
-    let unit = parse_source("t.cpp", "class A { int x; };");
+    let unit = parse_source("class A { int x; };");
     assert_eq!(unit.unparsed_bytes(), 0);
     assert_eq!(unit.unparsed_fraction(), 0.0);
 
-    let unit = parse_source("t.cpp", "template <class T> struct V { T* p; };");
+    let unit = parse_source("template <class T> struct V { T* p; };");
     assert!(unit.unparsed_fraction() > 0.9, "whole file is a template");
 
-    let unit = parse_source(
-        "t.cpp",
-        "namespace n { template <class T> struct V { T* p; }; class A { int x; }; }",
-    );
+    let unit =
+        parse_source("namespace n { template <class T> struct V { T* p; }; class A { int x; }; }");
     let f = unit.unparsed_fraction();
     assert!(f > 0.2 && f < 0.8, "mixed namespace: {f}");
 }
 
 #[test]
 fn empty_source() {
-    let unit = parse_source("t.cpp", "");
+    let unit = parse_source("");
     assert!(unit.items.is_empty() || unit.items.iter().all(|i| i.span().is_empty()));
 }
 
@@ -511,7 +496,6 @@ fn empty_source() {
 fn bgw_like_component_parses() {
     // A miniature of the BGw shape: parent object owning raw byte buffers.
     let unit = parse_source(
-        "bgw.cpp",
         r#"
 #include <string.h>
 

@@ -11,7 +11,7 @@ proptest! {
     /// (valid UTF-8 strings).
     #[test]
     fn lexer_never_panics_and_terminates(src in ".{0,400}") {
-        let f = SourceFile::new("fuzz.cpp", &src);
+        let f = SourceFile::new(&src);
         let toks = lexer::lex(&f);
         prop_assert!(!toks.is_empty());
         // Tokens are ordered and within bounds.
@@ -27,7 +27,7 @@ proptest! {
     /// The parser must never panic on arbitrary input.
     #[test]
     fn parser_never_panics(src in ".{0,400}") {
-        let _ = parse_source("fuzz.cpp", &src);
+        let _ = parse_source(&src);
     }
 
     /// The parser must never panic on "C++-shaped" input assembled from
@@ -47,13 +47,13 @@ proptest! {
         ], 0..40))
     {
         let src = parts.join("\n");
-        let _ = parse_source("fuzz.cpp", &src);
+        let _ = parse_source(&src);
     }
 
     /// A rewriter with no edits reproduces the input exactly.
     #[test]
     fn rewrite_identity(src in ".{0,400}") {
-        let r = Rewriter::new(SourceFile::new("t.cpp", &src));
+        let r = Rewriter::new(SourceFile::new(&src));
         prop_assert_eq!(r.apply().unwrap(), src);
     }
 
@@ -66,7 +66,7 @@ proptest! {
         cuts in proptest::collection::btree_set(0usize..20, 0..6),
         text in "[A-Z]{0,5}",
     ) {
-        let f = SourceFile::new("t.cpp", &src);
+        let f = SourceFile::new(&src);
         let mut r = Rewriter::new(f);
         // Build disjoint 1-byte replacements at distinct even offsets.
         let mut delta: i64 = 0;
@@ -85,7 +85,7 @@ proptest! {
     #[test]
     fn insertions_stable(offs in proptest::collection::vec(0u32..10, 1..8)) {
         let src = "0123456789";
-        let mut r = Rewriter::new(SourceFile::new("t.cpp", src));
+        let mut r = Rewriter::new(SourceFile::new(src));
         for (i, &o) in offs.iter().enumerate() {
             r.insert_before(o, format!("[{i}]"));
         }
@@ -114,7 +114,7 @@ proptest! {
             .map(|i| format!("    Child* f{i};\n"))
             .collect();
         let src = format!("class {name} {{\n{fields}}};\n");
-        let unit = parse_source("t.cpp", &src);
+        let unit = parse_source(&src);
         let c = unit.classes().next().unwrap();
         prop_assert!(unit.file.slice(c.span).starts_with("class"));
         prop_assert_eq!(c.pointer_fields().count(), n_fields);

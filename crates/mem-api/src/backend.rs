@@ -131,7 +131,7 @@ impl<T> Allocation<T> {
     /// plain `Box<T>` (moved into a standalone slot) or a pool-served
     /// [`PoolBox<T>`].
     #[inline(always)]
-    pub fn new(obj: impl Into<PoolBox<T>>, blocks: Vec<BlockRef>, bytes: u64) -> Self {
+    pub(crate) fn new(obj: impl Into<PoolBox<T>>, blocks: Vec<BlockRef>, bytes: u64) -> Self {
         let tail = if blocks.is_empty() {
             Tail::pooled(bytes)
         } else {
@@ -152,7 +152,7 @@ impl<T> Allocation<T> {
 
     /// Take the object out, discarding the backend bookkeeping. Only for
     /// backends consuming an allocation inside `free`.
-    pub fn into_object(self) -> PoolBox<T> {
+    pub(crate) fn into_object(self) -> PoolBox<T> {
         self.obj
     }
 }
@@ -194,7 +194,7 @@ impl BackendStats {
     /// Assemble a snapshot (for backend implementations). Depot/slab
     /// counters start at zero; pool backends attach them with
     /// [`BackendStats::with_depot_detail`].
-    pub fn new(
+    pub(crate) fn new(
         allocs: u64,
         frees: u64,
         pool_hits: u64,
@@ -218,7 +218,7 @@ impl BackendStats {
 
     /// Attach the magazine-depot counters (builder style, so the 6-field
     /// constructor keeps working for backends without a depot).
-    pub fn with_depot_detail(
+    pub(crate) fn with_depot_detail(
         mut self,
         depot_swaps: u64,
         depot_parks: u64,
@@ -233,7 +233,7 @@ impl BackendStats {
     /// Attach the count of acquires that degraded to a plain heap `Box`
     /// under injected allocation failure (builder style; stays 0 without
     /// the `fault-inject` feature).
-    pub fn with_fallbacks(mut self, fallback_allocs: u64) -> Self {
+    pub(crate) fn with_fallbacks(mut self, fallback_allocs: u64) -> Self {
         self.fallback_allocs = fallback_allocs;
         self
     }
@@ -291,16 +291,6 @@ impl BackendStats {
     /// fixed fault seed, which the differential tests assert).
     pub fn fallback_allocs(&self) -> u64 {
         self.fallback_allocs
-    }
-
-    /// Fraction of allocations served by reuse, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.pool_hits + self.fresh_allocs;
-        if total == 0 {
-            0.0
-        } else {
-            self.pool_hits as f64 / total as f64
-        }
     }
 }
 
@@ -389,7 +379,5 @@ mod tests {
         assert_eq!(s.fresh_allocs(), 4);
         assert_eq!(s.contention_events(), 2);
         assert_eq!(s.live_bytes(), 128);
-        assert!((s.hit_rate() - 0.6).abs() < 1e-12);
-        assert_eq!(BackendStats::default().hit_rate(), 0.0);
     }
 }

@@ -31,7 +31,7 @@ fn node_layout(size: u32) -> Layout {
 /// backends it has no structure-reuse layer (every structure is fresh);
 /// unlike them the per-node cost is the front-end's thread-cache hit, not
 /// a modeled arena.
-pub struct GlobalBackend {
+pub(crate) struct GlobalBackend {
     structures_allocated: AtomicU64,
     structures_freed: AtomicU64,
     fallback_allocs: AtomicU64,
@@ -39,7 +39,7 @@ pub struct GlobalBackend {
 }
 
 impl GlobalBackend {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         GlobalBackend {
             structures_allocated: AtomicU64::new(0),
             structures_freed: AtomicU64::new(0),

@@ -35,7 +35,7 @@ thread_local! {
 /// The native handmade pool. Statistics are shared relaxed atomics (they
 /// are the only cross-thread state; the free lists themselves are
 /// thread-private, so the hot path stays lock-free *and* share-free).
-pub struct HandmadeBackend<T> {
+pub(crate) struct HandmadeBackend<T> {
     id: u64,
     pool_hits: AtomicU64,
     fresh_allocs: AtomicU64,
@@ -55,7 +55,7 @@ impl<T: Structured> HandmadeBackend<T> {
     /// A new backend with empty per-thread pools. The first allocation on
     /// each thread is a private miss — the handmade `init()` pre-allocation
     /// is charged where it happens, exactly like the simulator model.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         HandmadeBackend {
             id: NEXT_BACKEND_ID.fetch_add(1, Ordering::Relaxed),
             pool_hits: AtomicU64::new(0),
@@ -88,12 +88,6 @@ impl<T: Structured> HandmadeBackend<T> {
                 .expect("backend ids are never reused, so the slot type matches");
             f(list)
         })
-    }
-
-    /// Structures parked on the *calling* thread (other threads' private
-    /// pools are unreachable by design).
-    pub fn parked_here(&self) -> usize {
-        self.with_free_list(|list| list.len())
     }
 }
 
@@ -201,7 +195,6 @@ mod tests {
         assert_eq!(s.live_bytes(), 16);
         b.free(a2);
         assert_eq!(b.stats().live_bytes(), 0);
-        assert_eq!(b.parked_here(), 1);
     }
 
     #[test]
@@ -228,8 +221,12 @@ mod tests {
         let y: HandmadeBackend<Blob> = HandmadeBackend::new();
         let a = x.alloc(&4);
         x.free(a);
-        assert_eq!(x.parked_here(), 1);
-        assert_eq!(y.parked_here(), 0);
+        let c = y.alloc(&4);
+        assert_eq!(y.stats().pool_hits(), 0, "y cannot see x's parked structure");
+        y.free(c);
+        let d = x.alloc(&4);
+        assert_eq!(x.stats().pool_hits(), 1);
+        x.free(d);
     }
 
     #[test]
@@ -237,8 +234,10 @@ mod tests {
         let b: HandmadeBackend<Blob> = HandmadeBackend::new();
         let a = b.alloc(&4);
         b.free(a);
-        assert_eq!(b.parked_here(), 1);
         MemBackend::<Blob>::trim(&b);
-        assert_eq!(b.parked_here(), 0);
+        let a = b.alloc(&4);
+        assert_eq!(b.stats().pool_hits(), 0, "trim emptied the pool");
+        assert_eq!(b.stats().fresh_allocs(), 2);
+        b.free(a);
     }
 }

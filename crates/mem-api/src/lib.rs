@@ -13,27 +13,26 @@
 //! * [`MemBackend`] is the one trait all strategies implement:
 //!   [`MallocBackend`] wraps any `ParallelAllocator` (serial/ptmalloc/
 //!   hoard), [`PooledBackend`] wraps a `StructurePool` in its three Amplify
-//!   layouts (local, sharded, sharded+magazines), [`GlobalBackend`] routes
+//!   layouts (local, sharded, sharded+magazines), `GlobalBackend` routes
 //!   per-node traffic through the size-class malloc front-end
 //!   (`pools::global`, the `#[global_allocator]` candidate), and
-//!   [`HandmadeBackend`] is the native port of the simulator's per-thread
+//!   `HandmadeBackend` is the native port of the simulator's per-thread
 //!   lock-free pool (Figure 10's "theoretical maximum");
 //! * [`BackendRegistry`] resolves the paper's strategy names
 //!   ("solaris-default", "ptmalloc", "hoard", "amplify", "handmade", …) to
 //!   live backends, and [`sim_name`] maps each registry name onto the
 //!   simulator's `ModelKind` vocabulary so native and simulated rows line
 //!   up in reports.
+#![warn(unreachable_pub)]
 
-pub mod backend;
-pub mod global;
-pub mod handmade;
-pub mod malloc;
-pub mod pooled;
-pub mod registry;
+mod backend;
+mod global;
+mod handmade;
+mod malloc;
+mod pooled;
+mod registry;
 
 pub use backend::{Allocation, BackendStats, MemBackend, Structured};
-pub use global::GlobalBackend;
-pub use handmade::HandmadeBackend;
 pub use malloc::MallocBackend;
 pub use pooled::PooledBackend;
 pub use registry::{sim_name, BackendRegistry, STANDARD_BACKENDS};

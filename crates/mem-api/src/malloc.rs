@@ -32,7 +32,7 @@ impl MallocBackend {
 
     /// Wrap `inner` under an explicit registry name (e.g. the paper calls
     /// the serial allocator "solaris-default").
-    pub fn named(name: impl Into<String>, inner: Arc<dyn ParallelAllocator>) -> Self {
+    pub(crate) fn named(name: impl Into<String>, inner: Arc<dyn ParallelAllocator>) -> Self {
         MallocBackend {
             name: name.into(),
             inner,
@@ -40,11 +40,6 @@ impl MallocBackend {
             structures_freed: AtomicU64::new(0),
             fallback_allocs: AtomicU64::new(0),
         }
-    }
-
-    /// The wrapped allocator.
-    pub fn allocator(&self) -> &Arc<dyn ParallelAllocator> {
-        &self.inner
     }
 }
 

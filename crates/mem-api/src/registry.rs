@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 /// Shards/arenas/CPU-heaps the standard registrations use — the paper's
 /// 8-CPU Sun Enterprise 4000 (§4).
-pub const STANDARD_WAYS: usize = 8;
+pub(crate) const STANDARD_WAYS: usize = 8;
 
 /// Every name [`BackendRegistry::standard`] registers, in table order:
 /// the five-way comparison with Amplify split into its three layouts,
@@ -62,7 +62,7 @@ where
 
 impl<T: Structured> BackendRegistry<T> {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BackendRegistry { entries: Vec::new() }
     }
 
@@ -92,7 +92,7 @@ impl<T: Structured> BackendRegistry<T> {
 
     /// Register (or override) a backend factory under `name`. Later
     /// registrations win, so experiments can shadow a standard entry.
-    pub fn register(
+    pub(crate) fn register(
         &mut self,
         name: impl Into<String>,
         factory: impl Fn() -> Arc<dyn MemBackend<T>> + Send + Sync + 'static,
@@ -110,16 +110,6 @@ impl<T: Structured> BackendRegistry<T> {
     /// Build a fresh backend by name.
     pub fn build(&self, name: &str) -> Option<Arc<dyn MemBackend<T>>> {
         self.entries.iter().find(|(n, _)| n == name).map(|(_, f)| f())
-    }
-
-    /// Number of registered backends.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -181,10 +171,10 @@ mod tests {
     #[test]
     fn registration_overrides_and_orders() {
         let mut r: BackendRegistry<Blob> = BackendRegistry::new();
-        assert!(r.is_empty());
+        assert!(r.names().is_empty());
         r.register("amplify", || Arc::new(PooledBackend::local()));
         r.register("amplify", || Arc::new(PooledBackend::with_magazines(2)));
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.names(), ["amplify"]);
         let b = r.build("amplify").unwrap();
         assert_eq!(b.name(), "amplify", "latest registration wins");
     }

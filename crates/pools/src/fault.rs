@@ -16,16 +16,16 @@
 //!
 //! * **fresh-alloc failure** — decided at `acquire` *entry*; the acquire
 //!   bypasses every cache level and returns a plain heap `Box` (a
-//!   `FallbackAlloc`, counted in [`crate::PoolStats`]). Deciding at entry
+//!   `FallbackAlloc`, counted in the pool's `PoolStats`). Deciding at entry
 //!   rather than at the level-4 miss keeps the fallback count independent
 //!   of cross-thread interleaving.
 //! * **slab-carve failure** — the level-4 miss skips
-//!   [`crate::pool_box::SlabReserve::carve`] and boxes plainly, exercising
+//!   `crate::pool_box::SlabReserve::carve` and boxes plainly, exercising
 //!   the allocation-failure arm of the carve path.
 //! * **depot CAS retry** — a successful `pop` of a full magazine is pushed
 //!   straight back and re-popped, simulating a lost CAS race (and
 //!   exercising the version-tag ABA protection).
-//! * **epoch bump mid-swap** — [`crate::magazine`] bumps the trim epoch
+//! * **epoch bump mid-swap** — `crate::magazine` bumps the trim epoch
 //!   between popping a depot node and validating its epoch, the exact
 //!   window the trim/swap race argument is about.
 //! * **flush delay** — a full magazine skips one park/flush, letting it
@@ -291,25 +291,25 @@ mod api {
 
     /// Site 1: fail the pending slab carve.
     #[inline]
-    pub fn fail_slab_carve() -> bool {
+    pub(crate) fn fail_slab_carve() -> bool {
         imp::decide(1)
     }
 
     /// Site 2: force the depot pop to retry once.
     #[inline]
-    pub fn retry_depot() -> bool {
+    pub(crate) fn retry_depot() -> bool {
         imp::decide(2)
     }
 
     /// Site 3: bump the trim epoch between depot pop and validate.
     #[inline]
-    pub fn bump_epoch() -> bool {
+    pub(crate) fn bump_epoch() -> bool {
         imp::decide(3)
     }
 
     /// Site 4: delay this full magazine's park/flush by one release.
     #[inline]
-    pub fn delay_flush() -> bool {
+    pub(crate) fn delay_flush() -> bool {
         imp::decide(4)
     }
 }
@@ -350,32 +350,32 @@ mod api {
 
     /// Constant `false`: the predicate (and its branch) compiles out.
     #[inline(always)]
-    pub fn fail_slab_carve() -> bool {
+    pub(crate) fn fail_slab_carve() -> bool {
         false
     }
 
     /// Constant `false`: the predicate (and its branch) compiles out.
     #[inline(always)]
-    pub fn retry_depot() -> bool {
+    pub(crate) fn retry_depot() -> bool {
         false
     }
 
     /// Constant `false`: the predicate (and its branch) compiles out.
     #[inline(always)]
-    pub fn bump_epoch() -> bool {
+    pub(crate) fn bump_epoch() -> bool {
         false
     }
 
     /// Constant `false`: the predicate (and its branch) compiles out.
     #[inline(always)]
-    pub fn delay_flush() -> bool {
+    pub(crate) fn delay_flush() -> bool {
         false
     }
 }
 
+pub(crate) use api::{bump_epoch, delay_flush, fail_slab_carve, retry_depot};
 pub use api::{
-    bump_epoch, clear, delay_flush, fail_fresh_alloc, fail_slab_carve, injected_counts, install,
-    is_active, reset_counts, retry_depot, set_thread_ordinal,
+    clear, fail_fresh_alloc, injected_counts, install, is_active, reset_counts, set_thread_ordinal,
 };
 
 #[cfg(all(test, feature = "fault-inject"))]

@@ -17,13 +17,13 @@
 //!    an MPSC Treiber stack of blocks freed by *other* threads. A refill
 //!    `swap`s the whole remote chain out in one atomic op and adopts it
 //!    *zero-touch*: batch counts and tails come from segment metadata
-//!    (see [`seg_stamp`]), the kept prefix is served lazily off the
+//!    (see `seg_stamp`), the kept prefix is served lazily off the
 //!    thread cache, and no block in the backlog is walked.
 //! 3. **Central free stacks** — version-tagged Treiber stacks (the
-//!    [`crate::depot`] ABA scheme) of stamped *segments*: flushed surplus,
+//!    `crate::depot` ABA scheme) of stamped *segments*: flushed surplus,
 //!    carve remainders, sweep survivors and donated remote batches, each
 //!    a chain of at most a refill batch (remote batches keep their
-//!    [`REMOTE_BATCH`] size). A refill pops one whole segment with one CAS
+//!    `REMOTE_BATCH` size). A refill pops one whole segment with one CAS
 //!    and adopts it onto the thread cache without touching its blocks,
 //!    probing shards round-robin from the thread's home shard.
 //! 4. **Slab carve** — a 64 KiB slab, 64 KiB-*aligned*, is carved into
@@ -42,12 +42,12 @@
 //! local list. Foreign-stamped blocks go into a per-(class, owner)
 //! **bucket** inside the thread cache: an intrusive chain built by
 //! prepending, so the first block filed *is* the tail and no walk is ever
-//! needed. When a bucket reaches [`REMOTE_BATCH`] blocks (or the cache
+//! needed. When a bucket reaches `REMOTE_BATCH` blocks (or the cache
 //! flushes), the whole chain lands on the owner's remote queue with a
 //! single `push_chain` CAS — the cross-thread handshake is amortized over
 //! the batch, and the freeing thread never touches the chain again. Each
 //! shipped batch carries its tail + count packed into the head block's
-//! second word ([`seg_stamp`]), so the owner's drain accounts for an
+//! second word (`seg_stamp`), so the owner's drain accounts for an
 //! arbitrarily deep backlog by hopping batch heads — O(batches), never
 //! O(blocks). A thread with *no* cache (never allocated, or past TLS
 //! teardown) still remote-pushes each block individually (a batch of
@@ -78,7 +78,7 @@
 //! instead of touching a freed cache.
 //!
 //! Slab *address space* is process-lifetime, but the pages behind it are
-//! not: [`sweep_and_retire`] drains the shared levels, finds slabs whose
+//! not: `sweep_and_retire` drains the shared levels, finds slabs whose
 //! entire block population is idle, and returns their pages to the OS
 //! with one `madvise(MADV_DONTNEED)` per run of address-adjacent retired
 //! slabs — the mapping itself is never unmapped, which preserves the
@@ -86,23 +86,23 @@
 //! still dereference a retired block's link word; it reads zeros and its
 //! tag CAS fails, exactly as for any lost race). Retired slabs sit in a
 //! quarantine pool until the retiring pass has fully completed, then
-//! [`carve_slab`] re-stamps them ahead of cutting a fresh slab from the
+//! `carve_slab` re-stamps them ahead of cutting a fresh slab from the
 //! current segment. Policy (the watermark and the pass loop) lives in
 //! [`crate::reclaim`]; the mechanism here is DESIGN.md §13.
 //!
 //! # Observability (the heap-profile layer)
 //!
 //! Per-class gauges (mapped, live, peak and parked bytes) are derived
-//! from the owner-only counters above by [`collect_raw_gauges`]'s
+//! from the owner-only counters above by `collect_raw_gauges`'s
 //! two-pass fold — all alloc counters, then all free counters, then the
 //! mapped-slab counts last — which keeps `live_bytes <= mapped_bytes`
 //! true for every snapshot without adding a single locked RMW to the
 //! alloc/dealloc paths. A sampled allocation-site profiler piggybacks one
 //! countdown branch on `alloc_class`; everything user-facing (sample
-//! period, caller tags, the snapshot ring) lives in
+//! period, the snapshot ring) lives in
 //! [`crate::heap_profile`].
 
-use crate::heap_profile::{HEAP_PROFILE_TAGS, HEAP_PROFILE_THREAD_SLOTS};
+use crate::heap_profile::HEAP_PROFILE_THREAD_SLOTS;
 use crate::size_class::{class_bytes, class_for, NUM_CLASSES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -552,26 +552,26 @@ fn retired_push_all(bases: &[*mut u8]) {
 }
 
 /// Slabs currently parked in the retirement quarantine pool.
-pub fn retired_pool_len() -> usize {
+pub(crate) fn retired_pool_len() -> usize {
     RETIRED_LEN.load(Ordering::Relaxed)
 }
 
 /// What one [`sweep_and_retire`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SweepOutcome {
+pub(crate) struct SweepOutcome {
     /// Blocks drained out of central stacks and remote queues (survivors
     /// were pushed back to their stamped shards).
-    pub swept_blocks: u64,
+    pub(crate) swept_blocks: u64,
     /// Fully-idle slabs retired (removed from mapped accounting).
-    pub retired_slabs: u64,
-    pub retired_bytes: u64,
+    pub(crate) retired_slabs: u64,
+    pub(crate) retired_bytes: u64,
     /// Retired slabs whose pages the kernel confirmed released.
-    pub advised_slabs: u64,
+    pub(crate) advised_slabs: u64,
 }
 
 /// Cumulative retirement totals:
 /// `(reclaimed_slabs, reclaimed_bytes, recarved_slabs, advised_slabs)`.
-pub fn reclaim_totals() -> (u64, u64, u64, u64) {
+pub(crate) fn reclaim_totals() -> (u64, u64, u64, u64) {
     let slabs: u64 = RECLAIMED_SLABS.iter().map(|c| c.load(Ordering::Relaxed)).sum();
     (
         slabs,
@@ -605,7 +605,7 @@ const RETIRE_BIT: u32 = 0x8000_0000;
 /// [`CACHE_FLUSH_EPOCH`], those threads flush at their next cold point,
 /// and the following pass sweeps what they released (convergence over
 /// passes, not blocking excision).
-pub fn sweep_and_retire(target_mapped_bytes: u64) -> SweepOutcome {
+pub(crate) fn sweep_and_retire(target_mapped_bytes: u64) -> SweepOutcome {
     let _pass = RECLAIM_PASS.lock();
     let pass_id = PASS_SEQ.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
     // Ask every thread (including this one, directly) to release its
@@ -904,10 +904,9 @@ struct ThreadCache {
     // pops the local list or takes `refill`, so hits = allocs - refills.
     refills: AtomicU64,
     slabs: AtomicU64,
-    /// Sampled allocation-site counts per (class, caller tag): the
-    /// profiler's per-thread table, folded on exit and summed in place by
-    /// a live collection.
-    samples: [[AtomicU32; HEAP_PROFILE_TAGS]; NUM_CLASSES],
+    /// Sampled allocation counts per class: the profiler's per-thread
+    /// table, folded on exit and summed in place by a live collection.
+    samples: [AtomicU32; NUM_CLASSES],
     sample_total: AtomicU64,
 }
 
@@ -1076,9 +1075,8 @@ const SAMPLE_RECHECK: u32 = 512;
 
 /// Profiler tick: reached every `sample_period` classed allocs per
 /// (thread, class) while enabled, every [`SAMPLE_RECHECK`] while not.
-/// Attributes the sampled alloc to (class, current caller tag, thread).
-/// Re-entrancy-safe by construction: it touches only the thread's own
-/// cache and two const-init TLS cells, never the heap.
+/// Attributes the sampled alloc to (class, thread). Re-entrancy-safe by
+/// construction: it touches only the thread's own cache, never the heap.
 #[cold]
 fn sample_tick(cache: &mut ThreadCache, class: usize) {
     let period = crate::heap_profile::sample_period();
@@ -1087,8 +1085,7 @@ fn sample_tick(cache: &mut ThreadCache, class: usize) {
         return;
     }
     cache.classes[class].sample_down = period - 1;
-    let tag = crate::heap_profile::current_tag() as usize % HEAP_PROFILE_TAGS;
-    let cell = &cache.samples[class][tag];
+    let cell = &cache.samples[class];
     cell.store(cell.load(Ordering::Relaxed).wrapping_add(1), Ordering::Release);
     let total = &cache.sample_total;
     total.store(total.load(Ordering::Relaxed).wrapping_add(1), Ordering::Release);
@@ -1802,7 +1799,7 @@ pub fn raw_alloc(layout: Layout) -> *mut u8 {
 /// Free a block obtained from [`raw_alloc`] with the same layout.
 ///
 /// # Safety
-/// `ptr` must come from [`raw_alloc`] (or the installed [`GlobalPool`])
+/// `ptr` must come from [`raw_alloc`] (or the installed `GlobalPool`)
 /// with exactly this `layout`, and must not be freed twice.
 #[inline]
 pub unsafe fn raw_dealloc(ptr: *mut u8, layout: Layout) {
@@ -1874,7 +1871,7 @@ pub struct GlobalAllocStats {
     /// 64 KiB slab carves (fresh maps plus quarantine recarves).
     pub slabs_carved: u64,
     /// Bytes currently mapped in slabs (carves minus retirements — no
-    /// longer process-lifetime; see [`sweep_and_retire`]).
+    /// longer process-lifetime; see `sweep_and_retire`).
     pub slab_bytes: u64,
     /// Fully-idle slabs retired by reclaim passes, and the bytes their
     /// pages returned to the OS (cumulative).
@@ -1883,8 +1880,8 @@ pub struct GlobalAllocStats {
     /// Retired slabs pulled back out of quarantine by later carves.
     pub recarved_slabs: u64,
     /// Requests that bypassed the classes (too big / over-aligned).
-    pub passthrough_allocs: u64,
-    pub passthrough_frees: u64,
+    pub(crate) passthrough_allocs: u64,
+    pub(crate) passthrough_frees: u64,
     /// Fault-injected carve fallbacks: classed requests served from
     /// System chunks outside slab accounting (`fault-inject` builds with
     /// an armed schedule only; always zero otherwise).
@@ -1892,7 +1889,7 @@ pub struct GlobalAllocStats {
     pub fallback_frees: u64,
     /// Bytes outstanding in fallback chunks (block payload; headers and
     /// alignment slack excluded).
-    pub fallback_bytes: u64,
+    pub(crate) fallback_bytes: u64,
 }
 
 /// Snapshot the ledger. Unlike the original fold-on-exit-only snapshot,
@@ -1959,7 +1956,8 @@ pub fn stats() -> GlobalAllocStats {
 /// A snapshot of the shard-occupancy ledger (live caches homed per
 /// shard). Test hook: lets a harness verify that pinned and respawned
 /// thread generations never leak a phantom occupant.
-pub fn shard_occupancy_snapshot() -> [u32; CLASS_SHARDS] {
+#[cfg(test)]
+pub(crate) fn shard_occupancy_snapshot() -> [u32; CLASS_SHARDS] {
     let mut out = [0u32; CLASS_SHARDS];
     for (slot, occ) in SHARD_OCCUPANCY.iter().zip(out.iter_mut()) {
         *occ = slot.load(Ordering::Relaxed);
@@ -1970,19 +1968,19 @@ pub fn shard_occupancy_snapshot() -> [u32; CLASS_SHARDS] {
 /// Raw per-class gauge counters, collected by [`collect_raw_gauges`].
 /// Block counts, not bytes — [`crate::heap_profile`] scales them.
 pub(crate) struct RawGauges {
-    pub allocs: [u64; NUM_CLASSES],
-    pub frees: [u64; NUM_CLASSES],
+    pub(crate) allocs: [u64; NUM_CLASSES],
+    pub(crate) frees: [u64; NUM_CLASSES],
     /// Blocks parked in thread-cache magazines (local lists + adopted
     /// chains), summed over live caches.
-    pub cache_parked: [u64; NUM_CLASSES],
+    pub(crate) cache_parked: [u64; NUM_CLASSES],
     /// Blocks parked on central free stacks, summed over shards.
-    pub central_parked: [u64; NUM_CLASSES],
+    pub(crate) central_parked: [u64; NUM_CLASSES],
     /// Blocks pending on remote-free queues, summed over shards.
-    pub remote_pending: [u64; NUM_CLASSES],
-    pub mapped_slabs: [u64; NUM_CLASSES],
-    pub peak_live_bytes: [u64; NUM_CLASSES],
+    pub(crate) remote_pending: [u64; NUM_CLASSES],
+    pub(crate) mapped_slabs: [u64; NUM_CLASSES],
+    pub(crate) peak_live_bytes: [u64; NUM_CLASSES],
     /// Fault-fallback blocks outstanding (allocs - frees, clamped).
-    pub fallback_blocks: [u64; NUM_CLASSES],
+    pub(crate) fallback_blocks: [u64; NUM_CLASSES],
 }
 
 /// The two-pass gauge fold (DESIGN.md §9). Read order is the invariant:
@@ -2085,17 +2083,15 @@ pub(crate) fn collect_raw_gauges() -> RawGauges {
 /// caller's accumulators — the live half of the profiler's aggregates;
 /// [`crate::heap_profile`] owns the folded half.
 pub(crate) fn collect_live_samples(
-    sites: &mut [[u64; HEAP_PROFILE_TAGS]; NUM_CLASSES],
+    sites: &mut [u64; NUM_CLASSES],
     threads: &mut [u64; HEAP_PROFILE_THREAD_SLOTS],
 ) {
     let _hold = REGISTRY.lock();
     let mut cur = REGISTRY_HEAD.load(Ordering::Relaxed) as *const ThreadCache;
     while !cur.is_null() {
         let cache = unsafe { &*cur };
-        for (class, row) in cache.samples.iter().enumerate() {
-            for (tag, cell) in row.iter().enumerate() {
-                sites[class][tag] += cell.load(Ordering::Acquire) as u64;
-            }
+        for (site, cell) in sites.iter_mut().zip(&cache.samples) {
+            *site += cell.load(Ordering::Acquire) as u64;
         }
         threads[cache.ordinal as usize % HEAP_PROFILE_THREAD_SLOTS] +=
             cache.sample_total.load(Ordering::Acquire);
@@ -2103,7 +2099,7 @@ pub(crate) fn collect_live_samples(
     }
 }
 
-/// Whether this build installs [`GlobalPool`] as `#[global_allocator]`.
+/// Whether this build installs `GlobalPool` as `#[global_allocator]`.
 pub const fn installed() -> bool {
     cfg!(feature = "global-alloc")
 }
@@ -2111,8 +2107,10 @@ pub const fn installed() -> bool {
 /// The size-class front-end as a [`GlobalAlloc`]. A unit struct: all state
 /// is in statics and TLS, so the installed instance and ad-hoc instances
 /// share one runtime.
-pub struct GlobalPool;
+#[cfg(any(test, feature = "global-alloc"))]
+pub(crate) struct GlobalPool;
 
+#[cfg(any(test, feature = "global-alloc"))]
 unsafe impl GlobalAlloc for GlobalPool {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         raw_alloc(layout)

@@ -14,12 +14,11 @@
 //!   exactness at quiescence.
 //! * **Site sampler**: every thread keeps a per-class countdown; each
 //!   [`sample_period`]-th classed allocation in a class is attributed to
-//!   (class, thread, caller tag). Tags are small registered labels
-//!   ([`register_tag`]) carried in a const-init TLS cell ([`set_tag`],
-//!   [`TagGuard`]) — cheap and re-entrancy-safe where return-address
-//!   capture would not be. Determinism: with the period set before a
-//!   workload starts, a thread's sample set is a pure function of its own
-//!   allocation sequence (countdowns are per-thread, never shared).
+//!   (class, thread). A report's site table has one row per sampled
+//!   class (its wire `tag` field reads `"untagged"`). Determinism: with
+//!   the period set before a workload starts, a thread's sample set is a
+//!   pure function of its own allocation sequence (countdowns are
+//!   per-thread, never shared).
 //! * **Snapshot ring** ([`capture_snapshot`]): a fixed static ring of
 //!   gauge snapshots (no allocation while holding its lock), rendered as
 //!   the occupancy-over-time timeline in the `heap-profile-v1` telemetry
@@ -27,27 +26,21 @@
 //!
 //! Everything here is collection-side and may be called from normal code
 //! (bench drivers, sampler threads). Nothing in this module is called on
-//! allocator hot paths except [`sample_period`] and [`current_tag`], both
-//! reached only through the countdown's cold tick.
+//! allocator hot paths except [`sample_period`], reached only through the
+//! countdown's cold tick.
 
 use crate::global::{self, Spin};
 use crate::size_class::{class_bytes, NUM_CLASSES};
-use std::cell::Cell;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Caller-tag slots, including slot 0 ("untagged"). A tag is a coarse
-/// attribution label — one per subsystem or workload phase — not a call
-/// stack; 16 slots cover a process's interesting call sites cheaply.
-pub const HEAP_PROFILE_TAGS: usize = 16;
-
 /// Thread-attribution slots: sample totals are keyed by cache ordinal
 /// modulo this (collisions merge counts, never lose them).
-pub const HEAP_PROFILE_THREAD_SLOTS: usize = 64;
+pub(crate) const HEAP_PROFILE_THREAD_SLOTS: usize = 64;
 
 /// Snapshot-ring capacity: old entries are overwritten once the ring is
 /// full, so the timeline always covers the most recent captures.
-pub const SNAPSHOT_RING: usize = 64;
+pub(crate) const SNAPSHOT_RING: usize = 64;
 
 // ---------------------------------------------------------------- sampling
 
@@ -69,108 +62,20 @@ pub fn sample_period() -> u32 {
     SAMPLE_PERIOD.load(Ordering::Relaxed)
 }
 
-// Registered tag names, slot 0 reserved. Guarded by TAGS_LOCK; names are
-// &'static str so the table itself never allocates.
-static TAGS_LOCK: Spin = Spin::new();
-static TAG_TABLE: TagTable = TagTable(UnsafeCell::new([None; HEAP_PROFILE_TAGS]));
-static TAGS_USED: AtomicU32 = AtomicU32::new(1);
-
-struct TagTable(UnsafeCell<[Option<&'static str>; HEAP_PROFILE_TAGS]>);
-// SAFETY: all access goes through TAGS_LOCK.
-unsafe impl Sync for TagTable {}
-
-thread_local! {
-    // Const-init: readable from inside the allocator at any point in a
-    // thread's life without allocating or registering a destructor.
-    static CURRENT_TAG: Cell<u8> = const { Cell::new(0) };
-}
-
-/// Register a caller tag, returning its id for [`set_tag`]/[`TagGuard`].
-/// Registering the same name twice returns the same id; a full table
-/// falls back to tag 0 ("untagged") rather than failing.
-pub fn register_tag(name: &'static str) -> u8 {
-    let _g = TAGS_LOCK.lock();
-    // SAFETY: TAGS_LOCK is held.
-    let table = unsafe { &mut *TAG_TABLE.0.get() };
-    let used = TAGS_USED.load(Ordering::Relaxed) as usize;
-    for (i, slot) in table.iter().enumerate().take(used).skip(1) {
-        if *slot == Some(name) {
-            return i as u8;
-        }
-    }
-    if used < HEAP_PROFILE_TAGS {
-        table[used] = Some(name);
-        TAGS_USED.store(used as u32 + 1, Ordering::Relaxed);
-        used as u8
-    } else {
-        0
-    }
-}
-
-/// The name registered for `tag` ("untagged" for slot 0 or unknown ids).
-pub fn tag_name(tag: u8) -> &'static str {
-    if tag == 0 || tag as usize >= HEAP_PROFILE_TAGS {
-        return "untagged";
-    }
-    let _g = TAGS_LOCK.lock();
-    // SAFETY: TAGS_LOCK is held.
-    let table = unsafe { &*TAG_TABLE.0.get() };
-    table[tag as usize].unwrap_or("untagged")
-}
-
-/// Set the calling thread's caller tag; subsequent sampled allocations
-/// are attributed to it. Returns the previous tag.
-pub fn set_tag(tag: u8) -> u8 {
-    CURRENT_TAG.with(|t| t.replace(tag))
-}
-
-/// The calling thread's current caller tag.
-pub fn current_tag() -> u8 {
-    CURRENT_TAG.get()
-}
-
-/// Scoped caller tag: restores the previous tag on drop.
-pub struct TagGuard(u8);
-
-impl TagGuard {
-    pub fn new(tag: u8) -> Self {
-        TagGuard(set_tag(tag))
-    }
-}
-
-impl Drop for TagGuard {
-    fn drop(&mut self) {
-        set_tag(self.0);
-    }
-}
-
-/// Run `f` with the calling thread's caller tag set to `tag`.
-pub fn with_tag<R>(tag: u8, f: impl FnOnce() -> R) -> R {
-    let _g = TagGuard::new(tag);
-    f()
-}
-
 // Folded sample aggregates: exited threads' tables land here (from the
 // front-end's teardown fold); live tables are summed in place at
 // collection time.
-static FOLDED_SITES: [[AtomicU64; HEAP_PROFILE_TAGS]; NUM_CLASSES] =
-    [const { [const { AtomicU64::new(0) }; HEAP_PROFILE_TAGS] }; NUM_CLASSES];
+static FOLDED_SITES: [AtomicU64; NUM_CLASSES] = [const { AtomicU64::new(0) }; NUM_CLASSES];
 static FOLDED_THREADS: [AtomicU64; HEAP_PROFILE_THREAD_SLOTS] =
     [const { AtomicU64::new(0) }; HEAP_PROFILE_THREAD_SLOTS];
 
 /// Fold an exiting thread's sample table (called by the front-end's
 /// teardown, under the registry hold).
-pub(crate) fn fold_thread_samples(
-    samples: &[[AtomicU32; HEAP_PROFILE_TAGS]; NUM_CLASSES],
-    ordinal: u32,
-    total: u64,
-) {
-    for (class, row) in samples.iter().enumerate() {
-        for (tag, cell) in row.iter().enumerate() {
-            let n = cell.load(Ordering::Relaxed) as u64;
-            if n > 0 {
-                FOLDED_SITES[class][tag].fetch_add(n, Ordering::Release);
-            }
+pub(crate) fn fold_thread_samples(samples: &[AtomicU32; NUM_CLASSES], ordinal: u32, total: u64) {
+    for (folded, cell) in FOLDED_SITES.iter().zip(samples) {
+        let n = cell.load(Ordering::Relaxed) as u64;
+        if n > 0 {
+            folded.fetch_add(n, Ordering::Release);
         }
     }
     if total > 0 {
@@ -179,56 +84,47 @@ pub(crate) fn fold_thread_samples(
     }
 }
 
-/// One aggregated allocation-site row: samples attributed to a
-/// (size class, caller tag) cell, with the byte estimate implied by the
-/// sample period at collection time.
+/// One aggregated allocation-site row: the samples taken in one size
+/// class, with the byte estimate implied by the sample period at
+/// collection time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteSample {
     pub class: usize,
     pub block_bytes: usize,
-    pub tag: u8,
-    pub tag_name: &'static str,
     pub samples: u64,
     /// `samples * period * block_bytes`: the allocation volume this site
     /// represents (an *allocation-rate* estimate, not a live-set one).
     pub est_bytes: u64,
 }
 
-/// Aggregate sampled sites (folded + live threads), non-zero cells only,
+/// Aggregate sampled sites (folded + live threads), non-zero classes only,
 /// sorted most-sampled first. `period` scaling uses the current period.
 pub fn site_samples() -> Vec<SiteSample> {
-    let mut sites = [[0u64; HEAP_PROFILE_TAGS]; NUM_CLASSES];
+    let mut sites = [0u64; NUM_CLASSES];
     let mut threads = [0u64; HEAP_PROFILE_THREAD_SLOTS];
-    for (class, row) in FOLDED_SITES.iter().enumerate() {
-        for (tag, cell) in row.iter().enumerate() {
-            sites[class][tag] = cell.load(Ordering::Acquire);
-        }
+    for (site, cell) in sites.iter_mut().zip(&FOLDED_SITES) {
+        *site = cell.load(Ordering::Acquire);
     }
     global::collect_live_samples(&mut sites, &mut threads);
     let period = sample_period().max(1) as u64;
-    let mut out = Vec::new();
-    for (class, row) in sites.iter().enumerate() {
-        for (tag, &n) in row.iter().enumerate() {
-            if n > 0 {
-                out.push(SiteSample {
-                    class,
-                    block_bytes: class_bytes(class),
-                    tag: tag as u8,
-                    tag_name: tag_name(tag as u8),
-                    samples: n,
-                    est_bytes: n * period * class_bytes(class) as u64,
-                });
-            }
-        }
-    }
+    let mut out: Vec<SiteSample> = (0..NUM_CLASSES)
+        .filter(|&class| sites[class] > 0)
+        .map(|class| SiteSample {
+            class,
+            block_bytes: class_bytes(class),
+            samples: sites[class],
+            est_bytes: sites[class] * period * class_bytes(class) as u64,
+        })
+        .collect();
     out.sort_by(|a, b| b.samples.cmp(&a.samples).then(a.class.cmp(&b.class)));
     out
 }
 
 /// Per-thread sample totals (slot = cache ordinal mod
 /// [`HEAP_PROFILE_THREAD_SLOTS`]), non-zero slots only.
-pub fn thread_samples() -> Vec<(usize, u64)> {
-    let mut sites = [[0u64; HEAP_PROFILE_TAGS]; NUM_CLASSES];
+#[cfg(test)]
+pub(crate) fn thread_samples() -> Vec<(usize, u64)> {
+    let mut sites = [0u64; NUM_CLASSES];
     let mut threads = [0u64; HEAP_PROFILE_THREAD_SLOTS];
     for (slot, cell) in FOLDED_THREADS.iter().enumerate() {
         threads[slot] = cell.load(Ordering::Acquire);
@@ -246,9 +142,9 @@ pub fn thread_samples() -> Vec<(usize, u64)> {
 pub struct ClassGauges {
     pub class: usize,
     pub block_bytes: usize,
-    pub mapped_slabs: u64,
+    pub(crate) mapped_slabs: u64,
     pub mapped_bytes: u64,
-    pub live_blocks: u64,
+    pub(crate) live_blocks: u64,
     pub live_bytes: u64,
     /// High-water mark of `live_bytes`: `fetch_max`ed at every collection
     /// instant *and* fed by owner-folded per-thread net-live peaks
@@ -267,18 +163,6 @@ pub struct ClassGauges {
     pub fallback_bytes: u64,
 }
 
-impl ClassGauges {
-    /// Live fraction of mapped memory, in `[0, 1]` (0 when unmapped).
-    /// `1 - occupancy` is the fragmentation the mapped/live ratio reads.
-    pub fn occupancy(&self) -> f64 {
-        if self.mapped_bytes == 0 {
-            0.0
-        } else {
-            self.live_bytes as f64 / self.mapped_bytes as f64
-        }
-    }
-}
-
 /// A full gauge sweep: one entry per size class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeapGauges {
@@ -294,14 +178,14 @@ impl HeapGauges {
         self.classes.iter().map(|c| c.live_bytes).sum()
     }
 
-    pub fn total_parked_bytes(&self) -> u64 {
+    pub(crate) fn total_parked_bytes(&self) -> u64 {
         self.classes
             .iter()
             .map(|c| c.parked_cache_bytes + c.parked_central_bytes + c.parked_remote_bytes)
             .sum()
     }
 
-    pub fn total_fallback_bytes(&self) -> u64 {
+    pub(crate) fn total_fallback_bytes(&self) -> u64 {
         self.classes.iter().map(|c| c.fallback_bytes).sum()
     }
 }
@@ -340,10 +224,10 @@ pub struct Snapshot {
     pub seq: u64,
     pub mapped_bytes: u64,
     pub live_bytes: u64,
-    pub parked_bytes: u64,
-    pub fallback_bytes: u64,
-    pub class_live_bytes: [u64; NUM_CLASSES],
-    pub class_mapped_bytes: [u64; NUM_CLASSES],
+    pub(crate) parked_bytes: u64,
+    pub(crate) fallback_bytes: u64,
+    pub(crate) class_live_bytes: [u64; NUM_CLASSES],
+    pub(crate) class_mapped_bytes: [u64; NUM_CLASSES],
 }
 
 const ZERO_SNAPSHOT: Snapshot = Snapshot {
@@ -408,7 +292,7 @@ pub fn capture_snapshot() -> u64 {
     snap.seq
 }
 
-/// The ring's snapshots, oldest first (at most [`SNAPSHOT_RING`]).
+/// The ring's snapshots, oldest first (at most `SNAPSHOT_RING`).
 pub fn snapshots() -> Vec<Snapshot> {
     let _g = RING.lock.lock();
     // SAFETY: RING.lock is held.
@@ -425,26 +309,6 @@ pub fn snapshots() -> Vec<Snapshot> {
 mod tests {
     use super::*;
     use std::alloc::Layout;
-
-    #[test]
-    fn tags_register_dedup_and_name() {
-        let a = register_tag("heap-profile-test-tag-a");
-        let b = register_tag("heap-profile-test-tag-a");
-        assert_eq!(a, b, "same name registers once");
-        if a != 0 {
-            assert_eq!(tag_name(a), "heap-profile-test-tag-a");
-        }
-        assert_eq!(tag_name(0), "untagged");
-        assert_eq!(tag_name(HEAP_PROFILE_TAGS as u8), "untagged");
-    }
-
-    #[test]
-    fn tag_guard_restores() {
-        let t = register_tag("heap-profile-test-tag-guard");
-        let before = current_tag();
-        with_tag(t, || assert_eq!(current_tag(), t));
-        assert_eq!(current_tag(), before);
-    }
 
     #[test]
     fn gauges_hold_the_occupancy_invariant() {
@@ -514,18 +378,14 @@ mod tests {
     }
 
     #[test]
-    fn sampling_attributes_to_class_and_tag() {
+    fn sampling_attributes_to_class_and_thread() {
         // A fresh thread gets a fresh countdown; enable before it runs so
-        // its sample set is deterministic (tick on alloc 1, 1+p, ...).
-        let tag = register_tag("heap-profile-test-sampler");
-        let before: u64 = site_samples()
-            .iter()
-            .filter(|s| s.tag == tag && s.block_bytes == 256)
-            .map(|s| s.samples)
-            .sum();
+        // its sample set is deterministic (tick on alloc 1, 1+p, ...). No
+        // other unit test allocates from the 256-byte class.
+        let before: u64 =
+            site_samples().iter().filter(|s| s.block_bytes == 256).map(|s| s.samples).sum();
         set_sample_period(16);
         std::thread::spawn(move || {
-            let _g = TagGuard::new(tag);
             let l = Layout::from_size_align(256, 8).unwrap();
             for _ in 0..160 {
                 let p = crate::global::raw_alloc(l);
@@ -536,11 +396,8 @@ mod tests {
         .join()
         .unwrap();
         set_sample_period(0);
-        let after: u64 = site_samples()
-            .iter()
-            .filter(|s| s.tag == tag && s.block_bytes == 256)
-            .map(|s| s.samples)
-            .sum();
+        let after: u64 =
+            site_samples().iter().filter(|s| s.block_bytes == 256).map(|s| s.samples).sum();
         // 160 allocs at period 16 → ticks at alloc 1, 17, ..., 145: 10
         // samples — but the installed harness can add more in this class.
         let got = after - before;

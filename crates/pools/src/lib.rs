@@ -10,16 +10,16 @@
 //! * whole **object structures** are parked and revived with their internal
 //!   links intact, exploiting temporal locality — [`structure_pool`]; every
 //!   free list is intrusive, threaded through a link word in front of the
-//!   object ([`pool_box`]), so parking never writes into the structure;
+//!   object (`pool_box`), so parking never writes into the structure;
 //! * raw data arrays (`new char[n]`) are recycled through a shadowed
 //!   `realloc` with a half-size reuse rule and size caps (§5.2, the BGw
 //!   extension) — [`shadow_buf::ShadowBuf`];
 //! * pools are **sharded** across threads ptmalloc-style to avoid lock
 //!   contention — [`sharded::ShardedPool`], whose direct mode is the
 //!   paper's try-lock-and-spill over one locked free list per shard — and
-//!   fronted by lock-free per-thread [`magazine`]s so steady-state
+//!   fronted by lock-free per-thread `magazine`s so steady-state
 //!   acquire/release takes no lock at all; behind the magazines the only
-//!   shared tier is a Bonwick-style [`depot`] of whole parked lists, one
+//!   shared tier is a Bonwick-style `depot` of whole parked lists, one
 //!   lock-free stack per shard (one CAS per swap or park), and fresh
 //!   objects are carved from contiguous slabs ([`pool_box::PoolBox`], one
 //!   pointer per handle);
@@ -29,11 +29,11 @@
 //!   and the magazine fast path here takes none either;
 //! * the same magazine/depot/slab machinery, re-keyed by **size class**
 //!   instead of type, serves untyped allocations as a malloc front-end —
-//!   [`global::GlobalPool`] — installable process-wide as
+//!   [`global`] — installable process-wide as
 //!   `#[global_allocator]` via the `global-alloc` feature, with MPSC
 //!   remote-free queues so cross-thread `dealloc` is one CAS.
 //!
-//! All pools report [`stats::StatsSnapshot`] counters (hits, misses, failed
+//! All pools report `stats::StatsSnapshot` counters (hits, misses, failed
 //! lock attempts) — the observability the paper used to conclude that Amplify's
 //! critical sections are short enough that "threads will seldom or never be
 //! blocked".
@@ -50,29 +50,28 @@
 //! let _b = pool.acquire(|| vec![0u8; 64]); // reuses a's allocation
 //! assert_eq!(pool.stats().pool_hits(), 1);
 //! ```
+#![warn(unreachable_pub)]
 
 mod depot;
 pub mod fault;
 pub mod global;
 mod guard;
 pub mod heap_profile;
-pub mod limits;
-pub mod magazine;
-pub mod pool_box;
+mod limits;
+mod magazine;
+mod pool_box;
 pub mod reclaim;
-pub mod registry;
-pub mod shadow_buf;
+mod registry;
+mod shadow_buf;
 pub mod sharded;
 pub mod size_class;
-pub mod stats;
+mod stats;
 pub mod structure_pool;
 
-pub use global::GlobalPool;
 pub use limits::PoolConfig;
 pub use magazine::DEFAULT_MAGAZINE_CAP;
 pub use pool_box::PoolBox;
-pub use registry::{PoolRegistry, Trimmable};
+pub use registry::PoolRegistry;
 pub use shadow_buf::ShadowBuf;
 pub use sharded::ShardedPool;
-pub use stats::PoolStats;
-pub use structure_pool::{Reusable, StructurePool};
+pub use structure_pool::StructurePool;

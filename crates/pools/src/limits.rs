@@ -45,11 +45,6 @@ impl Default for PoolConfig {
 }
 
 impl PoolConfig {
-    /// The unbounded configuration used by the paper's synthetic tests.
-    pub fn unbounded() -> Self {
-        Self::default()
-    }
-
     /// The BGw configuration: caps on both pool population and shadowed
     /// block size.
     pub fn bgw(max_objects: usize, max_shadow_bytes: usize) -> Self {
@@ -69,7 +64,7 @@ impl PoolConfig {
     }
 
     /// True if a pool holding `len` dead objects may accept another.
-    pub fn accepts_object(&self, len: usize) -> bool {
+    pub(crate) fn accepts_object(&self, len: usize) -> bool {
         match self.max_objects {
             Some(max) => len < max,
             None => true,
@@ -78,7 +73,7 @@ impl PoolConfig {
 
     /// True if an array block of `capacity` bytes may be parked as shadow
     /// memory.
-    pub fn accepts_shadow(&self, capacity: usize) -> bool {
+    pub(crate) fn accepts_shadow(&self, capacity: usize) -> bool {
         match self.max_shadow_bytes {
             Some(max) => capacity <= max,
             None => true,
@@ -87,7 +82,7 @@ impl PoolConfig {
 
     /// Decide whether a parked block of `capacity` bytes may serve a
     /// request of `requested` bytes.
-    pub fn may_reuse(&self, capacity: usize, requested: usize) -> bool {
+    pub(crate) fn may_reuse(&self, capacity: usize, requested: usize) -> bool {
         if requested > capacity {
             return false;
         }

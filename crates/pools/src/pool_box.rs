@@ -31,7 +31,7 @@ use std::marker::PhantomData;
 use std::mem::{self, ManuallyDrop};
 use std::ops::{Deref, DerefMut};
 use std::ptr::{self, NonNull};
-use std::sync::atomic::{fence, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[cfg(any(debug_assertions, feature = "fault-inject"))]
 use crate::guard;
@@ -86,9 +86,12 @@ pub(crate) const fn slot_size<T>() -> usize {
 /// `slab` is a live slab of `T` slots and the caller owns `n` references.
 unsafe fn release_slab<T>(slab: *const SlabHeader, n: usize) {
     // The decrement releases this owner's writes to its slots; the last
-    // owner's acquire fence orders them before the free (`Arc`'s protocol).
+    // owner's acquire load orders them before the free. `Arc` uses the same
+    // load under ThreadSanitizer, which does not model a standalone fence;
+    // on this cold path it costs nothing a fence would not.
     if unsafe { (*slab).refs.fetch_sub(n, Ordering::Release) } == n {
-        fence(Ordering::Acquire);
+        // SAFETY: this was the last reference, so the slab is still live.
+        unsafe { (*slab).refs.load(Ordering::Acquire) };
         let capacity = unsafe { (*slab).capacity };
         let (layout, _) = slab_layout::<T>(capacity).expect("the layout fit at carve time");
         unsafe { dealloc(slab as *mut u8, layout) };
@@ -339,6 +342,25 @@ impl<T> DerefMut for PoolBox<T> {
 
 impl<T> Drop for PoolBox<T> {
     fn drop(&mut self) {
+        /// Frees the slot once the value's destructor is done, also when
+        /// that destructor panics (as `Box` does).
+        struct FreeSlot<T>(*mut SlotHeader, PhantomData<T>);
+
+        impl<T> Drop for FreeSlot<T> {
+            fn drop(&mut self) {
+                // SAFETY: the guard holds the dropping handle's slot, which
+                // nothing else owns, and runs once, after the value is gone.
+                unsafe {
+                    let slab = (*self.0).slab;
+                    if slab.is_null() {
+                        dealloc(self.0.cast(), Layout::new::<Slot<T>>());
+                    } else {
+                        release_slab::<T>(slab, 1);
+                    }
+                }
+            }
+        }
+
         let header = self.header();
         // Guarded builds verify the canary and the live bit *before*
         // running the destructor: a double release panics here instead of
@@ -348,15 +370,8 @@ impl<T> Drop for PoolBox<T> {
             let generation = check_slot(header, true, "drop");
             ptr::addr_of_mut!((*header).generation).write(generation & !guard::GEN_LIVE);
         }
-        unsafe {
-            ptr::drop_in_place(ptr::addr_of_mut!((*self.slot.as_ptr()).value));
-            let slab = (*header).slab;
-            if slab.is_null() {
-                dealloc(header.cast(), Layout::new::<Slot<T>>());
-            } else {
-                release_slab::<T>(slab, 1);
-            }
-        }
+        let _free = FreeSlot::<T>(header, PhantomData);
+        unsafe { ptr::drop_in_place(ptr::addr_of_mut!((*self.slot.as_ptr()).value)) };
     }
 }
 

@@ -1,7 +1,7 @@
 //! Watermark-driven RSS reclamation policy over the slab-retirement
 //! mechanism in [`crate::global`] (ROADMAP item 2; DESIGN.md §13).
 //!
-//! The mechanism — [`crate::global::sweep_and_retire`] — is a single
+//! The mechanism — `crate::global::sweep_and_retire` — is a single
 //! pass: drain the shared levels, retire every fully-idle slab down to a
 //! mapped-bytes target, release the pages with one `madvise(MADV_DONTNEED)`
 //! per run of address-adjacent retired slabs, quarantine the slabs for
@@ -31,8 +31,8 @@ const MAX_PASSES: usize = 3;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReclaimStats {
     /// Total mapped slab bytes before the first and after the last pass.
-    pub mapped_before_bytes: u64,
-    pub mapped_after_bytes: u64,
+    pub(crate) mapped_before_bytes: u64,
+    pub(crate) mapped_after_bytes: u64,
     /// Sweep passes actually run (stops early once the target is met or
     /// a pass makes no progress).
     pub passes: u64,
@@ -51,7 +51,7 @@ fn mapped_bytes_now() -> u64 {
 }
 
 /// Trim mapped slab memory down toward `watermark_bytes` (0 = retire
-/// everything idle). Runs up to [`MAX_PASSES`] sweep passes, stopping
+/// everything idle). Runs up to `MAX_PASSES` sweep passes, stopping
 /// early once the watermark is met or a pass retires nothing.
 pub fn reclaim(watermark_bytes: u64) -> ReclaimStats {
     let mut stats =
@@ -87,9 +87,9 @@ pub struct ReclaimTotals {
     pub reclaimed_slabs: u64,
     pub reclaimed_bytes: u64,
     pub recarved_slabs: u64,
-    pub advised_slabs: u64,
+    pub(crate) advised_slabs: u64,
     /// Retired slabs currently parked in the quarantine pool.
-    pub quarantined_slabs: u64,
+    pub(crate) quarantined_slabs: u64,
 }
 
 /// Snapshot the cumulative totals.

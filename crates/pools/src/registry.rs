@@ -68,15 +68,11 @@ impl PoolRegistry {
     }
 
     /// Number of live registered pools (expired entries are pruned).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         let mut pools = self.pools.lock();
         pools.retain(|(_, w)| w.strong_count() > 0);
         pools.len()
-    }
-
-    /// True if no live pools are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Trim every live pool — the "on demand" memory release. Returns the

@@ -24,9 +24,6 @@ pub struct ShadowBuf {
     hits: u64,
     misses: u64,
     dropped: u64,
-    /// Largest combined (live request + parked capacity) observed; used to
-    /// validate the 2× bound.
-    peak_bytes: usize,
 }
 
 impl ShadowBuf {
@@ -65,7 +62,6 @@ impl ShadowBuf {
         };
         buf.clear();
         buf.resize(len, 0);
-        self.peak_bytes = self.peak_bytes.max(buf.capacity());
         buf
     }
 
@@ -81,7 +77,6 @@ impl ShadowBuf {
             return;
         }
         if self.config.accepts_shadow(buf.capacity()) {
-            self.peak_bytes = self.peak_bytes.max(buf.capacity());
             self.parked = Some(buf);
         } else {
             self.dropped += 1;
@@ -89,7 +84,8 @@ impl ShadowBuf {
     }
 
     /// True if a block is currently parked.
-    pub fn has_parked(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_parked(&self) -> bool {
         self.parked.is_some()
     }
 
@@ -116,11 +112,6 @@ impl ShadowBuf {
     /// Blocks refused parking by the size cap.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Largest buffer capacity this slot has held.
-    pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes
     }
 }
 

@@ -1,7 +1,7 @@
 //! The typed object pool: the ptmalloc-derived sharding Amplify uses to
 //! "spread the threads over a number of pools to avoid lock contention on
 //! a multiprocessor" (§3.2), optionally fronted by lock-free thread-local
-//! [magazines](crate::magazine).
+//! magazines (`crate::magazine`).
 //!
 //! Every Amplify layout is a `(shards, magazine_cap)` setting of
 //! [`ShardedPool`]:
@@ -66,12 +66,14 @@ impl<T> ShardedPool<T> {
     }
 
     /// Number of shards.
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shard_count(&self) -> usize {
         self.depot.shard_count()
     }
 
     /// Objects a thread's magazine may cache (0 = magazines disabled).
-    pub fn magazine_capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn magazine_capacity(&self) -> usize {
         self.depot.magazine_cap
     }
 
@@ -107,7 +109,8 @@ impl<T> ShardedPool<T> {
 
     /// Direct mode's per-shard free-list lengths (for balance
     /// diagnostics); empty in magazine mode, which has no shard free lists.
-    pub fn shard_lengths(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn shard_lengths(&self) -> Vec<usize> {
         self.depot.shards.iter().map(Shard::len).collect()
     }
 }
@@ -121,7 +124,7 @@ impl<T: 'static> ShardedPool<T> {
 
     /// Like [`ShardedPool::acquire`], but re-initializes reused objects
     /// with `reinit` so callers always get a ready object.
-    pub fn acquire_with(
+    pub(crate) fn acquire_with(
         &self,
         fresh: impl FnOnce() -> T,
         reinit: impl FnOnce(&mut T),
@@ -133,7 +136,7 @@ impl<T: 'static> ShardedPool<T> {
     /// net byte ledger ([`StatsSnapshot::live_bytes`]); release the object
     /// with [`ShardedPool::release_sized`] and the same count.
     #[inline(always)]
-    pub fn acquire_sized(
+    pub(crate) fn acquire_sized(
         &self,
         fresh: impl FnOnce() -> T,
         reinit: impl FnOnce(&mut T),
@@ -235,7 +238,7 @@ impl<T: 'static> ShardedPool<T> {
     /// [`ShardedPool::release`] that also takes `bytes` out of the net byte
     /// ledger (the count the object was acquired with).
     #[inline(always)]
-    pub fn release_sized(&self, obj: impl Into<PoolBox<T>>, bytes: u64) {
+    pub(crate) fn release_sized(&self, obj: impl Into<PoolBox<T>>, bytes: u64) {
         // Counted inside `push` (the magazine's cells).
         if let Some(obj) = magazine::push(&self.depot, obj.into(), bytes) {
             self.release_cold(obj, bytes);

@@ -7,7 +7,7 @@
 //! internal fragmentation stays under ~25% (16-byte steps up to 128 B,
 //! then geometric-ish steps — the spacing Kenwright's fixed-size pools and
 //! tcmalloc-family allocators converge on). Anything larger than
-//! [`MAX_CLASS_BYTES`], or needing alignment above [`CLASS_ALIGN`], passes
+//! `MAX_CLASS_BYTES`, or needing alignment above `CLASS_ALIGN`, passes
 //! through to the system allocator untouched.
 //!
 //! Lookup is a 256-entry `u8` table indexed by `(size - 1) / 16`, built at
@@ -15,15 +15,15 @@
 //! allocation fast path.
 
 /// Number of segregated size classes.
-pub const NUM_CLASSES: usize = 28;
+pub(crate) const NUM_CLASSES: usize = 28;
 
 /// Largest request served from a class; bigger allocations pass through.
-pub const MAX_CLASS_BYTES: usize = 4096;
+pub(crate) const MAX_CLASS_BYTES: usize = 4096;
 
 /// Alignment every class block provides. Requests demanding more pass
 /// through (class blocks are carved at 16-byte strides, so 16 is the
 /// strongest guarantee the carve can make for free).
-pub const CLASS_ALIGN: usize = 16;
+pub(crate) const CLASS_ALIGN: usize = 16;
 
 /// Block size of each class, ascending.
 pub const CLASS_BYTES: [usize; NUM_CLASSES] = [
@@ -65,7 +65,7 @@ pub fn class_for(size: usize, align: usize) -> Option<usize> {
 
 /// Block size of class `class`.
 #[inline]
-pub fn class_bytes(class: usize) -> usize {
+pub(crate) fn class_bytes(class: usize) -> usize {
     CLASS_BYTES[class]
 }
 

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 /// call exactly once, and `live_bytes` is a net ledger of the byte counts
 /// callers pass to the sized acquire/release entry points.
 #[derive(Debug, Default)]
-pub struct PoolStats {
+pub(crate) struct PoolStats {
     pool_hits: AtomicU64,
     fresh_allocs: AtomicU64,
     releases: AtomicU64,
@@ -40,7 +40,7 @@ pub struct PoolStats {
 
 impl PoolStats {
     /// New zeroed stats.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -128,80 +128,55 @@ impl PoolStats {
     }
 
     /// Allocations served by reuse from the free list.
-    pub fn pool_hits(&self) -> u64 {
+    pub(crate) fn pool_hits(&self) -> u64 {
         self.pool_hits.load(Ordering::Relaxed)
     }
 
     /// Allocations that fell through to the underlying allocator.
-    pub fn fresh_allocs(&self) -> u64 {
+    pub(crate) fn fresh_allocs(&self) -> u64 {
         self.fresh_allocs.load(Ordering::Relaxed)
     }
 
     /// Objects returned to the pool.
-    pub fn releases(&self) -> u64 {
+    pub(crate) fn releases(&self) -> u64 {
         self.releases.load(Ordering::Relaxed)
     }
 
     /// Objects the pool refused to keep (capacity/size caps) and dropped.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
     /// try-lock attempts that found the lock held.
-    pub fn failed_locks(&self) -> u64 {
+    pub(crate) fn failed_locks(&self) -> u64 {
         self.failed_locks.load(Ordering::Relaxed)
     }
 
     /// Successful lock acquisitions.
-    pub fn lock_acquisitions(&self) -> u64 {
+    pub(crate) fn lock_acquisitions(&self) -> u64 {
         self.lock_acquisitions.load(Ordering::Relaxed)
     }
 
     /// Full magazines swapped in from the depot (O(1) cold refills).
-    pub fn depot_swaps(&self) -> u64 {
+    pub(crate) fn depot_swaps(&self) -> u64 {
         self.depot_swaps.load(Ordering::Relaxed)
     }
 
     /// Full magazines parked on the depot (O(1) overflow flushes).
-    pub fn depot_parks(&self) -> u64 {
+    pub(crate) fn depot_parks(&self) -> u64 {
         self.depot_parks.load(Ordering::Relaxed)
     }
 
     /// Contiguous slabs carved for fresh allocation.
-    pub fn slab_carves(&self) -> u64 {
+    pub(crate) fn slab_carves(&self) -> u64 {
         self.slab_carves.load(Ordering::Relaxed)
     }
 
     /// Acquires that degraded to a plain heap `Box` under injected
     /// allocation failure (a subset of [`PoolStats::fresh_allocs`]; always
     /// 0 without the `fault-inject` feature).
-    pub fn fallback_allocs(&self) -> u64 {
+    pub(crate) fn fallback_allocs(&self) -> u64 {
         self.fallback_allocs.load(Ordering::Relaxed)
-    }
-
-    /// Total allocation requests (hits + fresh).
-    pub fn total_allocs(&self) -> u64 {
-        self.pool_hits() + self.fresh_allocs()
-    }
-
-    /// Fraction of allocations served by reuse, in `[0, 1]`. Returns 0 when
-    /// nothing was allocated.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.total_allocs();
-        if total == 0 {
-            0.0
-        } else {
-            self.pool_hits() as f64 / total as f64
-        }
-    }
-
-    /// Snapshot all counters into a plain struct (for reports).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let mut s = StatsSnapshot::default();
-        s.add_frees_of(self);
-        s.add_bytes_of(self);
-        s.add_allocs_of(self);
-        s
     }
 }
 
@@ -348,18 +323,8 @@ impl StatsSnapshot {
         self.pool_hits + self.fresh_allocs
     }
 
-    /// Fraction of allocations served by reuse, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.total_allocs();
-        if total == 0 {
-            0.0
-        } else {
-            self.pool_hits as f64 / total as f64
-        }
-    }
-
     /// Merge another snapshot into this one (for aggregating shards).
-    pub fn merge(&mut self, other: &StatsSnapshot) {
+    pub(crate) fn merge(&mut self, other: &StatsSnapshot) {
         self.pool_hits += other.pool_hits;
         self.fresh_allocs += other.fresh_allocs;
         self.releases += other.releases;
@@ -389,19 +354,8 @@ mod tests {
         s.record_failed_lock();
         assert_eq!(s.pool_hits(), 2);
         assert_eq!(s.fresh_allocs(), 1);
-        assert_eq!(s.total_allocs(), 3);
         assert_eq!(s.releases(), 1);
         assert_eq!(s.failed_locks(), 1);
-    }
-
-    #[test]
-    fn hit_rate_bounds() {
-        let s = PoolStats::new();
-        assert_eq!(s.hit_rate(), 0.0);
-        s.record_fresh();
-        assert_eq!(s.hit_rate(), 0.0);
-        s.record_hit();
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl<T: Reusable + 'static> StructurePool<T> {
 
     /// [`StructurePool::alloc`] that also books `bytes` (the structure's
     /// footprint, say) in the pool's net byte ledger, reported as
-    /// [`StatsSnapshot::live_bytes`]. Free it with
+    /// `StatsSnapshot::live_bytes`. Free it with
     /// [`StructurePool::free_sized`] and the same count.
     #[inline(always)]
     pub fn alloc_sized(&self, params: &T::Params, bytes: u64) -> PoolBox<T> {

@@ -2,14 +2,15 @@
 //! `PoolBox` outlives its pool and the thread that carved the slab, and
 //! when a pool is dropped while the thread whose magazine holds the slab's
 //! reserve keeps running (the next cold table access frees that magazine).
-//! A logging global allocator records every block at least a slab's
-//! payload in size; the tests find the slab as the live logged block
-//! holding an object. It installs its own global allocator, so it is left
+//! A destructor that panics still frees its slot. A logging global
+//! allocator records every block at least a slab's payload in size; the
+//! tests find the slab as the live logged block holding an object. It installs its own global allocator, so it is left
 //! out of builds that install the pool runtime as the global allocator.
 #![cfg(not(feature = "global-alloc"))]
 
-use pools::{PoolConfig, ShardedPool};
+use pools::{PoolBox, PoolConfig, ShardedPool};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -120,4 +121,42 @@ fn a_dropped_pools_magazine_frees_its_slab_before_the_thread_exits() {
     let other: ShardedPool<u8> = ShardedPool::new(1);
     assert_eq!(*other.acquire(|| 5), 5);
     assert_eq!(holder(addr), (slab, 1), "the dead pool's magazine freed the slab, once");
+}
+
+/// An `N`-byte payload whose destructor panics.
+struct Bomb<const N: usize>([u8; N]);
+
+impl<const N: usize> Drop for Bomb<N> {
+    fn drop(&mut self) {
+        panic!("bomb destructor");
+    }
+}
+
+#[test]
+fn a_panicking_destructor_still_frees_its_slot() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A standalone slot large enough to be logged on its own.
+    let standalone = PoolBox::new(Bomb([0; 2 * CAP * 1000]));
+    let addr = &*standalone as *const _ as usize;
+    let (slot, frees) = holder(addr);
+    assert_eq!(frees, 0);
+    assert!(catch_unwind(AssertUnwindSafe(|| drop(standalone))).is_err());
+    assert_eq!(holder(addr), (slot, 1), "the standalone slot was freed while unwinding");
+
+    // A slab slot holding the slab's last reference: the pool, its
+    // magazine and the slab's reserve are gone with the carving thread.
+    let survivor = std::thread::spawn(|| {
+        let pool: ShardedPool<Bomb<1000>> =
+            ShardedPool::with_magazines(1, PoolConfig::default(), CAP);
+        let kept = pool.acquire(|| Bomb([1; 1000]));
+        assert_eq!(pool.stats().slab_carves(), 1);
+        kept
+    })
+    .join()
+    .unwrap();
+    let addr = &*survivor as *const _ as usize;
+    let (slab, frees) = holder(addr);
+    assert_eq!(frees, 0, "the survivor keeps its slab alive");
+    assert!(catch_unwind(AssertUnwindSafe(|| drop(survivor))).is_err());
+    assert_eq!(holder(addr), (slab, 1), "the slab slot gave its reference back while unwinding");
 }

@@ -12,28 +12,24 @@ use std::collections::BTreeMap;
 
 /// One contiguous simulated region with freelist reuse.
 #[derive(Debug)]
-pub struct AddrSpace {
+pub(crate) struct AddrSpace {
     base: u64,
     next: u64,
     free: BTreeMap<u32, Vec<u64>>,
-    live_blocks: u64,
-    live_bytes: u64,
 }
 
 impl AddrSpace {
     /// Create the address space for `region` (regions are 4 GiB apart so
     /// different arenas never share cache lines).
-    pub fn new(region: u32) -> Self {
+    pub(crate) fn new(region: u32) -> Self {
         let base = (region as u64) << 32;
-        AddrSpace { base, next: base, free: BTreeMap::new(), live_blocks: 0, live_bytes: 0 }
+        AddrSpace { base, next: base, free: BTreeMap::new() }
     }
 
     /// Allocate `size` bytes, 8-byte aligned; reuses a freed block of the
     /// same (rounded) size if available.
-    pub fn alloc(&mut self, size: u32) -> u64 {
+    pub(crate) fn alloc(&mut self, size: u32) -> u64 {
         let size = Self::round(size);
-        self.live_blocks += 1;
-        self.live_bytes += size as u64;
         if let Some(list) = self.free.get_mut(&size) {
             if let Some(addr) = list.pop() {
                 return addr;
@@ -45,31 +41,14 @@ impl AddrSpace {
     }
 
     /// Return a block for later reuse.
-    pub fn free(&mut self, addr: u64, size: u32) {
+    pub(crate) fn free(&mut self, addr: u64, size: u32) {
         let size = Self::round(size);
         debug_assert!(addr >= self.base && addr < self.next, "foreign address");
-        self.live_blocks -= 1;
-        self.live_bytes -= size as u64;
         self.free.entry(size).or_default().push(addr);
     }
 
-    /// True if `addr` belongs to this region.
-    pub fn owns(&self, addr: u64) -> bool {
-        addr >= self.base && addr < self.base + (1u64 << 32)
-    }
-
-    /// Blocks currently live.
-    pub fn live_blocks(&self) -> u64 {
-        self.live_blocks
-    }
-
-    /// Bytes currently live.
-    pub fn live_bytes(&self) -> u64 {
-        self.live_bytes
-    }
-
     /// Total bytes ever bump-allocated (footprint).
-    pub fn footprint(&self) -> u64 {
+    pub(crate) fn footprint(&self) -> u64 {
         self.next - self.base
     }
 
@@ -103,27 +82,6 @@ mod tests {
         a.free(x, 16);
         let y = a.alloc(32);
         assert_ne!(x, y, "different size class must not reuse the block");
-    }
-
-    #[test]
-    fn regions_are_disjoint() {
-        let mut a = AddrSpace::new(1);
-        let mut b = AddrSpace::new(2);
-        let x = a.alloc(64);
-        let y = b.alloc(64);
-        assert!(a.owns(x) && !a.owns(y));
-        assert!(b.owns(y) && !b.owns(x));
-    }
-
-    #[test]
-    fn live_accounting() {
-        let mut a = AddrSpace::new(0);
-        let x = a.alloc(100);
-        assert_eq!(a.live_blocks(), 1);
-        assert_eq!(a.live_bytes(), 104);
-        a.free(x, 100);
-        assert_eq!(a.live_blocks(), 0);
-        assert_eq!(a.live_bytes(), 0);
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl SimView for BusView<'_> {
 }
 
 /// Shared state of the simulated machine.
-pub struct SystemBus {
+pub(crate) struct SystemBus {
     pub(crate) cfg: SimConfig,
     pub(crate) threads: Vec<ThreadCtx>,
     pub(crate) cpu_slots: Vec<CpuSlot>,

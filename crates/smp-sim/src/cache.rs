@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 /// Outcome classification of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
+pub(crate) enum Access {
     Hit,
     MemMiss,
     CoherenceMiss,
@@ -35,16 +35,11 @@ pub enum Access {
 
 /// A set of CPU indices, sized for [`MAX_CPUS`] simulated cores.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CpuSet([u64; (MAX_CPUS as usize) / 64]);
+pub(crate) struct CpuSet([u64; (MAX_CPUS as usize) / 64]);
 
 impl CpuSet {
-    /// The empty set.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// The set containing only `cpu`.
-    pub fn only(cpu: u32) -> Self {
+    pub(crate) fn only(cpu: u32) -> Self {
         let mut s = Self::default();
         s.insert(cpu);
         s
@@ -57,25 +52,19 @@ impl CpuSet {
     }
 
     /// Add `cpu` to the set.
-    pub fn insert(&mut self, cpu: u32) {
+    pub(crate) fn insert(&mut self, cpu: u32) {
         let (w, b) = Self::slot(cpu);
         self.0[w] |= b;
     }
 
-    /// Remove `cpu` from the set.
-    pub fn remove(&mut self, cpu: u32) {
-        let (w, b) = Self::slot(cpu);
-        self.0[w] &= !b;
-    }
-
     /// Whether `cpu` is in the set.
-    pub fn contains(&self, cpu: u32) -> bool {
+    pub(crate) fn contains(&self, cpu: u32) -> bool {
         let (w, b) = Self::slot(cpu);
         self.0[w] & b != 0
     }
 
     /// Whether any CPU *other than* `cpu` is in the set.
-    pub fn any_other(&self, cpu: u32) -> bool {
+    pub(crate) fn any_other(&self, cpu: u32) -> bool {
         let (w, b) = Self::slot(cpu);
         self.0.iter().enumerate().any(|(i, &word)| if i == w { word & !b != 0 } else { word != 0 })
     }
@@ -91,7 +80,7 @@ struct Line {
 
 /// The coherence directory for one simulation run.
 #[derive(Debug, Default)]
-pub struct CacheModel {
+pub(crate) struct CacheModel {
     lines: HashMap<u64, Line>,
     hits: u64,
     mem_misses: u64,
@@ -100,12 +89,12 @@ pub struct CacheModel {
 
 impl CacheModel {
     /// Empty directory.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Classify and record an access by `cpu` to byte address `addr`.
-    pub fn access(&mut self, cpu: u32, addr: u64, write: bool) -> Access {
+    pub(crate) fn access(&mut self, cpu: u32, addr: u64, write: bool) -> Access {
         self.access_traced(cpu, addr, write).0
     }
 
@@ -113,7 +102,12 @@ impl CacheModel {
     /// cache sourced a dirty-line transfer (`None` unless the outcome is
     /// a coherence miss with a dirty source; a clean-sharer invalidation
     /// is a coherence miss served by the line's home memory).
-    pub fn access_traced(&mut self, cpu: u32, addr: u64, write: bool) -> (Access, Option<u32>) {
+    pub(crate) fn access_traced(
+        &mut self,
+        cpu: u32,
+        addr: u64,
+        write: bool,
+    ) -> (Access, Option<u32>) {
         debug_assert!(cpu < MAX_CPUS, "directory supports up to {MAX_CPUS} CPUs");
         let line = self.lines.entry(addr / CACHE_LINE).or_default();
         let have_copy = line.sharers.contains(cpu);
@@ -163,7 +157,7 @@ impl CacheModel {
 
     /// Latency of an access under the given parameters (UMA: no NUMA
     /// surcharge — see [`CacheSystem::cost`] for the node-aware version).
-    pub fn cost(&mut self, cpu: u32, addr: u64, write: bool, p: &CostParams) -> u64 {
+    pub(crate) fn cost(&mut self, cpu: u32, addr: u64, write: bool, p: &CostParams) -> u64 {
         match self.access(cpu, addr, write) {
             Access::Hit => p.cache_hit_ns,
             Access::MemMiss => p.mem_miss_ns,
@@ -171,31 +165,18 @@ impl CacheModel {
         }
     }
 
-    /// Drop all cached state for a CPU (the cache-cold effect of a
-    /// thread's footprint being evicted; exposed for experiments — the
-    /// engine itself models migration cost through coherence misses on
-    /// the migrated thread's own lines, not wholesale flushes).
-    pub fn flush_cpu(&mut self, cpu: u32) {
-        for line in self.lines.values_mut() {
-            line.sharers.remove(cpu);
-            if line.dirty_in == Some(cpu) {
-                line.dirty_in = None;
-            }
-        }
-    }
-
     /// Cache hits recorded.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Plain memory misses recorded.
-    pub fn mem_misses(&self) -> u64 {
+    pub(crate) fn mem_misses(&self) -> u64 {
         self.mem_misses
     }
 
     /// Coherence (dirty-transfer/invalidate) misses recorded.
-    pub fn coherence_misses(&self) -> u64 {
+    pub(crate) fn coherence_misses(&self) -> u64 {
         self.coherence_misses
     }
 }
@@ -203,7 +184,7 @@ impl CacheModel {
 /// The coherence directory plus NUMA topology: the component engine's
 /// memory-cost oracle.
 #[derive(Debug)]
-pub struct CacheSystem {
+pub(crate) struct CacheSystem {
     dir: CacheModel,
     /// CPUs per NUMA node; `0` means uniform memory (a single node).
     cpus_per_node: u32,
@@ -213,12 +194,12 @@ pub struct CacheSystem {
 
 impl CacheSystem {
     /// A fresh system. `cpus_per_node == 0` disables NUMA costs entirely.
-    pub fn new(cpus_per_node: u32) -> Self {
+    pub(crate) fn new(cpus_per_node: u32) -> Self {
         CacheSystem { dir: CacheModel::new(), cpus_per_node, home: HashMap::new() }
     }
 
     /// NUMA node of `cpu`.
-    pub fn node_of(&self, cpu: u32) -> u32 {
+    pub(crate) fn node_of(&self, cpu: u32) -> u32 {
         cpu.checked_div(self.cpus_per_node).unwrap_or(0)
     }
 
@@ -226,7 +207,7 @@ impl CacheSystem {
     /// base cost plus, off the accessor's node, the remote-node surcharge
     /// (memory fills keyed by the line's first-touch home, dirty
     /// transfers keyed by the sourcing cache's node).
-    pub fn cost(&mut self, cpu: u32, addr: u64, write: bool, p: &CostParams) -> u64 {
+    pub(crate) fn cost(&mut self, cpu: u32, addr: u64, write: bool, p: &CostParams) -> u64 {
         if self.cpus_per_node == 0 {
             return self.dir.cost(cpu, addr, write, p);
         }
@@ -244,17 +225,17 @@ impl CacheSystem {
     }
 
     /// Cache hits recorded.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.dir.hits()
     }
 
     /// Plain memory misses recorded.
-    pub fn mem_misses(&self) -> u64 {
+    pub(crate) fn mem_misses(&self) -> u64 {
         self.dir.mem_misses()
     }
 
     /// Coherence misses recorded.
-    pub fn coherence_misses(&self) -> u64 {
+    pub(crate) fn coherence_misses(&self) -> u64 {
         self.dir.coherence_misses()
     }
 }
@@ -315,14 +296,6 @@ mod tests {
         let mut c = CacheModel::new();
         c.access(0, 0, false); // exclusive clean
         assert_eq!(c.access(0, 0, true), Access::Hit);
-    }
-
-    #[test]
-    fn flush_cpu_makes_next_access_miss() {
-        let mut c = CacheModel::new();
-        c.access(0, 0, false);
-        c.flush_cpu(0);
-        assert_eq!(c.access(0, 0, false), Access::MemMiss);
     }
 
     #[test]

@@ -14,13 +14,13 @@ use crate::sched::EventClass;
 
 /// Index of a registered component. CPUs occupy `0..cpus`; the timeline
 /// sampler (when sampling is enabled) sits at `cpus`.
-pub type ComponentId = u32;
+pub(crate) type ComponentId = u32;
 
 /// Index of a simulated thread.
-pub type ThreadId = usize;
+pub(crate) type ThreadId = usize;
 
 /// One time-evolving part of the simulated machine.
-pub trait Component {
+pub(crate) trait Component {
     /// This component's registration index.
     fn id(&self) -> ComponentId;
 

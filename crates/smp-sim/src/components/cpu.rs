@@ -14,13 +14,13 @@ use crate::model::MicroOp;
 
 /// One simulated processor. Component id == CPU index == dispatch-slot
 /// index on the bus.
-pub struct Cpu {
+pub(crate) struct Cpu {
     id: ComponentId,
 }
 
 impl Cpu {
     /// The CPU for dispatch slot `id`.
-    pub fn new(id: ComponentId) -> Self {
+    pub(crate) fn new(id: ComponentId) -> Self {
         Cpu { id }
     }
 }

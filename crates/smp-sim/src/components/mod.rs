@@ -4,5 +4,7 @@
 mod cpu;
 mod sampler;
 
-pub use cpu::Cpu;
-pub use sampler::{TimelineSampler, MAX_TIMELINE_SAMPLES};
+pub(crate) use cpu::Cpu;
+pub(crate) use sampler::TimelineSampler;
+#[cfg(test)]
+pub(crate) use sampler::MAX_TIMELINE_SAMPLES;

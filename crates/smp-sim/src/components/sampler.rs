@@ -12,10 +12,10 @@ use crate::metrics::IntervalSample;
 use crate::sched::EventClass;
 
 /// Timeline length that triggers decimation.
-pub const MAX_TIMELINE_SAMPLES: usize = 256;
+pub(crate) const MAX_TIMELINE_SAMPLES: usize = 256;
 
 /// The periodic observer of cumulative run totals.
-pub struct TimelineSampler {
+pub(crate) struct TimelineSampler {
     id: ComponentId,
     /// The next sampling deadline (also the `t_ns` the sample records).
     deadline: u64,
@@ -23,7 +23,7 @@ pub struct TimelineSampler {
 
 impl TimelineSampler {
     /// A sampler with its first deadline one period in.
-    pub fn new(id: ComponentId, first_deadline: u64) -> Self {
+    pub(crate) fn new(id: ComponentId, first_deadline: u64) -> Self {
         debug_assert!(first_deadline > 0, "disabled sampling must not build a sampler");
         TimelineSampler { id, deadline: first_deadline }
     }

@@ -1,13 +1,13 @@
 //! The discrete-event simulation engine, assembled from components.
 //!
 //! Everything that evolves over simulated time is a
-//! [`Component`](crate::component::Component) — one [`Cpu`] per simulated
-//! processor and a [`TimelineSampler`] — registered with a
-//! [`Scheduler`](crate::sched::Scheduler) that owns the min-heap of
+//! `Component` — one `Cpu` per simulated
+//! processor and a `TimelineSampler` — registered with a
+//! `Scheduler` that owns the min-heap of
 //! pending wake-ups. Components interact only through the
-//! [`SystemBus`](crate::bus::SystemBus): the shared machine state
-//! (threads, FIFO ready queue, [`MutexBank`](crate::mutex_bank::MutexBank)
-//! with FIFO handoff, NUMA-aware [`CacheSystem`](crate::cache::CacheSystem))
+//! `SystemBus`: the shared machine state
+//! (threads, FIFO ready queue, `MutexBank`
+//! with FIFO handoff, NUMA-aware `CacheSystem`)
 //! plus the wake-request outbox the run loop drains into the scheduler
 //! after every tick.
 //!
@@ -26,9 +26,7 @@ use crate::model::StructShape;
 use crate::params::{arch::MAX_CPUS, CostParams};
 use crate::sched::{EventClass, SchedPolicy, Scheduler};
 
-pub use crate::component::ThreadId;
-pub use crate::components::MAX_TIMELINE_SAMPLES;
-pub use crate::mutex_bank::LockId;
+pub(crate) use crate::mutex_bank::LockId;
 
 /// An application-level operation issued by a [`Program`]. The engine
 /// expands allocation ops through the installed
@@ -65,7 +63,7 @@ pub trait Program: Send {
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
-    /// Number of processors (up to [`MAX_CPUS`](crate::params::arch::MAX_CPUS)).
+    /// Number of processors (up to `MAX_CPUS`).
     pub cpus: u32,
     /// Cost model.
     pub params: CostParams,
@@ -73,7 +71,7 @@ pub struct SimConfig {
     /// finer preemption granularity at more event overhead.
     pub batch_cap_ns: u64,
     /// Timeline sampling period in simulated nanoseconds; `0` disables the
-    /// timeline. Long runs stay bounded: once [`MAX_TIMELINE_SAMPLES`]
+    /// timeline. Long runs stay bounded: once `MAX_TIMELINE_SAMPLES`
     /// samples accumulate, every other sample is dropped and the period
     /// doubles (samples are cumulative, so decimation loses resolution, not
     /// information); the effective period comes back in
@@ -86,12 +84,12 @@ pub struct SimConfig {
     /// CPUs per NUMA node; `0` models uniform memory (the paper's 8-CPU
     /// Enterprise machine). Non-zero groups CPUs into nodes of this size
     /// and charges remote-node surcharges on misses (see
-    /// [`CacheSystem`](crate::cache::CacheSystem)).
+    /// `CacheSystem`).
     pub cpus_per_node: u32,
 }
 
 /// Default timeline sampling period: one simulated millisecond.
-pub const DEFAULT_SAMPLE_INTERVAL_NS: u64 = 1_000_000;
+pub(crate) const DEFAULT_SAMPLE_INTERVAL_NS: u64 = 1_000_000;
 
 impl SimConfig {
     /// A configuration with the calibrated cost model, deterministic
@@ -206,6 +204,7 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::components::MAX_TIMELINE_SAMPLES;
     use crate::models::serial::SerialModel;
 
     /// A program that computes, allocates, touches and frees `iters`

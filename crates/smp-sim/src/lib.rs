@@ -12,20 +12,20 @@
 //! * ptmalloc's try-lock arena spill and Hoard's thread-id modulation
 //!   ([`models`]),
 //! * pool free lists with genuinely short critical sections
-//!   ([`models::amplify`]),
-//! * false sharing of cache lines between small heap blocks ([`cache`],
-//!   with addresses coming from real freelist bookkeeping in [`addr`]),
+//!   (`models::amplify`),
+//! * false sharing of cache lines between small heap blocks (`cache`,
+//!   with addresses coming from real freelist bookkeeping in `addr`),
 //! * thread migration when threads outnumber CPUs (time-slice preemption
-//!   in the [`components::Cpu`] component).
+//!   in the `components::Cpu` component).
 //!
-//! The engine itself is a discrete-event *component* system: [`component`]
-//! defines the `Component` contract, [`sched`] owns the event heap and the
+//! The engine itself is a discrete-event *component* system: `component`
+//! defines the `Component` contract, `sched` owns the event heap and the
 //! tie-breaking policy ([`SchedPolicy::Deterministic`] for byte-stable
 //! metrics, [`SchedPolicy::Fuzzed`] for seeded schedule exploration), and
-//! [`bus`] carries the shared state ([`components::Cpu`] ×N, a FIFO
-//! [`mutex_bank`], the NUMA-aware [`cache`], and the
-//! [`components::TimelineSampler`]). Machines up to
-//! [`params::arch::MAX_CPUS`] (256) simulated CPUs are supported.
+//! `bus` carries the shared state (`components::Cpu` ×N, a FIFO
+//! `mutex_bank`, the NUMA-aware `cache`, and the
+//! `components::TimelineSampler`). Machines up to
+//! `params::arch::MAX_CPUS` (256) simulated CPUs are supported.
 //!
 //! # Example
 //!
@@ -38,25 +38,25 @@
 //! let amplify = run_tree(ModelKind::Amplify, 4, &exp);
 //! assert!(amplify.wall_ns < serial.wall_ns);
 //! ```
+#![warn(unreachable_pub)]
 
-pub mod addr;
-pub mod bus;
-pub mod cache;
-pub mod component;
-pub mod components;
+mod addr;
+mod bus;
+mod cache;
+mod component;
+mod components;
 pub mod engine;
 pub mod metrics;
 pub mod model;
 pub mod models;
-pub mod mutex_bank;
+mod mutex_bank;
 pub mod params;
 pub mod programs;
 pub mod run;
-pub mod sched;
+mod sched;
 
-pub use engine::{AppOp, Program, Sim, SimConfig};
+pub use engine::{Program, Sim, SimConfig};
 pub use metrics::RunMetrics;
-pub use model::{AllocModel, MicroOp, StructShape};
+pub use model::{AllocModel, StructShape};
 pub use params::CostParams;
-pub use run::{run_bgw, run_tree, ModelKind, TreeExperiment};
 pub use sched::SchedPolicy;

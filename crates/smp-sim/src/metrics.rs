@@ -9,13 +9,13 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IntervalSample {
     /// Simulated time of the sample.
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     /// Cumulative busy CPU time across threads.
     pub busy_ns: u64,
     /// Cumulative time spent blocked on locks.
     pub lock_wait_ns: u64,
     /// Cumulative coherence misses.
-    pub coherence_misses: u64,
+    pub(crate) coherence_misses: u64,
 }
 
 /// Everything a run reports. `wall_ns` drives the speedup figures; the rest
@@ -58,24 +58,9 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Wall time in (simulated) seconds.
-    pub fn wall_seconds(&self) -> f64 {
-        self.wall_ns as f64 / 1e9
-    }
-
     /// Look up a model counter by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.model_counters.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
-    }
-
-    /// Fraction of memory accesses that were coherence misses.
-    pub fn coherence_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.mem_misses + self.coherence_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.coherence_misses as f64 / total as f64
-        }
     }
 }
 
@@ -112,10 +97,8 @@ mod tests {
     #[test]
     fn helpers() {
         let m = sample();
-        assert!((m.wall_seconds() - 2.0).abs() < 1e-12);
         assert_eq!(m.counter("pool_hits"), Some(42));
         assert_eq!(m.counter("nope"), None);
-        assert!((m.coherence_ratio() - 0.05).abs() < 1e-12);
     }
 
     #[test]

@@ -43,25 +43,26 @@ impl StructShape {
 /// Owned result of expanding a structure allocation (the
 /// [`AllocModelExt`] convenience form; the engine itself uses the
 /// buffer-based trait methods to avoid per-event allocations).
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct StructAlloc {
+pub(crate) struct StructAlloc {
     /// The timed operations to execute.
-    pub ops: Vec<MicroOp>,
+    pub(crate) ops: Vec<MicroOp>,
     /// Opaque handle the model will receive back on free.
-    pub handle: u64,
+    pub(crate) handle: u64,
     /// Addresses of the structure's nodes (the application layer touches
     /// these during init/destroy).
-    pub node_addrs: Vec<u64>,
+    pub(crate) node_addrs: Vec<u64>,
 }
 
 /// Owned result of expanding a raw array allocation (BGw data-type
 /// arrays).
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct ArrayAlloc {
-    pub ops: Vec<MicroOp>,
-    pub handle: u64,
+pub(crate) struct ArrayAlloc {
+    pub(crate) handle: u64,
     /// Base address of the array.
-    pub addr: u64,
+    pub(crate) addr: u64,
 }
 
 /// Read access to simulator state at model-decision time, plus the
@@ -152,7 +153,8 @@ pub trait AllocModel: Send {
 /// Owned-result convenience wrappers over the buffer-based [`AllocModel`]
 /// methods — handy in tests and one-off callers where the per-call `Vec`
 /// cost does not matter.
-pub trait AllocModelExt: AllocModel {
+#[cfg(test)]
+pub(crate) trait AllocModelExt: AllocModel {
     /// [`AllocModel::alloc_structure`] returning owned buffers.
     fn alloc_structure_owned(
         &mut self,
@@ -189,7 +191,7 @@ pub trait AllocModelExt: AllocModel {
         let mut ops = Vec::new();
         let mut scratch = Vec::new();
         let (handle, addr) = self.alloc_array(view, thread, slot, size, &mut ops, &mut scratch);
-        ArrayAlloc { ops, handle, addr }
+        ArrayAlloc { handle, addr }
     }
 
     /// [`AllocModel::free_array`] returning owned ops.
@@ -206,10 +208,11 @@ pub trait AllocModelExt: AllocModel {
     }
 }
 
+#[cfg(test)]
 impl<M: AllocModel + ?Sized> AllocModelExt for M {}
 
 /// Pseudo class id used for raw data arrays.
-pub const ARRAY_CLASS: u32 = u32::MAX;
+pub(crate) const ARRAY_CLASS: u32 = u32::MAX;
 
 #[cfg(test)]
 mod tests {

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 /// Class id the BGw workload uses for allocations made from library code
 /// that the pre-processor cannot see; Amplify passes them straight to the
 /// base allocator.
-pub const LIBRARY_CLASS: u32 = u32::MAX - 1;
+pub(crate) const LIBRARY_CLASS: u32 = u32::MAX - 1;
 
 /// Lock ids 100+ belong to Amplify's shard locks (base models use 0..100).
 const SHARD_LOCK_BASE: usize = 100;
@@ -49,19 +49,19 @@ enum Record {
 pub struct AmplifyConfig {
     /// Number of simulated application threads (1 ⇒ locks are elided, as
     /// the pre-processor does for non-threaded programs).
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Pool shards per class (the ptmalloc-style spreading).
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// Maximum parked structures per (class, shard).
     pub max_per_pool: Option<usize>,
     /// Maximum shadowed array size in bytes.
-    pub max_shadow_bytes: Option<u32>,
+    pub(crate) max_shadow_bytes: Option<u32>,
     /// The half-size reuse rule for shadowed arrays.
-    pub half_size_rule: bool,
+    pub(crate) half_size_rule: bool,
     /// Pool object structures. When `false`, only data-type arrays are
     /// shadowed (the §5.2 variant: "if only data type arrays were
     /// shadowed") and object allocations pass through to the base.
-    pub amplify_objects: bool,
+    pub(crate) amplify_objects: bool,
 }
 
 impl AmplifyConfig {
@@ -78,7 +78,7 @@ impl AmplifyConfig {
     }
 
     /// The BGw configuration with the §5.2 caps.
-    pub fn bgw(threads: usize, shards: usize) -> Self {
+    pub(crate) fn bgw(threads: usize, shards: usize) -> Self {
         AmplifyConfig {
             threads,
             shards,
@@ -91,7 +91,7 @@ impl AmplifyConfig {
 
     /// The §5.2 arrays-only variant: shadow data-type arrays, pass object
     /// allocations through to the base allocator.
-    pub fn bgw_arrays_only(threads: usize, shards: usize) -> Self {
+    pub(crate) fn bgw_arrays_only(threads: usize, shards: usize) -> Self {
         AmplifyConfig { amplify_objects: false, ..Self::bgw(threads, shards) }
     }
 }
@@ -124,7 +124,8 @@ pub struct AmplifyModel {
 impl AmplifyModel {
     /// Build over a base allocator model (what `malloc` resolves to when a
     /// pool is empty — the paper's "normal dynamic memory manager").
-    pub fn new(cfg: AmplifyConfig, base: Box<dyn AllocModel>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(cfg: AmplifyConfig, base: Box<dyn AllocModel>) -> Self {
         Self::with_params(cfg, base, CostParams::default())
     }
 

@@ -29,7 +29,7 @@ struct Parked {
 /// from per-thread arenas — so no lock is ever taken and no cache line is
 /// shared between threads. Structure misses still pay the allocation
 /// *work*, but privately.
-pub struct HandmadeModel {
+pub(crate) struct HandmadeModel {
     /// Per-thread private address regions (4000+t to stay clear of the
     /// other models' regions).
     spaces: HashMap<usize, AddrSpace>,
@@ -50,12 +50,12 @@ impl Default for HandmadeModel {
 
 impl HandmadeModel {
     /// New model with calibrated costs.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_params(CostParams::default())
     }
 
     /// New model with explicit costs.
-    pub fn with_params(params: CostParams) -> Self {
+    pub(crate) fn with_params(params: CostParams) -> Self {
         HandmadeModel {
             spaces: HashMap::new(),
             pools: HashMap::new(),

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 /// Per-processor-heap allocator model.
 #[derive(Debug)]
-pub struct HoardModel {
+pub(crate) struct HoardModel {
     heaps: Vec<HeapCore>,
     handles: HandleGen,
     live: HashMap<u64, Vec<(usize, u64, u32)>>,
@@ -24,12 +24,13 @@ pub struct HoardModel {
 
 impl HoardModel {
     /// One heap per processor.
-    pub fn new(processors: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(processors: usize) -> Self {
         Self::with_params(processors, CostParams::default())
     }
 
     /// Model with explicit costs.
-    pub fn with_params(processors: usize, params: CostParams) -> Self {
+    pub(crate) fn with_params(processors: usize, params: CostParams) -> Self {
         assert!(processors >= 1);
         HoardModel {
             heaps: (0..processors).map(|i| HeapCore::new(i, i, i as u32 + 1)).collect(),

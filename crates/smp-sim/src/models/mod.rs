@@ -1,16 +1,16 @@
 //! Allocator models: the comparison set of the paper's evaluation.
 
-pub mod amplify;
-pub mod common;
-pub mod handmade;
-pub mod hoard;
-pub mod ptmalloc;
-pub mod serial;
-pub mod smartheap;
+pub(crate) mod amplify;
+pub(crate) mod common;
+pub(crate) mod handmade;
+pub(crate) mod hoard;
+pub(crate) mod ptmalloc;
+pub(crate) mod serial;
+pub(crate) mod smartheap;
 
-pub use amplify::{AmplifyConfig, AmplifyModel, LIBRARY_CLASS};
-pub use handmade::HandmadeModel;
-pub use hoard::HoardModel;
-pub use ptmalloc::PtmallocModel;
+pub use amplify::{AmplifyConfig, AmplifyModel};
+pub(crate) use handmade::HandmadeModel;
+pub(crate) use hoard::HoardModel;
+pub(crate) use ptmalloc::PtmallocModel;
 pub use serial::SerialModel;
-pub use smartheap::SmartHeapModel;
+pub(crate) use smartheap::SmartHeapModel;

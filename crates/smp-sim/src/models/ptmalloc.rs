@@ -8,7 +8,7 @@ use std::collections::HashMap;
 
 /// Multi-arena allocator model.
 #[derive(Debug)]
-pub struct PtmallocModel {
+pub(crate) struct PtmallocModel {
     arenas: Vec<HeapCore>,
     /// thread → current arena.
     current: HashMap<usize, usize>,
@@ -26,12 +26,13 @@ pub struct PtmallocModel {
 impl PtmallocModel {
     /// Model with `arenas` sub-heaps (ptmalloc sizes this near the CPU
     /// count).
-    pub fn new(arenas: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(arenas: usize) -> Self {
         Self::with_params(arenas, CostParams::default())
     }
 
     /// Model with explicit costs.
-    pub fn with_params(arenas: usize, params: CostParams) -> Self {
+    pub(crate) fn with_params(arenas: usize, params: CostParams) -> Self {
         assert!(arenas >= 1);
         PtmallocModel {
             arenas: (0..arenas).map(|i| HeapCore::new(i, i, i as u32 + 1)).collect(),

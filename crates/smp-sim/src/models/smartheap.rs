@@ -17,7 +17,7 @@ const FLUSH_LIMIT: usize = 64;
 
 /// Thread-cached allocator model. Uses lock id 0 for the shared arena.
 #[derive(Debug)]
-pub struct SmartHeapModel {
+pub(crate) struct SmartHeapModel {
     shared: HeapCore,
     /// (thread, rounded size) → cached free block addresses.
     cache: HashMap<(usize, u32), Vec<u64>>,
@@ -39,12 +39,12 @@ impl Default for SmartHeapModel {
 
 impl SmartHeapModel {
     /// New model with calibrated costs.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_params(CostParams::default())
     }
 
     /// New model with explicit costs.
-    pub fn with_params(params: CostParams) -> Self {
+    pub(crate) fn with_params(params: CostParams) -> Self {
         SmartHeapModel {
             shared: HeapCore::new(0, 0, 1),
             cache: HashMap::new(),

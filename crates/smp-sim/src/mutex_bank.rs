@@ -9,7 +9,7 @@ use crate::component::ThreadId;
 use std::collections::VecDeque;
 
 /// Index of a simulated mutex.
-pub type LockId = usize;
+pub(crate) type LockId = usize;
 
 #[derive(Debug, Default)]
 struct LockState {
@@ -19,13 +19,13 @@ struct LockState {
 
 /// All mutexes of one simulated machine.
 #[derive(Debug, Default)]
-pub struct MutexBank {
+pub(crate) struct MutexBank {
     locks: Vec<LockState>,
 }
 
 impl MutexBank {
     /// An empty bank.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -36,19 +36,19 @@ impl MutexBank {
     }
 
     /// Current holder of `l`, if any.
-    pub fn holder(&self, l: LockId) -> Option<ThreadId> {
+    pub(crate) fn holder(&self, l: LockId) -> Option<ThreadId> {
         self.locks.get(l).and_then(|s| s.holder)
     }
 
     /// Whether `l` is currently held (the try-lock probe the ptmalloc and
     /// SmartHeap models issue through `SimView`).
-    pub fn held(&self, l: LockId) -> bool {
+    pub(crate) fn held(&self, l: LockId) -> bool {
         self.holder(l).is_some()
     }
 
     /// Acquire `l` for `tid` if it is free. Returns `false` (without
     /// queueing) when the lock is held.
-    pub fn try_acquire(&mut self, l: LockId, tid: ThreadId) -> bool {
+    pub(crate) fn try_acquire(&mut self, l: LockId, tid: ThreadId) -> bool {
         self.ensure(l);
         if self.locks[l].holder.is_none() {
             self.locks[l].holder = Some(tid);
@@ -59,7 +59,7 @@ impl MutexBank {
     }
 
     /// Append `tid` to `l`'s FIFO wait queue (caller blocks the thread).
-    pub fn enqueue_waiter(&mut self, l: LockId, tid: ThreadId) {
+    pub(crate) fn enqueue_waiter(&mut self, l: LockId, tid: ThreadId) {
         self.ensure(l);
         self.locks[l].waiters.push_back(tid);
     }
@@ -67,7 +67,7 @@ impl MutexBank {
     /// Release `l`, handing it to the head waiter if one exists. Returns
     /// the woken thread — the lock is already theirs — or `None` when the
     /// lock simply became free.
-    pub fn release(&mut self, l: LockId, tid: ThreadId) -> Option<ThreadId> {
+    pub(crate) fn release(&mut self, l: LockId, tid: ThreadId) -> Option<ThreadId> {
         self.ensure(l);
         debug_assert_eq!(self.locks[l].holder, Some(tid), "release by non-holder");
         if let Some(w) = self.locks[l].waiters.pop_front() {

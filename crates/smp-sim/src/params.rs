@@ -13,44 +13,44 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostParams {
     /// One allocation in a serial, coalescing allocator (Solaris default).
-    pub malloc_serial_ns: u64,
+    pub(crate) malloc_serial_ns: u64,
     /// One free in the serial allocator.
-    pub free_serial_ns: u64,
+    pub(crate) free_serial_ns: u64,
     /// One allocation in an arena allocator (ptmalloc / Hoard / SmartHeap).
-    pub malloc_arena_ns: u64,
+    pub(crate) malloc_arena_ns: u64,
     /// One free in an arena allocator.
-    pub free_arena_ns: u64,
+    pub(crate) free_arena_ns: u64,
     /// Free-list push/pop inside a pool (excluding the lock).
-    pub pool_op_ns: u64,
+    pub(crate) pool_op_ns: u64,
     /// Uncontended mutex acquire.
-    pub lock_ns: u64,
+    pub(crate) lock_ns: u64,
     /// Mutex release.
-    pub unlock_ns: u64,
+    pub(crate) unlock_ns: u64,
     /// One try-lock probe of a locked arena/shard (ptmalloc spill).
-    pub probe_ns: u64,
+    pub(crate) probe_ns: u64,
     /// Cache hit (line valid in this CPU's cache).
-    pub cache_hit_ns: u64,
+    pub(crate) cache_hit_ns: u64,
     /// Plain memory miss (line not cached anywhere dirty).
-    pub mem_miss_ns: u64,
+    pub(crate) mem_miss_ns: u64,
     /// Coherence miss (line dirty in another CPU's cache) — the cost that
     /// makes false sharing visible.
-    pub coherence_ns: u64,
+    pub(crate) coherence_ns: u64,
     /// Per-node application work when initializing a freshly created node
     /// (constructor body).
-    pub node_init_ns: u64,
+    pub(crate) node_init_ns: u64,
     /// Per-node application work when destroying a node (destructor body).
-    pub node_destroy_ns: u64,
+    pub(crate) node_destroy_ns: u64,
     /// Scheduler time slice.
-    pub quantum_ns: u64,
+    pub(crate) quantum_ns: u64,
     /// Direct cost of a context switch / dispatch.
-    pub ctx_switch_ns: u64,
+    pub(crate) ctx_switch_ns: u64,
     /// Extra latency when a memory miss is filled from a remote NUMA
     /// node's memory (charged on top of `mem_miss_ns`; only applies when
     /// `SimConfig::cpus_per_node > 0`).
-    pub numa_remote_mem_ns: u64,
+    pub(crate) numa_remote_mem_ns: u64,
     /// Extra latency when a dirty-line coherence transfer crosses NUMA
     /// nodes (charged on top of `coherence_ns`).
-    pub numa_remote_coherence_ns: u64,
+    pub(crate) numa_remote_coherence_ns: u64,
 }
 
 impl Default for CostParams {
@@ -80,23 +80,16 @@ impl Default for CostParams {
     }
 }
 
-impl CostParams {
-    /// The default calibration (see module docs).
-    pub fn calibrated() -> Self {
-        Self::default()
-    }
-}
-
 /// Fixed architectural constants.
-pub mod arch {
+pub(crate) mod arch {
     /// Cache line size in bytes (UltraSPARC E-cache line granularity for
     /// coherence; 64 B keeps the false-sharing geometry realistic).
-    pub const CACHE_LINE: u64 = 64;
+    pub(crate) const CACHE_LINE: u64 = 64;
 
     /// Largest simulated-machine size the engine supports (sized so the
     /// cache directory's [`CpuSet`](crate::cache::CpuSet) stays a flat
     /// four-word bitmask).
-    pub const MAX_CPUS: u32 = 256;
+    pub(crate) const MAX_CPUS: u32 = 256;
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ impl Program for TreeProgram {
 /// A tree workload with *partial* temporal locality: a fraction of the
 /// iterations allocates a different tree depth, so structure pools must
 /// reorganize. Used by the ablation benches (locality sweep).
-pub struct VariableTreeProgram {
+pub(crate) struct VariableTreeProgram {
     base_depth: u32,
     alt_depth: u32,
     node_size: u32,
@@ -75,7 +75,7 @@ pub struct VariableTreeProgram {
 impl VariableTreeProgram {
     /// `alt_permille`/1000 of iterations use `alt_depth` instead of
     /// `base_depth`.
-    pub fn new(
+    pub(crate) fn new(
         base_depth: u32,
         alt_depth: u32,
         node_size: u32,
@@ -205,7 +205,7 @@ impl Program for BurstTreeProgram {
 /// * library allocations (Tools.h++ etc.) that Amplify cannot touch —
 ///   class [`LIBRARY_CLASS`];
 /// * parsing/processing computation.
-pub struct BgwProgram {
+pub(crate) struct BgwProgram {
     cdrs: u32,
     processed: u32,
     step: u8,
@@ -213,11 +213,11 @@ pub struct BgwProgram {
 }
 
 /// Application object class for the CDR record structure.
-pub const CDR_CLASS: u32 = 1;
+pub(crate) const CDR_CLASS: u32 = 1;
 
 impl BgwProgram {
     /// Process `cdrs` call-data records.
-    pub fn new(cdrs: u32, params: &CostParams) -> Self {
+    pub(crate) fn new(cdrs: u32, params: &CostParams) -> Self {
         BgwProgram { cdrs, processed: 0, step: 0, params: *params }
     }
 

@@ -70,7 +70,7 @@ impl ModelKind {
 
     /// Node size for the synthetic trees: 20 bytes, or 28 when "amplified"
     /// (the shadow pointers enlarge each node — §4).
-    pub fn node_size(self) -> u32 {
+    pub(crate) fn node_size(self) -> u32 {
         match self {
             ModelKind::Amplify
             | ModelKind::AmplifyOverSmartHeap
@@ -117,13 +117,6 @@ pub struct TreeExperiment {
     pub cpus: u32,
     /// Cost model.
     pub params: CostParams,
-}
-
-impl TreeExperiment {
-    /// The paper's configuration: 8 CPUs, calibrated costs.
-    pub fn paper(depth: u32, total_trees: u32) -> Self {
-        TreeExperiment { depth, total_trees, cpus: 8, params: CostParams::default() }
-    }
 }
 
 /// Run one synthetic tree configuration.
@@ -210,16 +203,6 @@ pub fn run_tree_with_locality(
 /// execution time.
 pub fn speedup(baseline_wall_ns: u64, m: &RunMetrics) -> f64 {
     baseline_wall_ns as f64 / m.wall_ns as f64
-}
-
-/// One line of a speedup figure: `kind` over the given thread counts.
-pub fn speedup_curve(
-    kind: ModelKind,
-    thread_counts: &[usize],
-    exp: &TreeExperiment,
-    baseline_wall_ns: u64,
-) -> Vec<(usize, f64)> {
-    thread_counts.iter().map(|&t| (t, speedup(baseline_wall_ns, &run_tree(kind, t, exp)))).collect()
 }
 
 /// The baseline run: 1 thread with the serial allocator.

@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 
 /// Ordering class of a scheduled firing at equal timestamps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EventClass {
+pub(crate) enum EventClass {
     /// Timeline-sampler deadlines: fire before any `Normal` firing at the
     /// same instant, and are never reordered by fuzzing — sampling is
     /// observation, not execution.
@@ -42,7 +42,7 @@ pub enum SchedPolicy {
 }
 
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit mixing function.
-pub fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -51,13 +51,13 @@ pub fn splitmix64(mut x: u64) -> u64 {
 
 /// One popped wake-up.
 #[derive(Debug, Clone, Copy)]
-pub struct Firing {
+pub(crate) struct Firing {
     /// Simulated time of the firing.
-    pub time: u64,
+    pub(crate) time: u64,
     /// Scheduling class it was pushed with.
-    pub class: EventClass,
+    pub(crate) class: EventClass,
     /// The component to tick.
-    pub comp: ComponentId,
+    pub(crate) comp: ComponentId,
 }
 
 /// A heap entry: `(time, class, rank, seq, comp)` under `Reverse` so the
@@ -65,7 +65,7 @@ pub struct Firing {
 type HeapEntry = Reverse<(u64, u8, u64, u64, ComponentId)>;
 
 /// The min-heap of pending component wake-ups.
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     heap: BinaryHeap<HeapEntry>,
     policy: SchedPolicy,
     /// Pending `Normal`-class entries; when this hits zero with all
@@ -75,19 +75,14 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// An empty scheduler with the given tie-break policy.
-    pub fn new(policy: SchedPolicy) -> Self {
+    pub(crate) fn new(policy: SchedPolicy) -> Self {
         Scheduler { heap: BinaryHeap::new(), policy, normal_pending: 0 }
-    }
-
-    /// The installed tie-break policy.
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
     }
 
     /// Schedule `comp` to tick at `time`. `seq` must come from the bus's
     /// global submission counter — it is the deterministic tie-break and
     /// (mixed with the policy seed) the fuzzed one.
-    pub fn push(&mut self, time: u64, class: EventClass, seq: u64, comp: ComponentId) {
+    pub(crate) fn push(&mut self, time: u64, class: EventClass, seq: u64, comp: ComponentId) {
         let rank = match (self.policy, class) {
             (SchedPolicy::Fuzzed(seed), EventClass::Normal) => {
                 // Mix everything identifying the firing so equal-time
@@ -105,7 +100,7 @@ impl Scheduler {
     }
 
     /// Pop the earliest pending firing.
-    pub fn pop(&mut self) -> Option<Firing> {
+    pub(crate) fn pop(&mut self) -> Option<Firing> {
         let Reverse((time, class, _, _, comp)) = self.heap.pop()?;
         let class = if class == EventClass::Sampler as u8 {
             EventClass::Sampler
@@ -117,7 +112,7 @@ impl Scheduler {
     }
 
     /// Number of `Normal`-class firings still queued.
-    pub fn normal_pending(&self) -> usize {
+    pub(crate) fn normal_pending(&self) -> usize {
         self.normal_pending
     }
 }

@@ -33,7 +33,7 @@ impl EventKind {
     ];
 
     /// Stable wire/report name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EventKind::FallbackAlloc => "fallback_alloc",
             EventKind::FaultInjected => "fault_injected",

@@ -8,15 +8,16 @@
 //! * [`report`] — the unified [`report::Report`] snapshot with the
 //!   versioned `telemetry-v1` JSON schema that bench binaries emit behind
 //!   `--metrics-out` and the `pool_report` binary renders;
-//! * [`event`] — the process-wide event kinds a report lists, each read
+//! * `event` — the process-wide event kinds a report lists, each read
 //!   from a counter when the report is built.
 //!
 //! The crate records nothing itself and has no cargo features: it builds
 //! and parses reports, including ones written by older binaries and by
 //! the generated C++ runtime.
+#![warn(unreachable_pub)]
 
-pub mod event;
+mod event;
 pub mod report;
 
 pub use event::EventKind;
-pub use report::{Report, SCHEMA};
+pub use report::Report;

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize, Value};
 use smp_sim::metrics::RunMetrics;
 
 /// The schema tag every report carries. Bump on breaking field changes.
-pub const SCHEMA: &str = "telemetry-v1";
+pub(crate) const SCHEMA: &str = "telemetry-v1";
 
 /// The schema tag of the embedded heap-profile section. Versioned
 /// independently of the outer report: the section is optional, so old
@@ -66,7 +66,7 @@ pub struct PoolSnapshot {
 
 impl PoolSnapshot {
     /// Fraction of allocations served by reuse, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.pool_hits + self.fresh_allocs;
         if total == 0 {
             0.0
@@ -76,7 +76,7 @@ impl PoolSnapshot {
     }
 
     /// Fraction of lock probes that found the lock held.
-    pub fn contention_rate(&self) -> f64 {
+    pub(crate) fn contention_rate(&self) -> f64 {
         let probes = self.failed_locks + self.lock_acquisitions;
         if probes == 0 {
             0.0
@@ -101,7 +101,7 @@ impl PoolSnapshot {
     }
 }
 
-/// One per-kind event total (see [`EventKind::name`]; reports written
+/// One per-kind event total (see `EventKind::name`; reports written
 /// before a kind retired may list it too).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventCount {
@@ -112,9 +112,9 @@ pub struct EventCount {
 /// One named histogram: bucket 0 counts the value 0 and bucket `i ≥ 1`
 /// the values of bit length `i`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistogramReport {
-    pub name: String,
-    pub buckets: Vec<u64>,
+pub(crate) struct HistogramReport {
+    pub(crate) name: String,
+    pub(crate) buckets: Vec<u64>,
 }
 
 /// One simulator run embedded in a report.
@@ -187,7 +187,7 @@ pub struct HeapClassGauges {
 
 impl HeapClassGauges {
     /// Live fraction of mapped memory, in `[0, 1]` (0 when unmapped).
-    pub fn occupancy(&self) -> f64 {
+    pub(crate) fn occupancy(&self) -> f64 {
         if self.mapped_bytes == 0 {
             0.0
         } else {
@@ -196,13 +196,14 @@ impl HeapClassGauges {
     }
 }
 
-/// One sampled allocation site: a (size class, caller tag) cell of the
-/// "where is the heap" table.
+/// One sampled allocation site: a size-class row of the "where is the
+/// heap" table.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HeapSiteSample {
     pub class: u32,
     pub block_bytes: u64,
-    /// Registered caller-tag name (`"untagged"` when none was set).
+    /// Caller-tag name: `"untagged"` in current reports (the sampler keys
+    /// by size class and thread); older reports may carry other names.
     pub tag: String,
     pub samples: u64,
     /// `samples × period × block_bytes`: estimated allocation volume.
@@ -280,11 +281,11 @@ impl Deserialize for HeapProfileSection {
 }
 
 impl HeapProfileSection {
-    pub fn total_mapped_bytes(&self) -> u64 {
+    pub(crate) fn total_mapped_bytes(&self) -> u64 {
         self.classes.iter().map(|c| c.mapped_bytes).sum()
     }
 
-    pub fn total_live_bytes(&self) -> u64 {
+    pub(crate) fn total_live_bytes(&self) -> u64 {
         self.classes.iter().map(|c| c.live_bytes).sum()
     }
 }
@@ -373,14 +374,14 @@ impl PoolTuneSection {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// Always [`SCHEMA`] for reports produced by this crate version.
-    pub schema: String,
+    pub(crate) schema: String,
     /// Producing binary or subsystem.
     pub source: String,
     pub pools: Vec<PoolSnapshot>,
     pub events: Vec<EventCount>,
     /// Empty in reports this crate builds; reports written while the
     /// runtime recorded histograms still carry theirs, and render them.
-    pub histograms: Vec<HistogramReport>,
+    pub(crate) histograms: Vec<HistogramReport>,
     pub sim_runs: Vec<SimRun>,
     /// Native backend × workload executions (the `native_matrix` bench).
     pub native_runs: Vec<NativeRun>,
@@ -1001,7 +1002,7 @@ fn occupancy_bar(occ: f64) -> String {
 }
 
 /// Render counts as a unicode sparkline (empty input gives an empty string).
-pub fn sparkline(values: &[u64]) -> String {
+pub(crate) fn sparkline(values: &[u64]) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let max = values.iter().copied().max().unwrap_or(0);
     if max == 0 {

@@ -7,10 +7,7 @@
 //! library code the pre-processor cannot touch — and a processing pipeline
 //! that executes them against real [`pools::ShadowBuf`]s.
 
-use crate::exec::{StructOp, Workload};
 use bytes::{BufMut, Bytes, BytesMut};
-use mem_api::Structured;
-use pools::structure_pool::Reusable;
 use pools::{PoolConfig, ShadowBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,9 +19,9 @@ pub struct Cdr {
     /// center.
     pub raw: Bytes,
     /// Caller id.
-    pub caller: u64,
+    pub(crate) caller: u64,
     /// Call duration in seconds.
-    pub duration: u32,
+    pub(crate) duration: u32,
 }
 
 /// Deterministic CDR generator.
@@ -64,9 +61,9 @@ impl CdrGenerator {
 /// Per-record processing statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BgwStats {
-    pub processed: u64,
-    pub bytes_in: u64,
-    pub bytes_out: u64,
+    pub(crate) processed: u64,
+    pub(crate) bytes_in: u64,
+    pub(crate) bytes_out: u64,
     /// Buffer allocations served by shadow reuse.
     pub shadow_hits: u64,
     /// Buffer allocations that hit the heap.
@@ -144,107 +141,6 @@ impl BgwPipeline {
     }
 }
 
-/// Parameters for one record's scratch structure: the decode buffer and
-/// the (roughly half-size) encode buffer BGw allocates per CDR.
-#[derive(Debug, Clone, Copy)]
-pub struct ScratchParams {
-    pub decode_len: u32,
-    pub encode_len: u32,
-    /// Record fingerprint mixed into the buffer contents, so structure
-    /// checksums track the record stream and not just the sizes.
-    pub tag: u64,
-}
-
-/// The two work buffers a BGw stage allocates per record, as a reusable
-/// two-node structure (the `char[]`-dominated profile of §5.2).
-#[derive(Debug)]
-pub struct CdrScratch {
-    decode: Vec<u8>,
-    encode: Vec<u8>,
-}
-
-impl CdrScratch {
-    fn fill(buf: &mut Vec<u8>, len: u32, tag: u64, stride: u64) {
-        buf.clear();
-        buf.extend((0..len as u64).map(|i| tag.wrapping_add(i.wrapping_mul(stride)) as u8));
-    }
-}
-
-impl Reusable for CdrScratch {
-    type Params = ScratchParams;
-
-    fn fresh(p: &ScratchParams) -> Self {
-        let mut s = CdrScratch { decode: Vec::new(), encode: Vec::new() };
-        s.reinit(p);
-        s
-    }
-
-    fn reinit(&mut self, p: &ScratchParams) {
-        Self::fill(&mut self.decode, p.decode_len, p.tag, 7);
-        Self::fill(&mut self.encode, p.encode_len, p.tag >> 8, 13);
-    }
-}
-
-impl Structured for CdrScratch {
-    fn node_count(_: &ScratchParams) -> u32 {
-        2
-    }
-
-    fn node_size(p: &ScratchParams, index: u32) -> u32 {
-        if index == 0 {
-            p.decode_len
-        } else {
-            p.encode_len
-        }
-    }
-
-    fn checksum(&self) -> u64 {
-        let fold = |acc: u64, bytes: &[u8]| {
-            bytes.iter().fold(acc.wrapping_mul(31).wrapping_add(bytes.len() as u64), |a, &b| {
-                a.wrapping_mul(0x100_0000_01B3).wrapping_add(b as u64)
-            })
-        };
-        fold(fold(0, &self.decode), &self.encode)
-    }
-}
-
-/// The BGw record stream as a generic [`Workload`]: each thread consumes
-/// its own deterministic CDR stream, allocating and freeing one
-/// [`CdrScratch`] per record.
-#[derive(Debug, Clone, Copy)]
-pub struct BgwWorkload {
-    pub threads: u32,
-    pub records_per_thread: u32,
-    pub seed: u64,
-}
-
-impl Workload<CdrScratch> for BgwWorkload {
-    fn threads(&self) -> u32 {
-        self.threads
-    }
-
-    fn slots(&self) -> u32 {
-        1
-    }
-
-    fn run_thread(&self, thread: u32, op: &mut dyn FnMut(StructOp<ScratchParams>)) {
-        // Each thread gets a distinct, reproducible record stream.
-        let mut gen =
-            CdrGenerator::new(self.seed ^ (thread as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        for _ in 0..self.records_per_thread {
-            let cdr = gen.next_cdr();
-            let n = cdr.raw.len() as u32;
-            let params = ScratchParams {
-                decode_len: n,
-                encode_len: n / 2,
-                tag: cdr.caller ^ ((cdr.duration as u64) << 40),
-            };
-            op(StructOp::Alloc { slot: 0, params });
-            op(StructOp::Free { slot: 0 });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,21 +203,6 @@ mod tests {
         }
         assert_eq!(p.stats().shadow_hits, 0);
         assert_eq!(p.stats().shadow_misses, 100);
-    }
-
-    #[test]
-    fn bgw_workload_checksums_agree_across_backends() {
-        use crate::exec::run_workload;
-        use mem_api::BackendRegistry;
-        let w = BgwWorkload { threads: 2, records_per_thread: 40, seed: 11 };
-        let registry = BackendRegistry::standard();
-        let reference = run_workload(&*registry.build("solaris-default").unwrap(), &w);
-        assert_eq!(reference.stats.allocs(), 80);
-        for name in ["amplify", "handmade"] {
-            let r = run_workload(&*registry.build(name).unwrap(), &w);
-            assert_eq!(r.checksums, reference.checksums, "{name}");
-            assert_eq!(r.stats.live_bytes(), 0, "{name}");
-        }
     }
 
     #[test]

@@ -10,10 +10,7 @@
 //! are measured natively here.) The loop times the whole run, never one
 //! call: a clock read per call would cost more than the pool hit it timed.
 
-use crate::trace::{Chunk, Trace, TraceWorkload};
-use allocators::ParallelAllocator;
-use mem_api::{Allocation, BackendStats, MallocBackend, MemBackend, Structured};
-use std::sync::Arc;
+use mem_api::{Allocation, BackendStats, MemBackend, Structured};
 use std::time::{Duration, Instant};
 
 /// One step of a workload's per-thread allocation script.
@@ -51,18 +48,6 @@ pub struct RunResult {
     /// The backend's uniform counters — hits, fresh allocations and
     /// contention events included, whichever strategy ran.
     pub stats: BackendStats,
-}
-
-impl RunResult {
-    /// Nanoseconds per structure alloc/free pair.
-    pub fn ns_per_structure(&self) -> f64 {
-        let allocs = self.stats.allocs();
-        if allocs == 0 {
-            0.0
-        } else {
-            self.elapsed.as_nanos() as f64 / allocs as f64
-        }
-    }
 }
 
 /// Execute `workload` against `backend`: one OS thread per workload
@@ -120,26 +105,24 @@ pub fn run_workload<T: Structured>(
     RunResult { elapsed: start.elapsed(), checksums, stats: backend.stats() }
 }
 
-/// Replay one trace per thread against a shared handle-based allocator —
-/// the historical entry point, now a thin bridge: the traces become a
-/// [`TraceWorkload`] over [`Chunk`] structures and run through
-/// [`run_workload`] on a [`MallocBackend`].
-///
-/// # Panics
-/// Panics if a trace is malformed (frees a dead handle).
-pub fn run_traces(alloc: Arc<dyn ParallelAllocator>, traces: &[Trace]) -> RunResult {
-    let workload = TraceWorkload::new(traces);
-    let backend = MallocBackend::new(alloc);
-    run_workload::<Chunk>(&backend, &workload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{Chunk, Trace, TraceWorkload};
     use crate::tree::TreeWorkload;
-    use allocators::{HoardAllocator, PtmallocAllocator, SerialAllocator};
-    use mem_api::BackendRegistry;
+    use allocators::{HoardAllocator, ParallelAllocator, PtmallocAllocator, SerialAllocator};
+    use mem_api::{BackendRegistry, MallocBackend};
     use std::collections::HashSet;
+    use std::sync::Arc;
+
+    /// Replay one trace per thread against a shared handle-based
+    /// allocator: the traces become a [`TraceWorkload`] over [`Chunk`]
+    /// structures and run through [`run_workload`] on a [`MallocBackend`].
+    fn run_traces(alloc: Arc<dyn ParallelAllocator>, traces: &[Trace]) -> RunResult {
+        let workload = TraceWorkload::new(traces);
+        let backend = MallocBackend::new(alloc);
+        run_workload::<Chunk>(&backend, &workload)
+    }
 
     fn tree_traces(threads: u32) -> Vec<Trace> {
         (0..threads).map(|_| Trace::tree(3, 50, 20)).collect()

@@ -13,19 +13,12 @@
 //! * [`tree`] — the synthetic binary-tree test suite (§4, Table 1), with a
 //!   real reusable tree type ([`tree::PoolTree`]) for structure pools;
 //! * [`bgw`] — a Billing-Gateway-like CDR processing pipeline (§5.2);
-//! * [`locality`] — temporal-locality profiles for the ablation studies;
-//! * [`trace`] — allocation traces (generate, serialize, replay);
+//! * [`trace`] — allocation traces (generate, validate, replay);
 //! * [`exec`] — the generic executor: any [`mem_api::MemBackend`] runs any
-//!   [`exec::Workload`] through one loop;
-//! * [`sim_bridge`] — replay recorded traces on the simulated SMP.
+//!   [`exec::Workload`] through one loop.
+#![warn(unreachable_pub)]
 
 pub mod bgw;
 pub mod exec;
-pub mod locality;
-pub mod sim_bridge;
 pub mod trace;
 pub mod tree;
-
-pub use exec::{run_traces, run_workload, RunResult, StructOp, Workload};
-pub use trace::{record_traces, Trace, TraceWorkload};
-pub use tree::{PoolTree, TreeWorkload};

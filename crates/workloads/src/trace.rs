@@ -2,15 +2,14 @@
 //!
 //! Traces decouple workload generation from execution: the same trace can
 //! be replayed against any [`allocators::ParallelAllocator`] (see
-//! [`crate::exec`]) or serialized for offline analysis.
+//! [`crate::exec`]).
 
 use crate::exec::{StructOp, Workload};
 use mem_api::Structured;
 use pools::structure_pool::Reusable;
-use serde::{Deserialize, Serialize};
 
 /// One allocator event. `id`s are trace-local handles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceOp {
     /// Allocate `size` bytes under handle `id`.
     Alloc { id: u32, size: u32 },
@@ -19,7 +18,7 @@ pub enum TraceOp {
 }
 
 /// A per-thread sequence of allocator events.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     pub ops: Vec<TraceOp>,
 }
@@ -48,7 +47,8 @@ impl Trace {
     }
 
     /// Number of frees in the trace.
-    pub fn free_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn free_count(&self) -> usize {
         self.ops.iter().filter(|o| matches!(o, TraceOp::Free { .. })).count()
     }
 
@@ -76,60 +76,6 @@ impl Trace {
             Err(format!("{} handles leaked", live.len()))
         }
     }
-
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serialization")
-    }
-
-    /// Parse from JSON.
-    pub fn from_json(s: &str) -> Result<Trace, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-}
-
-/// Record a workload's per-thread allocation scripts as portable traces —
-/// the profile half of the offline tuning loop (`pool_tune` evolves pool
-/// configs against these). Each structure allocation becomes one
-/// [`TraceOp::Alloc`] whose size is the structure's total payload (the sum
-/// of its node sizes), so the trace preserves both the alloc/free cadence
-/// and the memory footprint without any backend in the loop. Structures
-/// still live when a thread's script ends are freed in reverse slot order,
-/// exactly mirroring [`crate::exec::run_workload`]'s trailing frees, so a
-/// recorded trace always validates.
-///
-/// # Panics
-/// Panics if the workload allocates into a live slot or frees an empty
-/// one (the same contract `run_workload` enforces at execution time).
-pub fn record_traces<T: Structured>(workload: &dyn Workload<T>) -> Vec<Trace> {
-    (0..workload.threads())
-        .map(|t| {
-            let mut ops = Vec::new();
-            let mut live = vec![false; workload.slots() as usize];
-            workload.run_thread(t, &mut |op| match op {
-                StructOp::Alloc { slot, params } => {
-                    assert!(!live[slot as usize], "workload allocated into live slot {slot}");
-                    live[slot as usize] = true;
-                    let bytes: u64 =
-                        (0..T::node_count(&params)).map(|i| T::node_size(&params, i) as u64).sum();
-                    ops.push(TraceOp::Alloc { id: slot, size: bytes.min(u32::MAX as u64) as u32 });
-                }
-                StructOp::Free { slot } => {
-                    assert!(live[slot as usize], "workload freed an empty slot {slot}");
-                    live[slot as usize] = false;
-                    ops.push(TraceOp::Free { id: slot });
-                }
-            });
-            for (slot, alive) in live.iter().enumerate().rev() {
-                if *alive {
-                    ops.push(TraceOp::Free { id: slot as u32 });
-                }
-            }
-            let trace = Trace { ops };
-            debug_assert!(trace.validate().is_ok(), "recorded trace must validate");
-            trace
-        })
-        .collect()
 }
 
 /// The structure a raw trace allocates: one contiguous block of `size`
@@ -273,58 +219,5 @@ mod tests {
         let w = TraceWorkload::new(&traces);
         assert_eq!(w.threads(), 2);
         assert_eq!(w.slots(), 15, "deepest tree has handles 0..=14");
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let t = Trace::tree(1, 2, 20);
-        let back = Trace::from_json(&t.to_json()).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn recorded_tree_traces_match_the_workload_shape() {
-        use crate::tree::{PoolTree, TreeWorkload, NODE_BYTES};
-        let w = TreeWorkload { depth: 3, iterations: 5, threads: 2 };
-        let traces = record_traces::<PoolTree>(&w);
-        assert_eq!(traces.len(), 2);
-        for trace in &traces {
-            trace.validate().unwrap();
-            assert_eq!(trace.alloc_count(), 5, "one structure alloc per iteration");
-            assert_eq!(trace.free_count(), 5);
-            for op in &trace.ops {
-                if let TraceOp::Alloc { size, .. } = op {
-                    // 2^(3+1)-1 nodes of NODE_BYTES each, summed.
-                    assert_eq!(*size, 15 * NODE_BYTES);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn recorded_traces_free_leftover_slots_in_reverse_order() {
-        struct Leaky;
-        impl Workload<Chunk> for Leaky {
-            fn threads(&self) -> u32 {
-                1
-            }
-            fn slots(&self) -> u32 {
-                3
-            }
-            fn run_thread(&self, _t: u32, op: &mut dyn FnMut(StructOp<u32>)) {
-                for slot in 0..3 {
-                    op(StructOp::Alloc { slot, params: 8 });
-                }
-                // Slots 0..3 left live: the recorder must close them out.
-            }
-        }
-        let traces = record_traces::<Chunk>(&Leaky);
-        let tail: Vec<TraceOp> = traces[0].ops[3..].to_vec();
-        assert_eq!(
-            tail,
-            vec![TraceOp::Free { id: 2 }, TraceOp::Free { id: 1 }, TraceOp::Free { id: 0 }],
-            "trailing frees must run in reverse slot order, like run_workload"
-        );
-        traces[0].validate().unwrap();
     }
 }

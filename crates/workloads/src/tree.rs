@@ -42,17 +42,12 @@ impl TreeWorkload {
         (1 << (self.depth + 1)) - 1
     }
 
-    /// Total allocations a malloc-per-node allocator performs.
-    pub fn total_node_allocations(&self) -> u64 {
-        self.objects_per_structure() as u64 * self.iterations as u64 * self.threads as u64
-    }
-
     /// The tree seed for `(thread, iteration)`: the linear index
     /// `thread * iterations + iteration` pushed through a bijective 32-bit
     /// mixer, so seeds are pairwise distinct for any thread count as long
     /// as the linear index fits in `u32` (the old `t * 1000 + i` scheme
     /// collided across threads once `iterations >= 1000`).
-    pub fn seed_for(&self, thread: u32, iteration: u32) -> u32 {
+    pub(crate) fn seed_for(&self, thread: u32, iteration: u32) -> u32 {
         mix32(thread.wrapping_mul(self.iterations).wrapping_add(iteration))
     }
 }
@@ -137,7 +132,7 @@ impl TreeNode {
     }
 
     /// Sum of all node data (the workload's "initialize and use" pass).
-    pub fn checksum(&self) -> u64 {
+    pub(crate) fn checksum(&self) -> u64 {
         let mut s = self.data as u64;
         if let Some(l) = &self.left {
             s += l.checksum();
@@ -149,7 +144,8 @@ impl TreeNode {
     }
 
     /// Number of nodes in this subtree.
-    pub fn count(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> u32 {
         1 + self.left.as_ref().map_or(0, |n| n.count())
             + self.right.as_ref().map_or(0, |n| n.count())
     }
@@ -162,11 +158,6 @@ impl TreeNode {
     /// Borrow the left child.
     pub fn left(&self) -> Option<&TreeNode> {
         self.left.as_deref()
-    }
-
-    /// Borrow the right child.
-    pub fn right(&self) -> Option<&TreeNode> {
-        self.right.as_deref()
     }
 }
 
@@ -223,7 +214,8 @@ impl PoolTree {
     }
 
     /// Node count (Table 1 check).
-    pub fn node_count(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> u32 {
         self.root().count()
     }
 }
@@ -244,12 +236,6 @@ mod tests {
     #[should_panic(expected = "test cases 1..=3")]
     fn invalid_test_case_panics() {
         TreeWorkload::test_case(4, 1, 1);
-    }
-
-    #[test]
-    fn total_allocations() {
-        let w = TreeWorkload::test_case(2, 100, 8);
-        assert_eq!(w.total_node_allocations(), 15 * 100 * 8);
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn main() {
     println!("==== report ====");
     println!("{}", out.report.summary());
 
-    let unit = parse_source("car.cpp", &src);
+    let unit = parse_source(&src);
     let analysis = analyze(&unit, &options);
     println!("\n==== structure estimates (allocations per logical object) ====");
     for est in estimate_structures(&analysis) {

@@ -37,7 +37,7 @@ private:
 /// that exact shape, and confirm Amplify's advantage grows with it.
 #[test]
 fn analysis_derived_structure_drives_the_simulator() {
-    let unit = parse_source("car.cpp", CAR_SRC);
+    let unit = parse_source(CAR_SRC);
     let analysis = analyze(&unit, &AmplifyOptions::default());
     let est = estimate_structures(&analysis);
     let car = est.iter().find(|e| e.class == "Car").expect("Car estimated");
