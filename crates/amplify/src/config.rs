@@ -13,10 +13,6 @@ pub struct PoolTuning {
     /// global `kMaxPoolObjects` (which is itself 0 = unlimited by
     /// default).
     pub max_objects: usize,
-    /// Blocks built per pool miss: the first is returned, the rest are
-    /// parked, so the next `carve_batch - 1` allocations of the class hit
-    /// the pool. `1` is the untuned behaviour.
-    pub carve_batch: usize,
     /// Classes to emit `PoolParams` specializations for. When empty, the
     /// pipeline fills in every class it amplifies (tuned pools per class);
     /// `crate::runtime_hdr::generate` emits no specializations for an
@@ -28,7 +24,7 @@ impl PoolTuning {
     /// True when this tuning would generate exactly the untuned pools
     /// (nothing worth specializing).
     pub(crate) fn is_default(&self) -> bool {
-        self.max_objects == 0 && self.carve_batch <= 1
+        self.max_objects == 0
     }
 }
 
@@ -54,7 +50,7 @@ pub struct AmplifyOptions {
     /// Apply the half-size reuse rule for shadowed arrays (§5.2).
     pub half_size_rule: bool,
     /// Classes that must not be amplified (the designer may "chose not to
-    /// 'amplify' objects that can cause [memory] overhead" — §5.1).
+    /// 'amplify' objects that can cause \[memory\] overhead" — §5.1).
     pub exclude_classes: Vec<String>,
     /// If non-empty, only these classes are amplified.
     pub include_only: Vec<String>,

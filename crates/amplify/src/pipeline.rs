@@ -277,11 +277,7 @@ private:
         fs::write(&input, CAR).unwrap();
         let out_dir = dir.join("out");
         let options = AmplifyOptions {
-            pool_tuning: Some(PoolTuning {
-                max_objects: 128,
-                carve_batch: 16,
-                classes: Vec::new(),
-            }),
+            pool_tuning: Some(PoolTuning { max_objects: 128, classes: Vec::new() }),
             exclude_classes: vec!["Engine".into()],
             ..Default::default()
         };

@@ -31,20 +31,14 @@ fn tuned_pool_params(options: &AmplifyOptions) -> String {
          // schema pool-tune-v1) evolved these against recorded workload traces;\n\
          // see BENCH_tuning.json for the tuned-vs-default fitness deltas.\n",
     );
+    let max_objects = tuning.max_objects;
     for class in &tuning.classes {
-        let max_objects = if tuning.max_objects == 0 {
-            "kMaxPoolObjects".to_string()
-        } else {
-            tuning.max_objects.to_string()
-        };
-        let carve = tuning.carve_batch.max(1);
         out.push_str(&format!(
             "class {class};\n\
              namespace amplify {{\n\
              template <>\n\
              struct PoolParams< ::{class} > {{\n\
              \x20   static const size_t kMaxObjects = {max_objects};\n\
-             \x20   static const size_t kCarveBatch = {carve};\n\
              }};\n\
              }} // namespace amplify\n"
         ));
@@ -103,11 +97,10 @@ struct Stats {{
     unsigned long dropped;
     unsigned long releases;
     unsigned long parked;
-    unsigned long carved;
 }};
 
 inline Stats& stats() {{
-    static Stats s = {{0, 0, 0, 0, 0, 0, 0, 0}};
+    static Stats s = {{0, 0, 0, 0, 0, 0, 0}};
     return s;
 }}
 
@@ -120,10 +113,9 @@ inline Stats& stats() {{
 inline void print_stats() {{
     Stats& s = stats();
     std::printf("amplify-stats pool_hits=%lu pool_misses=%lu shadow_hits=%lu "
-                "shadow_misses=%lu dropped=%lu releases=%lu parked=%lu "
-                "carved=%lu\n",
+                "shadow_misses=%lu dropped=%lu releases=%lu parked=%lu\n",
                 s.pool_hits, s.pool_misses, s.shadow_hits, s.shadow_misses,
-                s.dropped, s.releases, s.parked, s.carved);
+                s.dropped, s.releases, s.parked);
     std::printf("amplify-stats-json {{\"schema\":\"telemetry-v1\","
                 "\"source\":\"amplify-runtime\",\"pools\":["
                 "{{\"name\":\"pool\",\"parked\":%lu,\"pool_hits\":%lu,"
@@ -215,11 +207,6 @@ template <class T>
 struct PoolParams {{
     // Parked-object cap for this class (0 = unlimited).
     static const size_t kMaxObjects = kMaxPoolObjects;
-    // Blocks built per pool miss: the first is returned, the rest are
-    // parked so the following allocations of this class hit the pool (the
-    // slab-carve amortization of the Rust runtime, sized by the evolved
-    // carve batch). 1 is the untuned behaviour.
-    static const size_t kCarveBatch = 1;
 }};
 
 // One pool per class. Pools start empty; the free list is intrusive
@@ -250,29 +237,7 @@ struct Pool {{
             }}
         }}
         stats().pool_misses++;
-        void* out = alloc_raw(n);
-        if (PoolParams<T>::kCarveBatch > 1)
-            carve(n);
-        return out;
-    }}
-
-    // Tuned classes amortize a miss over a whole batch: build
-    // kCarveBatch - 1 extra blocks and park them, bounded by the class's
-    // parked-object cap. Untuned classes (kCarveBatch == 1) never call
-    // this, so the default pool behaviour is unchanged instruction for
-    // instruction.
-    static void carve(size_t n) {{
-{lock_stmt}        void*& h = head();
-        for (size_t i = 1; i < PoolParams<T>::kCarveBatch; i++) {{
-            if (PoolParams<T>::kMaxObjects && count() >= PoolParams<T>::kMaxObjects)
-                break;
-            void* p = alloc_raw(n);
-            *static_cast<void**>(p) = h;
-            h = p;
-            count()++;
-            stats().carved++;
-            stats().parked++;
-        }}
+        return alloc_raw(n);
     }}
 
     static void release(void* p) {{
@@ -395,11 +360,10 @@ mod tests {
         assert_eq!(h.matches('{').count(), h.matches('}').count());
     }
 
-    fn tuned(max_objects: usize, carve_batch: usize, classes: &[&str]) -> AmplifyOptions {
+    fn tuned(max_objects: usize, classes: &[&str]) -> AmplifyOptions {
         AmplifyOptions {
             pool_tuning: Some(PoolTuning {
                 max_objects,
-                carve_batch,
                 classes: classes.iter().map(|c| c.to_string()).collect(),
             }),
             ..AmplifyOptions::default()
@@ -410,41 +374,41 @@ mod tests {
     fn untuned_header_has_default_pool_params_and_no_specializations() {
         let h = generate(&AmplifyOptions::default());
         assert!(h.contains("struct PoolParams {"));
-        assert!(h.contains("kCarveBatch = 1;"));
+        assert!(h.contains("static const size_t kMaxObjects = kMaxPoolObjects;"));
         assert!(!h.contains("PoolParams< ::"), "no specializations without tuning");
     }
 
     #[test]
     fn tuned_header_emits_one_specialization_per_class() {
-        let h = generate(&tuned(128, 8, &["Car", "Engine"]));
+        let h = generate(&tuned(128, &["Car", "Engine"]));
         for class in ["Car", "Engine"] {
             assert!(h.contains(&format!("class {class};")), "{h}");
             assert!(h.contains(&format!("struct PoolParams< ::{class} > {{")), "{h}");
         }
         assert!(h.contains("kMaxObjects = 128;"));
-        assert!(h.contains("kCarveBatch = 8;"));
         assert!(h.contains("BENCH_tuning.json"), "provenance comment expected");
         assert_eq!(h.matches('{').count(), h.matches('}').count());
     }
 
     #[test]
     fn tuned_zero_cap_inherits_the_global_cap() {
-        let h = generate(&tuned(0, 4, &["Car"]));
-        assert!(h.contains("struct PoolParams< ::Car > {"));
-        // The specialization defers to the run-wide constant, so BGw-style
+        // A zero cap specializes nothing: the class keeps the primary
+        // template, which defers to the run-wide constant, so BGw-style
         // capped runs keep their cap on tuned classes too.
+        let h = generate(&AmplifyOptions { max_pool_objects: Some(256), ..tuned(0, &["Car"]) });
+        assert!(!h.contains("PoolParams< ::Car >"));
+        assert!(h.contains("kMaxPoolObjects = 256"));
         assert!(h.contains("static const size_t kMaxObjects = kMaxPoolObjects;"));
     }
 
     #[test]
     fn default_equivalent_tuning_emits_no_specializations() {
-        // carve_batch 1 + cap 0 IS the untuned configuration: emitting
-        // specializations for it would only churn the header text.
-        let h = generate(&tuned(0, 1, &["Car"]));
-        assert!(!h.contains("PoolParams< ::"));
+        // Cap 0 IS the untuned configuration: emitting specializations for
+        // it would only churn the header text.
+        let h = generate(&tuned(0, &["Car"]));
+        assert_eq!(h, generate(&AmplifyOptions::default()));
         // No classes listed: nothing to specialize either.
-        let h = generate(&tuned(256, 16, &[]));
-        assert!(!h.contains("PoolParams< ::"));
+        let h = generate(&tuned(256, &[]));
         assert_eq!(h, generate(&AmplifyOptions::default()));
     }
 }

@@ -3,20 +3,15 @@
 //! `pool-tune-v1`) and lower the winning genome to [`PoolTuning`]
 //! parameters the generated C++ runtime header can express.
 //!
-//! The genome describes the Rust runtime's three-tier cache (per-thread
-//! magazines over per-shard depot stacks over slab carving); the
-//! generated header implements one free list per class. The lowering
-//! keeps the two knobs with a direct analog:
+//! The genome describes the Rust runtime's layout (per-thread magazines
+//! over per-shard depot stacks); the generated header implements one free
+//! list per class. The lowering keeps the one knob with a direct analog:
+//! `magazine_cap × shards` → `PoolParams<T>::kMaxObjects`, the total
+//! cached capacity the tuned Rust layout would hold, applied as the
+//! per-class parked-object cap.
 //!
-//! * `carve_batch` → `PoolParams<T>::kCarveBatch` — on a pool miss, build
-//!   a whole batch and park the surplus, amortizing the miss exactly like
-//!   the Rust slab carve;
-//! * `magazine_cap × shards` → `PoolParams<T>::kMaxObjects` — the total
-//!   cached capacity the tuned Rust layout would hold, applied as the
-//!   per-class parked-object cap.
-//!
-//! Genes older reports still carry (`depot_gate`, `ship_batch`) parse and
-//! are dropped.
+//! Genes that older reports still carry and the search no longer has
+//! parse and are dropped.
 
 use crate::config::PoolTuning;
 use serde::Value;
@@ -30,7 +25,6 @@ pub(crate) struct TunedFamily {
     pub(crate) tuned_fitness: u64,
     pub(crate) magazine_cap: u64,
     pub(crate) shards: u64,
-    pub(crate) carve_batch: u64,
 }
 
 impl TunedFamily {
@@ -51,11 +45,7 @@ impl TunedFamily {
     /// Lower this family's winner to header pool parameters (classes left
     /// empty: the pipeline fills in the classes it amplifies).
     pub(crate) fn to_pool_tuning(&self) -> PoolTuning {
-        PoolTuning {
-            max_objects: (self.magazine_cap * self.shards) as usize,
-            carve_batch: self.carve_batch.max(1) as usize,
-            classes: Vec::new(),
-        }
+        PoolTuning { max_objects: (self.magazine_cap * self.shards) as usize, classes: Vec::new() }
     }
 }
 
@@ -110,10 +100,6 @@ pub(crate) fn parse_families(json: &str) -> Result<Vec<TunedFamily>, String> {
                     "winner.magazine_cap",
                 )?,
                 shards: num(winner.field("shards").map_err(|e| e.to_string())?, "winner.shards")?,
-                carve_batch: num(
-                    winner.field("carve_batch").map_err(|e| e.to_string())?,
-                    "winner.carve_batch",
-                )?,
                 family,
             })
         })
@@ -184,7 +170,6 @@ mod tests {
     #[test]
     fn picks_the_most_improved_family_by_default() {
         let t = load_bench_tuning(&sample(), None).unwrap();
-        assert_eq!(t.carve_batch, 512);
         assert_eq!(t.max_objects, 256 * 2);
         assert!(t.classes.is_empty(), "classes are the pipeline's to fill");
     }
@@ -192,7 +177,6 @@ mod tests {
     #[test]
     fn named_family_wins_even_unimproved() {
         let t = load_bench_tuning(&sample(), Some("tree/d1")).unwrap();
-        assert_eq!(t.carve_batch, 64);
         assert_eq!(t.max_objects, 32 * 4);
     }
 
@@ -218,7 +202,7 @@ mod tests {
             sample()
         );
         let t = load_bench_tuning(&wrapped, None).unwrap();
-        assert_eq!(t.carve_batch, 512);
+        assert_eq!(t.max_objects, 256 * 2);
     }
 
     #[test]

@@ -31,11 +31,10 @@ struct Stats {
     unsigned long dropped;
     unsigned long releases;
     unsigned long parked;
-    unsigned long carved;
 };
 
 inline Stats& stats() {
-    static Stats s = {0, 0, 0, 0, 0, 0, 0, 0};
+    static Stats s = {0, 0, 0, 0, 0, 0, 0};
     return s;
 }
 
@@ -48,10 +47,9 @@ inline Stats& stats() {
 inline void print_stats() {
     Stats& s = stats();
     std::printf("amplify-stats pool_hits=%lu pool_misses=%lu shadow_hits=%lu "
-                "shadow_misses=%lu dropped=%lu releases=%lu parked=%lu "
-                "carved=%lu\n",
+                "shadow_misses=%lu dropped=%lu releases=%lu parked=%lu\n",
                 s.pool_hits, s.pool_misses, s.shadow_hits, s.shadow_misses,
-                s.dropped, s.releases, s.parked, s.carved);
+                s.dropped, s.releases, s.parked);
     std::printf("amplify-stats-json {\"schema\":\"telemetry-v1\","
                 "\"source\":\"amplify-runtime\",\"pools\":["
                 "{\"name\":\"pool\",\"parked\":%lu,\"pool_hits\":%lu,"
@@ -143,11 +141,6 @@ template <class T>
 struct PoolParams {
     // Parked-object cap for this class (0 = unlimited).
     static const size_t kMaxObjects = kMaxPoolObjects;
-    // Blocks built per pool miss: the first is returned, the rest are
-    // parked so the following allocations of this class hit the pool (the
-    // slab-carve amortization of the Rust runtime, sized by the evolved
-    // carve batch). 1 is the untuned behaviour.
-    static const size_t kCarveBatch = 1;
 };
 
 // One pool per class. Pools start empty; the free list is intrusive
@@ -180,30 +173,7 @@ struct Pool {
             }
         }
         stats().pool_misses++;
-        void* out = alloc_raw(n);
-        if (PoolParams<T>::kCarveBatch > 1)
-            carve(n);
-        return out;
-    }
-
-    // Tuned classes amortize a miss over a whole batch: build
-    // kCarveBatch - 1 extra blocks and park them, bounded by the class's
-    // parked-object cap. Untuned classes (kCarveBatch == 1) never call
-    // this, so the default pool behaviour is unchanged instruction for
-    // instruction.
-    static void carve(size_t n) {
-        std::lock_guard<std::mutex> amplify_guard(mu());
-        void*& h = head();
-        for (size_t i = 1; i < PoolParams<T>::kCarveBatch; i++) {
-            if (PoolParams<T>::kMaxObjects && count() >= PoolParams<T>::kMaxObjects)
-                break;
-            void* p = alloc_raw(n);
-            *static_cast<void**>(p) = h;
-            h = p;
-            count()++;
-            stats().carved++;
-            stats().parked++;
-        }
+        return alloc_raw(n);
     }
 
     static void release(void* p) {

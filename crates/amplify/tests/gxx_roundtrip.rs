@@ -123,7 +123,6 @@ fn runtime_header_compiles_standalone_in_all_configs() {
             AmplifyOptions {
                 pool_tuning: Some(PoolTuning {
                     max_objects: 64,
-                    carve_batch: 8,
                     classes: vec!["TunedA".into(), "TunedB".into()],
                 }),
                 ..Default::default()
@@ -408,31 +407,22 @@ fn split_header_source_project_round_trips() {
 }
 
 #[test]
-fn profile_tuned_pools_behave_identically_and_carve_batches() {
+fn profile_tuned_pools_behave_identically() {
     if !gxx_available() {
         eprintln!("skipping: no g++");
         return;
     }
-    // Profile-guided build: Node pools carve a batch of blocks on every
-    // miss instead of allocating one. Behaviour must be untouched; the
-    // stats must show the carve actually amortizing misses (parked blocks
-    // built beyond the 1:1 miss:malloc ratio of the untuned runtime).
+    // Profile-guided build: the Node pool takes the tuned parked-object
+    // cap (the default layout's 32 x 4 lowered). Behaviour must be
+    // untouched.
     let options = AmplifyOptions {
-        pool_tuning: Some(PoolTuning {
-            max_objects: 0,
-            carve_batch: 8,
-            classes: vec!["Node".into()],
-        }),
+        pool_tuning: Some(PoolTuning { max_objects: 128, classes: vec!["Node".into()] }),
         ..Default::default()
     };
-    let (orig, amp, _) =
-        roundtrip("profile_tuned_pools_behave_identically_and_carve_batches", "tree.cpp", options);
+    let (orig, amp, _) = roundtrip("profile_tuned_pools_behave_identically", "tree.cpp", options);
     assert_eq!(behaviour(&orig), behaviour(&amp), "tuning changed behaviour");
 
     let stats = parse_stats(&amp);
-    // Every miss carves 7 extra blocks for the class.
-    assert_eq!(stats["carved"], stats["pool_misses"] * 7, "carve batch: {stats:?}");
-    assert!(stats["carved"] >= 7, "tuned pool never carved: {stats:?}");
     // Reuse is at least as good as the untuned run's expectations.
     assert!(stats["pool_hits"] >= 199, "pool hits: {stats:?}");
     assert!(stats["pool_misses"] <= 2, "pool misses: {stats:?}");

@@ -21,9 +21,13 @@
 //! Each cell prints its injected counts per site
 //! (`fresh/carve/retry/bump/flush`). In cells with more than one thread
 //! only `fresh` (and the `fallbacks` it produces) repeats from run to
-//! run: the `carve`, `retry`, `bump` and `flush` draws happen only when
-//! racy fast-path state (depot occupancy, magazine fill) reaches them,
-//! so those four columns may vary between runs of one build there.
+//! run: the `retry`, `bump` and `flush` draws happen only when racy
+//! fast-path state (depot occupancy, magazine fill) reaches them, so those
+//! columns may vary between runs of one build there. `carve` is the
+//! size-class engine's carve, which also serves every typed slot: it
+//! draws only when a class runs out of blocks, and the engine keeps its
+//! blocks across runs, so the fault-free baseline run warms the classes a
+//! cell uses and the column reads 0.
 //!
 //! With `--metrics-out <path>` the sweep is written as a `telemetry-v1`
 //! report whose `native_runs` carry one cell per (backend, depth,
@@ -109,8 +113,9 @@ mod imp {
                         // its total is a pure function of (seed, thread
                         // ordinal, op sequence). The other sites draw only
                         // when racy fast-path state (depot occupancy,
-                        // magazine fill) reaches them, so their totals
-                        // repeat only when one thread runs the cell.
+                        // magazine fill) or the engine's free blocks reach
+                        // them, so their totals repeat only when one
+                        // thread runs the cell.
                         assert_eq!(
                             r1.checksums, r2.checksums,
                             "{cell}: checksums diverged across same-seed runs"

@@ -287,16 +287,11 @@ fn hit_pair(pairs: u64) -> f64 {
 }
 
 /// The hit pair under the shape the offline tuner's winners converge to
-/// on the tree families (doubled magazine cap, doubled carve batch). The
-/// pool knobs are read only at the cold decision points, so tuning must
-/// not tax the hit path.
+/// on the tree families (doubled magazine cap). The layout is read only at
+/// the cold decision points, so tuning must not tax the hit path.
 fn tuned_hit_pair(pairs: u64) -> f64 {
     typed_hit_pair(
-        ShardedPool::with_magazines(
-            4,
-            PoolConfig::default().with_tuning(4 * DEFAULT_MAGAZINE_CAP),
-            2 * DEFAULT_MAGAZINE_CAP,
-        ),
+        ShardedPool::with_magazines(4, PoolConfig::default(), 2 * DEFAULT_MAGAZINE_CAP),
         pairs,
     )
 }

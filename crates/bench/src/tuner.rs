@@ -2,8 +2,8 @@
 //! search over pool configurations, evaluated by replaying recorded
 //! workload traces and scoring the resulting telemetry counters.
 //!
-//! The genome is the typed pool's knob vector — magazine capacity, shard
-//! count and slab carve batch. Fitness is a pure counter blend —
+//! The genome is the typed pool's layout — magazine capacity and shard
+//! count. Fitness is a pure counter blend —
 //! [`PoolSnapshot::tuning_fitness`] (fresh allocations, lock traffic,
 //! parked waste) plus the depot churn the snapshot can't see (magazine
 //! parks and swaps: the flush/refill rate, see `replay_fitness`) —
@@ -56,23 +56,20 @@ impl SplitMix64 {
 /// differential proptest covers).
 pub(crate) const MAGAZINE_CAP_RANGE: (u32, u32) = (1, 512);
 pub(crate) const SHARDS_RANGE: (u32, u32) = (1, 16);
-pub(crate) const CARVE_BATCH_RANGE: (u32, u32) = (2, 1024);
 
 /// One candidate pool configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Genome {
     pub(crate) magazine_cap: u32,
     pub(crate) shards: u32,
-    pub(crate) carve_batch: u32,
 }
 
 impl Genome {
     /// The hand-tuned defaults the runtime ships with: the `amplify`
     /// backend's layout (4 shards, [`pools::DEFAULT_MAGAZINE_CAP`]
-    /// magazines) and the historical carve batch (`2 × magazine_cap`).
+    /// magazines).
     pub(crate) fn baseline() -> Genome {
-        let cap = pools::DEFAULT_MAGAZINE_CAP as u32;
-        Genome { magazine_cap: cap, shards: 4, carve_batch: cap * 2 }
+        Genome { magazine_cap: pools::DEFAULT_MAGAZINE_CAP as u32, shards: 4 }
     }
 
     /// Clamp every field into its legal range.
@@ -80,7 +77,6 @@ impl Genome {
         Genome {
             magazine_cap: self.magazine_cap.clamp(MAGAZINE_CAP_RANGE.0, MAGAZINE_CAP_RANGE.1),
             shards: self.shards.clamp(SHARDS_RANGE.0, SHARDS_RANGE.1),
-            carve_batch: self.carve_batch.clamp(CARVE_BATCH_RANGE.0, CARVE_BATCH_RANGE.1),
         }
     }
 
@@ -89,11 +85,7 @@ impl Genome {
         let draw = |rng: &mut SplitMix64, (lo, hi): (u32, u32)| {
             lo + rng.below((hi - lo + 1) as u64) as u32
         };
-        Genome {
-            magazine_cap: draw(rng, MAGAZINE_CAP_RANGE),
-            shards: draw(rng, SHARDS_RANGE),
-            carve_batch: draw(rng, CARVE_BATCH_RANGE),
-        }
+        Genome { magazine_cap: draw(rng, MAGAZINE_CAP_RANGE), shards: draw(rng, SHARDS_RANGE) }
     }
 
     /// Uniform crossover: each field from one parent or the other.
@@ -102,7 +94,6 @@ impl Genome {
         Genome {
             magazine_cap: pick(rng, a.magazine_cap, b.magazine_cap),
             shards: pick(rng, a.shards, b.shards),
-            carve_batch: pick(rng, a.carve_batch, b.carve_batch),
         }
     }
 
@@ -117,7 +108,6 @@ impl Genome {
         };
         step(&mut self.magazine_cap);
         step(&mut self.shards);
-        step(&mut self.carve_batch);
         self.clamped()
     }
 
@@ -128,28 +118,21 @@ impl Genome {
     pub(crate) fn distance_from_baseline(&self) -> u64 {
         let b = Genome::baseline();
         let d = |x: u32, y: u32| x.abs_diff(y) as u64;
-        d(self.magazine_cap, b.magazine_cap)
-            + d(self.shards, b.shards)
-            + d(self.carve_batch, b.carve_batch)
+        d(self.magazine_cap, b.magazine_cap) + d(self.shards, b.shards)
     }
 
     /// The pool this genome describes, over trace [`Chunk`]s.
     pub(crate) fn build_pool(&self) -> pools::StructurePool<Chunk> {
-        let config = pools::PoolConfig::default().with_tuning(self.carve_batch as usize);
         pools::StructurePool::new_sharded_with_magazines(
             self.shards as usize,
-            config,
+            pools::PoolConfig::default(),
             self.magazine_cap as usize,
         )
     }
 
     /// The wire form for `pool-tune-v1` reports.
     pub(crate) fn to_wire(self) -> TunedGenome {
-        TunedGenome {
-            magazine_cap: self.magazine_cap,
-            shards: self.shards,
-            carve_batch: self.carve_batch,
-        }
+        TunedGenome { magazine_cap: self.magazine_cap, shards: self.shards }
     }
 }
 
@@ -206,7 +189,7 @@ pub(crate) fn evaluate(genome: &Genome, traces: &[Trace]) -> u64 {
         failed_locks: s.failed_locks(),
         lock_acquisitions: s.lock_acquisitions(),
     };
-    replay_fitness(&snapshot, s.depot_swaps(), s.depot_parks(), s.slab_carves())
+    replay_fitness(&snapshot, s.depot_swaps(), s.depot_parks())
 }
 
 /// Weight of one depot round-trip: a magazine park or swap is one CAS
@@ -216,23 +199,13 @@ pub(crate) fn evaluate(genome: &Genome, traces: &[Trace]) -> u64 {
 /// `fresh_allocs`.
 pub(crate) const DEPOT_CHURN_WEIGHT: u64 = 20;
 
-/// Weight of one slab carve: a real heap call, amortized over a
-/// magazine's worth of objects by a well-sized carve batch.
-pub(crate) const SLAB_CARVE_WEIGHT: u64 = 50;
-
 /// The replay's full fitness (lower is better): the snapshot's counter
 /// blend plus the depot-level churn counters a [`PoolSnapshot`] does not
 /// carry.
-pub(crate) fn replay_fitness(
-    snapshot: &PoolSnapshot,
-    depot_swaps: u64,
-    depot_parks: u64,
-    slab_carves: u64,
-) -> u64 {
+pub(crate) fn replay_fitness(snapshot: &PoolSnapshot, depot_swaps: u64, depot_parks: u64) -> u64 {
     snapshot
         .tuning_fitness()
         .saturating_add((depot_swaps + depot_parks).saturating_mul(DEPOT_CHURN_WEIGHT))
-        .saturating_add(slab_carves.saturating_mul(SLAB_CARVE_WEIGHT))
 }
 
 /// Search-budget knobs for one `evolve_family` run.
@@ -395,7 +368,6 @@ mod tests {
             let g = Genome::random(&mut rng).mutated(&mut rng);
             assert!((MAGAZINE_CAP_RANGE.0..=MAGAZINE_CAP_RANGE.1).contains(&g.magazine_cap));
             assert!((SHARDS_RANGE.0..=SHARDS_RANGE.1).contains(&g.shards));
-            assert!((CARVE_BATCH_RANGE.0..=CARVE_BATCH_RANGE.1).contains(&g.carve_batch));
         }
     }
 

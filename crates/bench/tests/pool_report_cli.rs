@@ -64,8 +64,8 @@ fn heap_section() -> HeapProfileSection {
 }
 
 fn tune_section() -> PoolTuneSection {
-    let baseline = TunedGenome { magazine_cap: 32, shards: 4, carve_batch: 64 };
-    let winner = TunedGenome { magazine_cap: 128, carve_batch: 256, ..baseline };
+    let baseline = TunedGenome { magazine_cap: 32, shards: 4 };
+    let winner = TunedGenome { magazine_cap: 128, ..baseline };
     PoolTuneSection {
         schema: POOL_TUNE_SCHEMA.into(),
         seed: 42,

@@ -186,13 +186,12 @@ pub struct BackendStats {
     live_bytes: u64,
     depot_swaps: u64,
     depot_parks: u64,
-    slab_carves: u64,
     fallback_allocs: u64,
 }
 
 impl BackendStats {
-    /// Assemble a snapshot (for backend implementations). Depot/slab
-    /// counters start at zero; pool backends attach them with
+    /// Assemble a snapshot (for backend implementations). Depot counters
+    /// start at zero; pool backends attach them with
     /// [`BackendStats::with_depot_detail`].
     pub(crate) fn new(
         allocs: u64,
@@ -211,22 +210,15 @@ impl BackendStats {
             live_bytes,
             depot_swaps: 0,
             depot_parks: 0,
-            slab_carves: 0,
             fallback_allocs: 0,
         }
     }
 
     /// Attach the magazine-depot counters (builder style, so the 6-field
     /// constructor keeps working for backends without a depot).
-    pub(crate) fn with_depot_detail(
-        mut self,
-        depot_swaps: u64,
-        depot_parks: u64,
-        slab_carves: u64,
-    ) -> Self {
+    pub(crate) fn with_depot_detail(mut self, depot_swaps: u64, depot_parks: u64) -> Self {
         self.depot_swaps = depot_swaps;
         self.depot_parks = depot_parks;
-        self.slab_carves = slab_carves;
         self
     }
 
@@ -281,9 +273,13 @@ impl BackendStats {
         self.depot_parks
     }
 
-    /// Contiguous slabs carved for fresh allocation.
+    /// Always 0: the typed pools have no carve of their own. Every fresh
+    /// slot is a block of the size-class engine, whose carves
+    /// `pools::global::stats` counts. Kept for the callers that still
+    /// report the column, such as the end-to-end benchmark's
+    /// `pools.pool_box.slab_carves` row.
     pub fn slab_carves(&self) -> u64 {
-        self.slab_carves
+        0
     }
 
     /// Allocations that degraded gracefully to a plain heap `Box` under an

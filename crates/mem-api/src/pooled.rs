@@ -100,7 +100,7 @@ where
             s.failed_locks(),
             s.live_bytes(),
         )
-        .with_depot_detail(s.depot_swaps(), s.depot_parks(), s.slab_carves())
+        .with_depot_detail(s.depot_swaps(), s.depot_parks())
         .with_fallbacks(s.fallback_allocs())
     }
 

@@ -1,5 +1,5 @@
-//! Deterministic fault injection for the four-level acquire path
-//! (`fault-inject` feature, default off).
+//! Deterministic fault injection for the typed acquire path and the
+//! size-class engine's carve (`fault-inject` feature, default off).
 //!
 //! Faults are decided *statelessly*: each decision hashes
 //! `(seed, site, thread ordinal, per-thread per-site counter)` through a
@@ -15,13 +15,15 @@
 //! side:
 //!
 //! * **fresh-alloc failure** — decided at `acquire` *entry*; the acquire
-//!   bypasses every cache level and returns a plain heap `Box` (a
+//!   bypasses every cache level and returns a fresh slot (a
 //!   `FallbackAlloc`, counted in the pool's `PoolStats`). Deciding at entry
-//!   rather than at the level-4 miss keeps the fallback count independent
-//!   of cross-thread interleaving.
-//! * **slab-carve failure** — the level-4 miss skips
-//!   `crate::pool_box::SlabReserve::carve` and boxes plainly, exercising
-//!   the allocation-failure arm of the carve path.
+//!   rather than at the depot miss keeps the fallback count independent of
+//!   cross-thread interleaving.
+//! * **slab-carve failure** — the size-class engine's carve
+//!   (`crate::global`, which also serves every typed slot) hands out a
+//!   block of a [`std::alloc::System`] chunk instead of carving a slab,
+//!   exercising the engine's fallback ledger. It draws only when a class
+//!   runs out of blocks, so its count depends on the engine's state.
 //! * **depot CAS retry** — a successful `pop` of a full magazine is pushed
 //!   straight back and re-popped, simulating a lost CAS race (and
 //!   exercising the version-tag ABA protection).
@@ -43,7 +45,7 @@ pub struct FaultConfig {
     pub seed: u64,
     /// P(fail an acquire outright → heap fallback).
     pub fail_fresh: f64,
-    /// P(fail a slab carve → plain box).
+    /// P(fail an engine slab carve → a `System` chunk).
     pub fail_carve: f64,
     /// P(force a depot pop to retry).
     pub depot_retry: f64,
@@ -289,7 +291,7 @@ mod api {
         imp::decide(0)
     }
 
-    /// Site 1: fail the pending slab carve.
+    /// Site 1: fail the size-class engine's pending slab carve.
     #[inline]
     pub(crate) fn fail_slab_carve() -> bool {
         imp::decide(1)

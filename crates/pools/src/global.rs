@@ -102,7 +102,6 @@
 //! period, the snapshot ring) lives in
 //! [`crate::heap_profile`].
 
-use crate::heap_profile::HEAP_PROFILE_THREAD_SLOTS;
 use crate::size_class::{class_bytes, class_for, NUM_CLASSES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -307,6 +306,14 @@ impl ClassShard {
             remote_pushes: AtomicU64::new(0),
             remote_drained: AtomicU64::new(0),
         }
+    }
+
+    /// Blocks on the central stack: `free_len` read as signed and clamped
+    /// at 0. Pushers add a segment's count after the push, so a rival's
+    /// pop and `fetch_sub` can land first and wrap it below zero for a
+    /// moment.
+    fn central_len(&self) -> u64 {
+        (self.free_len.load(Ordering::Relaxed) as isize).max(0) as u64
     }
 }
 
@@ -802,7 +809,6 @@ static FALLBACK_FREES: [AtomicU64; NUM_CLASSES] = [const { AtomicU64::new(0) }; 
 /// cache's counters exactly once (never both live and folded).
 static REGISTRY: Spin = Spin::new();
 static REGISTRY_HEAD: AtomicUsize = AtomicUsize::new(0);
-static CACHE_ORDINALS: AtomicU32 = AtomicU32::new(0);
 
 /// Live caches homed on each shard. New caches claim the least-occupied
 /// slot (see [`claim_home_shard`]): successive thread generations inherit
@@ -894,10 +900,8 @@ struct ThreadCache {
     /// (owner-only, checked at the cold refill/flush points). Zero-init
     /// matches the epoch's initial value.
     flush_epoch: u64,
-    /// Registry link (guarded by [`REGISTRY`]) and a process-unique
-    /// ordinal for thread attribution in the profiler.
+    /// Registry link (guarded by [`REGISTRY`]).
     next: *mut ThreadCache,
-    ordinal: u32,
     // Owner-only counters (relaxed load + store, no locked RMW on any
     // alloc path); atomic so gauge collection can read them cross-thread.
     // Cache hits are not counted directly: every classed alloc either
@@ -907,7 +911,6 @@ struct ThreadCache {
     /// Sampled allocation counts per class: the profiler's per-thread
     /// table, folded on exit and summed in place by a live collection.
     samples: [AtomicU32; NUM_CLASSES],
-    sample_total: AtomicU64,
 }
 
 /// Post-teardown sentinel: "this thread had a cache and it is gone".
@@ -942,10 +945,7 @@ fn init_cache() -> *mut ThreadCache {
     if cache.is_null() {
         return DEAD;
     }
-    unsafe {
-        (*cache).home = claim_home_shard();
-        (*cache).ordinal = CACHE_ORDINALS.fetch_add(1, Ordering::Relaxed);
-    }
+    unsafe { (*cache).home = claim_home_shard() };
     {
         let _g = REGISTRY.lock();
         unsafe { (*cache).next = REGISTRY_HEAD.load(Ordering::Relaxed) as *mut ThreadCache };
@@ -1008,11 +1008,7 @@ fn teardown_cache() {
         FOLDED.cache_hits.fetch_add(allocs_total.saturating_sub(refills), Ordering::Relaxed);
         FOLDED.class_refills.fetch_add(refills, Ordering::Relaxed);
         FOLDED.slabs_carved.fetch_add(cache_ref.slabs.load(Ordering::Relaxed), Ordering::Relaxed);
-        crate::heap_profile::fold_thread_samples(
-            &cache_ref.samples,
-            cache_ref.ordinal,
-            cache_ref.sample_total.load(Ordering::Relaxed),
-        );
+        crate::heap_profile::fold_thread_samples(&cache_ref.samples);
     }
     unsafe { System.dealloc(cache as *mut u8, Layout::new::<ThreadCache>()) };
 }
@@ -1087,8 +1083,6 @@ fn sample_tick(cache: &mut ThreadCache, class: usize) {
     cache.classes[class].sample_down = period - 1;
     let cell = &cache.samples[class];
     cell.store(cell.load(Ordering::Relaxed).wrapping_add(1), Ordering::Release);
-    let total = &cache.sample_total;
-    total.store(total.load(Ordering::Relaxed).wrapping_add(1), Ordering::Release);
 }
 
 /// Classed allocation entry: thread-cache hit or the cold ladder. The
@@ -2052,7 +2046,7 @@ pub(crate) fn collect_raw_gauges() -> RawGauges {
     }
     for (class, state) in CLASSES.iter().enumerate() {
         for shard in &state.shards {
-            g.central_parked[class] += shard.free_len.load(Ordering::Relaxed) as u64;
+            g.central_parked[class] += shard.central_len();
             let pushes = shard.remote_pushes.load(Ordering::Relaxed);
             let drained = shard.remote_drained.load(Ordering::Relaxed);
             g.remote_pending[class] += pushes.saturating_sub(drained);
@@ -2079,13 +2073,10 @@ pub(crate) fn collect_raw_gauges() -> RawGauges {
     g
 }
 
-/// Add every live cache's sample table (and per-thread totals) into the
-/// caller's accumulators — the live half of the profiler's aggregates;
-/// [`crate::heap_profile`] owns the folded half.
-pub(crate) fn collect_live_samples(
-    sites: &mut [u64; NUM_CLASSES],
-    threads: &mut [u64; HEAP_PROFILE_THREAD_SLOTS],
-) {
+/// Add every live cache's sample table into the caller's accumulator —
+/// the live half of the profiler's aggregates; [`crate::heap_profile`]
+/// owns the folded half.
+pub(crate) fn collect_live_samples(sites: &mut [u64; NUM_CLASSES]) {
     let _hold = REGISTRY.lock();
     let mut cur = REGISTRY_HEAD.load(Ordering::Relaxed) as *const ThreadCache;
     while !cur.is_null() {
@@ -2093,8 +2084,6 @@ pub(crate) fn collect_live_samples(
         for (site, cell) in sites.iter_mut().zip(&cache.samples) {
             *site += cell.load(Ordering::Acquire) as u64;
         }
-        threads[cache.ordinal as usize % HEAP_PROFILE_THREAD_SLOTS] +=
-            cache.sample_total.load(Ordering::Acquire);
         cur = cache.next;
     }
 }
@@ -2411,6 +2400,18 @@ mod tests {
         let (head, tail, n) = shard.free.pop_segment().unwrap();
         assert_eq!(serve_head(&shard, head, tail, n), b[5]);
         assert!(shard.free.pop_segment().is_none(), "a one-block segment leaves nothing");
+    }
+
+    #[test]
+    fn a_wrapped_central_count_reads_as_zero() {
+        let shard = ClassShard::new();
+        shard.free_len.store(3, Ordering::Relaxed);
+        assert_eq!(shard.central_len(), 3);
+        // A pop's `fetch_sub` lands before the push's `fetch_add`.
+        shard.free_len.fetch_sub(5, Ordering::Relaxed);
+        assert_eq!(shard.central_len(), 0);
+        shard.free_len.fetch_add(5, Ordering::Relaxed);
+        assert_eq!(shard.central_len(), 3);
     }
 
     #[test]

@@ -8,14 +8,12 @@
 //!
 //! Two mechanisms:
 //!
-//! 1. **Slot guards** — slab-carved `PoolBox` slots are laid out as
-//!    `[value, canary, generation]` ([`crate::pool_box`]). The canary is a
-//!    per-address constant ([`canary_for`]) checked at `fill` and at drop:
-//!    a neighbouring overflow or stray write trips it immediately. The
-//!    generation word's low bit tracks *live* vs *dead*; dropping a dead
-//!    slot (a double release of the same slab slot through any unsafe
-//!    path) panics, and the remaining bits count fill generations so a
-//!    stale handle can be recognized after the slot was reused.
+//! 1. **Slot guards** — `PoolBox` slots are laid out as
+//!    `[link, canary, generation, value]` ([`crate::pool_box`]). The
+//!    canary is a per-address constant ([`canary_for`]) checked at drop: a
+//!    neighbouring overflow or stray write trips it. The generation word's
+//!    low bit tracks *live* vs *dead*; dropping a dead slot (a double
+//!    release of the same slot through any unsafe path) panics.
 //! 2. **The ledger** — a [`Ledger`] on each depot counts every object that
 //!    enters a cache level (*park*), leaves it for a caller (*unpark*), or
 //!    is destroyed while cached (*reclaim*: trims, epoch invalidations,

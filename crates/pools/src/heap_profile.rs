@@ -13,8 +13,9 @@
 //!   guarantees `live_bytes <= mapped_bytes` in every snapshot and
 //!   exactness at quiescence.
 //! * **Site sampler**: every thread keeps a per-class countdown; each
-//!   [`sample_period`]-th classed allocation in a class is attributed to
-//!   (class, thread). A report's site table has one row per sampled
+//!   [`sample_period`]-th classed allocation in a class is counted in the
+//!   thread's table for that class, and the tables sum per class across
+//!   threads. A report's site table has one row per sampled
 //!   class (its wire `tag` field reads `"untagged"`). Determinism: with
 //!   the period set before a workload starts, a thread's sample set is a
 //!   pure function of its own allocation sequence (countdowns are
@@ -33,10 +34,6 @@ use crate::global::{self, Spin};
 use crate::size_class::{class_bytes, NUM_CLASSES};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-/// Thread-attribution slots: sample totals are keyed by cache ordinal
-/// modulo this (collisions merge counts, never lose them).
-pub(crate) const HEAP_PROFILE_THREAD_SLOTS: usize = 64;
 
 /// Snapshot-ring capacity: old entries are overwritten once the ring is
 /// full, so the timeline always covers the most recent captures.
@@ -66,21 +63,15 @@ pub fn sample_period() -> u32 {
 // front-end's teardown fold); live tables are summed in place at
 // collection time.
 static FOLDED_SITES: [AtomicU64; NUM_CLASSES] = [const { AtomicU64::new(0) }; NUM_CLASSES];
-static FOLDED_THREADS: [AtomicU64; HEAP_PROFILE_THREAD_SLOTS] =
-    [const { AtomicU64::new(0) }; HEAP_PROFILE_THREAD_SLOTS];
 
 /// Fold an exiting thread's sample table (called by the front-end's
 /// teardown, under the registry hold).
-pub(crate) fn fold_thread_samples(samples: &[AtomicU32; NUM_CLASSES], ordinal: u32, total: u64) {
+pub(crate) fn fold_thread_samples(samples: &[AtomicU32; NUM_CLASSES]) {
     for (folded, cell) in FOLDED_SITES.iter().zip(samples) {
         let n = cell.load(Ordering::Relaxed) as u64;
         if n > 0 {
             folded.fetch_add(n, Ordering::Release);
         }
-    }
-    if total > 0 {
-        FOLDED_THREADS[ordinal as usize % HEAP_PROFILE_THREAD_SLOTS]
-            .fetch_add(total, Ordering::Release);
     }
 }
 
@@ -101,11 +92,10 @@ pub struct SiteSample {
 /// sorted most-sampled first. `period` scaling uses the current period.
 pub fn site_samples() -> Vec<SiteSample> {
     let mut sites = [0u64; NUM_CLASSES];
-    let mut threads = [0u64; HEAP_PROFILE_THREAD_SLOTS];
     for (site, cell) in sites.iter_mut().zip(&FOLDED_SITES) {
         *site = cell.load(Ordering::Acquire);
     }
-    global::collect_live_samples(&mut sites, &mut threads);
+    global::collect_live_samples(&mut sites);
     let period = sample_period().max(1) as u64;
     let mut out: Vec<SiteSample> = (0..NUM_CLASSES)
         .filter(|&class| sites[class] > 0)
@@ -118,19 +108,6 @@ pub fn site_samples() -> Vec<SiteSample> {
         .collect();
     out.sort_by(|a, b| b.samples.cmp(&a.samples).then(a.class.cmp(&b.class)));
     out
-}
-
-/// Per-thread sample totals (slot = cache ordinal mod
-/// [`HEAP_PROFILE_THREAD_SLOTS`]), non-zero slots only.
-#[cfg(test)]
-pub(crate) fn thread_samples() -> Vec<(usize, u64)> {
-    let mut sites = [0u64; NUM_CLASSES];
-    let mut threads = [0u64; HEAP_PROFILE_THREAD_SLOTS];
-    for (slot, cell) in FOLDED_THREADS.iter().enumerate() {
-        threads[slot] = cell.load(Ordering::Acquire);
-    }
-    global::collect_live_samples(&mut sites, &mut threads);
-    threads.iter().enumerate().filter(|(_, &n)| n > 0).map(|(s, &n)| (s, n)).collect()
 }
 
 // ----------------------------------------------------------------- gauges
@@ -381,7 +358,8 @@ mod tests {
     fn sampling_attributes_to_class_and_thread() {
         // A fresh thread gets a fresh countdown; enable before it runs so
         // its sample set is deterministic (tick on alloc 1, 1+p, ...). No
-        // other unit test allocates from the 256-byte class.
+        // other unit test allocates from the 256-byte class, typed-pool
+        // slots included.
         let before: u64 =
             site_samples().iter().filter(|s| s.block_bytes == 256).map(|s| s.samples).sum();
         set_sample_period(16);
@@ -405,7 +383,5 @@ mod tests {
         if !crate::global::installed() {
             assert_eq!(got, 10, "sample set must be deterministic feature-off");
         }
-        let threads = thread_samples();
-        assert!(!threads.is_empty(), "thread attribution must record the sampler");
     }
 }

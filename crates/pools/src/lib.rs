@@ -20,16 +20,17 @@
 //!   fronted by lock-free per-thread `magazine`s so steady-state
 //!   acquire/release takes no lock at all; behind the magazines the only
 //!   shared tier is a Bonwick-style `depot` of whole parked lists, one
-//!   lock-free stack per shard (one CAS per swap or park), and fresh
-//!   objects are carved from contiguous slabs ([`pool_box::PoolBox`], one
-//!   pointer per handle);
+//!   lock-free stack per shard (one CAS per swap or park), and every fresh
+//!   object takes one block of the size-class engine below
+//!   ([`pool_box::PoolBox`], one pointer per handle);
 //! * in single-threaded programs all locks are elided (§5.1), which is why
 //!   the paper's Figure 4 shows a 1-thread Amplify advantage: the
 //!   generated C++ runtime header drops its mutex in unthreaded builds,
 //!   and the magazine fast path here takes none either;
-//! * the same magazine/depot/slab machinery, re-keyed by **size class**
-//!   instead of type, serves untyped allocations as a malloc front-end —
-//!   [`global`] — installable process-wide as
+//! * the size-class engine — thread caches, central stacks and 64 KiB
+//!   slabs keyed by **size class** instead of type — is the only source of
+//!   fresh memory for the typed pools and serves untyped allocations as a
+//!   malloc front-end — [`global`] — installable process-wide as
 //!   `#[global_allocator]` via the `global-alloc` feature, with MPSC
 //!   remote-free queues so cross-thread `dealloc` is one CAS.
 //!

@@ -27,20 +27,11 @@ pub struct PoolConfig {
     /// (and `requested <= parked_capacity`). Disabling reuses any
     /// sufficiently large block.
     pub half_size_rule: bool,
-    /// Objects carved per fresh slab. `None` derives the historical
-    /// `magazine_cap * 2`; either way the value is clamped to what a
-    /// 64 KiB slab can hold.
-    pub carve_batch: Option<usize>,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        PoolConfig {
-            max_objects: None,
-            max_shadow_bytes: None,
-            half_size_rule: true,
-            carve_batch: None,
-        }
+        PoolConfig { max_objects: None, max_shadow_bytes: None, half_size_rule: true }
     }
 }
 
@@ -53,14 +44,6 @@ impl PoolConfig {
             max_shadow_bytes: Some(max_shadow_bytes),
             ..Self::default()
         }
-    }
-
-    /// Set the tuning knob the offline tuner searches over besides the
-    /// layout: a `carve_batch` of 0 means "derive from the magazine cap"
-    /// (the default).
-    pub fn with_tuning(mut self, carve_batch: usize) -> Self {
-        self.carve_batch = if carve_batch == 0 { None } else { Some(carve_batch) };
-        self
     }
 
     /// True if a pool holding `len` dead objects may accept another.
@@ -147,23 +130,5 @@ mod tests {
         assert_eq!(c.max_objects, Some(64));
         assert_eq!(c.max_shadow_bytes, Some(4096));
         assert!(c.half_size_rule);
-        assert_eq!(c.carve_batch, None);
-    }
-
-    #[test]
-    fn default_tuning_matches_historical_constants() {
-        // The historical carve batch is twice the magazine cap.
-        let d = crate::magazine::Depot::<u64>::new(4, PoolConfig::default(), 32);
-        assert_eq!(d.slab_objects, 64);
-        let d = crate::magazine::Depot::<u64>::new(4, PoolConfig::default().with_tuning(0), 32);
-        assert_eq!(d.slab_objects, 64, "0 derives the default");
-    }
-
-    #[test]
-    fn with_tuning_clamps_and_maps_zero_to_default() {
-        let c = PoolConfig::default().with_tuning(0);
-        assert_eq!(c.carve_batch, None);
-        let c = PoolConfig::default().with_tuning(128);
-        assert_eq!(c.carve_batch, Some(128));
     }
 }

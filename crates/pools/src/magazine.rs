@@ -11,10 +11,9 @@
 //! ([`crate::depot`]), exchanged in one CAS each way — a full magazine
 //! moves its two list words into a node shell and pushes it, an empty one
 //! pops a node and keeps the shell as its spare. When the depot has nothing
-//! to offer, fresh objects are carved out of contiguous slabs
-//! ([`crate::pool_box::SlabReserve`]) so one heap call serves a whole
-//! magazine's worth of misses. A magazine-mode pool takes no lock on any
-//! path; the locked shard free lists belong to direct mode
+//! to offer, a fresh object takes a slot from the size-class engine
+//! ([`crate::pool_box::PoolBox::new`]). A magazine-mode pool takes no lock
+//! on any path; the locked shard free lists belong to direct mode
 //! (`magazine_cap == 0`) alone, which never creates a magazine.
 //!
 //! A thread finds its magazines in a slot table named by two const-init
@@ -57,7 +56,7 @@ use crate::depot::{DepotNode, MagStack};
 use crate::fault;
 use crate::guard;
 use crate::limits::PoolConfig;
-use crate::pool_box::{slot_size, PoolBox, SlabReserve, SlabSlot, SlotList};
+use crate::pool_box::{PoolBox, SlotList};
 use crate::sharded::Shard;
 use crate::stats::{PoolStats, StatsSnapshot};
 use parking_lot::Mutex;
@@ -70,10 +69,6 @@ use std::sync::{Arc, Weak};
 
 /// Default objects a magazine may hold (per thread, per pool).
 pub const DEFAULT_MAGAZINE_CAP: usize = 32;
-
-/// Upper bound on one carved slab's backing buffer. Keeps a cold pool of
-/// large objects from committing megabytes on its first miss.
-const MAX_SLAB_BYTES: usize = 64 * 1024;
 
 /// Pool ids double as thread-local slot indices, so they are never reused.
 static NEXT_POOL_ID: AtomicUsize = AtomicUsize::new(0);
@@ -293,10 +288,8 @@ pub(crate) struct Depot<T> {
     /// type-stable while the depot lives (the lock-free pop relies on it)
     /// and are freed here, in `Drop`, when the depot is the sole owner.
     nodes: Mutex<Vec<usize>>,
-    /// Slots per carved slab (0 disables slab carving).
-    pub(crate) slab_objects: usize,
-    /// Fresh allocations, carves, cap drops, the DEAD path's counts and the
-    /// folded counts of retired magazines.
+    /// Fresh allocations, cap drops, the DEAD path's counts and the folded
+    /// counts of retired magazines.
     pub(crate) stats: PoolStats,
     /// Park/unpark/reclaim books, reconciled at drop (zero-sized no-op in
     /// default release builds — see [`crate::guard`]).
@@ -306,17 +299,6 @@ pub(crate) struct Depot<T> {
 impl<T> Depot<T> {
     pub(crate) fn new(shards: usize, config: PoolConfig, magazine_cap: usize) -> Self {
         assert!(shards >= 1, "a sharded pool needs at least one shard");
-        let per_slab_cap =
-            if mem::size_of::<T>() == 0 { 0 } else { MAX_SLAB_BYTES / slot_size::<T>() };
-        let carve_want = match config.carve_batch {
-            Some(n) => n.max(2),
-            None => magazine_cap * 2,
-        };
-        let slab_objects = if magazine_cap == 0 || per_slab_cap < 2 {
-            0 // slabs can't amortize anything here; standalone slots instead
-        } else {
-            carve_want.min(per_slab_cap)
-        };
         let direct_shards = if magazine_cap == 0 { shards } else { 0 };
         Depot {
             id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
@@ -331,7 +313,6 @@ impl<T> Depot<T> {
             full: (0..shards).map(|_| MagStack::new()).collect(),
             free_nodes: MagStack::new(),
             nodes: Mutex::new(Vec::new()),
-            slab_objects,
             stats: PoolStats::new(),
             guard: guard::Ledger::default(),
         }
@@ -670,8 +651,6 @@ pub(crate) struct Magazine<T> {
     /// Empty node shell kept back from the last depot swap, so the steady
     /// empty↔full cycle never touches the free-node stack.
     spare: Option<NonNull<DepotNode>>,
-    /// Private cursor over the unused tail of the last carved slab.
-    reserve: Option<SlabReserve<T>>,
 }
 
 impl<T> Magazine<T> {
@@ -686,7 +665,6 @@ impl<T> Magazine<T> {
             shard: depot.next_shard.fetch_add(1, Ordering::Relaxed) % depot.shard_count(),
             depot: Arc::downgrade(depot),
             spare: None,
-            reserve: None,
         });
         depot.mag_counts.lock().push(&mag.cells as *const MagCells as usize);
         mag
@@ -779,8 +757,7 @@ fn with_mag<T: 'static, R>(
 }
 
 /// If a trim happened since this magazine last looked, surrender the cached
-/// objects (returned for the caller to drop outside the hold) and the slab
-/// reserve (raw memory — safe to release in place).
+/// objects (returned for the caller to drop outside the hold).
 #[inline(always)]
 fn invalidate_if_stale<T>(mag: &mut Magazine<T>, depot: &Depot<T>) -> SlotList<T> {
     let epoch = depot.trim_epoch.load(Ordering::Relaxed);
@@ -793,7 +770,6 @@ fn invalidate_if_stale<T>(mag: &mut Magazine<T>, depot: &Depot<T>) -> SlotList<T
 #[cold]
 fn invalidate<T>(mag: &mut Magazine<T>, epoch: u64) -> SlotList<T> {
     mag.epoch = epoch;
-    mag.reserve = None; // uninitialized slots: releasing them runs no user code
     mem::take(&mut mag.list)
 }
 
@@ -982,39 +958,11 @@ pub(crate) fn push_cold<T: 'static>(
     None
 }
 
-/// Take one uninitialized slot from the thread's slab reserve, if any.
-pub(crate) fn take_reserve_slot<T: 'static>(depot: &Arc<Depot<T>>) -> Option<SlabSlot<T>> {
-    let (slot, stale) = with_mag(depot, true, |mag| {
-        let stale = invalidate_if_stale(mag, depot);
-        let slot = mag.reserve.as_mut().and_then(SlabReserve::take);
-        if mag.reserve.as_ref().is_some_and(SlabReserve::is_exhausted) {
-            mag.reserve = None;
-        }
-        (slot, stale)
-    })?;
-    drop_stale(depot, stale);
-    slot
-}
-
-/// Park a freshly carved slab's remaining slots as the thread's reserve.
-pub(crate) fn stash_reserve<T: 'static>(depot: &Arc<Depot<T>>, reserve: SlabReserve<T>) {
-    let stale = with_mag(depot, true, |mag| {
-        let stale = invalidate_if_stale(mag, depot);
-        mag.reserve = Some(reserve); // the old one's slots are uninitialized
-        stale
-    });
-    drop_stale(depot, stale.unwrap_or_default());
-}
-
 /// Remove and return everything the calling thread has cached for this pool
-/// (trim support), dropping its slab reserve too. Does not create a
-/// magazine on threads that never touched the pool.
+/// (trim support). Does not create a magazine on threads that never touched
+/// the pool.
 pub(crate) fn drain_local<T: 'static>(depot: &Arc<Depot<T>>) -> SlotList<T> {
-    with_mag(depot, false, |mag| {
-        mag.reserve = None;
-        mem::take(&mut mag.list)
-    })
-    .unwrap_or_default()
+    with_mag(depot, false, |mag| mem::take(&mut mag.list)).unwrap_or_default()
 }
 
 /// Park the calling thread's cached objects on the depot as one node,
@@ -1282,20 +1230,6 @@ mod tests {
         assert!(d.mag_counts.lock().is_empty(), "cell must retire despite the panic");
         assert_eq!(d.stats.dropped(), 1, "the turned-away object is counted");
         d.depot_parked.store(0, Ordering::Relaxed);
-    }
-
-    #[test]
-    fn reserve_slots_hand_out_distinct_objects() {
-        let d = depot(1, 4);
-        assert!(take_reserve_slot(&d).is_none());
-        let mut reserve = SlabReserve::carve(d.slab_objects).expect("u32 slab");
-        let first = reserve.take().unwrap().fill(10);
-        stash_reserve(&d, reserve);
-        let second = take_reserve_slot(&d).expect("stashed reserve").fill(20);
-        assert_eq!((*first, *second), (10, 20));
-        // A trim clears the reserve along with the cache.
-        d.bump_trim_epoch();
-        assert!(take_reserve_slot(&d).is_none());
     }
 
     #[test]

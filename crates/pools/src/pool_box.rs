@@ -1,8 +1,9 @@
 //! [`PoolBox`]: the owned-object handle all pools trade in — one pointer
-//! to a *slot*, two header words in front of the value.
+//! to a *slot*, one block of the size-class engine ([`crate::global`])
+//! with a header word in front of the value.
 //!
 //! ```text
-//! slot:  [ link | slab | (canary | generation) | value: T ]
+//! slot:  [ link | (canary | generation) | value: T ]
 //! ```
 //!
 //! * `link` is the free-list link while the slot is parked. Every free
@@ -10,28 +11,26 @@
 //!   direct mode's shard free list — is an intrusive [`SlotList`] threaded
 //!   through it, so parking a structure never writes into the structure
 //!   and its internal links survive reuse (the paper's §1 free list).
-//! * `slab` is the owning slab, or null for a standalone slot
-//!   ([`PoolBox::new`], `From<Box<T>>`). A slab is one heap block of N
-//!   slots carved in a single call ([`SlabReserve::carve`]); its header
-//!   counts the slots not yet destroyed, plus one while a thread's reserve
-//!   cursor holds it. The last one out frees the slab, so a `PoolBox` that
-//!   outlives its pool still frees its memory exactly once — whether it
-//!   dies by `trim`, an epoch invalidation, a population cap or plain
-//!   `drop`. Only destruction touches the count: parking and reviving a
-//!   slot never do.
+//! * Every slot comes from [`PoolBox::new`], which takes one engine block
+//!   sized for the slot, and goes back to the engine when its handle
+//!   drops. Parking and reviving a slot never touch the engine, and a
+//!   `PoolBox` that outlives its pool frees its block exactly once —
+//!   whether it dies by `trim`, an epoch invalidation, a population cap or
+//!   plain `drop`. A slot too large or too aligned for a size class passes
+//!   through to the system allocator, as every engine request does.
 //! * Guarded builds (debug, or the `fault-inject` feature) add a canary
 //!   keyed on the slot address and a generation word whose low bit is the
-//!   live/dead state ([`guard::GEN_LIVE`]) and whose other bits count
-//!   fills, so a stale handle from before a reuse is distinguishable.
-//!   Release builds carry the two link words only.
+//!   live/dead state ([`guard::GEN_LIVE`]), so a double release panics
+//!   before the destructor runs twice. Release builds carry the link word
+//!   only.
 
-use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use crate::global::{raw_alloc, raw_dealloc};
+use std::alloc::{handle_alloc_error, Layout};
 use std::fmt;
 use std::marker::PhantomData;
 use std::mem::{self, ManuallyDrop};
 use std::ops::{Deref, DerefMut};
 use std::ptr::{self, NonNull};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[cfg(any(debug_assertions, feature = "fault-inject"))]
 use crate::guard;
@@ -42,8 +41,6 @@ pub(crate) struct SlotHeader {
     /// Next slot of the free list this slot is parked on (null at the
     /// tail). Meaningless while the slot is held by a caller.
     link: *mut SlotHeader,
-    /// The slab this slot was carved from; null for a standalone slot.
-    slab: *const SlabHeader,
     #[cfg(any(debug_assertions, feature = "fault-inject"))]
     canary: u64,
     #[cfg(any(debug_assertions, feature = "fault-inject"))]
@@ -58,77 +55,37 @@ struct Slot<T> {
     value: T,
 }
 
-/// The head of a slab: the reference count and the slot count that fixes
-/// its layout. The slots follow at [`slab_layout`]'s offset.
-#[repr(C)]
-struct SlabHeader {
-    /// Slots not yet destroyed, plus one while a [`SlabReserve`] holds the
-    /// slab.
-    refs: AtomicUsize,
-    capacity: usize,
-}
-
-/// A slab of `objects` slots: its layout and the offset of slot 0.
-fn slab_layout<T>(objects: usize) -> Option<(Layout, usize)> {
-    let (layout, offset) =
-        Layout::new::<SlabHeader>().extend(Layout::array::<Slot<T>>(objects).ok()?).ok()?;
-    Some((layout.pad_to_align(), offset))
-}
-
-/// Bytes one pooled `T` occupies inside a slab (value plus header).
-pub(crate) const fn slot_size<T>() -> usize {
-    mem::size_of::<Slot<T>>()
-}
-
-/// Drop `n` references to `slab`, freeing it with the last.
+/// Arm a fresh slot's guard words: its canary, and a generation of one
+/// fill, live.
 ///
 /// # Safety
-/// `slab` is a live slab of `T` slots and the caller owns `n` references.
-unsafe fn release_slab<T>(slab: *const SlabHeader, n: usize) {
-    // The decrement releases this owner's writes to its slots; the last
-    // owner's acquire load orders them before the free. `Arc` uses the same
-    // load under ThreadSanitizer, which does not model a standalone fence;
-    // on this cold path it costs nothing a fence would not.
-    if unsafe { (*slab).refs.fetch_sub(n, Ordering::Release) } == n {
-        // SAFETY: this was the last reference, so the slab is still live.
-        unsafe { (*slab).refs.load(Ordering::Acquire) };
-        let capacity = unsafe { (*slab).capacity };
-        let (layout, _) = slab_layout::<T>(capacity).expect("the layout fit at carve time");
-        unsafe { dealloc(slab as *mut u8, layout) };
-    }
-}
-
-/// Arm a slot's guard words for a dead slot with `generation`.
+/// `slot` points at a slot header the caller owns.
 #[cfg(any(debug_assertions, feature = "fault-inject"))]
-unsafe fn arm_guard(slot: *mut SlotHeader, generation: u64) {
+unsafe fn arm_guard(slot: *mut SlotHeader) {
     unsafe {
         ptr::addr_of_mut!((*slot).canary).write(guard::canary_for(slot as usize));
-        ptr::addr_of_mut!((*slot).generation).write(generation);
+        ptr::addr_of_mut!((*slot).generation).write(2 | guard::GEN_LIVE);
     }
 }
 
-/// Validate a guarded slot's canary and liveness, panicking on corruption,
-/// on a dead slot when `expect_live`, or on a live one otherwise. Returns
-/// the generation word.
+/// Validate a guarded slot's canary and liveness before its drop,
+/// panicking on corruption or on a dead slot. Returns the generation word.
 ///
 /// # Safety
-/// `slot` points at a slot header whose memory is still allocated.
+/// `slot` points at a slot header whose memory is still mapped.
 #[cfg(any(debug_assertions, feature = "fault-inject"))]
-unsafe fn check_slot(slot: *mut SlotHeader, expect_live: bool, what: &str) -> u64 {
+unsafe fn check_live(slot: *mut SlotHeader) -> u64 {
     let canary = unsafe { ptr::addr_of!((*slot).canary).read() };
     assert_eq!(
         canary,
         guard::canary_for(slot as usize),
-        "pool guard: slot canary clobbered at {what} (heap corruption near {slot:p})",
+        "pool guard: slot canary clobbered at drop (heap corruption near {slot:p})",
     );
     let generation = unsafe { ptr::addr_of!((*slot).generation).read() };
-    let live = generation & guard::GEN_LIVE != 0;
-    assert_eq!(
-        live,
-        expect_live,
-        "pool guard: {what} on a {} slot at {slot:p} \
+    assert!(
+        generation & guard::GEN_LIVE != 0,
+        "pool guard: drop on a dead slot at {slot:p} \
          (double release, or use of a stale handle after reuse)",
-        if live { "live" } else { "dead" },
     );
     generation
 }
@@ -136,160 +93,40 @@ unsafe fn check_slot(slot: *mut SlotHeader, expect_live: bool, what: &str) -> u6
 /// Read a guarded slot's generation word (tests of the guard machinery).
 ///
 /// # Safety
-/// The slot's memory is still allocated.
+/// The slot's memory is still mapped: a live slot, or an engine block
+/// freed since.
 #[cfg(all(test, any(debug_assertions, feature = "fault-inject")))]
 pub(crate) unsafe fn slot_generation<T>(b: &PoolBox<T>) -> u64 {
     unsafe { ptr::addr_of!((*b.header()).generation).read() }
 }
 
-/// A thread's private cursor over the not-yet-used tail of a slab.
-///
-/// `take` is a pointer bump — no atomics, no lock: a reserve is owned by
-/// exactly one thread's magazine at a time. Dropping the reserve gives up
-/// its own reference and those of the slots it never handed out.
-pub(crate) struct SlabReserve<T> {
-    slab: NonNull<SlabHeader>,
-    next: usize,
-    _slots: PhantomData<T>,
-}
-
-// The reserve only hands out uninitialized slots; values cross threads
-// inside `PoolBox`, which carries `T`'s own bounds.
-unsafe impl<T> Send for SlabReserve<T> {}
-
-impl<T> SlabReserve<T> {
-    /// Allocate one contiguous slab of `objects` uninitialized slots.
-    /// Returns `None` when slabs cannot help: zero-sized types, fewer than
-    /// two slots (a one-slot slab is just a slow standalone slot), or
-    /// allocation failure — callers then fall back to [`PoolBox::new`].
-    pub(crate) fn carve(objects: usize) -> Option<Self> {
-        if mem::size_of::<T>() == 0 || objects < 2 {
-            return None;
-        }
-        let (layout, _) = slab_layout::<T>(objects)?;
-        let slab = NonNull::new(unsafe { alloc(layout) }.cast::<SlabHeader>())?;
-        unsafe {
-            slab.as_ptr()
-                .write(SlabHeader { refs: AtomicUsize::new(objects + 1), capacity: objects })
-        };
-        Some(SlabReserve { slab, next: 0, _slots: PhantomData })
-    }
-
-    fn capacity(&self) -> usize {
-        unsafe { self.slab.as_ref() }.capacity
-    }
-
-    /// Hand out the next uninitialized slot, or `None` when the slab is
-    /// used up.
-    pub(crate) fn take(&mut self) -> Option<SlabSlot<T>> {
-        if self.is_exhausted() {
-            return None;
-        }
-        let (_, offset) = slab_layout::<T>(self.capacity()).expect("carved");
-        // In bounds by the check above; the slot's reference was counted
-        // at carve time.
-        let slot =
-            unsafe { self.slab.as_ptr().cast::<u8>().add(offset + self.next * slot_size::<T>()) }
-                .cast::<SlotHeader>();
-        unsafe {
-            ptr::addr_of_mut!((*slot).link).write(ptr::null_mut());
-            ptr::addr_of_mut!((*slot).slab).write(self.slab.as_ptr());
-            #[cfg(any(debug_assertions, feature = "fault-inject"))]
-            arm_guard(slot, 0);
-        }
-        self.next += 1;
-        Some(SlabSlot { slot: unsafe { NonNull::new_unchecked(slot.cast()) } })
-    }
-
-    /// True when every slot has been handed out.
-    pub(crate) fn is_exhausted(&self) -> bool {
-        self.next >= self.capacity()
-    }
-}
-
-impl<T> Drop for SlabReserve<T> {
-    fn drop(&mut self) {
-        let unused = self.capacity() - self.next;
-        unsafe { release_slab::<T>(self.slab.as_ptr(), unused + 1) };
-    }
-}
-
-impl<T> fmt::Debug for SlabReserve<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SlabReserve")
-            .field("next", &self.next)
-            .field("capacity", &self.capacity())
-            .finish()
-    }
-}
-
-/// One uninitialized slot taken from a slab, waiting for its value.
-///
-/// Split from [`SlabReserve::take`] so the user's constructor closure runs
-/// *outside* the thread-local magazine table hold (constructors are user
-/// code and may re-enter pool operations). If `fill` is never called
-/// (the constructor panics, say), dropping the slot gives its slab
-/// reference back.
-pub(crate) struct SlabSlot<T> {
-    slot: NonNull<Slot<T>>,
-}
-
-impl<T> SlabSlot<T> {
-    /// Placement-write `value` into the slot, producing a live [`PoolBox`].
-    pub(crate) fn fill(self, value: T) -> PoolBox<T> {
-        let slot = ManuallyDrop::new(self).slot;
-        #[cfg(any(debug_assertions, feature = "fault-inject"))]
-        unsafe {
-            // The canary must have survived since `take` (catches a stray
-            // write between carve and fill) and the slot must be dead.
-            let header = slot.as_ptr().cast::<SlotHeader>();
-            let generation = check_slot(header, false, "fill");
-            ptr::addr_of_mut!((*header).generation)
-                .write(generation.wrapping_add(2) | guard::GEN_LIVE);
-        }
-        unsafe { ptr::addr_of_mut!((*slot.as_ptr()).value).write(value) };
-        PoolBox { slot, _owns: PhantomData }
-    }
-}
-
-impl<T> Drop for SlabSlot<T> {
-    fn drop(&mut self) {
-        unsafe { release_slab::<T>((*self.slot.as_ptr()).header.slab, 1) };
-    }
-}
-
-impl<T> fmt::Debug for SlabSlot<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SlabSlot").field("slot", &self.slot).finish()
-    }
-}
-
-/// An owned pooled object: `Box`-like, one pointer wide, living in a
-/// standalone slot or a slab slot. Drop runs the destructor in place, then
-/// frees the standalone slot or gives the slab reference back.
+/// An owned pooled object: `Box`-like, one pointer wide, living in one
+/// size-class engine block. Drop runs the destructor in place, then gives
+/// the block back to the engine.
 pub struct PoolBox<T> {
     slot: NonNull<Slot<T>>,
     _owns: PhantomData<T>,
 }
 
 // Same rules as Box<T>: owning a T across threads needs T: Send; sharing
-// references needs T: Sync. The slab count is atomic.
+// references needs T: Sync.
 unsafe impl<T: Send> Send for PoolBox<T> {}
 unsafe impl<T: Sync> Sync for PoolBox<T> {}
 
 impl<T> PoolBox<T> {
-    /// Put a fresh value in a standalone slot of its own.
+    /// Put a fresh value in a slot of its own: one size-class engine
+    /// block.
     pub fn new(value: T) -> Self {
         let layout = Layout::new::<Slot<T>>();
-        let Some(slot) = NonNull::new(unsafe { alloc(layout) }.cast::<Slot<T>>()) else {
+        let Some(slot) = NonNull::new(raw_alloc(layout).cast::<Slot<T>>()) else {
             handle_alloc_error(layout)
         };
         let header = slot.as_ptr().cast::<SlotHeader>();
+        // SAFETY: the block is fresh, ours and laid out for a `Slot<T>`.
         unsafe {
             ptr::addr_of_mut!((*header).link).write(ptr::null_mut());
-            ptr::addr_of_mut!((*header).slab).write(ptr::null());
             #[cfg(any(debug_assertions, feature = "fault-inject"))]
-            arm_guard(header, 2 | guard::GEN_LIVE);
+            arm_guard(header);
             ptr::addr_of_mut!((*slot.as_ptr()).value).write(value);
         }
         PoolBox { slot, _owns: PhantomData }
@@ -318,7 +155,7 @@ impl<T> PoolBox<T> {
 }
 
 impl<T> From<Box<T>> for PoolBox<T> {
-    /// Move a boxed value into a standalone slot (cold paths and the
+    /// Move a boxed value into a slot of its own (cold paths and the
     /// malloc-style backends only: it costs an allocation and a copy).
     fn from(b: Box<T>) -> Self {
         PoolBox::new(*b)
@@ -349,15 +186,9 @@ impl<T> Drop for PoolBox<T> {
         impl<T> Drop for FreeSlot<T> {
             fn drop(&mut self) {
                 // SAFETY: the guard holds the dropping handle's slot, which
-                // nothing else owns, and runs once, after the value is gone.
-                unsafe {
-                    let slab = (*self.0).slab;
-                    if slab.is_null() {
-                        dealloc(self.0.cast(), Layout::new::<Slot<T>>());
-                    } else {
-                        release_slab::<T>(slab, 1);
-                    }
-                }
+                // nothing else owns, and runs once, after the value is gone;
+                // `PoolBox::new` took the block with this layout.
+                unsafe { raw_dealloc(self.0.cast(), Layout::new::<Slot<T>>()) };
             }
         }
 
@@ -367,7 +198,7 @@ impl<T> Drop for PoolBox<T> {
         // double-dropping the value.
         #[cfg(any(debug_assertions, feature = "fault-inject"))]
         unsafe {
-            let generation = check_slot(header, true, "drop");
+            let generation = check_live(header);
             ptr::addr_of_mut!((*header).generation).write(generation & !guard::GEN_LIVE);
         }
         let _free = FreeSlot::<T>(header, PhantomData);
@@ -533,7 +364,6 @@ impl<T> fmt::Debug for SlotList<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn boxed_roundtrip() {
@@ -542,61 +372,29 @@ mod tests {
         assert_eq!(*b, 42);
         let from_box: PoolBox<u64> = Box::new(7).into();
         assert_eq!(*from_box, 7);
+        // A zero-sized value takes a header-only slot.
+        let _unit = PoolBox::new(());
     }
 
     #[test]
     fn handle_is_one_pointer() {
         assert_eq!(mem::size_of::<PoolBox<[u8; 64]>>(), mem::size_of::<usize>());
         assert_eq!(mem::size_of::<Option<PoolBox<u8>>>(), mem::size_of::<usize>());
+        // One header word (the link) in front of the value; guarded builds
+        // add the canary and generation words.
+        let header = if cfg!(any(debug_assertions, feature = "fault-inject")) { 24 } else { 8 };
+        assert_eq!(mem::size_of::<Slot<u64>>(), header + 8);
     }
 
     #[test]
     fn slab_slots_are_distinct_and_live() {
-        let mut reserve: SlabReserve<u64> = SlabReserve::carve(4).expect("small slab");
-        let a = reserve.take().unwrap().fill(1);
-        let b = reserve.take().unwrap().fill(2);
-        assert_eq!((*a, *b), (1, 2));
-        assert!(!reserve.is_exhausted());
-        let _c = reserve.take().unwrap().fill(3);
-        let _d = reserve.take().unwrap().fill(4);
-        assert!(reserve.is_exhausted());
-        assert!(reserve.take().is_none());
-    }
-
-    #[test]
-    fn slab_frees_after_last_object_and_runs_destructors() {
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct Loud(#[allow(dead_code)] u32);
-        impl Drop for Loud {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let mut reserve: SlabReserve<Loud> = SlabReserve::carve(3).expect("small slab");
-        let a = reserve.take().unwrap().fill(Loud(1));
-        let b = reserve.take().unwrap().fill(Loud(2));
-        drop(reserve); // unused tail slot never runs a destructor
-        drop(a);
-        drop(b);
-        assert_eq!(DROPS.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn carve_rejects_degenerate_requests() {
-        assert!(SlabReserve::<u64>::carve(0).is_none());
-        assert!(SlabReserve::<u64>::carve(1).is_none());
-        assert!(SlabReserve::<()>::carve(16).is_none(), "ZSTs take standalone slots");
-    }
-
-    #[test]
-    fn unfilled_slot_gives_its_reference_back() {
-        let mut reserve: SlabReserve<u64> = SlabReserve::carve(2).expect("small slab");
-        let slab = reserve.slab;
-        drop(reserve.take().unwrap()); // a constructor that panicked
-        assert_eq!(unsafe { slab.as_ref() }.refs.load(Ordering::Relaxed), 2);
-        let kept = reserve.take().unwrap().fill(9);
-        drop(reserve);
-        assert_eq!(*kept, 9, "the slab lives while a slot does");
+        // Each slot is a block of its own in an engine slab.
+        let boxes: Vec<PoolBox<u64>> = (0..4).map(PoolBox::new).collect();
+        let mut addrs: Vec<usize> = boxes.iter().map(|b| b.header() as usize).collect();
+        addrs.sort_unstable();
+        addrs.dedup();
+        assert_eq!(addrs.len(), 4);
+        assert_eq!(boxes.iter().map(|b| **b).collect::<Vec<u64>>(), [0, 1, 2, 3]);
     }
 
     #[test]
@@ -619,42 +417,42 @@ mod tests {
     }
 
     /// A dead slot revived through a forged handle must trip the guard
-    /// before the destructor runs twice.
+    /// before the destructor runs twice. The engine keeps a freed block
+    /// mapped (its slabs are type-stable) and its free writes only link
+    /// and segment words, so the forged drop reads the guard words of a
+    /// dead slot.
     #[cfg(any(debug_assertions, feature = "fault-inject"))]
     #[test]
     fn guard_detects_double_release_of_a_slab_slot() {
-        let mut reserve: SlabReserve<u64> = SlabReserve::carve(2).expect("small slab");
-        let b = reserve.take().unwrap().fill(5);
+        let b = PoolBox::new(5u64);
         let slot = b.slot;
-        drop(b); // the slot is now dead; the reserve keeps the slab alive
+        drop(b);
         let forged = PoolBox { slot, _owns: PhantomData };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(forged)));
         assert!(outcome.is_err(), "double release must panic in guarded builds");
     }
 
-    /// The generation tag counts fills and tracks liveness, so a stale
-    /// handle from before a reuse is distinguishable from the live one.
+    /// The generation word records the fill and the liveness, so a stale
+    /// handle is distinguishable from a live one.
     #[cfg(any(debug_assertions, feature = "fault-inject"))]
     #[test]
     fn guard_generation_tracks_fill_and_drop() {
-        let mut reserve: SlabReserve<u32> = SlabReserve::carve(2).expect("small slab");
-        let b = reserve.take().unwrap().fill(1);
+        let b = PoolBox::new(1u32);
         let live_gen = unsafe { slot_generation(&b) };
         assert_eq!(live_gen & guard::GEN_LIVE, guard::GEN_LIVE);
+        assert_eq!(live_gen >> 1, 1, "one fill");
         let slot = b.slot;
-        drop(b); // reserve keeps the slab alive; the slot goes dead
+        drop(b);
+        // As above: the engine's free leaves the generation word alone.
         let ghost = ManuallyDrop::new(PoolBox::<u32> { slot, _owns: PhantomData });
-        let dead_gen = unsafe { slot_generation(&ghost) };
-        assert_eq!(dead_gen, live_gen & !guard::GEN_LIVE);
-        assert_eq!(dead_gen >> 1, 1, "one fill so far");
+        assert_eq!(unsafe { slot_generation(&ghost) }, live_gen & !guard::GEN_LIVE);
     }
 
     #[test]
-    fn slab_objects_cross_threads() {
-        let mut reserve: SlabReserve<u64> = SlabReserve::carve(2).expect("small slab");
-        let a = reserve.take().unwrap().fill(11);
-        let b = reserve.take().unwrap().fill(22);
-        drop(reserve);
+    fn slots_cross_threads() {
+        // Made on this thread, read and freed on another (an engine
+        // remote free).
+        let (a, b) = (PoolBox::new(11u64), PoolBox::new(22u64));
         let h = std::thread::spawn(move || *a + *b);
         assert_eq!(h.join().unwrap(), 33);
     }

@@ -18,8 +18,8 @@
 //! magazine. Behind the magazines, each shard is a lock-free depot stack
 //! of whole parked lists: a full magazine parks on its home shard's stack
 //! in one CAS, an empty one swaps a list back in with one CAS (probing the
-//! other shards' stacks after its own), and a miss there carves a fresh
-//! slab. No path takes a lock.
+//! other shards' stacks after its own), and a miss there takes a fresh slot
+//! from the size-class engine. No path takes a lock.
 //!
 //! **Direct mode** (`magazine_cap == 0`) is the bare §3.2 layout: one
 //! locked free list per shard, try-lock-and-spill. Each thread has one
@@ -30,7 +30,7 @@
 use crate::fault;
 use crate::limits::PoolConfig;
 use crate::magazine::{self, Depot, Refill, DEFAULT_MAGAZINE_CAP};
-use crate::pool_box::{PoolBox, SlabReserve, SlotList};
+use crate::pool_box::{PoolBox, SlotList};
 use crate::stats::{PoolStats, StatsSnapshot};
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::Cell;
@@ -116,8 +116,8 @@ impl<T> ShardedPool<T> {
 }
 impl<T: 'static> ShardedPool<T> {
     /// Acquire an object: magazine pop on the fast path, a one-CAS swap of
-    /// a parked list from the depot on a miss, and slab-carved fresh
-    /// allocation last.
+    /// a parked list from the depot on a miss, and a fresh slot from the
+    /// size-class engine last.
     pub fn acquire(&self, fresh: impl FnOnce() -> T) -> PoolBox<T> {
         self.acquire_with(fresh, |_| {})
     }
@@ -185,10 +185,7 @@ impl<T: 'static> ShardedPool<T> {
                         reinit(&mut obj);
                         obj
                     }
-                    None => {
-                        self.depot.stats.record_fresh();
-                        PoolBox::new(fresh())
-                    }
+                    None => self.acquire_fresh(fresh),
                 },
             },
         };
@@ -196,27 +193,15 @@ impl<T: 'static> ShardedPool<T> {
         obj
     }
 
-    /// Fresh allocation, carved from a contiguous slab so one heap call
-    /// covers a whole magazine's worth of future misses. The constructor
-    /// runs outside the magazine table hold (it is user code).
+    /// Fresh allocation: a new slot from the size-class engine. The
+    /// constructor runs outside the magazine table hold (it is user code).
     fn acquire_fresh(&self, fresh: impl FnOnce() -> T) -> PoolBox<T> {
         self.depot.stats.record_fresh();
-        if let Some(slot) = magazine::take_reserve_slot(&self.depot) {
-            return slot.fill(fresh());
-        }
-        if self.depot.slab_objects > 0 && !fault::fail_slab_carve() {
-            if let Some(mut reserve) = SlabReserve::carve(self.depot.slab_objects) {
-                self.depot.stats.record_slab_carve();
-                let slot = reserve.take().expect("a fresh slab has at least two slots");
-                magazine::stash_reserve(&self.depot, reserve);
-                return slot.fill(fresh());
-            }
-        }
         PoolBox::new(fresh())
     }
 
     /// Graceful degradation under an injected allocation failure: skip
-    /// every cache level and hand back a plain heap object, counted as a
+    /// every cache level and hand back a fresh slot, counted as a
     /// fresh alloc *plus* a fallback (see [`crate::fault`]) — never a
     /// panic, and never a change to what the caller observes.
     #[cold]

@@ -34,7 +34,6 @@ pub(crate) struct PoolStats {
     lock_acquisitions: AtomicU64,
     depot_swaps: AtomicU64,
     depot_parks: AtomicU64,
-    slab_carves: AtomicU64,
     fallback_allocs: AtomicU64,
 }
 
@@ -113,12 +112,7 @@ impl PoolStats {
         self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
     }
 
-    #[inline]
-    pub(crate) fn record_slab_carve(&self) {
-        self.slab_carves.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An acquire degraded gracefully to a plain heap `Box` (injected
+    /// An acquire degraded gracefully to a fresh slot past every cache (injected
     /// allocation failure — see [`crate::fault`]). Counted *in addition to*
     /// [`PoolStats::record_fresh`], so `pool_hits + fresh_allocs` still
     /// equals total allocation requests under any fault schedule.
@@ -167,12 +161,7 @@ impl PoolStats {
         self.depot_parks.load(Ordering::Relaxed)
     }
 
-    /// Contiguous slabs carved for fresh allocation.
-    pub(crate) fn slab_carves(&self) -> u64 {
-        self.slab_carves.load(Ordering::Relaxed)
-    }
-
-    /// Acquires that degraded to a plain heap `Box` under injected
+    /// Acquires that skipped every cache for a fresh slot under injected
     /// allocation failure (a subset of [`PoolStats::fresh_allocs`]; always
     /// 0 without the `fault-inject` feature).
     pub(crate) fn fallback_allocs(&self) -> u64 {
@@ -198,7 +187,6 @@ pub struct StatsSnapshot {
     lock_acquisitions: u64,
     depot_swaps: u64,
     depot_parks: u64,
-    slab_carves: u64,
     fallback_allocs: u64,
 }
 
@@ -231,7 +219,6 @@ impl StatsSnapshot {
         self.lock_acquisitions += p.lock_acquisitions();
         self.depot_swaps += p.depot_swaps();
         self.depot_parks += p.depot_parks();
-        self.slab_carves += p.slab_carves();
         self.fallback_allocs += p.fallback_allocs();
     }
 
@@ -307,12 +294,7 @@ impl StatsSnapshot {
         self.depot_parks
     }
 
-    /// Contiguous slabs carved for fresh allocation.
-    pub fn slab_carves(&self) -> u64 {
-        self.slab_carves
-    }
-
-    /// Acquires that degraded to a plain heap `Box` under injected
+    /// Acquires that skipped every cache for a fresh slot under injected
     /// allocation failure (a subset of `fresh_allocs`).
     pub fn fallback_allocs(&self) -> u64 {
         self.fallback_allocs
@@ -335,7 +317,6 @@ impl StatsSnapshot {
         self.lock_acquisitions += other.lock_acquisitions;
         self.depot_swaps += other.depot_swaps;
         self.depot_parks += other.depot_parks;
-        self.slab_carves += other.slab_carves;
         self.fallback_allocs += other.fallback_allocs;
     }
 }

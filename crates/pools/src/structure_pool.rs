@@ -16,7 +16,7 @@
 //!
 //! `alloc` goes through the pool's acquire entry, so under the
 //! `fault-inject` feature an injected allocation failure degrades to a
-//! plain heap structure there (see [`crate::fault`]) — `alloc` never
+//! freshly built structure there (see [`crate::fault`]) — `alloc` never
 //! fails and never panics, whatever the fault schedule.
 
 use crate::limits::PoolConfig;

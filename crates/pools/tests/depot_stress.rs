@@ -1,5 +1,5 @@
 //! Depot correctness under contention: many threads cycling their
-//! magazines through empty → depot-swap → slab-carve transitions, with
+//! magazines through empty → depot-swap → fresh-slot transitions, with
 //! barrier-phased quiescent points where the conservation invariant
 //!
 //! `magazine_parked + depot_parked == fresh_allocs`
@@ -86,8 +86,8 @@ fn conservation_holds_at_every_quiescent_point() {
     assert_eq!(pool.len(), 0);
 }
 
-/// A cold pool goes empty → (depot empty) → slab carve on every magazine's
-/// worth of misses; once primed, the same traffic is all depot swaps.
+/// A cold pool goes empty → (depot empty) → a fresh engine slot on every
+/// miss; once primed, the same traffic is all depot swaps.
 #[test]
 fn empty_swap_carve_cycle_single_thread() {
     let pool: ShardedPool<[u8; 64]> = ShardedPool::with_magazines(2, PoolConfig::default(), 8);
@@ -95,13 +95,6 @@ fn empty_swap_carve_cycle_single_thread() {
     let first: Vec<_> = (0..n).map(|i| pool.acquire(move || [i as u8; 64])).collect();
     let stats = pool.stats();
     assert_eq!(stats.fresh_allocs(), n as u64);
-    assert!(stats.slab_carves() > 0, "cold misses must carve slabs");
-    assert!(
-        stats.slab_carves() < n as u64 / 2,
-        "one carve must serve many misses (got {} carves for {} misses)",
-        stats.slab_carves(),
-        n,
-    );
     for obj in first {
         pool.release(obj);
     }

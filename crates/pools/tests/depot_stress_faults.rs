@@ -142,9 +142,10 @@ fn injected_epoch_bump_between_pop_and_validate_cannot_double_hand_out() {
     assert!(!values.contains(&u64::MAX), "drain must be served entirely from caches");
 }
 
-/// Injected allocation failures (fresh and slab-carve) must degrade to a
-/// plain heap `Box` — counted as fresh + fallback, never a panic — and the
-/// `hits + fresh == allocs` identity must survive any schedule.
+/// Injected allocation failures must degrade to a fresh slot — counted as
+/// fresh + fallback, never a panic — and the `hits + fresh == allocs`
+/// identity must survive any schedule. A failed carve under a fresh slot is
+/// the size-class engine's own fallback, which `slab_arena` checks.
 #[test]
 fn injected_allocation_failure_degrades_to_heap_without_panics() {
     let _serialize = FAULTS.lock().unwrap();
@@ -172,5 +173,4 @@ fn injected_allocation_failure_degrades_to_heap_without_panics() {
         injected.fail_fresh,
         "every injected alloc failure must surface as exactly one fallback"
     );
-    assert!(injected.fail_carve > 0, "carve failures must occur and fall through to plain boxes");
 }

@@ -291,15 +291,14 @@ impl HeapProfileSection {
 }
 
 /// One evolved pool parameter vector — the genome the offline tuner
-/// searches over. Wire names match the tuner's field names.
+/// searches over. Wire names match the tuner's field names; genes that
+/// older reports still carry parse and are dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TunedGenome {
     /// Per-thread magazine capacity (objects).
     pub magazine_cap: u32,
     /// Depot shard count.
     pub shards: u32,
-    /// Objects carved from a slab per miss.
-    pub carve_batch: u32,
 }
 
 /// One generation of the evolutionary search. Fitness is a deterministic
@@ -748,15 +747,10 @@ impl Report {
                 pt.improved_families(),
                 pt.families.len()
             );
-            let _ =
-                writeln!(out, "  {:<12}{:>8}{:>8}{:>7}", "family", "mag_cap", "shards", "carve");
+            let _ = writeln!(out, "  {:<12}{:>8}{:>8}", "family", "mag_cap", "shards");
             for f in &pt.families {
                 let w = &f.winner;
-                let _ = writeln!(
-                    out,
-                    "  {:<12}{:>8}{:>8}{:>7}",
-                    f.family, w.magazine_cap, w.shards, w.carve_batch
-                );
+                let _ = writeln!(out, "  {:<12}{:>8}{:>8}", f.family, w.magazine_cap, w.shards);
             }
             for f in &pt.families {
                 if f.generations.is_empty() {
@@ -1420,8 +1414,8 @@ mod tests {
     }
 
     fn sample_pool_tune() -> PoolTuneSection {
-        let default = TunedGenome { magazine_cap: 32, shards: 8, carve_batch: 64 };
-        let winner = TunedGenome { magazine_cap: 64, shards: 4, ..default };
+        let default = TunedGenome { magazine_cap: 32, shards: 8 };
+        let winner = TunedGenome { magazine_cap: 64, shards: 4 };
         PoolTuneSection {
             schema: POOL_TUNE_SCHEMA.into(),
             seed: 42,
@@ -1468,13 +1462,13 @@ mod tests {
         assert_eq!(back.pool_tune.unwrap().improved_families(), 1);
 
         // Older pool-tune-v1 reports carry genes the tuner no longer
-        // searches, `depot_gate` and `ship_batch`: they must parse and be
-        // dropped.
+        // searches, `carve_batch`, `depot_gate` and `ship_batch`: they must
+        // parse and be dropped.
         let old = r.to_json().replace(
-            "\"carve_batch\": 64\n",
-            "\"carve_batch\": 64,\n          \"depot_gate\": 4,\n          \"ship_batch\": 32\n",
+            "\"shards\": 8\n",
+            "\"shards\": 8,\n          \"carve_batch\": 64,\n          \"depot_gate\": 4,\n          \"ship_batch\": 32\n",
         );
-        assert!(old.contains("\"depot_gate\": 4") && old.contains("\"ship_batch\": 32"), "{old}");
+        assert!(old.contains("\"carve_batch\": 64") && old.contains("\"ship_batch\": 32"), "{old}");
         assert_eq!(Report::from_json(&old).unwrap(), r);
     }
 

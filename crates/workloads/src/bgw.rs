@@ -1,6 +1,6 @@
 //! A Billing-Gateway-like CDR workload (§4, §5.2).
 //!
-//! BGw "collect[s] billing information about calls from mobile phones".
+//! BGw "collect\[s\] billing information about calls from mobile phones".
 //! This module generates synthetic call-data records with the documented
 //! allocation profile — dominated by `char[]`/`int[]` buffers of slightly
 //! varying lengths, with roughly half of the allocation volume coming from
