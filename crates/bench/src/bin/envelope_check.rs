@@ -2,9 +2,9 @@
 //! `bench::native::ENVELOPE_PATHS` — the typed pools' hit, miss and
 //! tuned hit pairs, one alloc → free pair through `&dyn MemBackend`, the
 //! size-class engine's raw pair (plain, with the heap profiler sampling,
-//! and with the reclaimer sweeping beside it), and the simulation
-//! engine's ns per event — and **exits non-zero when any path
-//! regressed**.
+//! and with the reclaimer sweeping beside it), the engine's
+//! producer/consumer frees (ns per tree), and the simulation engine's ns
+//! per event — and **exits non-zero when any path regressed**.
 //!
 //! ```text
 //! cargo run --release -p bench [--features global-alloc] --bin envelope_check

@@ -11,9 +11,10 @@
 //! 1. **Slot guards** — `PoolBox` slots are laid out as
 //!    `[link, canary, generation, value]` ([`crate::pool_box`]). The
 //!    canary is a per-address constant ([`canary_for`]) checked at drop: a
-//!    neighbouring overflow or stray write trips it. The generation word's
-//!    low bit tracks *live* vs *dead*; dropping a dead slot (a double
-//!    release of the same slot through any unsafe path) panics.
+//!    neighbouring overflow or stray write trips it. The generation word
+//!    holds only its live bit ([`GEN_LIVE`]): set by the fill, cleared by
+//!    the drop, so dropping a dead slot (a double release of the same slot
+//!    through any unsafe path) panics.
 //! 2. **The ledger** — a [`Ledger`] on each depot counts every object that
 //!    enters a cache level (*park*), leaves it for a caller (*unpark*), or
 //!    is destroyed while cached (*reclaim*: trims, epoch invalidations,
@@ -36,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(any(debug_assertions, feature = "fault-inject"))]
 pub(crate) const CANARY: u64 = 0x5AB5_0157_CA4A_AB1E;
 
-/// Low bit of the generation word: slot currently holds a live value.
+/// The generation word's one bit: the slot currently holds a live value.
 #[cfg(any(debug_assertions, feature = "fault-inject"))]
 pub(crate) const GEN_LIVE: u64 = 1;
 

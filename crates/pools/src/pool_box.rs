@@ -19,8 +19,8 @@
 //!   plain `drop`. A slot too large or too aligned for a size class passes
 //!   through to the system allocator, as every engine request does.
 //! * Guarded builds (debug, or the `fault-inject` feature) add a canary
-//!   keyed on the slot address and a generation word whose low bit is the
-//!   live/dead state ([`guard::GEN_LIVE`]), so a double release panics
+//!   keyed on the slot address and a generation word that holds only the
+//!   live bit ([`guard::GEN_LIVE`]), so a double release panics
 //!   before the destructor runs twice. Release builds carry the link word
 //!   only.
 
@@ -55,8 +55,8 @@ struct Slot<T> {
     value: T,
 }
 
-/// Arm a fresh slot's guard words: its canary, and a generation of one
-/// fill, live.
+/// Arm a fresh slot's guard words: its canary, and a generation word
+/// holding just the live bit.
 ///
 /// # Safety
 /// `slot` points at a slot header the caller owns.
@@ -64,17 +64,17 @@ struct Slot<T> {
 unsafe fn arm_guard(slot: *mut SlotHeader) {
     unsafe {
         ptr::addr_of_mut!((*slot).canary).write(guard::canary_for(slot as usize));
-        ptr::addr_of_mut!((*slot).generation).write(2 | guard::GEN_LIVE);
+        ptr::addr_of_mut!((*slot).generation).write(guard::GEN_LIVE);
     }
 }
 
 /// Validate a guarded slot's canary and liveness before its drop,
-/// panicking on corruption or on a dead slot. Returns the generation word.
+/// panicking on corruption or on a dead slot.
 ///
 /// # Safety
 /// `slot` points at a slot header whose memory is still mapped.
 #[cfg(any(debug_assertions, feature = "fault-inject"))]
-unsafe fn check_live(slot: *mut SlotHeader) -> u64 {
+unsafe fn check_live(slot: *mut SlotHeader) {
     let canary = unsafe { ptr::addr_of!((*slot).canary).read() };
     assert_eq!(
         canary,
@@ -87,7 +87,6 @@ unsafe fn check_live(slot: *mut SlotHeader) -> u64 {
         "pool guard: drop on a dead slot at {slot:p} \
          (double release, or use of a stale handle after reuse)",
     );
-    generation
 }
 
 /// Read a guarded slot's generation word (tests of the guard machinery).
@@ -198,8 +197,8 @@ impl<T> Drop for PoolBox<T> {
         // double-dropping the value.
         #[cfg(any(debug_assertions, feature = "fault-inject"))]
         unsafe {
-            let generation = check_live(header);
-            ptr::addr_of_mut!((*header).generation).write(generation & !guard::GEN_LIVE);
+            check_live(header);
+            ptr::addr_of_mut!((*header).generation).write(0);
         }
         let _free = FreeSlot::<T>(header, PhantomData);
         unsafe { ptr::drop_in_place(ptr::addr_of_mut!((*self.slot.as_ptr()).value)) };
@@ -432,20 +431,22 @@ mod tests {
         assert!(outcome.is_err(), "double release must panic in guarded builds");
     }
 
-    /// The generation word records the fill and the liveness, so a stale
-    /// handle is distinguishable from a live one.
+    /// The generation word is the live bit alone: set when `PoolBox::new`
+    /// fills the slot, cleared when the handle drops, so a second drop of
+    /// the same slot panics.
     #[cfg(any(debug_assertions, feature = "fault-inject"))]
     #[test]
     fn guard_generation_tracks_fill_and_drop() {
         let b = PoolBox::new(1u32);
-        let live_gen = unsafe { slot_generation(&b) };
-        assert_eq!(live_gen & guard::GEN_LIVE, guard::GEN_LIVE);
-        assert_eq!(live_gen >> 1, 1, "one fill");
+        assert_eq!(unsafe { slot_generation(&b) }, guard::GEN_LIVE);
         let slot = b.slot;
         drop(b);
         // As above: the engine's free leaves the generation word alone.
         let ghost = ManuallyDrop::new(PoolBox::<u32> { slot, _owns: PhantomData });
-        assert_eq!(unsafe { slot_generation(&ghost) }, live_gen & !guard::GEN_LIVE);
+        assert_eq!(unsafe { slot_generation(&ghost) }, 0);
+        let forged = ManuallyDrop::into_inner(ghost);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(forged)));
+        assert!(outcome.is_err(), "a dropped slot must not drop again");
     }
 
     #[test]

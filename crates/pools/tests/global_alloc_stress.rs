@@ -6,9 +6,9 @@
 //! Home-shard pinning makes the ledger exact: producers live on shards
 //! 0..P, the consumer on the last shard, and the consumer never performs a
 //! classed allocation — so no slab is ever stamped with the consumer's
-//! shard, every consumer free files into a foreign bucket, and every
-//! bucket ships to a remote queue (at a batch boundary or teardown).
-//! Producers never free, so nothing else touches the remote ledger.
+//! shard, and every block the consumer frees leaves its cache through a
+//! routed flush (on overflow or at teardown) onto a producer's remote
+//! queue. Producers never free, so nothing else touches the remote ledger.
 //!
 //! Exact-equality accounting only holds feature-off (with `global-alloc`
 //! installed, the test harness's own heap traffic shares the process-wide
@@ -107,11 +107,11 @@ fn cross_thread_frees_conserve_blocks_and_reconcile_the_remote_ledger() {
         assert_eq!(allocs, total, "alloc count off");
         assert_eq!(frees, total, "free count off");
         // ...and every single free was a remote push (the consumer's home
-        // shard never stamps a slab, so each free files into a foreign
-        // bucket and ships to the owner's queue at a batch boundary or
-        // teardown), reconciling the `remote_frees` counter exactly against
-        // the operation count. Producers only allocate, so they never
-        // bucket anything; their flushes all land on central stacks.
+        // shard never stamps a slab, so each freed block is shipped to its
+        // owner's queue by an overflow flush or the teardown flush),
+        // reconciling the `remote_frees` counter exactly against the
+        // operation count. Producers only allocate, so they never free
+        // anything; their flushes all land on central stacks.
         assert_eq!(remote, total, "remote_free ledger must equal consumer frees");
     }
     // The queue ledger itself always balances: pushed = drained + pending.
@@ -123,6 +123,135 @@ fn cross_thread_frees_conserve_blocks_and_reconcile_the_remote_ledger() {
     // Zero live bytes from this run's classed traffic: allocs == frees
     // above is exactly that statement (blocks live in slabs either way;
     // slab memory is process-lifetime by design).
+}
+
+/// A 24-byte tree node in a raw size-class block.
+#[repr(C)]
+struct Node {
+    left: *mut Node,
+    right: *mut Node,
+    data: u64,
+}
+
+const NODE: Layout = Layout::new::<Node>();
+
+/// Levels below the root of a traded tree, and its node count.
+const DEPTH: u32 = 5;
+const TREE_NODES: usize = (1 << (DEPTH + 1)) - 1;
+
+/// A complete binary tree of `depth` levels below its root, built from
+/// raw blocks.
+fn build_tree(depth: u32) -> *mut Node {
+    let n = global::raw_alloc(NODE).cast::<Node>();
+    assert!(!n.is_null());
+    let (left, right) = if depth > 0 {
+        (build_tree(depth - 1), build_tree(depth - 1))
+    } else {
+        (std::ptr::null_mut(), std::ptr::null_mut())
+    };
+    unsafe { n.write(Node { left, right, data: depth as u64 }) };
+    n
+}
+
+fn free_tree(n: *mut Node) {
+    if n.is_null() {
+        return;
+    }
+    let (left, right) = unsafe { ((*n).left, (*n).right) };
+    free_tree(left);
+    free_tree(right);
+    unsafe { global::raw_dealloc(n.cast(), NODE) };
+}
+
+/// Two threads pinned to different homes trade depth-5 trees in turns,
+/// the benchmark's `xthread-heap` shape: each request builds two trees,
+/// frees one where it was built, ships the other to the peer and frees
+/// one tree the peer shipped. Half the frees are cross-thread, yet every
+/// turn frees exactly what it allocates (thread 1 ships the first trees
+/// before thread 0's first turn), so once one warm-up round has stocked
+/// both caches no block needs to leave one: the timed rounds must refill
+/// nothing and ship nothing to a remote queue. Nothing allocates between
+/// the snapshots but the trees: the ledger is exact feature-off, and
+/// nearly so with the harness's heap on it.
+#[test]
+fn trading_threads_keep_cross_thread_frees_in_their_caches() {
+    use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+
+    const ROUNDS: usize = 8;
+    const REQUESTS: usize = 4;
+    /// Turn 0 is thread 1's opening shipment; round `r` is turns `2r + 1`
+    /// (thread 0) and `2r + 2` (thread 1).
+    const LAST_TURN: usize = 2 * ROUNDS;
+    let _g = ledger_lock();
+    let turn = AtomicUsize::new(0);
+    let mailbox: [AtomicPtr<Node>; REQUESTS] =
+        [const { AtomicPtr::new(std::ptr::null_mut()) }; REQUESTS];
+    let wait_for = |n: usize| {
+        while turn.load(Ordering::Acquire) != n {
+            std::thread::yield_now();
+        }
+    };
+    let (warm, timed) = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|t| {
+                let (turn, mailbox, wait_for) = (&turn, &mailbox, &wait_for);
+                s.spawn(move || {
+                    assert!(global::pin_home_shard(t));
+                    if t == 1 {
+                        for m in mailbox {
+                            m.store(build_tree(DEPTH), Ordering::Relaxed);
+                        }
+                        turn.store(1, Ordering::Release);
+                    }
+                    let mut snapshot = None;
+                    for mine in (1 + t..=LAST_TURN).step_by(2) {
+                        wait_for(mine);
+                        if mine == 3 {
+                            // One round in; the peer is parked until this
+                            // turn ends.
+                            snapshot = Some(global::stats());
+                        }
+                        for m in mailbox {
+                            let local = build_tree(DEPTH);
+                            let shipped = build_tree(DEPTH);
+                            free_tree(local);
+                            free_tree(m.swap(shipped, Ordering::Relaxed));
+                        }
+                        if mine == LAST_TURN {
+                            snapshot = Some(global::stats());
+                        }
+                        turn.store(mine + 1, Ordering::Release);
+                    }
+                    wait_for(LAST_TURN + 1);
+                    if t == 0 {
+                        for m in mailbox {
+                            free_tree(m.swap(std::ptr::null_mut(), Ordering::Relaxed));
+                        }
+                    }
+                    snapshot.expect("each thread takes one snapshot")
+                })
+            })
+            .collect();
+        let mut snaps = workers.into_iter().map(|w| w.join().expect("trader panicked"));
+        (snaps.next().unwrap(), snaps.next().unwrap())
+    });
+    let timed_allocs = ((LAST_TURN - 2) * REQUESTS * 2 * TREE_NODES) as u64;
+    let allocs = timed.class_allocs - warm.class_allocs;
+    let refills = timed.class_refills - warm.class_refills;
+    let remote = timed.remote_frees - warm.remote_frees;
+    if global::installed() {
+        // The harness's own heap shares the ledger: a thread it winds
+        // down mid-round flushes its cache, and its allocations count.
+        // Routing on every free refills dozens of times here and ships
+        // thousands of blocks.
+        assert!(allocs >= timed_allocs, "classed allocs {allocs} < {timed_allocs}");
+        assert!(refills <= 4, "timed rounds refilled {refills} times");
+        assert!(remote <= 256, "timed rounds shipped {remote} blocks to remote queues");
+    } else {
+        assert_eq!(allocs, timed_allocs);
+        assert_eq!(refills, 0, "a timed round refilled a cache");
+        assert_eq!(remote, 0, "a timed round shipped a remote chain");
+    }
 }
 
 /// Reclaim-under-churn (ISSUE 10): the cross-thread conservation run
