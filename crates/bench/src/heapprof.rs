@@ -94,7 +94,7 @@ fn section() -> HeapProfileSection {
             mapped_bytes: c.mapped_bytes,
             live_bytes: c.live_bytes,
             peak_live_bytes: c.peak_live_bytes,
-            parked_bytes: c.parked_cache_bytes + c.parked_central_bytes + c.parked_remote_bytes,
+            parked_bytes: c.parked_cache_bytes + c.parked_central_bytes,
             fallback_bytes: c.fallback_bytes,
         })
         .collect();

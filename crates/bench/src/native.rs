@@ -435,8 +435,8 @@ fn free_raw_tree(n: *mut RawNode) {
 /// threads build depth-5 trees of 24-byte `raw_alloc` blocks and hand
 /// them, [`HANDOFF_BATCH`] to a message, over one bounded channel to a
 /// consumer that frees them. Every free is cross-thread, so the blocks
-/// get back to their producers only through the consumer's flushes and
-/// the producers' remote drains. ns per tree, over about `pairs / 128`
+/// get back to their producers only through the consumer's flushes onto
+/// the central stacks and the producers' refills from them. ns per tree, over about `pairs / 128`
 /// trees (one alloc and one free per node), after an untimed run of a
 /// twentieth of them.
 fn producer_consumer(pairs: u64) -> f64 {

@@ -7,56 +7,37 @@
 //!
 //! Requests classed by [`crate::size_class::class_for`] (≤ 4 KiB, align ≤ 16) are
 //! served from per-thread caches of untyped blocks; everything else passes
-//! straight through to [`System`]. Per class the hierarchy mirrors the
-//! typed four-level acquire:
+//! straight through to [`System`]. Per class there are three levels, the
+//! pool of a free list per size class (Kenwright, PAPERS.md) with a
+//! thread-private front:
 //!
-//! 1. **Thread cache** — an intrusive LIFO list per class (the "magazine"
+//! 1. **Thread cache** — one intrusive LIFO list per class (the "magazine"
 //!    for untyped blocks: no `Vec`, the link lives in the free block
 //!    itself). Hit = two plain loads and a store.
-//! 2. **Remote drain** — each class has [`CLASS_SHARDS`] shards, each with
-//!    an MPSC Treiber stack of blocks freed by *other* threads. A refill
-//!    `swap`s the whole remote chain out in one atomic op and adopts it
-//!    *zero-touch*: batch counts and tails come from segment metadata
-//!    (see `seg_stamp`), the kept prefix is served lazily off the
-//!    thread cache, and no block in the backlog is walked.
-//! 3. **Central free stacks** — version-tagged Treiber stacks (the
-//!    `crate::depot` ABA scheme) of stamped *segments*: flushed surplus,
-//!    carve remainders, sweep survivors and donated remote batches, each
+//! 2. **Central free stack** — one version-tagged Treiber stack per class
+//!    (the `crate::depot` ABA scheme) of stamped *segments*: flushed
+//!    surplus, carve remainders, sweep survivors and cache-less frees, each
 //!    a chain of at most a refill batch. A refill pops one whole segment
-//!    with one CAS and adopts it onto the thread cache without touching
-//!    its blocks, probing shards round-robin from the thread's home shard.
-//! 4. **Slab carve** — a 64 KiB slab, 64 KiB-*aligned*, is carved into
-//!    blocks. The alignment is the ownership trick: `ptr & !(SLAB_BYTES-1)`
-//!    recovers the slab header, so a flush learns each block's owning
-//!    shard without any lookup table. Fresh slabs are bump-cut from
-//!    4 MiB segments (one [`System`] allocation per 64 slabs), and a carve
-//!    prefaults the pages it is about to link with one
+//!    with one CAS and makes it the thread's list without touching its
+//!    blocks: the count comes from the segment's stamp (`seg_stamp`).
+//! 3. **Slab carve** — a 64 KiB slab, 64 KiB-*aligned*, is carved into
+//!    blocks. The alignment lets `ptr & !(SLAB_BYTES-1)` recover the slab
+//!    header (`{magic, class}` plus the sweep's scratch) without a lookup
+//!    table; the reclaim sweep buckets blocks by slab with it. Fresh slabs
+//!    are bump-cut from 4 MiB segments (one [`System`] allocation per 64
+//!    slabs), and a carve prefaults the pages it is about to link with one
 //!    `madvise(MADV_POPULATE_WRITE)` instead of a demand fault per page.
 //!
-//! # Cross-thread free (the remote-free queue)
+//! # Cross-thread free
 //!
-//! A free with a thread cache is one push onto the freeing thread's local
-//! list, whichever thread carved the block: no slab-header load. Blocks
-//! are routed only when they leave the cache. A list over its cap, or a
-//! thread at exit, hands them to the *routed flush*, which reads each
-//! block's owning shard from its slab header on the walk that cuts
-//! segments anyway. Home-stamped blocks go to the home central stack; each
-//! foreign owner gets one chain on its remote queue, one `push_chain` CAS.
-//! Threads that trade blocks evenly never flush: what a thread frees, it
-//! allocates again. Each segment carries its tail + count in its head
-//! block's second word (`seg_stamp`), so an owner's drain accounts for a
-//! deep backlog by hopping segment heads — O(segments), never O(blocks).
-//! A thread with *no* cache (never allocated, or past TLS teardown)
-//! remote-pushes each block alone — the queue is lock-free from any
-//! context.
-//!
-//! The stamp is a routing *hint*, not a correctness invariant. When a
-//! refill steals blocks from another shard (levels 3/3½) it **re-stamps**
-//! them to its home — slab adoption, in the spirit of mimalloc's
-//! abandoned-page reclaim — so the thief's later flushes of those blocks
-//! stay home instead of riding a remote queue back to a shard that may
-//! have no thread. A block whose hint went stale while it sat in a cache
-//! simply takes one extra hop and settles.
+//! Blocks have no owner. A free with a thread cache is one push onto the
+//! freeing thread's list, whichever thread carved the block, and what a
+//! thread frees it allocates again: threads that trade blocks evenly never
+//! touch the central stack. A list over its cap, or a thread at exit,
+//! stamps the blocks it sheds into segments on one walk and pushes them
+//! onto the central stack with one CAS. A thread with *no* cache (never
+//! allocated, or past TLS teardown) pushes each block alone as a
+//! one-block segment — the stack is lock-free from any context.
 //!
 //! # Re-entrancy rules (why this module looks spartan)
 //!
@@ -65,12 +46,12 @@
 //! collections, all internal storage (thread caches, slab segments)
 //! obtained directly from [`System`], plain-field per-thread counters
 //! folded into global atomics on thread exit (the `MagCells` idiom); a
-//! report reads the aggregates through [`stats`] (its `remote_free`,
-//! `class_refill` and `fallback_alloc` events). Thread-local state is a
-//! const-init `Cell` (no lazy-init allocation, no destructor of its own);
-//! a separate drop guard flushes the cache at thread exit and leaves a
-//! DEAD sentinel so late frees from TLS teardown degrade to remote pushes
-//! instead of touching a freed cache.
+//! report reads the aggregates through [`stats`] (its `class_refill` and
+//! `fallback_alloc` events). Thread-local state is a const-init `Cell` (no
+//! lazy-init allocation, no destructor of its own); a separate drop guard
+//! flushes the cache at thread exit and leaves a DEAD sentinel so late
+//! frees from TLS teardown degrade to central pushes instead of touching a
+//! freed cache.
 //!
 //! Slab *address space* is process-lifetime, but the pages behind it are
 //! not: `sweep_and_retire` drains the shared levels, finds slabs whose
@@ -101,17 +82,12 @@ use crate::size_class::{class_bytes, class_for, NUM_CLASSES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{
-    fence, AtomicBool, AtomicPtr, AtomicU16, AtomicU32, AtomicU64, AtomicUsize, Ordering,
+    fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
 };
 
-/// Slab size and alignment: ownership-by-address-mask needs them equal.
+/// Slab size and alignment: header-by-address-mask needs them equal.
 pub const SLAB_BYTES: usize = 64 * 1024;
 const SLAB_MASK: usize = SLAB_BYTES - 1;
-
-/// Remote/central shards per class. More shards than typical thread
-/// counts keeps the test harness able to pin producers and consumers to
-/// disjoint home shards (see [`pin_home_shard`]).
-pub const CLASS_SHARDS: usize = 8;
 
 /// Slab header bytes; block 0 starts here, preserving [`CLASS_ALIGN`].
 const HEADER_BYTES: usize = 16;
@@ -151,12 +127,6 @@ const MAG_CAP: [u32; NUM_CLASSES] = {
 struct SlabHeader {
     magic: u32,
     class: u16,
-    /// Owning shard — a *routing hint*, not a correctness invariant: any
-    /// block may legally travel through any shard of its class. Atomic
-    /// because refills re-stamp stolen slabs (see [`restamp`]) while other
-    /// threads concurrently read the hint on their free path; a racing
-    /// reader sees the old or the new owner, and both route validly.
-    shard: AtomicU16,
     /// Sweep scratch, written only by the (serialized) reclaimer: the
     /// pass id that last visited this slab and how many of its blocks
     /// that pass found idle. Zero fast-path cost — alloc/dealloc never
@@ -247,7 +217,7 @@ impl BlockStack {
         }
     }
 
-    /// Detach the entire stack — the MPSC remote-drain op. Returns the
+    /// Detach the entire stack — the reclaim sweep's drain. Returns the
     /// old chain head (null when empty); the chain is fully linked
     /// because pushers write the link *before* their publishing CAS.
     /// A CAS loop rather than a plain `swap` so the version tag is
@@ -269,60 +239,51 @@ impl BlockStack {
             }
         }
     }
-
-    #[inline]
-    fn is_empty_hint(&self) -> bool {
-        self.head.load(Ordering::Relaxed) & PTR_MASK == 0
-    }
 }
 
-struct ClassShard {
-    /// Central free stack of stamped segments: flushed surplus, carve
-    /// remainders, sweep survivors, donated remote batches.
+/// A class's central free stack of stamped segments — flushed surplus,
+/// carve remainders, sweep survivors and cache-less frees — with its
+/// population.
+struct Central {
     free: BlockStack,
-    /// Approximate population of `free` (refills skip empty shards).
+    /// Blocks on `free`, kept beside it (the gauges read it).
     free_len: AtomicUsize,
-    /// Remote-free queue: blocks freed by non-home threads. MPSC —
-    /// anyone pushes, home threads drain via `take_all`.
-    remote: BlockStack,
-    /// Ledger: blocks ever pushed remotely / drained by an owner. The
-    /// invariant `pushes == drained + pending` is what the stress test
-    /// reconciles.
-    remote_pushes: AtomicU64,
-    remote_drained: AtomicU64,
 }
 
-impl ClassShard {
+impl Central {
     const fn new() -> Self {
-        ClassShard {
-            free: BlockStack::new(),
-            free_len: AtomicUsize::new(0),
-            remote: BlockStack::new(),
-            remote_pushes: AtomicU64::new(0),
-            remote_drained: AtomicU64::new(0),
-        }
+        Central { free: BlockStack::new(), free_len: AtomicUsize::new(0) }
+    }
+
+    /// Push the stamped private chain `head..=tail` of `n` blocks.
+    fn push(&self, head: *mut u8, tail: *mut u8, n: usize) {
+        self.free.push_chain(head, tail);
+        self.free_len.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Pop the top segment ([`BlockStack::pop_segment`]).
+    fn pop(&self) -> Option<(*mut u8, *mut u8, usize)> {
+        let seg = self.free.pop_segment()?;
+        self.free_len.fetch_sub(seg.2, Ordering::Relaxed);
+        Some(seg)
     }
 
     /// Blocks on the central stack: `free_len` read as signed and clamped
     /// at 0. Pushers add a segment's count after the push, so a rival's
     /// pop and `fetch_sub` can land first and wrap it below zero for a
     /// moment.
-    fn central_len(&self) -> u64 {
+    fn len(&self) -> u64 {
         (self.free_len.load(Ordering::Relaxed) as isize).max(0) as u64
     }
 }
 
-struct ClassState {
-    shards: [ClassShard; CLASS_SHARDS],
-}
+static CENTRAL: [Central; NUM_CLASSES] = [const { Central::new() }; NUM_CLASSES];
 
-impl ClassState {
-    const fn new() -> Self {
-        ClassState { shards: [const { ClassShard::new() }; CLASS_SHARDS] }
-    }
+/// The header of the slab that `block` lies in.
+#[inline]
+fn header_of(block: *mut u8) -> *const SlabHeader {
+    ((block as usize) & !SLAB_MASK) as *const SlabHeader
 }
-
-static CLASSES: [ClassState; NUM_CLASSES] = [const { ClassState::new() }; NUM_CLASSES];
 
 /// Counters that left per-thread caches (exited threads, cache-less
 /// paths). `stats()` adds the calling thread's live cache on top.
@@ -561,8 +522,8 @@ pub(crate) fn retired_pool_len() -> usize {
 /// What one [`sweep_and_retire`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SweepOutcome {
-    /// Blocks drained out of central stacks and remote queues (survivors
-    /// were pushed back to their stamped shards).
+    /// Blocks drained out of the central stacks (survivors were pushed
+    /// back).
     pub(crate) swept_blocks: u64,
     /// Fully-idle slabs retired (removed from mapped accounting).
     pub(crate) retired_slabs: u64,
@@ -587,19 +548,17 @@ pub(crate) fn reclaim_totals() -> (u64, u64, u64, u64) {
 /// current pass has marked the slab for retirement.
 const RETIRE_BIT: u32 = 0x8000_0000;
 
-/// One retirement pass (the tentpole mechanism). Drains every class's
-/// central stacks and remote queues into a private working set, buckets
-/// the blocks by slab via the address mask, and retires every slab whose
-/// *entire* block population turned up in the sweep — those blocks can
-/// have no live owner, no cache seat, and no in-flight remote chain,
-/// because all three would have kept at least one block out of the
-/// shared levels. Survivor blocks are pushed back to their stamped
-/// shards in per-shard chains. Retired slabs leave [`MAPPED_SLABS`]
-/// under the [`RETIRE_GAUGE`] lock (so a gauge collection never sees
-/// mapped shrink mid-fold). Once every class is swept, their pages are
-/// released with one `madvise(MADV_DONTNEED)` per run of address-adjacent
-/// slabs, and they enter the quarantine pool once the pass's completion
-/// is published.
+/// One retirement pass. Drains every class's central stack into a private
+/// working set, buckets the blocks by slab via the address mask, and
+/// retires every slab whose *entire* block population turned up in the
+/// sweep — those blocks can have no live owner and no cache seat, because
+/// either would have kept at least one block off the central stack.
+/// Survivor blocks are pushed back as one stamped chain. Retired slabs
+/// leave [`MAPPED_SLABS`] under the [`RETIRE_GAUGE`] lock (so a gauge
+/// collection never sees mapped shrink mid-fold). Once every class is
+/// swept, their pages are released with one `madvise(MADV_DONTNEED)` per
+/// run of address-adjacent slabs, and they enter the quarantine pool once
+/// the pass's completion is published.
 ///
 /// Retirement stops once total mapped bytes drop to `target_mapped_bytes`
 /// (0 = retire everything idle). Blocks parked in *other* threads'
@@ -663,38 +622,21 @@ fn sweep_class(
     let stamp = pass_stamp(pass_id);
     let bytes = class_bytes(class);
     let nblocks = ((SLAB_BYTES - HEADER_BYTES) / bytes) as u32;
-    let state = &CLASSES[class];
+    let central = &CENTRAL[class];
 
-    // Phase 1: drain every shard's central stack and remote queue into a
-    // private working set. Allocating the Vec is safe here — the alloc
-    // paths never take RECLAIM_PASS, and neither RETIRE_GAUGE nor
-    // RETIRED is held yet.
+    // Phase 1: drain the central stack into a private working set, block
+    // by block (a sweep touches every block anyway to bucket it by slab).
+    // Allocating the Vec is safe here — the alloc paths never take
+    // RECLAIM_PASS, and neither RETIRE_GAUGE nor RETIRED is held yet.
     let mut blocks: Vec<*mut u8> = Vec::new();
     let mut slabs: Vec<*mut u8> = Vec::new();
-    for shard in &state.shards {
-        let mut central = 0usize;
-        let mut b = shard.free.take_all();
-        while !b.is_null() {
-            blocks.push(b);
-            central += 1;
-            b = unsafe { *(b as *mut *mut u8) };
-        }
-        if central > 0 {
-            shard.free_len.fetch_sub(central, Ordering::Relaxed);
-        }
-        let mut remote = 0usize;
-        // Remote chains are walked block-by-block (the segment stamps
-        // only matter for O(batches) adoption; a sweep touches every
-        // block anyway to bucket it by slab).
-        let mut b = shard.remote.take_all();
-        while !b.is_null() {
-            blocks.push(b);
-            remote += 1;
-            b = unsafe { *(b as *mut *mut u8) };
-        }
-        if remote > 0 {
-            shard.remote_drained.fetch_add(remote as u64, Ordering::Relaxed);
-        }
+    let mut b = central.free.take_all();
+    while !b.is_null() {
+        blocks.push(b);
+        b = next_of(b);
+    }
+    if !blocks.is_empty() {
+        central.free_len.fetch_sub(blocks.len(), Ordering::Relaxed);
     }
     out.swept_blocks += blocks.len() as u64;
 
@@ -703,7 +645,7 @@ fn sweep_class(
     // held a duplicate (a double-free upstream) — such a slab is never
     // retired, the safe direction.
     for &b in &blocks {
-        let header = ((b as usize) & !SLAB_MASK) as *mut SlabHeader;
+        let header = header_of(b);
         let h = unsafe { &*header };
         if h.sweep_gen.load(Ordering::Relaxed) != stamp {
             h.sweep_gen.store(stamp, Ordering::Relaxed);
@@ -727,42 +669,35 @@ fn sweep_class(
         }
     }
 
-    // Phase 4: push survivors back to their stamped shards, one chain
-    // per shard, stamped into segments of `seg_max` blocks as it is built
-    // (by prepending). Blocks of retiring slabs simply stay behind.
+    // Phase 4: push the survivors back as one chain, stamped into
+    // segments of `seg_max` blocks as it is built (by prepending). Blocks
+    // of retiring slabs simply stay behind.
     let seg = seg_max(class);
-    let mut heads = [std::ptr::null_mut::<u8>(); CLASS_SHARDS];
-    let mut tails = [std::ptr::null_mut::<u8>(); CLASS_SHARDS];
-    let mut seg_tails = [std::ptr::null_mut::<u8>(); CLASS_SHARDS];
-    let mut counts = [0usize; CLASS_SHARDS];
+    let null = std::ptr::null_mut::<u8>();
+    let (mut head, mut tail, mut seg_tail) = (null, null, null);
+    let mut count = 0usize;
     for &b in &blocks {
-        let header = ((b as usize) & !SLAB_MASK) as *const SlabHeader;
-        let h = unsafe { &*header };
-        if h.sweep_gen.load(Ordering::Relaxed) & RETIRE_BIT != 0 {
+        if unsafe { &*header_of(b) }.sweep_gen.load(Ordering::Relaxed) & RETIRE_BIT != 0 {
             continue;
         }
-        let s = h.shard.load(Ordering::Relaxed) as usize % CLASS_SHARDS;
-        unsafe { *(b as *mut *mut u8) = heads[s] };
-        if heads[s].is_null() {
-            tails[s] = b;
+        unsafe { *(b as *mut *mut u8) = head };
+        if head.is_null() {
+            tail = b;
         }
-        if counts[s].is_multiple_of(seg) {
-            seg_tails[s] = b;
+        if count.is_multiple_of(seg) {
+            seg_tail = b;
         }
-        heads[s] = b;
-        counts[s] += 1;
-        if counts[s].is_multiple_of(seg) {
-            seg_stamp(b, seg_tails[s], seg as u32);
+        head = b;
+        count += 1;
+        if count.is_multiple_of(seg) {
+            seg_stamp(b, seg_tail, seg as u32);
         }
     }
-    for s in 0..CLASS_SHARDS {
-        if !heads[s].is_null() {
-            if !counts[s].is_multiple_of(seg) {
-                seg_stamp(heads[s], seg_tails[s], (counts[s] % seg) as u32);
-            }
-            state.shards[s].free.push_chain(heads[s], tails[s]);
-            state.shards[s].free_len.fetch_add(counts[s], Ordering::Relaxed);
+    if !head.is_null() {
+        if !count.is_multiple_of(seg) {
+            seg_stamp(head, seg_tail, (count % seg) as u32);
         }
+        central.push(head, tail, count);
     }
     if retiring == 0 {
         return;
@@ -783,9 +718,9 @@ fn sweep_class(
         if h.sweep_gen.load(Ordering::Relaxed) & RETIRE_BIT == 0 {
             continue;
         }
-        // Scrub the magic so any late header read of a retired slab
-        // trips the debug integrity asserts instead of routing. The
-        // pages are released by the caller, once per run of slabs.
+        // Scrub the magic so any late header read of a retired slab trips
+        // the debug integrity asserts. The pages are released by the
+        // caller, once per run of slabs.
         unsafe { (*(base as *mut SlabHeader)).magic = 0 };
         quarantine.push(base);
     }
@@ -805,51 +740,17 @@ static FALLBACK_FREES: [AtomicU64; NUM_CLASSES] = [const { AtomicU64::new(0) }; 
 static REGISTRY: Spin = Spin::new();
 static REGISTRY_HEAD: AtomicUsize = AtomicUsize::new(0);
 
-/// Live caches homed on each shard. New caches claim the least-occupied
-/// slot (see [`claim_home_shard`]): successive thread generations inherit
-/// the shards — and the slabs — their predecessors stocked, instead of
-/// marching round-robin away from the warm memory and stealing it back
-/// one contended pop at a time.
-static SHARD_OCCUPANCY: [AtomicU32; CLASS_SHARDS] = [const { AtomicU32::new(0) }; CLASS_SHARDS];
-
-/// Claim the least-occupied home shard with a CAS (re-scanning on a lost
-/// race, so concurrent claimers spread out instead of herding).
-fn claim_home_shard() -> usize {
-    loop {
-        let mut best = 0usize;
-        let mut best_occ = u32::MAX;
-        for (i, slot) in SHARD_OCCUPANCY.iter().enumerate() {
-            let occ = slot.load(Ordering::Relaxed);
-            if occ < best_occ {
-                best = i;
-                best_occ = occ;
-            }
-        }
-        if SHARD_OCCUPANCY[best]
-            .compare_exchange(best_occ, best_occ + 1, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            return best;
-        }
-    }
-}
-
 struct LocalClass {
-    /// The blocks this thread freed, LIFO. Only these are routed when
-    /// they leave the cache; refilled and carved blocks wait on `chain`.
+    /// The free list, LIFO and null-terminated: this thread's frees
+    /// pushed on top of what a refill adopted or a carve linked. An
+    /// adopted segment is not walked (see [`adopt`]); each block's link is
+    /// read only when the block is handed out — a load on the very line
+    /// the caller is about to write.
     head: *mut u8,
     /// Population of `head`'s list. Owner-written with plain load/store
     /// pairs (never a locked RMW); atomic only so gauge collection can
     /// read the parked-magazine population cross-thread.
     count: AtomicU32,
-    /// An adopted chain, served lazily: a refill parks a drained remote
-    /// prefix or a popped central segment here *without walking it* (see
-    /// [`adopt`]); each block's link is read only when that
-    /// block is handed out — a load on the very line the caller is about
-    /// to write. Local frees still push onto `head`, which is preferred
-    /// on allocation, so the chain drains only when the hot list is dry.
-    chain: *mut u8,
-    chain_left: AtomicU32,
     /// Slab blocks allocated / freed in this class by this thread.
     /// Owner-only writes: a relaxed load and a *release* store — the
     /// release pairs with the collector's acquire read so that any
@@ -875,7 +776,6 @@ struct LocalClass {
 /// operation; flushed, folded and freed by the TLS drop guard.
 struct ThreadCache {
     classes: [LocalClass; NUM_CLASSES],
-    home: usize,
     /// The [`CACHE_FLUSH_EPOCH`] this cache last synchronized with
     /// (owner-only, checked at the cold refill/flush points). Zero-init
     /// matches the epoch's initial value.
@@ -919,13 +819,11 @@ impl Drop for CacheGuard {
 fn init_cache() -> *mut ThreadCache {
     let layout = Layout::new::<ThreadCache>();
     // SAFETY: ThreadCache has a known, non-zero layout; zeroed memory is a
-    // valid ThreadCache (null list heads, zero counts) except for `home`,
-    // patched below.
+    // valid ThreadCache (null list heads, zero counts).
     let cache = unsafe { System.alloc_zeroed(layout) } as *mut ThreadCache;
     if cache.is_null() {
         return DEAD;
     }
-    unsafe { (*cache).home = claim_home_shard() };
     {
         let _g = REGISTRY.lock();
         unsafe { (*cache).next = REGISTRY_HEAD.load(Ordering::Relaxed) as *mut ThreadCache };
@@ -950,7 +848,6 @@ fn teardown_cache() {
     }
     let cache_ref = unsafe { &mut *cache };
     flush_all(cache_ref);
-    SHARD_OCCUPANCY[cache_ref.home].fetch_sub(1, Ordering::Relaxed);
     // Unlink and fold under one registry hold: a concurrent gauge
     // collection sees this cache's counters exactly once — still linked,
     // or already folded, never neither and never both.
@@ -1087,13 +984,6 @@ fn alloc_class(class: usize) -> *mut u8 {
         owner_bump(&lc.allocs);
         return head;
     }
-    let chain = lc.chain;
-    if !chain.is_null() {
-        lc.chain = unsafe { *(chain as *mut *mut u8) };
-        owner_sub32(&lc.chain_left, 1);
-        owner_bump(&lc.allocs);
-        return chain;
-    }
     let block = refill(cache, class);
     if !(block.is_null() || (cfg!(feature = "fault-inject") && is_fallback(block))) {
         owner_bump(&cache.classes[class].allocs);
@@ -1121,45 +1011,32 @@ fn alloc_class_cold_entry(class: usize, cache: *mut ThreadCache) -> *mut u8 {
 /// the block exists (mapped-before-counted, like the cached path) and
 /// never for fallback chunks.
 fn alloc_shared_counted(class: usize) -> *mut u8 {
-    let block = alloc_shared(class, 0);
+    let block = alloc_shared(class);
     if !(block.is_null() || (cfg!(feature = "fault-inject") && is_fallback(block))) {
         FOLDED_CLASS[class].allocs.fetch_add(1, Ordering::Release);
     }
     block
 }
 
-/// Cache-less single-block acquire (DEAD paths): a central segment, then
-/// a remote drain, then a carve whose surplus all goes central. The
-/// first two serve one block and push the rest back ([`serve_head`]).
-fn alloc_shared(class: usize, home: usize) -> *mut u8 {
-    let state = &CLASSES[class];
-    for off in 0..CLASS_SHARDS {
-        let shard = &state.shards[(home + off) % CLASS_SHARDS];
-        if let Some((head, tail, n)) = shard.free.pop_segment() {
-            shard.free_len.fetch_sub(n, Ordering::Relaxed);
-            return serve_head(shard, head, tail, n);
-        }
+/// Cache-less single-block acquire (DEAD paths): a central segment, whose
+/// head is served and the rest pushed back ([`serve_head`]), else a carve
+/// whose surplus all goes central.
+fn alloc_shared(class: usize) -> *mut u8 {
+    let central = &CENTRAL[class];
+    match central.pop() {
+        Some((head, tail, n)) => serve_head(central, head, tail, n),
+        None => carve_shared(class),
     }
-    for off in 0..CLASS_SHARDS {
-        let shard = &state.shards[(home + off) % CLASS_SHARDS];
-        let chain = shard.remote.take_all();
-        if !chain.is_null() {
-            let (tail, n) = drain_front(shard, chain, 1);
-            return serve_head(shard, chain, tail, n);
-        }
-    }
-    carve_shared(class, home)
 }
 
 /// Serve `head` of a private segment `head..=tail` of `n` blocks and push
-/// the other `n - 1` back onto `shard`'s central stack, re-stamped as one
+/// the other `n - 1` back onto the central stack, re-stamped as one
 /// segment.
-fn serve_head(shard: &ClassShard, head: *mut u8, tail: *mut u8, n: usize) -> *mut u8 {
+fn serve_head(central: &Central, head: *mut u8, tail: *mut u8, n: usize) -> *mut u8 {
     if n > 1 {
         let rest = next_of(head);
         seg_stamp(rest, tail, (n - 1) as u32);
-        shard.free.push_chain(rest, tail);
-        shard.free_len.fetch_add(n - 1, Ordering::Relaxed);
+        central.push(rest, tail, n - 1);
     }
     head
 }
@@ -1210,122 +1087,47 @@ fn observe_peak_net(lc: &LocalClass) {
     }
 }
 
-/// Thread-cache refill: remote drain → central segment → remote sweep →
-/// slab carve. Every level but the carve ends in [`adopt`]; the carve
-/// parks its kept blocks on the adopted chain itself.
+/// Thread-cache refill: pop one central segment, else carve a slab.
 #[cold]
 fn refill(cache: &mut ThreadCache, class: usize) -> *mut u8 {
     sync_flush_epoch(cache);
     observe_peak_net(&cache.classes[class]);
     owner_bump(&cache.refills);
-    let cap = MAG_CAP[class] as usize;
-    let state = &CLASSES[class];
-    let home = cache.home;
-
-    // Level 2: adopt this home shard's remote-free queue in one swap,
-    // *zero-touch*: whole batches up to `cap` are kept, the rest donated
-    // central in one push ([`drain_front`]). (Blocks on the home queue
-    // already carry the home stamp — that is how they were routed here.)
-    let shard = &state.shards[home];
-    let chain = shard.remote.take_all();
-    if !chain.is_null() {
-        let (tail, kept) = drain_front(shard, chain, cap);
-        return adopt(cache, class, chain, tail, kept, None);
-    }
-
-    // Level 3: pop one whole segment off the first non-empty central
-    // stack, probing from home — one CAS, and the segment is adopted with
-    // its tail link nulled (that link still points into the stack). A
-    // segment stolen from another shard is re-stamped: the thief becomes
-    // the owner, so its upcoming frees of these blocks go local instead
-    // of riding a remote queue back to a shard that may have no thread.
-    for off in 0..CLASS_SHARDS {
-        let idx = (home + off) % CLASS_SHARDS;
-        let s = &state.shards[idx];
-        if s.free_len.load(Ordering::Relaxed) == 0 && s.free.is_empty_hint() {
-            continue;
-        }
-        if let Some((head, tail, n)) = s.free.pop_segment() {
-            s.free_len.fetch_sub(n, Ordering::Relaxed);
-            // SAFETY: the pop made the segment ours; `tail` is its last
-            // block.
+    match CENTRAL[class].pop() {
+        Some((head, tail, n)) => {
+            // SAFETY: the pop made the segment ours; `tail`'s link still
+            // points into the stack.
             unsafe { *(tail as *mut *mut u8) = std::ptr::null_mut() };
-            return adopt(cache, class, head, tail, n, (idx != home).then_some(home));
+            adopt(cache, class, head, tail, n)
         }
+        None => carve(cache, class),
     }
-
-    // Level 3½: before paying for a new slab, sweep *other* shards'
-    // remote queues — blocks stranded on queues whose home threads have
-    // gone idle would otherwise accumulate unbounded. Whole batches are
-    // adopted as at Level 2 and re-stamped to home; the surplus goes to
-    // the source's central stack (where Level 3 finds and re-stamps it).
-    for off in 1..CLASS_SHARDS {
-        let idx = (home + off) % CLASS_SHARDS;
-        let s = &state.shards[idx];
-        let chain = s.remote.take_all();
-        if !chain.is_null() {
-            let (tail, kept) = drain_front(s, chain, cap);
-            return adopt(cache, class, chain, tail, kept, Some(home));
-        }
-    }
-
-    // Level 4: carve a fresh slab owned by this thread's home shard.
-    carve(cache, class)
 }
 
 /// Most blocks in one central segment that a carve, flush or sweep cuts:
 /// the class's refill batch (half a magazine, at most 64), which is what
-/// one Level 3 pop then takes.
+/// one refill then takes.
 #[inline]
 fn seg_max(class: usize) -> usize {
     (MAG_CAP[class] as usize / 2 + 1).min(64)
 }
 
-/// Serve a private, null-terminated chain `head..=tail` of `n` blocks
-/// from the thread cache: `head` is returned and the rest parks on
-/// `lc.chain`, each link read only when its block is handed out — a load
-/// on the very line the caller is about to write. With `restamp_home`
-/// set the chain was stolen from a foreign shard, and it is walked once
-/// to re-stamp its slabs to the thief.
-fn adopt(
-    cache: &mut ThreadCache,
-    class: usize,
-    head: *mut u8,
-    tail: *mut u8,
-    n: usize,
-    restamp_home: Option<usize>,
-) -> *mut u8 {
+/// Serve a private, null-terminated segment `head..=tail` of `n` blocks
+/// from the thread cache: `head` is returned and the rest becomes the
+/// class's (empty) list, with the count its stamp gave — no block walked.
+fn adopt(cache: &mut ThreadCache, class: usize, head: *mut u8, tail: *mut u8, n: usize) -> *mut u8 {
     debug_assert_eq!(chain_measure(head), (n, tail), "adopted chain disagrees with its stamp");
-    if let Some(home) = restamp_home {
-        let mut b = head;
-        while !b.is_null() {
-            restamp(b, home);
-            b = next_of(b);
-        }
-    }
     let lc = &mut cache.classes[class];
-    debug_assert!(lc.chain.is_null(), "refill with a live adopted chain");
-    lc.chain = next_of(head);
-    lc.chain_left.store((n - 1) as u32, Ordering::Relaxed);
+    debug_assert!(lc.head.is_null(), "refill with a live list");
+    lc.head = next_of(head);
+    lc.count.store((n - 1) as u32, Ordering::Relaxed);
     head
 }
 
-/// Re-own `block`'s slab: write the home shard into the header hint. The
-/// store races only against other hint reads/writes, all of which route
-/// validly whichever side wins.
-#[inline]
-fn restamp(block: *mut u8, home: usize) {
-    let header = ((block as usize) & !SLAB_MASK) as *const SlabHeader;
-    unsafe { (*header).shard.store(home as u16, Ordering::Relaxed) };
-}
-
-/// Segment metadata: every remote queue and central stack is a stack of
-/// *segments*, chains whose head's second word packs the tail pointer
-/// (low 48 bits) with the block count (high 16), written before the
-/// publishing CAS. This keeps a central refill one CAS and a drain
-/// O(segments): it accounts for the blocks it does *not* adopt by hopping
-/// segment heads, never walking a backlog that can run to tens of
-/// thousands of blocks.
+/// Segment metadata: every central stack is a stack of *segments*,
+/// chains whose head's second word packs the tail pointer (low 48 bits)
+/// with the block count (high 16), written before the publishing CAS.
+/// This keeps a refill one CAS that walks no block.
 #[inline]
 fn seg_stamp(head: *mut u8, tail: *mut u8, count: u32) {
     debug_assert!(count > 0 && (count as u64) < (1 << (64 - TAG_SHIFT)));
@@ -1364,49 +1166,15 @@ fn stamp_segments(head: *mut u8, n: usize, seg: usize) -> *mut u8 {
     }
 }
 
-/// Split a detached remote chain (a stack of stamped batches): whole
-/// batches stay with the caller until at least `want` blocks are kept,
-/// cut off by a null tail link, and the rest goes to `source`'s central
-/// stack in one push, stamps intact. Credits the whole chain to
-/// `source`'s remote-drain ledger. Reads only batch heads' stamps and
-/// tails' links: O(batches), no block in between touched. Returns the
-/// kept prefix's (tail, count).
-fn drain_front(source: &ClassShard, chain: *mut u8, want: usize) -> (*mut u8, usize) {
-    let (mut kept, mut tail, mut seg) = (0usize, chain, chain);
-    while !seg.is_null() && kept < want {
-        let (t, n) = seg_read(seg);
-        kept += n;
-        tail = t;
-        seg = next_of(t);
-    }
-    let mut total = kept;
-    if !seg.is_null() {
-        // SAFETY: the chain is detached and private to the caller.
-        unsafe { *(tail as *mut *mut u8) = std::ptr::null_mut() };
-        let (rest, mut last) = (seg, seg);
-        while !seg.is_null() {
-            let (t, n) = seg_read(seg);
-            total += n;
-            last = t;
-            seg = next_of(t);
-        }
-        source.free.push_chain(rest, last);
-        source.free_len.fetch_add(total - kept, Ordering::Relaxed);
-    }
-    source.remote_drained.fetch_add(total as u64, Ordering::Relaxed);
-    (tail, kept)
-}
-
-/// Carve a slab for the cache's home shard: first block served, up to
-/// `cap - 1` parked as the adopted chain, the rest to the central stack.
+/// Carve a slab for the cache: first block served, up to `cap - 1` made
+/// the class's list, the rest to the central stack.
 fn carve(cache: &mut ThreadCache, class: usize) -> *mut u8 {
     if crate::fault::fail_slab_carve() {
         return fallback_alloc(class);
     }
     owner_bump(&cache.slabs);
-    let home = cache.home;
     let cap = MAG_CAP[class] as usize;
-    let Some(base) = carve_slab(class, home) else { return std::ptr::null_mut() };
+    let Some(base) = carve_slab(class) else { return std::ptr::null_mut() };
     let bytes = class_bytes(class);
     let nblocks = (SLAB_BYTES - HEADER_BYTES) / bytes;
     let block_at = |i: usize| unsafe { base.add(HEADER_BYTES + i * bytes) };
@@ -1416,28 +1184,28 @@ fn carve(cache: &mut ThreadCache, class: usize) -> *mut u8 {
         unsafe { *(block_at(i) as *mut *mut u8) = next };
     }
     let lc = &mut cache.classes[class];
-    debug_assert!(lc.chain.is_null(), "carve with a live adopted chain");
-    lc.chain = block_at(1);
-    lc.chain_left.store(keep as u32, Ordering::Relaxed);
-    donate_slab_rest(class, home, base, keep + 1);
+    debug_assert!(lc.head.is_null(), "carve with a live list");
+    lc.head = block_at(1);
+    lc.count.store(keep as u32, Ordering::Relaxed);
+    donate_slab_rest(class, base, keep + 1);
     block_at(0)
 }
 
 /// Cache-less carve: everything beyond the served block goes central.
-fn carve_shared(class: usize, home: usize) -> *mut u8 {
+fn carve_shared(class: usize) -> *mut u8 {
     if crate::fault::fail_slab_carve() {
         return fallback_alloc(class);
     }
     FOLDED.slabs_carved.fetch_add(1, Ordering::Relaxed);
-    let Some(base) = carve_slab(class, home) else { return std::ptr::null_mut() };
-    donate_slab_rest(class, home, base, 1);
+    let Some(base) = carve_slab(class) else { return std::ptr::null_mut() };
+    donate_slab_rest(class, base, 1);
     unsafe { base.add(HEADER_BYTES) }
 }
 
 /// Chain blocks `first..` of the freshly carved `class` slab at `base` in
 /// place, as stamped segments of at most [`seg_max`] blocks, and push
-/// them onto `home`'s central stack in one CAS.
-fn donate_slab_rest(class: usize, home: usize, base: *mut u8, first: usize) {
+/// them onto the central stack in one CAS.
+fn donate_slab_rest(class: usize, base: *mut u8, first: usize) {
     let bytes = class_bytes(class);
     let nblocks = (SLAB_BYTES - HEADER_BYTES) / bytes;
     if first >= nblocks {
@@ -1456,9 +1224,7 @@ fn donate_slab_rest(class: usize, home: usize, base: *mut u8, first: usize) {
             unsafe { *(block_at(i) as *mut *mut u8) = block_at(i + 1) };
         }
     }
-    let shard = &CLASSES[class].shards[home];
-    shard.free.push_chain(block_at(first), block_at(nblocks - 1));
-    shard.free_len.fetch_add(nblocks - first, Ordering::Relaxed);
+    CENTRAL[class].push(block_at(first), block_at(nblocks - 1), nblocks - first);
 }
 
 /// Fresh slabs are bump-carved from segments of this many bytes: one
@@ -1532,7 +1298,7 @@ fn prefault(base: *mut u8, class: usize) {
 /// segment. Either way the pages the carve writes are prefaulted in one
 /// call first. `None` on OOM (propagates as a null from `alloc`, per the
 /// `GlobalAlloc` contract).
-fn carve_slab(class: usize, home: usize) -> Option<*mut u8> {
+fn carve_slab(class: usize) -> Option<*mut u8> {
     let base = match retired_pop() {
         Some(base) => base,
         None => segment_slab()?,
@@ -1542,7 +1308,6 @@ fn carve_slab(class: usize, home: usize) -> Option<*mut u8> {
     unsafe {
         (*header).magic = SLAB_MAGIC;
         (*header).class = class as u16;
-        (*header).shard = AtomicU16::new(home as u16);
         (*header).sweep_gen = AtomicU32::new(0);
         (*header).free_seen = AtomicU32::new(0);
     }
@@ -1566,8 +1331,8 @@ fn fallback_layout(class: usize) -> Layout {
 /// Injected-carve fallback: serve the request from a [`System`] chunk
 /// stamped [`FALLBACK_MAGIC`]. The chunk never enters slab accounting —
 /// it is counted on the per-class fallback gauge instead — and never
-/// recirculates through caches, central stacks or remote queues: its
-/// free goes straight back to [`System`].
+/// recirculates through caches or central stacks: its free goes straight
+/// back to [`System`].
 #[cold]
 fn fallback_alloc(class: usize) -> *mut u8 {
     let base = unsafe { System.alloc(fallback_layout(class)) };
@@ -1578,7 +1343,6 @@ fn fallback_alloc(class: usize) -> *mut u8 {
     unsafe {
         (*header).magic = FALLBACK_MAGIC;
         (*header).class = class as u16;
-        (*header).shard = AtomicU16::new(0);
         (*header).sweep_gen = AtomicU32::new(0);
         (*header).free_seen = AtomicU32::new(0);
     }
@@ -1591,8 +1355,7 @@ fn fallback_alloc(class: usize) -> *mut u8 {
 /// exists, and the free path reads no header.
 #[inline]
 fn is_fallback(ptr: *mut u8) -> bool {
-    let header = ((ptr as usize) & !SLAB_MASK) as *const SlabHeader;
-    unsafe { (*header).magic == FALLBACK_MAGIC }
+    unsafe { (*header_of(ptr)).magic == FALLBACK_MAGIC }
 }
 
 #[cold]
@@ -1602,23 +1365,11 @@ fn fallback_free(ptr: *mut u8, class: usize) {
     unsafe { System.dealloc(base, fallback_layout(class)) };
 }
 
-/// The owning shard stamped in `ptr`'s slab header: one load in release
-/// builds (the integrity debug-asserts compile out). Read by the routed
-/// flush and the cache-less free, never by a cached free.
-#[inline]
-fn shard_of(ptr: *mut u8, class: usize) -> usize {
-    let header = ((ptr as usize) & !SLAB_MASK) as *const SlabHeader;
-    unsafe {
-        debug_assert_eq!((*header).magic, SLAB_MAGIC, "classed free of a non-slab pointer");
-        debug_assert_eq!((*header).class as usize, class, "freed with a different class layout");
-        (*header).shard.load(Ordering::Relaxed) as usize
-    }
-}
-
 /// Classed deallocation. With a thread cache, every free is one push onto
-/// the local list, whoever carved the block: no slab-header load. Blocks
-/// are routed only when they leave the cache ([`route_flush`]); only a
-/// cache-less thread routes per block.
+/// the local list, whoever carved the block: no slab-header load (debug
+/// builds check the header). Blocks leave the cache only when the list
+/// overflows or the thread exits; a cache-less thread pushes each block
+/// onto the central stack alone.
 #[inline]
 fn dealloc_class(ptr: *mut u8, class: usize) {
     // Fault builds only: route fallback chunks straight back to System
@@ -1626,6 +1377,15 @@ fn dealloc_class(ptr: *mut u8, class: usize) {
     if cfg!(feature = "fault-inject") && is_fallback(ptr) {
         return fallback_free(ptr, class);
     }
+    debug_assert!(
+        unsafe { (*header_of(ptr)).magic == SLAB_MAGIC },
+        "classed free of a non-slab pointer"
+    );
+    debug_assert_eq!(
+        unsafe { (*header_of(ptr)).class } as usize,
+        class,
+        "freed with a different class layout"
+    );
     let cache = CACHE.get();
     if !cache.is_null() && cache != DEAD {
         let cache = unsafe { &mut *cache };
@@ -1640,80 +1400,24 @@ fn dealloc_class(ptr: *mut u8, class: usize) {
         }
         return;
     }
-    // No cache (never allocated) or DEAD (teardown done): the owner's
-    // remote queue is exactly the right mailbox — drained by whoever
-    // refills there next.
+    // No cache (never allocated) or DEAD (teardown done): a one-block
+    // segment on the central stack, where the next refill finds it.
     FOLDED_CLASS[class].frees.fetch_add(1, Ordering::Release);
-    remote_push(class, shard_of(ptr, class), ptr);
-}
-
-#[inline]
-fn remote_push(class: usize, shard_idx: usize, ptr: *mut u8) {
-    let shard = &CLASSES[class].shards[shard_idx];
     seg_stamp(ptr, ptr, 1);
-    shard.remote.push_chain(ptr, ptr);
-    shard.remote_pushes.fetch_add(1, Ordering::Relaxed);
+    CENTRAL[class].push(ptr, ptr, 1);
 }
 
-/// The routed flush: send the first `n` blocks of the private list at
-/// `head` where their slab stamps point, home-stamped ones to the home
-/// central stack and each foreign owner's as one chain on its remote
-/// queue. One walk reads each header once and cuts runs of one owner
-/// into stamped segments in place; a run is relinked only at its tail,
-/// onto its owner's chain. Returns the block after the `n`th.
-fn route_flush(class: usize, home: usize, head: *mut u8, n: usize) -> *mut u8 {
-    let seg = seg_max(class);
-    let mut heads = [std::ptr::null_mut::<u8>(); CLASS_SHARDS];
-    let mut tails = [std::ptr::null_mut::<u8>(); CLASS_SHARDS];
-    let mut counts = [0usize; CLASS_SHARDS];
-    // A refill may re-stamp a slab mid-walk, so each header is read once
-    // and a block lands in the run that one read chose.
-    let (mut b, mut left, mut owner) = (head, n, shard_of(head, class));
-    while left > 0 {
-        let (run_head, mut seg_head, mut open, mut run) = (b, b, 0, 0);
-        let mut last;
-        let next_owner = loop {
-            last = b;
-            b = next_of(b);
-            (left, open, run) = (left - 1, open + 1, run + 1);
-            if open == seg {
-                seg_stamp(seg_head, last, seg as u32);
-                (seg_head, open) = (b, 0);
-            }
-            if left == 0 {
-                break owner;
-            }
-            let s = shard_of(b, class);
-            if s != owner {
-                break s;
-            }
-        };
-        if open > 0 {
-            seg_stamp(seg_head, last, open as u32);
-        }
-        // SAFETY: the run is private and `b` is already read past it.
-        unsafe { *(last as *mut *mut u8) = heads[owner] };
-        if heads[owner].is_null() {
-            tails[owner] = last;
-        }
-        heads[owner] = run_head;
-        counts[owner] += run;
-        owner = next_owner;
-    }
-    for s in (0..CLASS_SHARDS).filter(|&s| counts[s] > 0) {
-        let shard = &CLASSES[class].shards[s];
-        if s == home {
-            shard.free.push_chain(heads[s], tails[s]);
-            shard.free_len.fetch_add(counts[s], Ordering::Relaxed);
-        } else {
-            shard.remote.push_chain(heads[s], tails[s]);
-            shard.remote_pushes.fetch_add(counts[s] as u64, Ordering::Relaxed);
-        }
-    }
-    b
+/// Stamp the first `n` blocks of the private list at `head` as segments
+/// and push them onto `class`'s central stack in one CAS. Returns the
+/// block after the `n`th.
+fn push_central(class: usize, head: *mut u8, n: usize) -> *mut u8 {
+    let tail = stamp_segments(head, n, seg_max(class));
+    let rest = next_of(tail);
+    CENTRAL[class].push(head, tail, n);
+    rest
 }
 
-/// Route the top half of the local list ([`route_flush`]).
+/// Push the top half of the local list onto the central stack.
 #[cold]
 fn flush_surplus(cache: &mut ThreadCache, class: usize) {
     // A pending reclaim epoch empties the whole cache — nothing left to
@@ -1721,39 +1425,25 @@ fn flush_surplus(cache: &mut ThreadCache, class: usize) {
     if sync_flush_epoch(cache) {
         return;
     }
-    let home = cache.home;
     let lc = &mut cache.classes[class];
     let count = lc.count.load(Ordering::Relaxed);
     let flush = (count / 2).max(1);
-    lc.head = route_flush(class, home, lc.head, flush as usize);
+    lc.head = push_central(class, lc.head, flush as usize);
     lc.count.store(count - flush, Ordering::Relaxed);
 }
 
-/// Empty every local list through [`route_flush`], and every adopted
-/// chain unrouted to the home central stack. Shared by the exit guard
-/// and [`flush_thread_cache`].
+/// Empty every local list onto the central stacks. Shared by the exit
+/// guard and [`flush_thread_cache`].
 fn flush_all(cache: &mut ThreadCache) {
-    let home = cache.home;
     for (class, lc) in cache.classes.iter_mut().enumerate() {
-        if !lc.head.is_null() {
-            let n = lc.count.load(Ordering::Relaxed) as usize;
-            debug_assert_eq!(chain_measure(lc.head).0, n, "local list count drifted");
-            route_flush(class, home, lc.head, n);
-            lc.head = std::ptr::null_mut();
-            lc.count.store(0, Ordering::Relaxed);
+        if lc.head.is_null() {
+            continue;
         }
-        if !lc.chain.is_null() {
-            // A lazily-served adopted chain, re-cut into segments: its
-            // served prefix took the first segment head's stamp with it.
-            let n = lc.chain_left.load(Ordering::Relaxed) as usize;
-            let tail = stamp_segments(lc.chain, n, seg_max(class));
-            debug_assert!(next_of(tail).is_null(), "adopted chain count drifted");
-            let shard = &CLASSES[class].shards[home];
-            shard.free.push_chain(lc.chain, tail);
-            shard.free_len.fetch_add(n, Ordering::Relaxed);
-            lc.chain = std::ptr::null_mut();
-            lc.chain_left.store(0, Ordering::Relaxed);
-        }
+        let n = lc.count.load(Ordering::Relaxed) as usize;
+        debug_assert_eq!(chain_measure(lc.head).0, n, "local list count drifted");
+        push_central(class, lc.head, n);
+        lc.head = std::ptr::null_mut();
+        lc.count.store(0, Ordering::Relaxed);
     }
 }
 
@@ -1789,33 +1479,8 @@ pub unsafe fn raw_dealloc(ptr: *mut u8, layout: Layout) {
     }
 }
 
-/// Pin the calling thread's home shard (creating its cache if needed).
-/// Test/bench hook: lets a harness place producers and consumers on
-/// disjoint shards so every cross-thread free provably rides the remote
-/// queue. Returns `false` if the thread is past TLS teardown.
-pub fn pin_home_shard(shard: usize) -> bool {
-    assert!(shard < CLASS_SHARDS, "shard {shard} out of range");
-    let mut cache = CACHE.get();
-    if cache.is_null() {
-        cache = init_cache();
-    }
-    if cache == DEAD {
-        return false;
-    }
-    // Keep the occupancy ledger honest: the pin overrides whatever slot
-    // `init_cache` claimed.
-    let old = unsafe { (*cache).home };
-    if old != shard {
-        SHARD_OCCUPANCY[old].fetch_sub(1, Ordering::Relaxed);
-        SHARD_OCCUPANCY[shard].fetch_add(1, Ordering::Relaxed);
-        unsafe { (*cache).home = shard };
-    }
-    true
-}
-
-/// Flush the calling thread's cached blocks — local lists through the
-/// routed flush, adopted chains to the home central stack (what the exit
-/// guard would do, minus the counter fold). Test/bench hook for
+/// Flush the calling thread's cached blocks onto the central stacks (what
+/// the exit guard would do, minus the counter fold). Test/bench hook for
 /// reasoning about central population at quiescence.
 pub fn flush_thread_cache() {
     let cache = CACHE.get();
@@ -1837,14 +1502,17 @@ pub struct GlobalAllocStats {
     pub class_frees: u64,
     /// Allocations served by a thread-cache list hit.
     pub cache_hits: u64,
-    /// Thread-cache refills (any level: remote, central, carve).
+    /// Thread-cache refills (central pop or carve).
     pub class_refills: u64,
-    /// Blocks shipped onto remote-free queues: foreign-stamped blocks of
-    /// routed flushes, plus cache-less frees.
+    /// Always 0: the engine has no remote-free queues (every block freed
+    /// without a cache goes to its class's central stack). Kept because
+    /// records and readers of the older engine's remote-free ledger,
+    /// `remote_frees == remote_drained + remote_pending`, still read
+    /// them; the ledger holds as 0 = 0 + 0.
     pub remote_frees: u64,
-    /// Blocks owners drained back out of remote queues.
+    /// Always 0 (see `remote_frees`).
     pub remote_drained: u64,
-    /// Blocks currently sitting in remote queues.
+    /// Always 0 (see `remote_frees`).
     pub remote_pending: u64,
     /// 64 KiB slab carves (fresh maps plus quarantine recarves).
     pub slabs_carved: u64,
@@ -1911,17 +1579,6 @@ pub fn stats() -> GlobalAllocStats {
         s.fallback_frees += ff;
         s.fallback_bytes += fa.saturating_sub(ff) * class_bytes(class) as u64;
     }
-    for class in &CLASSES {
-        for shard in &class.shards {
-            let pushes = shard.remote_pushes.load(Ordering::Relaxed);
-            let drained = shard.remote_drained.load(Ordering::Relaxed);
-            s.remote_frees += pushes;
-            s.remote_drained += drained;
-            // Relaxed reads can be mutually skewed mid-run; clamp rather
-            // than underflow (exact at quiescence either way).
-            s.remote_pending += pushes.saturating_sub(drained);
-        }
-    }
     s.slab_bytes =
         MAPPED_SLABS.iter().map(|m| m.load(Ordering::Relaxed)).sum::<u64>() * SLAB_BYTES as u64;
     let (reclaimed_slabs, reclaimed_bytes, recarved, _) = reclaim_totals();
@@ -1931,30 +1588,15 @@ pub fn stats() -> GlobalAllocStats {
     s
 }
 
-/// A snapshot of the shard-occupancy ledger (live caches homed per
-/// shard). Test hook: lets a harness verify that pinned and respawned
-/// thread generations never leak a phantom occupant.
-#[cfg(test)]
-pub(crate) fn shard_occupancy_snapshot() -> [u32; CLASS_SHARDS] {
-    let mut out = [0u32; CLASS_SHARDS];
-    for (slot, occ) in SHARD_OCCUPANCY.iter().zip(out.iter_mut()) {
-        *occ = slot.load(Ordering::Relaxed);
-    }
-    out
-}
-
 /// Raw per-class gauge counters, collected by [`collect_raw_gauges`].
 /// Block counts, not bytes — [`crate::heap_profile`] scales them.
 pub(crate) struct RawGauges {
     pub(crate) allocs: [u64; NUM_CLASSES],
     pub(crate) frees: [u64; NUM_CLASSES],
-    /// Blocks parked in thread-cache magazines (local lists + adopted
-    /// chains), summed over live caches.
+    /// Blocks parked in thread-cache lists, summed over live caches.
     pub(crate) cache_parked: [u64; NUM_CLASSES],
-    /// Blocks parked on central free stacks, summed over shards.
+    /// Blocks parked on the central free stacks.
     pub(crate) central_parked: [u64; NUM_CLASSES],
-    /// Blocks pending on remote-free queues, summed over shards.
-    pub(crate) remote_pending: [u64; NUM_CLASSES],
     pub(crate) mapped_slabs: [u64; NUM_CLASSES],
     pub(crate) peak_live_bytes: [u64; NUM_CLASSES],
     /// Fault-fallback blocks outstanding (allocs - frees, clamped).
@@ -1986,7 +1628,6 @@ pub(crate) fn collect_raw_gauges() -> RawGauges {
         frees: [0; NUM_CLASSES],
         cache_parked: [0; NUM_CLASSES],
         central_parked: [0; NUM_CLASSES],
-        remote_pending: [0; NUM_CLASSES],
         mapped_slabs: [0; NUM_CLASSES],
         peak_live_bytes: [0; NUM_CLASSES],
         fallback_blocks: [0; NUM_CLASSES],
@@ -2008,8 +1649,7 @@ pub(crate) fn collect_raw_gauges() -> RawGauges {
             let cache = unsafe { &*cur };
             for (class, lc) in cache.classes.iter().enumerate() {
                 g.allocs[class] += lc.allocs.load(Ordering::Acquire);
-                g.cache_parked[class] += lc.count.load(Ordering::Relaxed) as u64
-                    + lc.chain_left.load(Ordering::Relaxed) as u64;
+                g.cache_parked[class] += lc.count.load(Ordering::Relaxed) as u64;
                 thread_hw[class] += lc.peak_net.load(Ordering::Relaxed);
             }
             cur = cache.next;
@@ -2028,13 +1668,8 @@ pub(crate) fn collect_raw_gauges() -> RawGauges {
             cur = cache.next;
         }
     }
-    for (class, state) in CLASSES.iter().enumerate() {
-        for shard in &state.shards {
-            g.central_parked[class] += shard.central_len();
-            let pushes = shard.remote_pushes.load(Ordering::Relaxed);
-            let drained = shard.remote_drained.load(Ordering::Relaxed);
-            g.remote_pending[class] += pushes.saturating_sub(drained);
-        }
+    for (class, central) in CENTRAL.iter().enumerate() {
+        g.central_parked[class] = central.len();
         g.fallback_blocks[class] = FALLBACK_ALLOCS[class]
             .load(Ordering::Acquire)
             .saturating_sub(FALLBACK_FREES[class].load(Ordering::Acquire));
@@ -2161,47 +1796,12 @@ mod tests {
             let p = raw_alloc(l);
             assert!(!p.is_null());
             assert_eq!(p as usize % CLASS_ALIGN, 0, "block under-aligned for size {size}");
-            let header = ((p as usize) & !SLAB_MASK) as *const SlabHeader;
+            let header = header_of(p);
             unsafe {
                 assert_eq!((*header).magic, SLAB_MAGIC);
                 assert!(class_bytes((*header).class as usize) >= size);
             }
             unsafe { raw_dealloc(p, l) };
-        }
-    }
-
-    #[test]
-    fn pinned_thread_generations_conserve_the_shard_ledger() {
-        // ISSUE 10 satellite: `pin_home_shard` overrides the slot
-        // `claim_home_shard` just claimed; if the pin (or a re-pin, or
-        // the teardown of a pinned cache) failed to decrement the slot
-        // it moved off, every respawned pinned generation would leak a
-        // phantom occupant and steer all future claims away from it.
-        const GENERATIONS: usize = 64;
-        let before: u32 = shard_occupancy_snapshot().iter().sum();
-        for generation in 0..GENERATIONS {
-            std::thread::spawn(move || {
-                assert!(pin_home_shard(generation % CLASS_SHARDS));
-                let l = Layout::from_size_align(64, 8).unwrap();
-                let p = raw_alloc(l);
-                assert!(!p.is_null());
-                unsafe { raw_dealloc(p, l) };
-                // Re-pin to another shard: the ledger must move, not add.
-                assert!(pin_home_shard((generation + 3) % CLASS_SHARDS));
-            })
-            .join()
-            .unwrap();
-        }
-        let after: u32 = shard_occupancy_snapshot().iter().sum();
-        // Sibling tests' threads drift the ledger by a handful; a leak
-        // drifts it by a phantom per generation (two per with the re-pin).
-        let drift = after.abs_diff(before);
-        assert!(
-            drift < GENERATIONS as u32 / 2,
-            "ledger drifted {drift} across {GENERATIONS} pinned generations"
-        );
-        for (i, occ) in shard_occupancy_snapshot().iter().enumerate() {
-            assert!(*occ < 10_000, "shard {i} ledger wrapped: {occ}");
         }
     }
 
@@ -2360,60 +1960,42 @@ mod tests {
     #[test]
     fn stamped_segments_pop_whole_in_lifo_order() {
         let (_mem, b) = test_blocks(10);
-        let shard = ClassShard::new();
+        let central = Central::new();
         for seg in [&b[0..3], &b[3..4], &b[4..10]] {
-            push_segment(&shard.free, seg);
+            push_segment(&central.free, seg);
         }
         for want in [&b[4..10], &b[3..4], &b[0..3]] {
-            let (head, tail, n) = shard.free.pop_segment().expect("a stamped segment");
+            let (head, tail, n) = central.free.pop_segment().expect("a stamped segment");
             assert_eq!((head, tail, n), (want[0], want[want.len() - 1], want.len()));
             assert_eq!(walk(head, n), want);
         }
-        assert!(shard.free.pop_segment().is_none());
+        assert!(central.free.pop_segment().is_none());
 
         // The DEAD path serves a segment's head and pushes the rest back
         // as one segment, re-stamped from its new head.
-        push_segment(&shard.free, &b[0..5]);
-        let (head, tail, n) = shard.free.pop_segment().unwrap();
-        assert_eq!(serve_head(&shard, head, tail, n), b[0]);
-        assert_eq!(shard.free_len.load(Ordering::Relaxed), 4);
-        let (head, tail, n) = shard.free.pop_segment().expect("the remainder went back");
+        push_segment(&central.free, &b[0..5]);
+        let (head, tail, n) = central.free.pop_segment().unwrap();
+        assert_eq!(serve_head(&central, head, tail, n), b[0]);
+        assert_eq!(central.len(), 4);
+        let (head, tail, n) = central.free.pop_segment().expect("the remainder went back");
         assert_eq!((head, tail, n), (b[1], b[4], 4));
         assert_eq!(walk(head, n), &b[1..5]);
-        push_segment(&shard.free, &b[5..6]);
-        let (head, tail, n) = shard.free.pop_segment().unwrap();
-        assert_eq!(serve_head(&shard, head, tail, n), b[5]);
-        assert!(shard.free.pop_segment().is_none(), "a one-block segment leaves nothing");
+        push_segment(&central.free, &b[5..6]);
+        let (head, tail, n) = central.free.pop_segment().unwrap();
+        assert_eq!(serve_head(&central, head, tail, n), b[5]);
+        assert!(central.free.pop_segment().is_none(), "a one-block segment leaves nothing");
     }
 
     #[test]
     fn a_wrapped_central_count_reads_as_zero() {
-        let shard = ClassShard::new();
-        shard.free_len.store(3, Ordering::Relaxed);
-        assert_eq!(shard.central_len(), 3);
+        let central = Central::new();
+        central.free_len.store(3, Ordering::Relaxed);
+        assert_eq!(central.len(), 3);
         // A pop's `fetch_sub` lands before the push's `fetch_add`.
-        shard.free_len.fetch_sub(5, Ordering::Relaxed);
-        assert_eq!(shard.central_len(), 0);
-        shard.free_len.fetch_add(5, Ordering::Relaxed);
-        assert_eq!(shard.central_len(), 3);
-    }
-
-    #[test]
-    fn drain_front_keeps_whole_batches_and_donates_the_rest_stamped() {
-        let (_mem, b) = test_blocks(9);
-        let shard = ClassShard::new();
-        for batch in [&b[0..2], &b[2..5], &b[5..9]] {
-            push_segment(&shard.remote, batch);
-        }
-        let chain = shard.remote.take_all();
-        // 4 blocks fall short of 5, so the next whole batch comes too.
-        let (tail, kept) = drain_front(&shard, chain, 5);
-        assert_eq!((chain, tail, kept), (b[5], b[4], 7));
-        assert_eq!(chain_measure(chain), (7, b[4]), "the kept prefix is cut off");
-        assert_eq!(shard.remote_drained.load(Ordering::Relaxed), 9);
-        assert_eq!(shard.free_len.load(Ordering::Relaxed), 2);
-        assert_eq!(shard.free.pop_segment(), Some((b[0], b[1], 2)));
-        assert!(shard.free.pop_segment().is_none());
+        central.free_len.fetch_sub(5, Ordering::Relaxed);
+        assert_eq!(central.len(), 0);
+        central.free_len.fetch_add(5, Ordering::Relaxed);
+        assert_eq!(central.len(), 3);
     }
 
     #[test]
@@ -2501,7 +2083,7 @@ mod tests {
     #[test]
     fn flushed_surplus_comes_back_as_whole_segments() {
         // Freeing far past the magazine cap makes `flush_surplus` cut
-        // stamped segments; allocating them all back makes Level 3 pop
+        // stamped segments; allocating them all back makes refills pop
         // them, and debug builds walk each adopted segment against its
         // stamp. Carve remainders take the same road on the first round.
         let l = layout(640, 8);
@@ -2516,6 +2098,34 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    #[test]
+    fn the_retired_remote_fields_read_zero() {
+        // Blocks freed by a thread that did not allocate them, and by a
+        // thread with no cache (feature-off, a thread that never allocates
+        // a classed block has none), all end on central stacks: nothing
+        // counts as remote.
+        let l = layout(80, 8);
+        let blocks: Vec<usize> =
+            std::thread::spawn(move || (0..300).map(|_| raw_alloc(l) as usize).collect())
+                .join()
+                .unwrap();
+        let (cross, cacheless) = blocks.split_at(200);
+        for &p in cross {
+            unsafe { raw_dealloc(p as *mut u8, l) };
+        }
+        let cacheless = cacheless.to_vec();
+        std::thread::spawn(move || {
+            for p in cacheless {
+                unsafe { raw_dealloc(p as *mut u8, l) };
+            }
+        })
+        .join()
+        .unwrap();
+        flush_thread_cache();
+        let s = stats();
+        assert_eq!((s.remote_frees, s.remote_drained, s.remote_pending), (0, 0, 0), "{s:?}");
     }
 
     #[test]

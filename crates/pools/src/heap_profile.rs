@@ -7,8 +7,8 @@
 //! alloc/dealloc fast paths stay free of locked RMWs:
 //!
 //! * **Gauges** ([`gauges`]): per-size-class mapped bytes, live bytes,
-//!   peak watermark, parked-magazine bytes (thread caches, central
-//!   stacks, remote queues) and the fault-fallback residue. Collected by
+//!   peak watermark, parked bytes (thread caches and central stacks)
+//!   and the fault-fallback residue. Collected by
 //!   the two-pass fold in `pools::global` (DESIGN.md §9), which
 //!   guarantees `live_bytes <= mapped_bytes` in every snapshot and
 //!   exactness at quiescence.
@@ -134,8 +134,6 @@ pub struct ClassGauges {
     pub parked_cache_bytes: u64,
     /// Blocks parked on central free stacks.
     pub parked_central_bytes: u64,
-    /// Blocks pending on remote-free queues.
-    pub parked_remote_bytes: u64,
     /// Outstanding fault-fallback bytes (outside `mapped`/`live`).
     pub fallback_bytes: u64,
 }
@@ -156,10 +154,7 @@ impl HeapGauges {
     }
 
     pub(crate) fn total_parked_bytes(&self) -> u64 {
-        self.classes
-            .iter()
-            .map(|c| c.parked_cache_bytes + c.parked_central_bytes + c.parked_remote_bytes)
-            .sum()
+        self.classes.iter().map(|c| c.parked_cache_bytes + c.parked_central_bytes).sum()
     }
 
     pub(crate) fn total_fallback_bytes(&self) -> u64 {
@@ -185,7 +180,6 @@ pub fn gauges() -> HeapGauges {
             peak_live_bytes: raw.peak_live_bytes[class],
             parked_cache_bytes: raw.cache_parked[class] * bytes,
             parked_central_bytes: raw.central_parked[class] * bytes,
-            parked_remote_bytes: raw.remote_pending[class] * bytes,
             fallback_bytes: raw.fallback_blocks[class] * bytes,
         };
     }

@@ -27,12 +27,13 @@
 //!   the paper's Figure 4 shows a 1-thread Amplify advantage: the
 //!   generated C++ runtime header drops its mutex in unthreaded builds,
 //!   and the magazine fast path here takes none either;
-//! * the size-class engine — thread caches, central stacks and 64 KiB
-//!   slabs keyed by **size class** instead of type — is the only source of
-//!   fresh memory for the typed pools and serves untyped allocations as a
-//!   malloc front-end — [`global`] — installable process-wide as
-//!   `#[global_allocator]` via the `global-alloc` feature, with MPSC
-//!   remote-free queues so cross-thread `dealloc` is one CAS.
+//! * the size-class engine — thread caches, one central stack per class
+//!   and 64 KiB slabs, keyed by **size class** instead of type — is the
+//!   only source of fresh memory for the typed pools and serves untyped
+//!   allocations as a malloc front-end — [`global`] — installable
+//!   process-wide as `#[global_allocator]` via the `global-alloc` feature;
+//!   a cross-thread `dealloc` is one push onto the freeing thread's cache,
+//!   like any other.
 //!
 //! All pools report `stats::StatsSnapshot` counters (hits, misses, failed
 //! lock attempts) — the observability the paper used to conclude that Amplify's

@@ -177,6 +177,11 @@ impl<T> DerefMut for PoolBox<T> {
 }
 
 impl<T> Drop for PoolBox<T> {
+    // Out of line: a slot is dropped only on a pool's cold paths (trims,
+    // capped parks, stale magazines), and inlined into `acquire_cold` it
+    // reshapes the depot swap path there, which slowed `typed-burst`
+    // (EXPERIMENTS.md, "One central stack per size class").
+    #[inline(never)]
     fn drop(&mut self) {
         /// Frees the slot once the value's destructor is done, also when
         /// that destructor panics (as `Box` does).
@@ -452,7 +457,7 @@ mod tests {
     #[test]
     fn slots_cross_threads() {
         // Made on this thread, read and freed on another (an engine
-        // remote free).
+        // cross-thread free).
         let (a, b) = (PoolBox::new(11u64), PoolBox::new(22u64));
         let h = std::thread::spawn(move || *a + *b);
         assert_eq!(h.join().unwrap(), 33);

@@ -1,14 +1,9 @@
 //! Cross-thread free stress for the size-class front-end: producers
-//! allocate, a dedicated consumer frees, so every release rides the
-//! remote-free queue (the path `run_workload`'s free-where-you-allocate
-//! discipline never exercises).
-//!
-//! Home-shard pinning makes the ledger exact: producers live on shards
-//! 0..P, the consumer on the last shard, and the consumer never performs a
-//! classed allocation — so no slab is ever stamped with the consumer's
-//! shard, and every block the consumer frees leaves its cache through a
-//! routed flush (on overflow or at teardown) onto a producer's remote
-//! queue. Producers never free, so nothing else touches the remote ledger.
+//! allocate, a dedicated consumer frees, so every release is a block the
+//! freeing thread never allocated (the path `run_workload`'s
+//! free-where-you-allocate discipline never exercises). The consumer's
+//! cache fills with them and sheds them to the central stacks, where the
+//! producers' refills pick them up again.
 //!
 //! Exact-equality accounting only holds feature-off (with `global-alloc`
 //! installed, the test harness's own heap traffic shares the process-wide
@@ -17,7 +12,7 @@
 //!
 //! Tests in this binary serialize on one lock: the ledger is process-wide.
 
-use pools::global::{self, CLASS_SHARDS};
+use pools::global;
 use std::alloc::Layout;
 use std::collections::HashSet;
 use std::sync::mpsc;
@@ -33,16 +28,14 @@ const BLOCK_LAYOUT: Layout = match Layout::from_size_align(64, 8) {
     Err(_) => panic!("static layout"),
 };
 
-/// Producers alloc + stamp + send; the consumer checks, frees remotely,
-/// and tracks liveness. Returns (blocks moved, distinct ids seen).
+/// Producers alloc + stamp + send; the consumer checks, frees, and
+/// tracks liveness. Returns (blocks moved, distinct ids seen).
 fn producer_consumer_run(producers: usize, per_producer: usize) -> (usize, usize) {
-    assert!(producers < CLASS_SHARDS, "need a consumer shard disjoint from producers");
     let (tx, rx) = mpsc::channel::<usize>();
     std::thread::scope(|s| {
         for p in 0..producers {
             let tx = tx.clone();
             s.spawn(move || {
-                assert!(global::pin_home_shard(p), "producer {p} must get a cache");
                 for i in 0..per_producer {
                     let block = global::raw_alloc(BLOCK_LAYOUT);
                     assert!(!block.is_null());
@@ -54,9 +47,6 @@ fn producer_consumer_run(producers: usize, per_producer: usize) -> (usize, usize
         }
         drop(tx);
         let consumer = s.spawn(move || {
-            // The consumer allocates nothing classed; its cache exists only
-            // so `dealloc` sees home != block-shard and goes remote.
-            assert!(global::pin_home_shard(CLASS_SHARDS - 1));
             let mut live: HashSet<usize> = HashSet::new();
             let mut ids: HashSet<u64> = HashSet::new();
             let mut freed = 0usize;
@@ -82,7 +72,7 @@ fn producer_consumer_run(producers: usize, per_producer: usize) -> (usize, usize
 }
 
 #[test]
-fn cross_thread_frees_conserve_blocks_and_reconcile_the_remote_ledger() {
+fn cross_thread_frees_conserve_blocks() {
     let _g = ledger_lock();
     let before = global::stats();
     const PRODUCERS: usize = 4;
@@ -97,29 +87,14 @@ fn cross_thread_frees_conserve_blocks_and_reconcile_the_remote_ledger() {
     let after = global::stats();
     let allocs = after.class_allocs - before.class_allocs;
     let frees = after.class_frees - before.class_frees;
-    let remote = after.remote_frees - before.remote_frees;
     if global::installed() {
         assert!(allocs >= total, "classed allocs {allocs} < {total}");
         assert!(frees >= total, "classed frees {frees} < {total}");
-        assert!(remote >= total, "remote frees {remote} < {total}");
     } else {
-        // Conservation: every block allocated was freed, exactly once...
+        // Conservation: every block allocated was freed, exactly once.
         assert_eq!(allocs, total, "alloc count off");
         assert_eq!(frees, total, "free count off");
-        // ...and every single free was a remote push (the consumer's home
-        // shard never stamps a slab, so each freed block is shipped to its
-        // owner's queue by an overflow flush or the teardown flush),
-        // reconciling the `remote_frees` counter exactly against the
-        // operation count. Producers only allocate, so they never free
-        // anything; their flushes all land on central stacks.
-        assert_eq!(remote, total, "remote_free ledger must equal consumer frees");
     }
-    // The queue ledger itself always balances: pushed = drained + pending.
-    assert_eq!(
-        after.remote_frees,
-        after.remote_drained + after.remote_pending,
-        "remote queue ledger out of balance"
-    );
     // Zero live bytes from this run's classed traffic: allocs == frees
     // above is exactly that statement (blocks live in slabs either way;
     // slab memory is process-lifetime by design).
@@ -163,16 +138,15 @@ fn free_tree(n: *mut Node) {
     unsafe { global::raw_dealloc(n.cast(), NODE) };
 }
 
-/// Two threads pinned to different homes trade depth-5 trees in turns,
-/// the benchmark's `xthread-heap` shape: each request builds two trees,
-/// frees one where it was built, ships the other to the peer and frees
-/// one tree the peer shipped. Half the frees are cross-thread, yet every
-/// turn frees exactly what it allocates (thread 1 ships the first trees
-/// before thread 0's first turn), so once one warm-up round has stocked
-/// both caches no block needs to leave one: the timed rounds must refill
-/// nothing and ship nothing to a remote queue. Nothing allocates between
-/// the snapshots but the trees: the ledger is exact feature-off, and
-/// nearly so with the harness's heap on it.
+/// Two threads trade depth-5 trees in turns, the benchmark's
+/// `xthread-heap` shape: each request builds two trees, frees one where
+/// it was built, ships the other to the peer and frees one tree the peer
+/// shipped. Half the frees are cross-thread, yet every turn frees exactly
+/// what it allocates (thread 1 ships the first trees before thread 0's
+/// first turn), so once one warm-up round has stocked both caches no
+/// block needs to leave one: the timed rounds must refill nothing.
+/// Nothing allocates between the snapshots but the trees: the ledger is
+/// exact feature-off, and nearly so with the harness's heap on it.
 #[test]
 fn trading_threads_keep_cross_thread_frees_in_their_caches() {
     use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
@@ -196,7 +170,6 @@ fn trading_threads_keep_cross_thread_frees_in_their_caches() {
             .map(|t| {
                 let (turn, mailbox, wait_for) = (&turn, &mailbox, &wait_for);
                 s.spawn(move || {
-                    assert!(global::pin_home_shard(t));
                     if t == 1 {
                         for m in mailbox {
                             m.store(build_tree(DEPTH), Ordering::Relaxed);
@@ -238,28 +211,21 @@ fn trading_threads_keep_cross_thread_frees_in_their_caches() {
     let timed_allocs = ((LAST_TURN - 2) * REQUESTS * 2 * TREE_NODES) as u64;
     let allocs = timed.class_allocs - warm.class_allocs;
     let refills = timed.class_refills - warm.class_refills;
-    let remote = timed.remote_frees - warm.remote_frees;
     if global::installed() {
         // The harness's own heap shares the ledger: a thread it winds
         // down mid-round flushes its cache, and its allocations count.
-        // Routing on every free refills dozens of times here and ships
-        // thousands of blocks.
         assert!(allocs >= timed_allocs, "classed allocs {allocs} < {timed_allocs}");
         assert!(refills <= 4, "timed rounds refilled {refills} times");
-        assert!(remote <= 256, "timed rounds shipped {remote} blocks to remote queues");
     } else {
         assert_eq!(allocs, timed_allocs);
         assert_eq!(refills, 0, "a timed round refilled a cache");
-        assert_eq!(remote, 0, "a timed round shipped a remote chain");
     }
 }
 
-/// Reclaim-under-churn (ISSUE 10): the cross-thread conservation run
-/// with an aggressive reclaimer sweeping the whole time. Sweeps drain
-/// remote chains and central stacks, retire idle slabs, and hand them
-/// back through the quarantine pool — and none of it may invent, lose,
-/// or double-hand-out a block, or unbalance the remote ledger (the
-/// sweep's drains are counted as `remote_drained` like an owner's).
+/// Reclaim-under-churn: the cross-thread conservation run with an
+/// aggressive reclaimer sweeping the whole time. Sweeps drain the central
+/// stacks, retire idle slabs, and hand them back through the quarantine
+/// pool — and none of it may invent, lose, or double-hand-out a block.
 #[test]
 fn slab_retirement_conserves_the_cross_thread_ledger() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -301,11 +267,6 @@ fn slab_retirement_conserves_the_cross_thread_ledger() {
         assert_eq!(allocs, total, "retirement must not invent or lose allocs");
         assert_eq!(frees, total, "retirement must not invent or lose frees");
     }
-    assert_eq!(
-        after.remote_frees,
-        after.remote_drained + after.remote_pending,
-        "sweep drains must keep the remote queue ledger balanced"
-    );
 
     // The churn is idle now. A final pass trims whatever the concurrent
     // reclaimer's last lap left behind (it races the stop flag, so it
@@ -396,11 +357,9 @@ fn recarved_slabs_never_double_hand_out_under_faults() {
         "the rounds never recycled a retired slab ({recarved_before} -> {recarved_after}); \
          the probe proved nothing"
     );
-    let after = global::stats();
-    assert_eq!(after.remote_frees, after.remote_drained + after.remote_pending);
 }
 
-/// The acceptance bar: remote-free conservation must survive deterministic
+/// The acceptance bar: cross-thread conservation must survive deterministic
 /// fault injection. The injected sites live in the *typed* pool ladder
 /// (fresh-alloc failures, depot retries, epoch bumps on trim), so a typed
 /// `ShardedPool` churns and trims concurrently with the producer/consumer
@@ -477,5 +436,4 @@ fn epoch_bumps_under_fault_injection_do_not_disturb_conservation() {
         assert_eq!(allocs + fb_allocs, classed);
         assert_eq!(frees + fb_frees, classed);
     }
-    assert_eq!(after.remote_frees, after.remote_drained + after.remote_pending);
 }

@@ -11,7 +11,7 @@
 //! as floors. The gauges are process-wide, so each test runs in a child
 //! process of its own ([`in_own_process`]).
 
-use pools::global::{self, CLASS_SHARDS};
+use pools::global;
 use pools::heap_profile as hp;
 use std::alloc::Layout;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,7 +72,7 @@ fn class_live_bytes(g: &hp::HeapGauges, class: usize) -> u64 {
 
 /// Every-snapshot invariant plus quiesce reconciliation, under the same
 /// producer/consumer shape as the front-end stress suite: producers
-/// allocate on shards `0..P`, a consumer frees everything remotely, and a
+/// allocate, a consumer frees everything cross-thread, and a
 /// dedicated observer thread snapshots the gauges as fast as it can the
 /// whole time.
 #[test]
@@ -86,7 +86,6 @@ fn every_snapshot_bounds_live_by_mapped_and_quiesce_reconciles() {
 
     const PRODUCERS: usize = 4;
     const PER: usize = 15_000;
-    const { assert!(PRODUCERS < CLASS_SHARDS) };
 
     let stop = AtomicBool::new(false);
     let snapshots_taken = AtomicU64::new(0);
@@ -127,10 +126,9 @@ fn every_snapshot_bounds_live_by_mapped_and_quiesce_reconciles() {
         }
         let (tx, rx) = mpsc::channel::<usize>();
         let producers: Vec<_> = (0..PRODUCERS)
-            .map(|p| {
+            .map(|_| {
                 let tx = tx.clone();
                 s.spawn(move || {
-                    assert!(global::pin_home_shard(p));
                     for _ in 0..PER {
                         let block = global::raw_alloc(BLOCK_LAYOUT);
                         assert!(!block.is_null());
@@ -141,7 +139,6 @@ fn every_snapshot_bounds_live_by_mapped_and_quiesce_reconciles() {
             .collect();
         drop(tx);
         let consumer = s.spawn(move || {
-            assert!(global::pin_home_shard(CLASS_SHARDS - 1));
             let mut freed = 0usize;
             while let Ok(addr) = rx.recv() {
                 unsafe { global::raw_dealloc(addr as *mut u8, BLOCK_LAYOUT) };
@@ -248,10 +245,9 @@ fn snapshots_hold_while_the_reclaimer_sweeps_the_churn() {
         }
         let (tx, rx) = mpsc::channel::<usize>();
         let producers: Vec<_> = (0..PRODUCERS)
-            .map(|p| {
+            .map(|_| {
                 let tx = tx.clone();
                 s.spawn(move || {
-                    assert!(global::pin_home_shard(p));
                     for _ in 0..PER {
                         let block = global::raw_alloc(CHURN_LAYOUT);
                         assert!(!block.is_null());
@@ -263,7 +259,6 @@ fn snapshots_hold_while_the_reclaimer_sweeps_the_churn() {
             .collect();
         drop(tx);
         let consumer = s.spawn(move || {
-            assert!(global::pin_home_shard(CLASS_SHARDS - 1));
             let mut freed = 0usize;
             while let Ok(addr) = rx.recv() {
                 unsafe { global::raw_dealloc(addr as *mut u8, CHURN_LAYOUT) };

@@ -15,29 +15,21 @@ pub enum EventKind {
     FallbackAlloc,
     /// The fault layer injected a failure, at any site.
     FaultInjected,
-    /// A cross-thread free in the size-class engine pushed a block onto a
-    /// remote-free queue.
-    RemoteFree,
-    /// The size-class engine refilled a thread cache from its shared
-    /// levels (remote drain, central stack or slab carve).
+    /// The size-class engine refilled a thread cache from its central
+    /// stack or a slab carve.
     ClassRefill,
 }
 
 impl EventKind {
     /// Every kind, in the order reports list them.
-    pub const ALL: [EventKind; 4] = [
-        EventKind::FallbackAlloc,
-        EventKind::FaultInjected,
-        EventKind::RemoteFree,
-        EventKind::ClassRefill,
-    ];
+    pub const ALL: [EventKind; 3] =
+        [EventKind::FallbackAlloc, EventKind::FaultInjected, EventKind::ClassRefill];
 
     /// Stable wire/report name.
     pub(crate) fn name(self) -> &'static str {
         match self {
             EventKind::FallbackAlloc => "fallback_alloc",
             EventKind::FaultInjected => "fault_injected",
-            EventKind::RemoteFree => "remote_free",
             EventKind::ClassRefill => "class_refill",
         }
     }

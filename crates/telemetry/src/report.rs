@@ -27,8 +27,9 @@ pub const POOL_TUNE_SCHEMA: &str = "pool-tune-v1";
 /// while they did: the Level 3 magazine refill and the shadow slots, then
 /// the typed pools' per-event totals, which a compile-time feature counted
 /// a second time beside their always-on counters (a report's `pools` and
-/// `native_runs` sections carry those counts).
-const RETIRED_EVENT_KINDS: [&str; 13] = [
+/// `native_runs` sections carry those counts), then the size-class
+/// engine's remote-free pushes, whose queues are gone.
+const RETIRED_EVENT_KINDS: [&str; 14] = [
     "magazine_refill",
     "shadow_park",
     "shadow_reuse",
@@ -42,6 +43,7 @@ const RETIRED_EVENT_KINDS: [&str; 13] = [
     "depot_swap",
     "depot_park",
     "slab_carve",
+    "remote_free",
 ];
 
 /// Buckets a histogram may have (see [`HistogramReport`]): 65 cover every
@@ -178,8 +180,9 @@ pub struct HeapClassGauges {
     pub live_bytes: u64,
     /// High-water mark of `live_bytes` across collections.
     pub peak_live_bytes: u64,
-    /// Bytes parked in reuse caches (thread magazines + central stacks +
-    /// remote queues).
+    /// Bytes parked in reuse caches (thread magazines + central stacks;
+    /// reports written while the engine had remote-free queues also
+    /// count those).
     pub parked_bytes: u64,
     /// Outstanding fault-fallback bytes (outside `mapped`/`live`).
     pub fallback_bytes: u64,
@@ -1128,7 +1131,7 @@ mod tests {
         // A fresh report lists exactly the live kinds, none retired.
         let fresh = Report::with_events("unit", |_| 0);
         let kinds: Vec<&str> = fresh.events.iter().map(|e| e.kind.as_str()).collect();
-        assert_eq!(kinds, ["fallback_alloc", "fault_injected", "remote_free", "class_refill"]);
+        assert_eq!(kinds, ["fallback_alloc", "fault_injected", "class_refill"]);
         assert!(kinds.iter().all(|k| !RETIRED_EVENT_KINDS.contains(k)));
         assert!(fresh.histograms.is_empty());
         fresh.validate().unwrap();
@@ -1136,7 +1139,8 @@ mod tests {
         // something is announced as gone, not silently dropped.
         let diff = back.diff(&fresh);
         assert!(diff.contains("acquire_hit") && diff.contains("(gone, was 10)"), "{diff}");
-        assert!(diff.contains("remote_free") && diff.contains("-22"), "{diff}");
+        assert!(diff.contains("remote_free") && diff.contains("(gone, was 22)"), "{diff}");
+        assert!(diff.contains("class_refill") && diff.contains("-23"), "{diff}");
     }
 
     #[test]
