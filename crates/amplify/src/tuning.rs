@@ -4,7 +4,7 @@
 //! parameters the generated C++ runtime header can express.
 //!
 //! The genome describes the Rust runtime's layout (per-thread magazines
-//! over per-shard depot stacks); the generated header implements one free
+//! over a shared depot); the generated header implements one free
 //! list per class. The lowering keeps the one knob with a direct analog:
 //! `magazine_cap × shards` → `PoolParams<T>::kMaxObjects`, the total
 //! cached capacity the tuned Rust layout would hold, applied as the

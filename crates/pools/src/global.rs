@@ -15,11 +15,12 @@
 //!    for untyped blocks: no `Vec`, the link lives in the free block
 //!    itself). Hit = two plain loads and a store.
 //! 2. **Central free stack** — one version-tagged Treiber stack per class
-//!    (the `crate::depot` ABA scheme) of stamped *segments*: flushed
-//!    surplus, carve remainders, sweep survivors and cache-less frees, each
-//!    a chain of at most a refill batch. A refill pops one whole segment
-//!    with one CAS and makes it the thread's list without touching its
-//!    blocks: the count comes from the segment's stamp (`seg_stamp`).
+//!    (`crate::block_stack`, the typed depot's stack too) of stamped
+//!    *segments*: flushed surplus, carve remainders, sweep survivors and
+//!    cache-less frees, each a chain of at most a refill batch. A refill
+//!    pops one whole segment with one CAS and makes it the thread's list
+//!    without touching its blocks: the count comes from the segment's
+//!    stamp (`seg_stamp`).
 //! 3. **Slab carve** — a 64 KiB slab, 64 KiB-*aligned*, is carved into
 //!    blocks. The alignment lets `ptr & !(SLAB_BYTES-1)` recover the slab
 //!    header (`{magic, class}` plus the sweep's scratch) without a lookup
@@ -78,12 +79,11 @@
 //! period, the snapshot ring) lives in
 //! [`crate::heap_profile`].
 
+use crate::block_stack::{seg_stamp, BlockStack};
 use crate::size_class::{class_bytes, class_for, NUM_CLASSES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{
-    fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Slab size and alignment: header-by-address-mask needs them equal.
 pub const SLAB_BYTES: usize = 64 * 1024;
@@ -97,12 +97,6 @@ const SLAB_MAGIC: u32 = 0x9F00_11AB;
 /// from [`SLAB_MAGIC`] so `dealloc` routes them back to [`System`] instead
 /// of into slab accounting.
 const FALLBACK_MAGIC: u32 = 0xFA11_BACC;
-
-// Tagged-pointer packing, identical to `depot::MagStack`: 48-bit address,
-// 16-bit version tag bumped by every successful CAS.
-const TAG_SHIFT: u32 = 48;
-const PTR_MASK: u64 = (1 << TAG_SHIFT) - 1;
-const TAG_ONE: u64 = 1 << TAG_SHIFT;
 
 /// Thread-cache capacity per class: about half a slab's worth of small
 /// blocks, clamped so big classes still batch and tiny ones don't hoard.
@@ -134,111 +128,6 @@ struct SlabHeader {
     /// padding, so the header stays 16 bytes.
     sweep_gen: AtomicU32,
     free_seen: AtomicU32,
-}
-
-/// A Treiber stack of raw blocks; the link is the block's first word.
-/// Every push is a chain stamped by [`seg_stamp`], so the stack is a
-/// stack of *segments*, each tail linking to the next segment's head.
-///
-/// Safety relies on the same two depot arguments: the version tag defeats
-/// ABA between a pop's load and CAS, and slab memory is never unmapped, so
-/// reading a lost block's link word cannot fault.
-struct BlockStack {
-    head: AtomicU64,
-}
-
-impl BlockStack {
-    const fn new() -> Self {
-        BlockStack { head: AtomicU64::new(0) }
-    }
-
-    #[inline]
-    unsafe fn link_of(block: *mut u8) -> &'static AtomicUsize {
-        // Blocks are >= 16 bytes and 16-aligned; the first word holds the
-        // intrusive link while the block is free.
-        unsafe { &*(block as *const AtomicUsize) }
-    }
-
-    /// Push a pre-linked chain `head..=tail` (interior links already set,
-    /// only `tail`'s link is written here). Lock-free, single CAS loop.
-    fn push_chain(&self, chain_head: *mut u8, chain_tail: *mut u8) {
-        let ptr_bits = chain_head as u64;
-        debug_assert_eq!(ptr_bits & !PTR_MASK, 0, "block address exceeds 48 bits");
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            // The chain is still ours: plain store of the tail link.
-            unsafe { Self::link_of(chain_tail) }
-                .store((head & PTR_MASK) as usize, Ordering::Relaxed);
-            let tagged = ptr_bits | (head & !PTR_MASK).wrapping_add(TAG_ONE);
-            match self.head.compare_exchange_weak(
-                head,
-                tagged,
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(current) => head = current,
-            }
-        }
-    }
-
-    /// Pop the top *segment*: `(head, tail, count)` with one CAS, no block
-    /// in between touched. `tail`'s link still points into the stack.
-    ///
-    /// The stamp is read before anything is dereferenced, and the head is
-    /// then re-loaded: once a rival pops this segment and hands its head
-    /// out, the stamp word is user data. An unchanged tagged head means no
-    /// pop intervened (every CAS bumps the tag), so the stamp read is the
-    /// pusher's (DESIGN.md §8).
-    fn pop_segment(&self) -> Option<(*mut u8, *mut u8, usize)> {
-        let mut head = self.head.load(Ordering::Acquire);
-        loop {
-            let block = (head & PTR_MASK) as *mut u8;
-            if block.is_null() {
-                return None;
-            }
-            let (tail, n) = seg_read(block);
-            fence(Ordering::Acquire);
-            let now = self.head.load(Ordering::Relaxed);
-            if now != head {
-                head = now;
-                continue;
-            }
-            // SAFETY: the re-check proved the stamp the pusher's, so
-            // `tail` is a block in type-stable slab memory, readable even
-            // if a rival wins the segment from here on.
-            let next = unsafe { Self::link_of(tail) }.load(Ordering::Relaxed) as u64;
-            let tagged = (next & PTR_MASK) | (head & !PTR_MASK).wrapping_add(TAG_ONE);
-            match self.head.compare_exchange_weak(head, tagged, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return Some((block, tail, n)),
-                Err(current) => head = current,
-            }
-        }
-    }
-
-    /// Detach the entire stack — the reclaim sweep's drain. Returns the
-    /// old chain head (null when empty); the chain is fully linked
-    /// because pushers write the link *before* their publishing CAS.
-    /// A CAS loop rather than a plain `swap` so the version tag is
-    /// *preserved and bumped*, never reset: slab retirement depends on a
-    /// drained block's old (ptr, tag) pair staying dead forever, so a
-    /// reader whose pop straddled the drain can never win a stale CAS
-    /// against a block that has since been retired and recarved.
-    fn take_all(&self) -> *mut u8 {
-        let mut head = self.head.load(Ordering::Acquire);
-        loop {
-            if head & PTR_MASK == 0 {
-                return std::ptr::null_mut();
-            }
-            let empty = (head & !PTR_MASK).wrapping_add(TAG_ONE);
-            match self.head.compare_exchange_weak(head, empty, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return (head & PTR_MASK) as *mut u8,
-                Err(current) => head = current,
-            }
-        }
-    }
 }
 
 /// A class's central free stack of stamped segments — flushed surplus,
@@ -1124,29 +1013,6 @@ fn adopt(cache: &mut ThreadCache, class: usize, head: *mut u8, tail: *mut u8, n:
     head
 }
 
-/// Segment metadata: every central stack is a stack of *segments*,
-/// chains whose head's second word packs the tail pointer (low 48 bits)
-/// with the block count (high 16), written before the publishing CAS.
-/// This keeps a refill one CAS that walks no block.
-#[inline]
-fn seg_stamp(head: *mut u8, tail: *mut u8, count: u32) {
-    debug_assert!(count > 0 && (count as u64) < (1 << (64 - TAG_SHIFT)));
-    let packed = (tail as u64 & PTR_MASK) | ((count as u64) << TAG_SHIFT);
-    // SAFETY: blocks are at least 16 bytes and 16-aligned, and `head` is
-    // a free block the caller owns. Relaxed: the push CAS (release)
-    // publishes the stamp with the chain.
-    unsafe { &*(head.add(8) as *const AtomicU64) }.store(packed, Ordering::Relaxed);
-}
-
-/// The (tail, count) a [`seg_stamp`] left in a segment head.
-#[inline]
-fn seg_read(head: *mut u8) -> (*mut u8, usize) {
-    // SAFETY: as in `seg_stamp`; a stale `head` still lies in type-stable
-    // slab memory, and [`BlockStack::pop_segment`] discards what it read.
-    let packed = unsafe { &*(head.add(8) as *const AtomicU64) }.load(Ordering::Relaxed);
-    ((packed & PTR_MASK) as *mut u8, (packed >> TAG_SHIFT) as usize)
-}
-
 /// Stamp the first `n` blocks of the private chain at `head` as segments
 /// of at most `seg` blocks; returns the `n`th block (the last tail).
 fn stamp_segments(head: *mut u8, n: usize, seg: usize) -> *mut u8 {
@@ -1987,6 +1853,23 @@ mod tests {
     }
 
     #[test]
+    fn one_block_segments_pop_in_lifo_order_until_empty() {
+        // One-block segments alone, as the typed depot's nodes use the
+        // stack: each pops on its own, newest first.
+        let (_mem, b) = test_blocks(3);
+        let stack = BlockStack::new();
+        assert!(stack.is_empty_hint() && stack.pop_segment().is_none());
+        for &block in &b[0..3] {
+            stack.push_block(block);
+        }
+        assert!(!stack.is_empty_hint());
+        for &want in b[0..3].iter().rev() {
+            assert_eq!(stack.pop_segment(), Some((want, want, 1)));
+        }
+        assert!(stack.is_empty_hint() && stack.pop_segment().is_none());
+    }
+
+    #[test]
     fn a_wrapped_central_count_reads_as_zero() {
         let central = Central::new();
         central.free_len.store(3, Ordering::Relaxed);
@@ -2000,14 +1883,25 @@ mod tests {
 
     #[test]
     fn segment_stack_hands_out_every_block_exactly_once_under_contention() {
-        // Four threads push random-size stamped segments of the blocks
-        // they hold and pop whatever is on top, keeping what they pop for
-        // later pushes, so blocks recycle through every thread (the ABA
-        // pattern the tag defeats). A bit per block marks it as on the
-        // stack: set before its push, cleared by the pop that takes it, so
-        // a block handed out twice trips at once. Popped blocks are
-        // scribbled over like user data, so a pop that trusted a stale
-        // stamp would chase a wild tail.
+        // Segments of up to 64 blocks, as the engine's central stacks hold.
+        hand_out_exactly_once_under_contention(64);
+    }
+
+    #[test]
+    fn one_block_segments_hand_out_every_block_exactly_once_under_contention() {
+        // One-block segments alone, as the typed depot's nodes.
+        hand_out_exactly_once_under_contention(1);
+    }
+
+    fn hand_out_exactly_once_under_contention(max_seg: usize) {
+        // Four threads push random-size stamped segments (at most
+        // `max_seg` blocks) of the blocks they hold and pop whatever is on
+        // top, keeping what they pop for later pushes, so blocks recycle
+        // through every thread (the ABA pattern the tag defeats). A bit
+        // per block marks it as on the stack: set before its push,
+        // cleared by the pop that takes it, so a block handed out twice
+        // trips at once. Popped blocks are scribbled over like user data,
+        // so a pop that trusted a stale stamp would chase a wild tail.
         const THREADS: usize = 4;
         const PER_THREAD: usize = 4096;
         const STEPS: usize = 50_000;
@@ -2056,7 +1950,7 @@ mod tests {
                             rng ^= rng >> 7;
                             rng ^= rng << 17;
                             if !held.is_empty() && rng & 1 == 0 {
-                                let n = (1 + (rng >> 8) as usize % 64).min(held.len());
+                                let n = (1 + (rng >> 8) as usize % max_seg).min(held.len());
                                 let segment = held.split_off(held.len() - n);
                                 for &p in &segment {
                                     flip(p, true);

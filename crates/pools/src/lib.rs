@@ -19,10 +19,11 @@
 //!   paper's try-lock-and-spill over one locked free list per shard — and
 //!   fronted by lock-free per-thread `magazine`s so steady-state
 //!   acquire/release takes no lock at all; behind the magazines the only
-//!   shared tier is a Bonwick-style `depot` of whole parked lists, one
-//!   lock-free stack per shard (one CAS per swap or park), and every fresh
-//!   object takes one block of the size-class engine below
-//!   ([`pool_box::PoolBox`], one pointer per handle);
+//!   shared tier is a Bonwick-style depot of whole parked lists, one
+//!   lock-free stack per pool (the size-class engine's stack, with each
+//!   list a one-block segment), and every fresh object takes one block of
+//!   the size-class engine below ([`pool_box::PoolBox`], one pointer per
+//!   handle);
 //! * in single-threaded programs all locks are elided (§5.1), which is why
 //!   the paper's Figure 4 shows a 1-thread Amplify advantage: the
 //!   generated C++ runtime header drops its mutex in unthreaded builds,
@@ -54,7 +55,7 @@
 //! ```
 #![warn(unreachable_pub)]
 
-mod depot;
+mod block_stack;
 pub mod fault;
 pub mod global;
 mod guard;

@@ -7,14 +7,15 @@
 //! headers ([`SlotList`]), so the whole magazine is `(head, len)`.
 //! Steady-state acquire/release is a pop or push on that list: no mutex, no
 //! hash lookup, no write into the object. Behind the magazines the *depot*
-//! is the only shared tier: per-shard Treiber stacks of whole parked lists
-//! ([`crate::depot`]), exchanged in one CAS each way — a full magazine
-//! moves its two list words into a node shell and pushes it, an empty one
-//! pops a node and keeps the shell as its spare. When the depot has nothing
-//! to offer, a fresh object takes a slot from the size-class engine
-//! ([`crate::pool_box::PoolBox::new`]). A magazine-mode pool takes no lock
-//! on any path; the locked shard free lists belong to direct mode
-//! (`magazine_cap == 0`) alone, which never creates a magazine.
+//! is the only shared tier: one stack of whole parked lists per pool, the
+//! size-class engine's stack ([`BlockStack`]) with each list in a node
+//! shell, a one-block segment. A full magazine moves its two list words
+//! into a shell from the pool's shell stack and pushes it; an empty one
+//! pops a node, takes the two words and pushes the shell back. When the
+//! depot has nothing to offer, a fresh object takes a slot from the
+//! size-class engine ([`crate::pool_box::PoolBox::new`]). A magazine-mode
+//! pool takes no lock on any path; the locked shard free lists belong to
+//! direct mode (`magazine_cap == 0`) alone, which never creates a magazine.
 //!
 //! A thread finds its magazines in a slot table named by two const-init
 //! cells (pointer and length, the size-class engine's `CACHE` idiom). A
@@ -41,8 +42,12 @@
 //!   depot swaps and parks, and the uncapped depot population — is written
 //!   by the owning thread into its magazine's [`MagCells`] with plain
 //!   stores, and folded into the shared counters when the magazine
-//!   retires: the hit path and an uncapped pool's depot exchange take no
-//!   locked read-modify-write besides the stack CAS;
+//!   retires: the hit path takes no locked read-modify-write, and an
+//!   uncapped pool's depot exchange none besides its two stack CASes;
+//! * a node shell is an engine block on one of the depot's two stacks,
+//!   except while an exchange holds it, and goes back to the engine only
+//!   when the depot drops: a pop that loses its race still reads live
+//!   memory;
 //! * a thread's magazines park on the depot when the thread exits (TLS
 //!   destructor), so no object leaks and `trim` can still reclaim it;
 //! * `trim` drains the *calling* thread's magazine, empties the depot, and
@@ -52,14 +57,16 @@
 //!   epoch they were parked under, so a node that raced past the drain is
 //!   recognized as stale at swap time and discarded then.
 
-use crate::depot::{DepotNode, MagStack};
+use crate::block_stack::BlockStack;
 use crate::fault;
+use crate::global::{raw_alloc, raw_dealloc};
 use crate::guard;
 use crate::limits::PoolConfig;
-use crate::pool_box::{PoolBox, SlotList};
+use crate::pool_box::{PoolBox, SlotHeader, SlotList};
 use crate::sharded::Shard;
 use crate::stats::{PoolStats, StatsSnapshot};
 use parking_lot::Mutex;
+use std::alloc::{handle_alloc_error, Layout};
 use std::any::TypeId;
 use std::cell::Cell;
 use std::mem;
@@ -248,8 +255,9 @@ fn free_orphans(t: &Table, dropped: usize) -> *mut MagSlot {
     t.ptr.get()
 }
 
-/// The shared half of a magazine-fronted pool: the depot stacks, direct
-/// mode's shard array, and the counters magazines coordinate through.
+/// The shared half of a magazine-fronted pool: the depot's two stacks,
+/// direct mode's shard array, and the counters magazines coordinate
+/// through.
 #[derive(Debug)]
 pub(crate) struct Depot<T> {
     id: usize,
@@ -258,9 +266,6 @@ pub(crate) struct Depot<T> {
     pub(crate) shards: Box<[Shard<T>]>,
     /// Objects a magazine may hold; 0 disables magazines (direct mode).
     pub(crate) magazine_cap: usize,
-    /// Round-robin cursor assigning home shards to new magazines — the
-    /// one-time replacement for hashing the thread id on every operation.
-    next_shard: AtomicUsize,
     /// Bumped by `trim`; magazines with an older epoch discard their cache.
     trim_epoch: AtomicU64,
     /// The address of every live magazine's [`MagCells`], registered at
@@ -279,15 +284,13 @@ pub(crate) struct Depot<T> {
     /// room here before the push, and a pop releases it after; uncapped
     /// pools never touch it.
     capped_parked: AtomicUsize,
-    /// Treiber stacks of parked lists, one per shard (locality: a magazine
-    /// parks on and swaps from its home shard's stack first).
-    full: Box<[MagStack]>,
-    /// Recycled empty node shells, ready for the next park.
-    free_nodes: MagStack,
-    /// Every node ever allocated for this depot, by address. Nodes are
-    /// type-stable while the depot lives (the lock-free pop relies on it)
-    /// and are freed here, in `Drop`, when the depot is the sole owner.
-    nodes: Mutex<Vec<usize>>,
+    /// Parked lists, one [`DepotNode`] each.
+    full: BlockStack,
+    /// Empty node shells, ready for the next park. A shell is on one of
+    /// the two stacks except while an exchange holds it, and is freed only
+    /// in `Drop`: shells are type-stable while the depot lives, which the
+    /// lock-free pop relies on.
+    shells: BlockStack,
     /// Fresh allocations, cap drops, the DEAD path's counts and the folded
     /// counts of retired magazines.
     pub(crate) stats: PoolStats,
@@ -304,24 +307,16 @@ impl<T> Depot<T> {
             id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
             shards: (0..direct_shards).map(|_| Shard::new(config)).collect(),
             magazine_cap,
-            next_shard: AtomicUsize::new(0),
             trim_epoch: AtomicU64::new(0),
             mag_counts: Mutex::new(Vec::new()),
             depot_parked: AtomicI64::new(0),
             bound: config.max_objects.map(|max| max.saturating_mul(shards)),
             capped_parked: AtomicUsize::new(0),
-            full: (0..shards).map(|_| MagStack::new()).collect(),
-            free_nodes: MagStack::new(),
-            nodes: Mutex::new(Vec::new()),
+            full: BlockStack::new(),
+            shells: BlockStack::new(),
             stats: PoolStats::new(),
             guard: guard::Ledger::default(),
         }
-    }
-
-    /// Number of shards (depot stacks in magazine mode, free lists in
-    /// direct mode).
-    pub(crate) fn shard_count(&self) -> usize {
-        self.full.len()
     }
 
     /// The registered counter cells.
@@ -388,73 +383,43 @@ impl<T> Depot<T> {
         self.trim_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// An empty node shell to park a list in: recycled if possible,
-    /// freshly allocated (and registered for eventual free) otherwise.
-    fn alloc_node(&self) -> NonNull<DepotNode> {
-        if let Some(node) = self.free_nodes.pop() {
-            return node;
-        }
-        let node = NonNull::from(Box::leak(Box::new(DepotNode::new())));
-        self.nodes.lock().push(node.as_ptr() as usize);
-        node
-    }
-
-    /// Pop a parked list, probing each shard's stack once from `start`
-    /// (in rotation, without a division on the swap path).
-    fn pop_full(&self, start: usize) -> Option<NonNull<DepotNode>> {
-        let (before, from) = self.full.split_at(start);
-        from.iter().chain(before).find_map(MagStack::pop)
-    }
-
-    /// True when no stack holds a parked list (racy hint; a stale answer
-    /// only costs the caller the probe a miss would have done anyway).
-    fn depot_empty_hint(&self) -> bool {
-        self.full.iter().all(MagStack::is_empty_hint)
-    }
-
     /// Empty a node the caller owns (popped, or the depot's sole owner) of
     /// its parked list.
     ///
     /// # Safety
     /// `node` belongs to this depot, whose nodes park `T` slot lists.
     unsafe fn take_list(node: NonNull<DepotNode>) -> (SlotList<T>, u64) {
-        let node = unsafe { &mut *node.as_ptr() };
-        let list = unsafe {
-            SlotList::from_raw(
-                mem::replace(&mut node.head, ptr::null_mut()),
-                mem::take(&mut node.len),
-            )
-        };
-        (list, node.epoch)
+        let node = node.as_ptr();
+        // SAFETY: the node is ours; its stack words stay untouched (a stale
+        // pop may still read the link).
+        unsafe {
+            let list = SlotList::from_raw((*node).head, (*node).len);
+            ((*node).head, (*node).len) = (ptr::null_mut(), 0);
+            (list, (*node).epoch)
+        }
     }
 
-    /// Park `list`, stamped with trim epoch `epoch`, as one node on stack
-    /// `shard`: one CAS, in the `shell` if there is one (taken), else a
-    /// recycled or fresh shell. A capped pool first reserves room for the
-    /// list's top; returns how many objects parked and the older rest,
-    /// which the caller drops (and counts) outside any hold.
-    fn park(
-        &self,
-        shard: usize,
-        mut list: SlotList<T>,
-        epoch: u64,
-        shell: &mut Option<NonNull<DepotNode>>,
-    ) -> (usize, SlotList<T>) {
+    /// Park `list`, stamped with trim epoch `epoch`, as one node: a shell
+    /// from the shell stack (or a fresh one), then one CAS onto the full
+    /// stack. A capped pool first reserves room for the list's top;
+    /// returns how many objects parked and the older rest, which the
+    /// caller drops (and counts) outside any hold.
+    fn park(&self, mut list: SlotList<T>, epoch: u64) -> (usize, SlotList<T>) {
         let over = match self.bound {
             Some(bound) if !list.is_empty() => list.split_off(self.reserve_room(bound, list.len())),
             _ => SlotList::new(),
         };
         let n = list.len();
         if n > 0 {
-            let node = shell.take().unwrap_or_else(|| self.alloc_node());
+            let node = pop_node(&self.shells).unwrap_or_else(new_shell);
             let (head, len) = list.into_raw();
-            // SAFETY: spare and free-list shells are empty and ours.
+            // SAFETY: a popped or fresh shell is empty and ours.
             unsafe {
-                let shell = &mut *node.as_ptr();
-                debug_assert!(shell.head.is_null(), "spare/free nodes are empty shells");
-                (shell.head, shell.len, shell.epoch) = (head, len, epoch);
+                let node = node.as_ptr();
+                debug_assert!((*node).head.is_null(), "shells are empty");
+                ((*node).head, (*node).len, (*node).epoch) = (head, len, epoch);
             }
-            self.full[shard].push(node);
+            push_node(&self.full, node);
         }
         (n, over)
     }
@@ -486,17 +451,15 @@ impl<T> Depot<T> {
         drop(over);
     }
 
-    /// Pop every parked list off every stack and drop the contents (trim
-    /// support). Returns how many objects were reclaimed.
+    /// Pop every parked list and drop the contents (trim support).
+    /// Returns how many objects were reclaimed.
     pub(crate) fn drain_depot(&self) -> usize {
         let mut reclaimed = SlotList::new();
-        for stack in self.full.iter() {
-            while let Some(node) = stack.pop() {
-                // Owned after a successful pop; the depot keeps it allocated.
-                let (list, _) = unsafe { Self::take_list(node) };
-                self.free_nodes.push(node);
-                reclaimed.append(list);
-            }
+        while let Some(node) = pop_node(&self.full) {
+            // SAFETY: owned after a successful pop; its list is a `T` list.
+            let (list, _) = unsafe { Self::take_list(node) };
+            push_node(&self.shells, node);
+            reclaimed.append(list);
         }
         let n = reclaimed.len();
         self.release_room(n);
@@ -516,7 +479,7 @@ impl<T> Depot<T> {
         let mut list = SlotList::new();
         list.push(obj);
         let epoch = self.trim_epoch.load(Ordering::Relaxed);
-        let (parked, refused) = self.park(0, list, epoch, &mut None);
+        let (parked, refused) = self.park(list, epoch);
         if parked == 0 {
             self.stats.record_refused();
             drop(refused);
@@ -531,12 +494,11 @@ impl<T> Depot<T> {
     /// nodes drop on the way.
     pub(crate) fn acquire_dead(&self) -> Option<PoolBox<T>> {
         let epoch = self.trim_epoch.load(Ordering::Relaxed);
-        while let Some(node) = self.pop_full(0) {
-            // SAFETY: owned after a successful pop; the depot keeps it
-            // allocated, and its nodes park `T` lists.
+        while let Some(node) = pop_node(&self.full) {
+            // SAFETY: owned after a successful pop; its list is a `T` list.
             let (mut list, parked_under) = unsafe { Self::take_list(node) };
             if parked_under != epoch {
-                self.free_nodes.push(node);
+                push_node(&self.shells, node);
                 self.release_room(list.len());
                 self.depot_parked.fetch_sub(list.len() as i64, Ordering::Relaxed);
                 self.guard.record_reclaim(list.len());
@@ -546,13 +508,13 @@ impl<T> Depot<T> {
             self.release_room(1);
             self.depot_parked.fetch_sub(1, Ordering::Relaxed);
             if list.is_empty() {
-                self.free_nodes.push(node);
+                push_node(&self.shells, node);
             } else {
                 // The rest keeps the room it holds: no second admission.
                 let (head, len) = list.into_raw();
                 // SAFETY: emptied above and still ours.
                 unsafe { ((*node.as_ptr()).head, (*node.as_ptr()).len) = (head, len) };
-                self.full[0].push(node);
+                push_node(&self.full, node);
             }
             self.guard.record_unpark();
             self.stats.record_hit();
@@ -567,30 +529,77 @@ impl<T> Drop for Depot<T> {
         // Release: a cold table access that reads the new count finds this
         // pool's magazines orphaned (their drop touches no depot state).
         DROPPED_POOLS.fetch_add(1, Ordering::Release);
+        // Sole owner now: no thread can race a stack operation. Empty both
+        // stacks and free every shell; the parked objects drop last.
+        let mut parked = SlotList::new();
+        while let Some(node) = pop_node(&self.full) {
+            // SAFETY: popped, and this depot's nodes park `T` lists.
+            parked.append(unsafe { Self::take_list(node) }.0);
+            free_shell(node);
+        }
+        while let Some(node) = pop_node(&self.shells) {
+            free_shell(node);
+        }
         // Exact live-object accounting (guarded builds only): when no
         // foreign magazine is still live, every parked object is visible
-        // from here — direct mode's shard free lists plus the lists inside
-        // parked depot nodes — and the guard ledger must balance against
-        // that population and the cap-drop counters.
+        // from here — direct mode's shard free lists plus the lists just
+        // taken off the full stack — and the guard ledger must balance
+        // against that population and the cap-drop counters.
         #[cfg(any(debug_assertions, feature = "fault-inject"))]
         if self.mag_counts.get_mut().is_empty() {
-            let mut physically_parked: usize = self.shards.iter().map(Shard::len).sum();
-            for &addr in self.nodes.get_mut().iter() {
-                // Sole owner: the node is ours to read.
-                physically_parked += unsafe { &*(addr as *const DepotNode) }.len;
-            }
+            let physically_parked =
+                parked.len() + self.shards.iter().map(Shard::len).sum::<usize>();
             let cap_dropped =
                 self.stats.dropped() + self.shards.iter().map(|s| s.stats.dropped()).sum::<u64>();
             self.guard.reconcile(physically_parked, cap_dropped);
         }
-        // Sole owner now: no thread can race a stack operation. Free every
-        // node ever allocated; full ones drop their objects with their list.
-        for &addr in self.nodes.get_mut().iter() {
-            let node = unsafe { NonNull::new_unchecked(addr as *mut DepotNode) };
-            drop(unsafe { Self::take_list(node) });
-            drop(unsafe { Box::from_raw(node.as_ptr()) });
-        }
     }
+}
+
+/// One parked list in a node shell, a one-block segment of the depot's
+/// stacks: [`BlockStack`]'s link word and stamp, then the list (null/0 in
+/// an empty shell). Not generic: the depot knows the slots' type.
+#[repr(C)]
+struct DepotNode {
+    _stack_words: [AtomicUsize; 2],
+    head: *mut SlotHeader,
+    len: usize,
+    /// [`Depot::trim_epoch`] value at park time; a mismatch on pop means a
+    /// trim intervened and the contents must drop.
+    epoch: u64,
+}
+
+/// Pop a node off one of a depot's stacks.
+#[inline]
+fn pop_node(stack: &BlockStack) -> Option<NonNull<DepotNode>> {
+    let (node, _, n) = stack.pop_segment()?;
+    debug_assert_eq!(n, 1, "depot nodes are one-block segments");
+    NonNull::new(node.cast())
+}
+
+/// Push a node the caller owns onto one of a depot's stacks.
+#[inline]
+fn push_node(stack: &BlockStack, node: NonNull<DepotNode>) {
+    stack.push_block(node.as_ptr().cast());
+}
+
+/// An empty shell, one block of the size-class engine.
+#[cold]
+fn new_shell() -> NonNull<DepotNode> {
+    let layout = Layout::new::<DepotNode>();
+    let Some(node) = NonNull::new(raw_alloc(layout).cast::<DepotNode>()) else {
+        handle_alloc_error(layout)
+    };
+    // SAFETY: the block is fresh and ours; all zeros is an empty shell.
+    unsafe { node.as_ptr().write_bytes(0, 1) };
+    node
+}
+
+/// Give an emptied shell back to the engine (depot drop only).
+fn free_shell(node: NonNull<DepotNode>) {
+    // SAFETY: `new_shell` took the block with this layout, and the depot's
+    // sole owner holds the shell.
+    unsafe { raw_dealloc(node.as_ptr().cast(), Layout::new::<DepotNode>()) };
 }
 
 /// One magazine's counters, the only copy. The owning thread updates them
@@ -645,26 +654,18 @@ pub(crate) struct Magazine<T> {
     epoch: u64,
     /// This magazine's counters, registered in [`Depot::mag_counts`].
     cells: MagCells,
-    /// Home shard: the depot stack parks go to and swaps probe first.
-    shard: usize,
     depot: Weak<Depot<T>>,
-    /// Empty node shell kept back from the last depot swap, so the steady
-    /// empty↔full cycle never touches the free-node stack.
-    spare: Option<NonNull<DepotNode>>,
 }
 
 impl<T> Magazine<T> {
-    /// A new magazine for `depot` (home shard assigned round-robin), its
-    /// cells registered.
+    /// A new magazine for `depot`, its cells registered.
     fn new(depot: &Arc<Depot<T>>) -> Box<Self> {
         let mag = Box::new(Magazine {
             list: SlotList::new(),
             cap: depot.magazine_cap,
             epoch: depot.trim_epoch.load(Ordering::Relaxed),
             cells: MagCells::default(),
-            shard: depot.next_shard.fetch_add(1, Ordering::Relaxed) % depot.shard_count(),
             depot: Arc::downgrade(depot),
-            spare: None,
         });
         depot.mag_counts.lock().push(&mag.cells as *const MagCells as usize);
         mag
@@ -674,10 +675,8 @@ impl<T> Magazine<T> {
 impl<T> Drop for Magazine<T> {
     fn drop(&mut self) {
         // Thread exit (TLS teardown): park the cached objects on the depot
-        // as one node, in the spare shell, where a later thread's swap and
-        // `trim` can reach them. If the pool is gone the objects simply
-        // drop with the list (and the depot freed every node, spare
-        // included — don't touch it).
+        // as one node, where a later thread's swap and `trim` can reach
+        // them. If the pool is gone the objects simply drop with the list.
         if let Some(depot) = self.depot.upgrade() {
             // Fold-on-drop must be panic-safe: dropping what a trim made
             // stale or what a cap turned away runs arbitrary user
@@ -711,12 +710,8 @@ impl<T> Drop for Magazine<T> {
             // A stale cache parks nothing (and a full one is not stale), so
             // at most one of the two drops below runs user code.
             let stale = invalidate_if_stale(self, &depot);
-            let (parked, over) =
-                depot.park(self.shard, mem::take(&mut self.list), self.epoch, &mut self.spare);
+            let (parked, over) = depot.park(mem::take(&mut self.list), self.epoch);
             depot.depot_parked.fetch_add(parked as i64, Ordering::Relaxed);
-            if let Some(node) = self.spare.take() {
-                depot.free_nodes.push(node);
-            }
             let _fold = FoldOnDrop { depot: &depot, cells: &self.cells };
             drop_stale(&depot, stale);
             depot.drop_over(over);
@@ -821,7 +816,8 @@ pub(crate) fn refill<T: 'static>(depot: &Arc<Depot<T>>, bytes: u64) -> Refill<T>
         let got = match mag.list.pop() {
             // Only an empty or stale magazine misses; a swap replaces the list.
             Some(obj) => Some(obj),
-            None if depot.depot_empty_hint() => None,
+            // A racy hint: a stale answer costs what a miss would anyway.
+            None if depot.full.is_empty_hint() => None,
             None => swap_in(mag, depot, &mut stale),
         };
         if got.is_some() {
@@ -850,13 +846,13 @@ fn swap_in<T>(
     stale: &mut SlotList<T>,
 ) -> Option<PoolBox<T>> {
     let mut forced_retry = fault::retry_depot();
-    while let Some(node) = depot.pop_full(mag.shard) {
+    while let Some(node) = pop_node(&depot.full) {
         if forced_retry {
             // Injected CAS race: hand the node straight back and pop
             // again, exercising the version-tag (ABA) protection the way a
             // concurrent winner would.
             forced_retry = false;
-            depot.full[mag.shard].push(node);
+            push_node(&depot.full, node);
             continue;
         }
         if fault::bump_epoch() {
@@ -866,17 +862,12 @@ fn swap_in<T>(
             // had completed before the trim began.
             depot.bump_trim_epoch();
         }
-        // Owned after a successful pop; the depot keeps it allocated.
+        // SAFETY: owned after a successful pop; its list is a `T` list.
         let (list, epoch) = unsafe { Depot::take_list(node) };
+        push_node(&depot.shells, node);
         let n = list.len();
         depot.release_room(n);
         MagCells::add(&mag.cells.depot_net, -(n as i64));
-        // Keep the shell as the spare the next park fills, unless one is
-        // already kept.
-        match mag.spare {
-            None => mag.spare = Some(node),
-            Some(_) => depot.free_nodes.push(node),
-        }
         if epoch != mag.epoch {
             stale.append(list);
             continue;
@@ -934,11 +925,11 @@ pub(crate) fn push_cold<T: 'static>(
             // delay: the magazine runs past capacity, and a later release
             // parks the larger list below (any length ≥ cap works).
         } else {
-            // Park the whole magazine: its two list words go into the spare
-            // (or a recycled) node shell, and one CAS publishes the node on
-            // the home shard's stack. The magazine starts over empty.
+            // Park the whole magazine: its two list words go into a node
+            // shell, and one CAS publishes the node on the full stack. The
+            // magazine starts over empty.
             let list = mem::take(&mut mag.list);
-            let (n, rest) = depot.park(mag.shard, list, mag.epoch, &mut mag.spare);
+            let (n, rest) = depot.park(list, mag.epoch);
             over = rest;
             if n > 0 {
                 MagCells::add(&mag.cells.depot_net, n as i64);
@@ -972,7 +963,7 @@ pub(crate) fn flush_local<T: 'static>(depot: &Arc<Depot<T>>) -> usize {
     let Some((n, over)) = with_mag(depot, false, |mag| {
         let list = mem::take(&mut mag.list);
         let n = list.len();
-        let (parked, over) = depot.park(mag.shard, list, mag.epoch, &mut mag.spare);
+        let (parked, over) = depot.park(list, mag.epoch);
         MagCells::add(&mag.cells.depot_net, parked as i64);
         (n, over)
     }) else {
@@ -1068,20 +1059,32 @@ mod tests {
         assert!(take(&d).is_none());
     }
 
+    /// The nodes on one of a depot's stacks, top first (popped and pushed
+    /// back in order).
+    fn nodes_on(stack: &BlockStack) -> Vec<usize> {
+        let nodes: Vec<_> = std::iter::from_fn(|| pop_node(stack)).collect();
+        nodes.iter().rev().for_each(|&node| push_node(stack, node));
+        nodes.iter().map(|node| node.as_ptr() as usize).collect()
+    }
+
     #[test]
     fn swap_keeps_the_shell_for_the_next_park() {
         let d = depot(1, 2);
         for i in 0..3 {
-            put(&d, PoolBox::new(i)); // parks [0,1] in a fresh node
+            put(&d, PoolBox::new(i)); // parks [0,1] in a fresh shell
         }
-        assert_eq!(d.nodes.lock().len(), 1);
+        let full = nodes_on(&d.full);
+        assert_eq!(full.len(), 1);
+        assert!(nodes_on(&d.shells).is_empty());
         assert_eq!(take(&d), Some(2));
         assert_eq!(take(&d), Some(1), "swapped in");
-        assert!(peek(&d, |m| m.spare.is_some()).unwrap(), "the popped shell is the spare");
+        assert!(nodes_on(&d.full).is_empty());
+        assert_eq!(nodes_on(&d.shells), full, "the popped shell waits on the shell stack");
         for i in 10..13 {
-            put(&d, PoolBox::new(i)); // the third release parks again
+            put(&d, PoolBox::new(i)); // the second release parks again
         }
-        assert_eq!(d.nodes.lock().len(), 1, "the park reused the spare shell");
+        assert_eq!(nodes_on(&d.full), full, "the park reused the shell");
+        assert!(nodes_on(&d.shells).is_empty());
         assert_eq!(d.depot_parked(), 2);
     }
 
@@ -1143,25 +1146,6 @@ mod tests {
         assert!(take(&d).is_none(), "pre-trim depot magazines must drop");
         assert_eq!(d.depot_parked(), 0);
         assert_eq!(d.magazine_parked(), 0);
-    }
-
-    #[test]
-    fn round_robin_home_shards() {
-        // Four threads touching a 4-shard depot get four distinct homes.
-        let d = depot::<u32>(4, 8);
-        let mut homes: Vec<usize> = (0..4)
-            .map(|_| {
-                let d = Arc::clone(&d);
-                std::thread::spawn(move || {
-                    put(&d, PoolBox::new(0));
-                    peek(&d, |m| m.shard).expect("the release created the magazine")
-                })
-                .join()
-                .unwrap()
-            })
-            .collect();
-        homes.sort_unstable();
-        assert_eq!(homes, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //! |-------------------|--------|--------------|----------------------------|
 //! | `amplify-local`   | 1      | 0            | one locked free list       |
 //! | `amplify-sharded` | N      | 0            | N locked free lists        |
-//! | `amplify`         | N      | 32           | N lock-free depot stacks   |
+//! | `amplify`         | N      | 32           | one lock-free depot stack  |
 //!
-//! **Magazine mode** (`magazine_cap > 0`): each thread gets a home shard
-//! assigned round-robin on first touch and a small magazine of parked
-//! objects. Steady-state acquire/release never locks: it pops/pushes the
-//! magazine. Behind the magazines, each shard is a lock-free depot stack
-//! of whole parked lists: a full magazine parks on its home shard's stack
-//! in one CAS, an empty one swaps a list back in with one CAS (probing the
-//! other shards' stacks after its own), and a miss there takes a fresh slot
-//! from the size-class engine. No path takes a lock.
+//! **Magazine mode** (`magazine_cap > 0`): each thread gets a small
+//! magazine of parked objects on first touch. Steady-state acquire/release
+//! never locks: it pops/pushes the magazine. Behind the magazines the pool
+//! keeps one lock-free depot stack of whole parked lists: a full magazine
+//! parks there, an empty one swaps a list back in, each with one CAS on
+//! the depot stack and one on its stack of empty node shells, and a miss
+//! there takes a fresh slot from the size-class engine. No path takes a
+//! lock. The shard count only scales a capped pool's depot bound
+//! (`max_objects × shards`).
 //!
 //! **Direct mode** (`magazine_cap == 0`) is the bare §3.2 layout: one
 //! locked free list per shard, try-lock-and-spill. Each thread has one
@@ -37,8 +38,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A typed object pool split into `n` shards: lock-free depot stacks
-/// behind thread-local magazines, or locked free lists in direct mode.
+/// A typed object pool: a lock-free depot stack behind thread-local
+/// magazines, or `n` locked free lists (shards) in direct mode.
 #[derive(Debug)]
 pub struct ShardedPool<T> {
     depot: Arc<Depot<T>>,
@@ -63,12 +64,6 @@ impl<T> ShardedPool<T> {
     /// list).
     pub fn with_magazines(shards: usize, config: PoolConfig, magazine_cap: usize) -> Self {
         ShardedPool { depot: Arc::new(Depot::new(shards, config, magazine_cap)) }
-    }
-
-    /// Number of shards.
-    #[cfg(test)]
-    pub(crate) fn shard_count(&self) -> usize {
-        self.depot.shard_count()
     }
 
     /// Objects a thread's magazine may cache (0 = magazines disabled).
@@ -258,7 +253,7 @@ impl<T: 'static> ShardedPool<T> {
         let n_local = local.len();
         self.depot.guard.record_reclaim(n_local);
         drop(local);
-        // Drain the depot stacks before bumping the epoch: a magazine
+        // Drain the depot stack before bumping the epoch: a magazine
         // parked concurrently with the drain still carries the old epoch,
         // so the next swap recognizes it as stale and drops it then.
         let n_depot = self.depot.drain_depot();
@@ -405,7 +400,7 @@ mod tests {
 
     /// The calling thread's direct-mode home shard in `pool`.
     fn home_of<T>(pool: &ShardedPool<T>) -> usize {
-        HOME.with(Cell::get) % pool.shard_count()
+        HOME.with(Cell::get) % pool.depot.shards.len()
     }
 
     #[test]

@@ -67,8 +67,8 @@ impl<T: Reusable> StructurePool<T> {
         Self::new_sharded_with_magazines(1, config, 0)
     }
 
-    /// An empty structure pool sharded over `shards` depot stacks with
-    /// thread-local magazines in front — the configuration for structures
+    /// An empty structure pool of `shards` shards with thread-local
+    /// magazines in front of its depot — the configuration for structures
     /// allocated and freed concurrently from many threads.
     pub fn new_sharded(shards: usize) -> Self {
         StructurePool { pool: ShardedPool::new(shards) }
